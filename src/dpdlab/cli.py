@@ -39,6 +39,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # waveform I/O by extension
 # ----------------------------------------------------------------------
@@ -92,6 +102,11 @@ def _cmd_simulate_pa(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.post_taps < 0:
+        raise _UsageError(f"dpdlab fit: --post-taps must be non-negative, got {args.post_taps}")
+    if args.taps <= args.post_taps:
+        raise _UsageError(
+            f"dpdlab fit: --taps ({args.taps}) must exceed --post-taps ({args.post_taps})")
     psi = _read_waveform(args.infile)
     phi = _read_waveform(args.target)
     if len(psi) != len(phi):
@@ -302,7 +317,8 @@ def build_parser() -> _Parser:
 
     p = add("ila-run", _cmd_ila_run, "one indirect-learning cell: fit, deploy, evaluate")
     _add_config_flag(p)
-    p.add_argument("--iterations", type=int, default=1, help="inverse-learning passes")
+    p.add_argument("--iterations", type=_positive_int, default=1,
+                   help="inverse-learning passes")
     p.add_argument("--out", default=None, help="write the one-row report CSV here")
 
     p = add("sweep-taps", _cmd_sweep_taps, "NMSE vs tap count across model families")
@@ -349,6 +365,9 @@ def dispatch(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (DpdlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import modelfile
-from .agmpnn import AgmpnnModel, count_params_actual, count_params_formula
+from .agmpnn import (AgmpnnModel, agmpnn_param_count, count_params_actual,
+                     count_params_formula)
 from .exceptions import FormatError
 from .mpm import BasisMatrix, MpmCoefficients, MpmSpec, build_basis, ls_fit
 from .pa_sim import PaConfig, pa_forward
@@ -117,15 +118,24 @@ def _advance(samples: np.ndarray, delay: int) -> np.ndarray:
     return out
 
 
-def _fit_mpm_segments(psi_s: np.ndarray, phi_s: np.ndarray, spec: MpmSpec,
-                      train_ranges, val_ranges, ridge) -> tuple[MpmCoefficients, float]:
-    """Least-squares fit over the training segments, validation NMSE over the rest.
+def _fit_mpm_orders(psi_s: np.ndarray, phi_s: np.ndarray, window: TapWindow, orders,
+                    segment_len: int, ridge) -> list[tuple[MpmCoefficients, float]]:
+    """Least-squares fit at each order count in `orders`: training on the
+    training segments, validation NMSE over the rest.
 
     Segments are treated as independent sequences (zero-filled tap edges), and
     each contributes only its interior samples, matching the training loop's
     edge policy so MPM and trained-model numbers are directly comparable.
+
+    The training basis is built once, at the largest order.  Its columns are
+    (l, k) with k varying fastest, and build_basis reaches each power by the
+    same repeated multiply, so the first K columns of every tap block equal the
+    order-K basis bit for bit and each order's fit sees exactly the input a
+    basis built at that order would give it.
     """
-    window = spec.window
+    train_ranges, val_ranges = split_segments(segment_ranges(psi_s.size, segment_len))
+    k_max = max(orders)
+    top = MpmSpec(window=window, k_orders=k_max)
     lo = window.pre_taps
     blocks = []
     targets = []
@@ -134,13 +144,23 @@ def _fit_mpm_segments(psi_s: np.ndarray, phi_s: np.ndarray, spec: MpmSpec,
         if hi <= lo:
             raise ValueError("segment too short for the tap window")
         seg = ComplexSequence(psi_s[a:b])
-        blocks.append(build_basis(seg, spec, sample_range=np.arange(lo, hi)).data)
+        blocks.append(build_basis(seg, top, sample_range=np.arange(lo, hi)).data)
         targets.append(phi_s[a + lo:a + hi])
-    basis = BasisMatrix(data=np.vstack(blocks), spec=spec)
-    coeffs = ls_fit(basis, np.concatenate(targets), ridge=ridge)
+    data = np.vstack(blocks)
+    del blocks  # keep one copy of the largest basis alive, not two
+    target = np.concatenate(targets)
     val_pairs = [(ComplexSequence(psi_s[a:b]), ComplexSequence(phi_s[a:b])) for a, b in val_ranges]
-    val = validation_nmse_db(coeffs, val_pairs, window)
-    return coeffs, val
+    fits = []
+    for k in orders:
+        # The top order fits on the stacked matrix itself; a lower one on a
+        # gathered copy of its columns.
+        cols = data if k == k_max else (
+            data.reshape(data.shape[0], window.n_taps, k_max)[:, :, :k]
+            .reshape(data.shape[0], window.n_taps * k))
+        coeffs = ls_fit(BasisMatrix(data=cols, spec=MpmSpec(window=window, k_orders=k)),
+                        target, ridge=ridge)
+        fits.append((coeffs, validation_nmse_db(coeffs, val_pairs, window)))
+    return fits
 
 
 def fit_model_on_data(psi, phi, spec: DpdModelSpec, cfg: TrainConfig, seed: int = 0) -> FitOutcome:
@@ -149,21 +169,18 @@ def fit_model_on_data(psi, phi, spec: DpdModelSpec, cfg: TrainConfig, seed: int 
     phi_s = as_samples(phi)
     if psi_s.size != phi_s.size:
         raise ValueError("input and target lengths differ")
-    segments = segment_ranges(psi_s.size, cfg.segment_len)
-    train_ranges, val_ranges = split_segments(segments)
 
     if spec.kind == "mpm":
-        mpm_spec = MpmSpec(window=spec.window, k_orders=spec.k_orders)
-        coeffs, val = _fit_mpm_segments(psi_s, phi_s, mpm_spec, train_ranges, val_ranges, spec.ridge)
+        [(coeffs, val)] = _fit_mpm_orders(psi_s, phi_s, spec.window, (spec.k_orders,),
+                                          cfg.segment_len, spec.ridge)
         return FitOutcome(model=coeffs, postinv_nmse_db=val, k_orders=spec.k_orders)
 
     if spec.kind == "agmpnn":
         warm = None
         warm_val = None
         if spec.warm_start:
-            mpm_spec = MpmSpec(window=spec.window, k_orders=spec.k_orders)
-            warm, warm_val = _fit_mpm_segments(psi_s, phi_s, mpm_spec,
-                                               train_ranges, val_ranges, spec.ridge)
+            [(warm, warm_val)] = _fit_mpm_orders(psi_s, phi_s, spec.window, (spec.k_orders,),
+                                                 cfg.segment_len, spec.ridge)
         model = AgmpnnModel.init(spec.window, spec.k_orders, spec.n_experts,
                                  warm_start=warm, seed=seed,
                                  calibration=psi_s,
@@ -186,27 +203,52 @@ def fit_model_on_data(psi, phi, spec: DpdModelSpec, cfg: TrainConfig, seed: int 
                       n1=spec.n1, n2=spec.n2)
 
 
+@dataclass(frozen=True)
+class PaObservation:
+    """One fitting pass: the PA drive and the PA output aligned onto it.
+
+    `psi_norm` is the observed output (with seeded feedback noise) advanced by
+    `delay` and divided by the scalar least-squares `gain`, so the model maps
+    PA-output scale back to PA-input scale.
+    """
+
+    phi: np.ndarray
+    psi_norm: np.ndarray
+    delay: int
+    gain: complex
+
+
+def observe_pa(pa: PaConfig, phi, noise_seed: int) -> PaObservation:
+    """Drive the PA with `phi` and align its noisy output onto the drive."""
+    psi = pa_forward(pa, phi, noise_seed=noise_seed)
+    aligned = align(phi, psi, MAX_ALIGN_LAG)
+    psi_norm = _advance(psi.samples, aligned.delay) / aligned.gain
+    psi_norm.flags.writeable = False  # shared by every cell of a sweep seed
+    return PaObservation(phi=as_samples(phi), psi_norm=psi_norm,
+                         delay=aligned.delay, gain=aligned.gain)
+
+
 def fit_predistorter(pa: PaConfig, chi: ComplexSequence, spec: DpdModelSpec,
-                     cfg: TrainConfig, seed: int = 0, n_iterations: int = 1) -> FitOutcome:
+                     cfg: TrainConfig, seed: int = 0, n_iterations: int = 1,
+                     first_pass: PaObservation | None = None) -> FitOutcome:
     """Indirect-learning fit: drive the PA, learn the postinverse of its output.
 
-    The observed output (with seeded feedback noise) is delay-compensated and
-    normalized by the scalar least-squares gain before fitting, so the model
-    maps PA-output scale back to PA-input scale.  With n_iterations > 1 the
-    freshly fitted model predistorts the next pass's drive; the first pass
-    always drives the PA with chi directly.
+    Each pass fits on observe_pa's aligned, normalized output.  With
+    n_iterations > 1 the freshly fitted model predistorts the next pass's
+    drive; the first pass always drives the PA with chi directly.  A caller
+    that already holds that first pass, observe_pa(pa, chi, seed), passes it
+    as `first_pass` and it is not observed again.
     """
     if n_iterations < 1:
         raise ValueError("n_iterations must be at least 1")
+    observed = first_pass if first_pass is not None else observe_pa(pa, chi, seed)
     outcome = None
     for it in range(n_iterations):
-        phi = chi if outcome is None else outcome.model.predict(chi)
-        psi = pa_forward(pa, phi, noise_seed=seed + it)
-        aligned = align(phi, psi, MAX_ALIGN_LAG)
-        psi_norm = _advance(psi.samples, aligned.delay) / aligned.gain
-        outcome = fit_model_on_data(psi_norm, as_samples(phi), spec, cfg, seed=seed)
-        outcome.gain = aligned.gain
-        outcome.delay = aligned.delay
+        if it:
+            observed = observe_pa(pa, outcome.model.predict(chi), seed + it)
+        outcome = fit_model_on_data(observed.psi_norm, observed.phi, spec, cfg, seed=seed)
+        outcome.gain = observed.gain
+        outcome.delay = observed.delay
     return outcome
 
 
@@ -219,23 +261,39 @@ def linearization_nmse_db(pa: PaConfig, dpd_model, chi: ComplexSequence) -> tupl
     return nmse_db(psi_c, aligned.gain * chi.samples), aligned.gain
 
 
-def run_ila(pa: PaConfig, preset_label: str, spec: DpdModelSpec, seed: int,
-            n_samples: int = 16384, bandwidth_fraction: float = 0.25,
-            cfg: TrainConfig | None = None, eval_seed: int | None = None,
-            n_iterations: int = 1) -> IlaReport:
-    """Full cell: generate waveforms, fit, deploy, evaluate, assemble the report.
+@dataclass(frozen=True)
+class IlaDrive:
+    """The drive stage's result: everything the cells of one (PA, seed) share."""
 
-    The fitting and evaluation waveforms use distinct seeds (eval defaults to
-    seed + 1000); feedback noise applies only during fitting.
+    seed: int
+    eval_seed: int
+    chi_fit: ComplexSequence
+    chi_eval: ComplexSequence
+    first_pass: PaObservation
+    no_dpd_nmse_db: float
+
+
+def drive_ila(pa: PaConfig, seed: int, n_samples: int = 16384,
+              bandwidth_fraction: float = 0.25, eval_seed: int | None = None) -> IlaDrive:
+    """Drive stage of a cell, a pure function of its arguments: the fitting and
+    evaluation waveforms, the first fitting pass and the no-DPD baseline.
+
+    The two waveforms use distinct seeds (eval defaults to seed + 1000);
+    feedback noise applies only to the fitting pass.
     """
-    cfg = cfg or TrainConfig()
     if eval_seed is None:
         eval_seed = seed + EVAL_SEED_OFFSET
     chi_fit = generate_waveform(seed, n_samples, bandwidth_fraction)
     chi_eval = generate_waveform(eval_seed, n_samples, bandwidth_fraction)
-    outcome = fit_predistorter(pa, chi_fit, spec, cfg, seed=seed, n_iterations=n_iterations)
-    lin, gain = linearization_nmse_db(pa, outcome.model, chi_eval)
     no_dpd, _ = linearization_nmse_db(pa, None, chi_eval)
+    return IlaDrive(seed=seed, eval_seed=eval_seed, chi_fit=chi_fit, chi_eval=chi_eval,
+                    first_pass=observe_pa(pa, chi_fit, seed), no_dpd_nmse_db=no_dpd)
+
+
+def _deployed_report(pa: PaConfig, preset_label: str, spec: DpdModelSpec, drive: IlaDrive,
+                     outcome: FitOutcome) -> IlaReport:
+    """Deploy a fitted postinverse on the drive's evaluation waveform; assemble the report."""
+    lin, _ = linearization_nmse_db(pa, outcome.model, drive.chi_eval)
     taps = spec.window.n_taps
     if spec.kind == "mpm":
         actual = 2 * taps * outcome.k_orders
@@ -247,37 +305,73 @@ def run_ila(pa: PaConfig, preset_label: str, spec: DpdModelSpec, seed: int,
         actual = rvftdnn_param_count(taps, outcome.n1, outcome.n2)
         formula = actual
     return IlaReport(
-        family=spec.kind, preset=preset_label, taps=taps, seed=seed,
+        family=spec.kind, preset=preset_label, taps=taps, seed=drive.seed,
         k_orders=outcome.k_orders, m_experts=outcome.n_experts,
         params_formula=formula, params_actual=actual,
         postinv_nmse_db=outcome.postinv_nmse_db, lin_nmse_db=lin,
-        no_dpd_nmse_db=no_dpd, eval_seed=eval_seed, gain=outcome.gain,
+        no_dpd_nmse_db=drive.no_dpd_nmse_db, eval_seed=drive.eval_seed, gain=outcome.gain,
         warm_start_nmse_db=outcome.warm_start_nmse_db,
         n1=outcome.n1, n2=outcome.n2,
-        improved=bool(lin <= no_dpd),
+        improved=bool(lin <= drive.no_dpd_nmse_db),
     )
+
+
+def run_ila_cell(pa: PaConfig, preset_label: str, spec: DpdModelSpec, drive: IlaDrive,
+                 cfg: TrainConfig | None = None, n_iterations: int = 1) -> IlaReport:
+    """Cell stage: fit one spec on the drive's first pass, deploy it, report.
+
+    With n_iterations > 1 only the first pass comes from the drive.
+    """
+    cfg = cfg or TrainConfig()
+    outcome = fit_predistorter(pa, drive.chi_fit, spec, cfg, seed=drive.seed,
+                               n_iterations=n_iterations, first_pass=drive.first_pass)
+    return _deployed_report(pa, preset_label, spec, drive, outcome)
+
+
+def run_ila(pa: PaConfig, preset_label: str, spec: DpdModelSpec, seed: int,
+            n_samples: int = 16384, bandwidth_fraction: float = 0.25,
+            cfg: TrainConfig | None = None, eval_seed: int | None = None,
+            n_iterations: int = 1) -> IlaReport:
+    """Full cell: the drive stage (drive_ila), then the cell stage (run_ila_cell).
+
+    The fitting and evaluation waveforms use distinct seeds (eval defaults to
+    seed + 1000); feedback noise applies only during fitting.
+    """
+    drive = drive_ila(pa, seed, n_samples, bandwidth_fraction, eval_seed)
+    return run_ila_cell(pa, preset_label, spec, drive, cfg, n_iterations)
 
 
 # ----------------------------------------------------------------------
 # sweeps
 # ----------------------------------------------------------------------
+#
+# Every cell of one (preset, seed) shares its drive stage, so a sweep computes
+# each drive once and keeps it for the rest of the call.
 
 
-def _best_mpm_spec(pa, preset_label, window, seed, n_samples, bandwidth_fraction,
-                   cfg, k_grid, budget_hi) -> IlaReport:
-    """Fit the MPM at every order count within budget; keep the best validation."""
-    best = None
-    for k in k_grid:
-        if 2 * window.n_taps * k > budget_hi:
-            continue
-        spec = DpdModelSpec(kind="mpm", window=window, k_orders=k)
-        report = run_ila(pa, preset_label, spec, seed, n_samples, bandwidth_fraction, cfg)
-        key = (report.postinv_nmse_db, 2 * window.n_taps * k, k)
-        if best is None or key < best[0]:
-            best = (key, report)
-    if best is None:
-        raise ValueError("no memory-polynomial order fits the parameter budget")
-    return best[1]
+def _shared_drive(drives: dict, pa: PaConfig, preset_label: str, seed: int,
+                  n_samples: int, bandwidth_fraction: float) -> IlaDrive:
+    key = (preset_label, seed)
+    if key not in drives:
+        drives[key] = drive_ila(pa, seed, n_samples, bandwidth_fraction)
+    return drives[key]
+
+
+def _best_mpm_report(pa, preset_label, window, drive: IlaDrive, cfg, orders) -> IlaReport:
+    """Fit the MPM at every order count in `orders`; deploy the best validation.
+
+    Ties go to fewer parameters, then the lower order.
+    """
+    first = drive.first_pass
+    fits = _fit_mpm_orders(first.psi_norm, first.phi, window, orders, cfg.segment_len, None)
+    scores = [(val, 2 * window.n_taps * k, k) for k, (_, val) in zip(orders, fits)]
+    best = scores.index(min(scores))
+    k = orders[best]
+    coeffs, val = fits[best]
+    outcome = FitOutcome(model=coeffs, postinv_nmse_db=val, k_orders=k,
+                         gain=first.gain, delay=first.delay)
+    spec = DpdModelSpec(kind="mpm", window=window, k_orders=k)
+    return _deployed_report(pa, preset_label, spec, drive, outcome)
 
 
 def sweep_taps(pa: PaConfig, preset_label: str, taps_list=DEFAULT_TAPS_LIST,
@@ -286,32 +380,33 @@ def sweep_taps(pa: PaConfig, preset_label: str, taps_list=DEFAULT_TAPS_LIST,
                cfg: TrainConfig | None = None, nn_grid=DEFAULT_NN_GRID,
                mpm_k_grid=DEFAULT_MPM_K_GRID) -> list[IlaReport]:
     """Tap-count sweep: AGMPNN fixed at (K=3, M=3), RVFTDNN architecture-searched
-    within the budget, MPM at its best order within budget."""
+    within the budget, MPM at its best order within budget.  A family with no
+    configuration inside the budget gets a blank (infeasible) row."""
     cfg = cfg or TrainConfig()
+    drives = {}
     rows = []
     for family in families:
         for taps in taps_list:
             window = TapWindow(pre_taps=taps - 1)
+            orders = [k for k in mpm_k_grid if 2 * taps * k <= budget[1]]
+            widths = tuple((a, b) for a in nn_grid for b in nn_grid
+                           if budget[0] <= rvftdnn_param_count(taps, a, b) <= budget[1])
             for seed in seeds:
+                if (family == "mpm" and not orders) or (family == "rvftdnn" and not widths):
+                    rows.append(IlaReport(family=family, preset=preset_label,
+                                          taps=taps, seed=seed))
+                    continue
+                drive = _shared_drive(drives, pa, preset_label, seed, n_samples,
+                                      bandwidth_fraction)
                 if family == "mpm":
-                    rows.append(_best_mpm_spec(pa, preset_label, window, seed, n_samples,
-                                               bandwidth_fraction, cfg, mpm_k_grid, budget[1]))
-                elif family == "agmpnn":
+                    rows.append(_best_mpm_report(pa, preset_label, window, drive, cfg, orders))
+                    continue
+                if family == "agmpnn":
                     spec = DpdModelSpec(kind="agmpnn", window=window, k_orders=3, n_experts=3)
-                    rows.append(run_ila(pa, preset_label, spec, seed, n_samples,
-                                        bandwidth_fraction, cfg))
                 else:
-                    grid = tuple((a, b) for a in nn_grid for b in nn_grid)
-                    feasible = [p for p in grid
-                                if budget[0] <= rvftdnn_param_count(taps, *p) <= budget[1]]
-                    if not feasible:
-                        rows.append(IlaReport(family=family, preset=preset_label,
-                                              taps=taps, seed=seed))
-                        continue
                     spec = DpdModelSpec(kind="rvftdnn", window=window,
-                                        search_grid=tuple(feasible), budget=budget)
-                    rows.append(run_ila(pa, preset_label, spec, seed, n_samples,
-                                        bandwidth_fraction, cfg))
+                                        search_grid=widths, budget=budget)
+                rows.append(run_ila_cell(pa, preset_label, spec, drive, cfg))
     return rows
 
 
@@ -319,7 +414,7 @@ def _closest_agmpnn(taps: int, target: int, k_grid=(1, 2, 3, 4, 5, 6), m_grid=(1
     best = None
     for k in k_grid:
         for m in m_grid:
-            count = m * (2 * taps * k + 1 + 2 * taps)
+            count = agmpnn_param_count(taps, k, m)
             key = (abs(count - target), count, k, m)
             if best is None or key < best:
                 best = key
@@ -347,6 +442,22 @@ def _closest_mpm(taps: int, target: int, k_grid=DEFAULT_MPM_K_GRID):
     return best  # (distance, count, k)
 
 
+def _closest_spec(family: str, window: TapWindow, target: int, mpm_k_grid) -> DpdModelSpec | None:
+    """The family's configuration closest to the parameter target, or None when
+    it lands further than TARGET_TOLERANCE from it."""
+    taps = window.n_taps
+    if family == "mpm":
+        dist, _, k = _closest_mpm(taps, target, mpm_k_grid)
+        spec = DpdModelSpec(kind="mpm", window=window, k_orders=k)
+    elif family == "agmpnn":
+        dist, _, k, m = _closest_agmpnn(taps, target)
+        spec = DpdModelSpec(kind="agmpnn", window=window, k_orders=k, n_experts=m)
+    else:
+        dist, _, n1, n2 = _closest_rvftdnn(taps, target)
+        spec = DpdModelSpec(kind="rvftdnn", window=window, n1=n1, n2=n2)
+    return spec if dist <= TARGET_TOLERANCE * target else None
+
+
 def sweep_complexity(pa_by_preset: dict, taps: int = 7,
                      param_targets=DEFAULT_PARAM_TARGETS, seeds=(1, 2, 3),
                      families=FAMILIES, n_samples: int = 16384,
@@ -358,35 +469,21 @@ def sweep_complexity(pa_by_preset: dict, taps: int = 7,
     25% from its target is marked infeasible (blank metrics)."""
     cfg = cfg or TrainConfig()
     window = TapWindow(pre_taps=taps - 1)
+    drives = {}
     rows = []
     for family in families:
         for target in param_targets:
+            spec = _closest_spec(family, window, target, mpm_k_grid)
             for preset_label in sorted(pa_by_preset):
                 pa = pa_by_preset[preset_label]
                 for seed in seeds:
-                    if family == "mpm":
-                        dist, count, k = _closest_mpm(taps, target, mpm_k_grid)
-                        if dist > TARGET_TOLERANCE * target:
-                            rows.append(IlaReport(family=family, preset=preset_label,
-                                                  taps=taps, seed=seed))
-                            continue
-                        spec = DpdModelSpec(kind="mpm", window=window, k_orders=k)
-                    elif family == "agmpnn":
-                        dist, count, k, m = _closest_agmpnn(taps, target)
-                        if dist > TARGET_TOLERANCE * target:
-                            rows.append(IlaReport(family=family, preset=preset_label,
-                                                  taps=taps, seed=seed))
-                            continue
-                        spec = DpdModelSpec(kind="agmpnn", window=window, k_orders=k, n_experts=m)
-                    else:
-                        dist, count, n1, n2 = _closest_rvftdnn(taps, target)
-                        if dist > TARGET_TOLERANCE * target:
-                            rows.append(IlaReport(family=family, preset=preset_label,
-                                                  taps=taps, seed=seed))
-                            continue
-                        spec = DpdModelSpec(kind="rvftdnn", window=window, n1=n1, n2=n2)
-                    rows.append(run_ila(pa, preset_label, spec, seed, n_samples,
-                                        bandwidth_fraction, cfg))
+                    if spec is None:
+                        rows.append(IlaReport(family=family, preset=preset_label,
+                                              taps=taps, seed=seed))
+                        continue
+                    drive = _shared_drive(drives, pa, preset_label, seed, n_samples,
+                                          bandwidth_fraction)
+                    rows.append(run_ila_cell(pa, preset_label, spec, drive, cfg))
     return rows
 
 

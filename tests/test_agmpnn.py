@@ -65,6 +65,7 @@ def test_actual_never_exceeds_formula():
             for m in (1, 3, 6):
                 model = AgmpnnModel.init(TapWindow(pre_taps=taps - 1), k, m)
                 assert count_params_actual(model) <= count_params_formula(taps, k, m)
+                assert count_params_actual(model) == model.param_vector().size
 
 
 # === initialization ===

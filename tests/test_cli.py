@@ -46,6 +46,20 @@ def test_runtime_failure_exits_two(tmp_path, capsys):
                      "--in", str(out), "--target", str(out)]) == 2
 
 
+def test_bad_tap_counts_are_usage_errors_naming_the_flags(tmp_path, capsys):
+    out = str(tmp_path / "m.model")
+    for taps, post in (("2", "3"), ("3", "3"), ("4", "-1")):
+        assert dispatch(["fit", "--model", "mpm", "--taps", taps, "--post-taps", post,
+                         "--in", "missing.iq", "--target", "missing.iq", "--out", out]) == 1
+        assert "--post-taps" in capsys.readouterr().err
+
+
+def test_non_positive_iterations_is_a_usage_error(capsys):
+    for value in ("0", "-2", "two"):
+        assert dispatch(["ila-run", "--iterations", value]) == 1
+        assert "--iterations" in capsys.readouterr().err
+
+
 # === waveform commands ===
 
 def test_gen_signal_writes_binary_waveform(tmp_path, capsys):

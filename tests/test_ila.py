@@ -12,6 +12,7 @@ from dpdlab import (
     TapWindow,
     TrainConfig,
     generate_waveform,
+    pa_forward,
     preset,
 )
 from dpdlab.ila import (
@@ -26,6 +27,10 @@ from dpdlab.ila import (
     DpdModelSpec,
     IlaReport,
     _advance,
+    _closest_spec,
+    _fit_mpm_orders,
+    drive_ila,
+    fit_model_on_data,
     fit_predistorter,
     linearization_nmse_db,
     load_model,
@@ -144,6 +149,18 @@ def test_iterated_fit_runs_and_stays_feasible():
         fit_predistorter(preset("low"), chi, spec, TrainConfig(), seed=4, n_iterations=0)
 
 
+def test_iterated_fit_reuses_only_the_drive_stages_first_pass():
+    spec = DpdModelSpec(kind="mpm", window=TapWindow(pre_taps=4), k_orders=4)
+    drive = drive_ila(preset("low"), 4, 4096)
+    shared = fit_predistorter(preset("low"), drive.chi_fit, spec, TrainConfig(), seed=4,
+                              n_iterations=2, first_pass=drive.first_pass)
+    fresh = fit_predistorter(preset("low"), drive.chi_fit, spec, TrainConfig(), seed=4,
+                             n_iterations=2)
+    assert np.array_equal(shared.model.coeff, fresh.model.coeff)
+    assert (shared.gain, shared.delay) == (fresh.gain, fresh.delay)
+    assert shared.gain != drive.first_pass.gain  # the second pass was observed anew
+
+
 def test_no_dpd_metric_ignores_model():
     chi = generate_waveform(5, 4096, 0.25)
     nmse, gain = linearization_nmse_db(preset("high"), None, chi)
@@ -191,6 +208,96 @@ def test_sweep_taps_marks_infeasible_network_budget():
     assert not rows[0].feasible
     assert rows[0].lin_nmse_db is None
     assert rows[0].taps == 4 and rows[0].seed == 1
+
+
+def test_sweep_taps_marks_infeasible_polynomial_budget():
+    # 2 * taps * K > budget_hi for every order at 7 taps; 4 taps, K = 1 fits.
+    rows = sweep_taps(preset("high"), "high", taps_list=(7, 4), seeds=(1,),
+                      families=("mpm",), budget=(100, 10), n_samples=4096, cfg=FAST_CFG)
+    assert [(r.taps, r.feasible) for r in rows] == [(7, False), (4, True)]
+    assert rows[0].lin_nmse_db is None and rows[0].params_actual is None
+    assert rows[1].k_orders == 1
+
+
+# === sweeps share each seed's drive stage ===
+
+TINY = dict(n_samples=2048, cfg=TrainConfig(segment_len=512, max_epochs=2, patience=2))
+
+
+def _independent_best_mpm(pa, window, seed, k_grid, budget_hi):
+    """The order search as one run_ila per order, keeping the best
+    (postinverse NMSE, parameters, order)."""
+    best = None
+    for k in k_grid:
+        if 2 * window.n_taps * k > budget_hi:
+            continue
+        report = run_ila(pa, "high", DpdModelSpec(kind="mpm", window=window, k_orders=k),
+                         seed, **TINY)
+        key = (report.postinv_nmse_db, 2 * window.n_taps * k, k)
+        if best is None or key < best[0]:
+            best = (key, report)
+    return best[1]
+
+
+def test_order_search_fits_equal_single_order_fits():
+    # One basis at the largest order serves every order: each order's
+    # coefficients and validation NMSE equal a fit at that order alone.
+    chi = generate_waveform(3, 2048, 0.25)
+    psi = pa_forward(preset("high"), chi, noise_seed=3)
+    window = TapWindow(pre_taps=3, post_taps=1)
+    orders = (1, 2, 3, 4)
+    fits = _fit_mpm_orders(psi.samples, chi.samples, window, orders, 512, None)
+    for k, (coeffs, val) in zip(orders, fits):
+        spec = DpdModelSpec(kind="mpm", window=window, k_orders=k)
+        single = fit_model_on_data(psi, chi, spec, TrainConfig(segment_len=512))
+        assert np.array_equal(coeffs.coeff, single.model.coeff)
+        assert val == single.postinv_nmse_db
+
+
+def test_sweep_taps_matches_independent_cells():
+    pa = preset("high")
+    taps_list, seeds, budget, nn_grid, k_grid = (3, 9), (1, 2), (60, 100), (4, 6), (1, 2, 3)
+    rows = sweep_taps(pa, "high", taps_list=taps_list, seeds=seeds, budget=budget,
+                      nn_grid=nn_grid, mpm_k_grid=k_grid, **TINY)
+    expected = []
+    for family in FAMILIES:
+        for taps in taps_list:
+            window = TapWindow(pre_taps=taps - 1)
+            widths = tuple((a, b) for a in nn_grid for b in nn_grid
+                           if budget[0] <= rvftdnn_param_count(taps, a, b) <= budget[1])
+            for seed in seeds:
+                if family == "mpm":
+                    expected.append(_independent_best_mpm(pa, window, seed, k_grid, budget[1]))
+                elif family == "agmpnn":
+                    spec = DpdModelSpec(kind="agmpnn", window=window)
+                    expected.append(run_ila(pa, "high", spec, seed, **TINY))
+                elif widths:
+                    spec = DpdModelSpec(kind="rvftdnn", window=window, search_grid=widths,
+                                        budget=budget)
+                    expected.append(run_ila(pa, "high", spec, seed, **TINY))
+                else:
+                    expected.append(IlaReport(family=family, preset="high", taps=taps, seed=seed))
+    assert sum(not r.feasible for r in expected) == 2  # rvftdnn at 9 taps
+    assert reports_to_csv(rows) == reports_to_csv(expected)
+
+
+def test_sweep_complexity_matches_independent_cells():
+    pa_by = {"low": preset("low"), "high": preset("high")}
+    taps, targets, seeds = 4, (40, 120, 400), (1, 2)
+    rows = sweep_complexity(pa_by, taps=taps, param_targets=targets, seeds=seeds,
+                            mpm_k_grid=(1, 2, 3, 4, 5), **TINY)
+    window = TapWindow(pre_taps=taps - 1)
+    expected = []
+    for family in FAMILIES:
+        for target in targets:
+            spec = _closest_spec(family, window, target, (1, 2, 3, 4, 5))
+            for label in ("high", "low"):
+                for seed in seeds:
+                    expected.append(
+                        run_ila(pa_by[label], label, spec, seed, **TINY) if spec is not None
+                        else IlaReport(family=family, preset=label, taps=taps, seed=seed))
+    assert 0 < sum(not r.feasible for r in expected) < len(expected)
+    assert reports_to_csv(rows) == reports_to_csv(expected)
 
 
 # === complexity sweep ===

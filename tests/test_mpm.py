@@ -95,6 +95,21 @@ def test_basis_sample_range():
         build_basis(x, _spec(), sample_range=[70])
 
 
+def test_lower_order_basis_is_each_tap_blocks_column_prefix():
+    # Columns are (l, k) with k fastest and every power comes from the same
+    # repeated multiply, so the order-K basis is the first K columns of each
+    # tap block of a larger-order basis, bit for bit.
+    x = generate_waveform(4, 300, 0.5)
+    k_max = 6
+    for pre, post, b in ((3, 0, 0.0), (2, 2, -0.4)):
+        for rng_ in (None, np.arange(5, 290)):
+            top = build_basis(x, _spec(pre=pre, post=post, k=k_max, b=b), sample_range=rng_).data
+            blocks = top.reshape(top.shape[0], pre + post + 1, k_max)
+            for k in range(1, k_max + 1):
+                basis = build_basis(x, _spec(pre=pre, post=post, k=k, b=b), sample_range=rng_).data
+                assert np.array_equal(basis, blocks[:, :, :k].reshape(top.shape[0], -1))
+
+
 # === least squares ===
 
 def test_ls_fit_recovers_planted_coefficients():
