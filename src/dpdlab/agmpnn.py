@@ -20,7 +20,7 @@ import numpy as np
 
 from . import modelfile
 from .mpm import MpmCoefficients
-from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix
+from .signal import ComplexSequence, TapWindow, as_samples, default_range, delayed_matrix
 
 MODEL_KIND = "agmpnn"
 
@@ -62,29 +62,6 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AgmpnnGradients:
-    """Loss gradients, one entry per model parameter.
-
-    expert_coeff is complex-valued as a carrier: its real and imaginary parts
-    are the derivatives with respect to the coefficient's real and imaginary
-    parts.  All other fields are plain real gradients.
-    """
-
-    expert_coeff: np.ndarray
-    amp_offsets: np.ndarray
-    attn_scale: np.ndarray
-    attn_bias: np.ndarray
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([
-            np.ascontiguousarray(self.expert_coeff).view(np.float64).ravel(),
-            np.asarray(self.amp_offsets, dtype=np.float64).ravel(),
-            np.asarray(self.attn_scale, dtype=np.float64).ravel(),
-            np.asarray(self.attn_bias, dtype=np.float64).ravel(),
-        ])
-
-
-@dataclass(frozen=True)
 class AgmpnnModel:
     """Mixture of M offset memory-polynomial experts with softmax attention."""
 
@@ -96,29 +73,21 @@ class AgmpnnModel:
     attn_scale: np.ndarray    # (M, T) real
     attn_bias: np.ndarray     # (M, T) real
 
+    # expert_coeff is complex; in a gradient its real and imaginary parts are
+    # the derivatives with respect to the coefficient's real and imaginary parts.
+    PARAMS = modelfile.ParamTable(MODEL_KIND, sizes=("k_orders", "n_experts"), params=(
+        modelfile.Param("expert_coeff", "coeff",
+                        lambda d: (d["n_experts"], d["n_taps"], d["k_orders"]),
+                        is_complex=True, tap_axis=1),
+        modelfile.Param("amp_offsets", "offsets", lambda d: (d["n_experts"],)),
+        modelfile.Param("attn_scale", "attn_scale", lambda d: (d["n_experts"], d["n_taps"]),
+                        tap_axis=1),
+        modelfile.Param("attn_bias", "attn_bias", lambda d: (d["n_experts"], d["n_taps"]),
+                        tap_axis=1),
+    ))
+
     def __post_init__(self) -> None:
-        if self.k_orders < 1 or self.n_experts < 1:
-            raise ValueError("k_orders and n_experts must be at least 1")
-        t_taps = self.window.n_taps
-        m = self.n_experts
-        coeff = np.array(self.expert_coeff, dtype=np.complex128)
-        offsets = np.array(self.amp_offsets, dtype=np.float64).reshape(-1)
-        scale = np.array(self.attn_scale, dtype=np.float64)
-        bias = np.array(self.attn_bias, dtype=np.float64)
-        if coeff.shape != (m, t_taps, self.k_orders):
-            raise ValueError(f"expert_coeff shape {coeff.shape} != {(m, t_taps, self.k_orders)}")
-        if offsets.shape != (m,):
-            raise ValueError(f"amp_offsets shape {offsets.shape} != {(m,)}")
-        if scale.shape != (m, t_taps) or bias.shape != (m, t_taps):
-            raise ValueError("attention arrays must be shaped (n_experts, n_taps)")
-        for arr in (coeff, offsets, scale, bias):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("model parameters must be finite")
-            arr.flags.writeable = False
-        object.__setattr__(self, "expert_coeff", coeff)
-        object.__setattr__(self, "amp_offsets", offsets)
-        object.__setattr__(self, "attn_scale", scale)
-        object.__setattr__(self, "attn_bias", bias)
+        self.PARAMS.freeze(self)
 
     # ------------------------------------------------------------------
     # construction
@@ -217,8 +186,9 @@ class AgmpnnModel:
     # backward
     # ------------------------------------------------------------------
 
-    def backward(self, x, target, sample_range=None) -> tuple[float, AgmpnnGradients]:
-        """Mean-squared-error loss and its exact gradients over sample_range.
+    def backward(self, x, target, sample_range=None) -> tuple[float, dict]:
+        """Mean-squared-error loss and its exact gradients over sample_range,
+        one gradient array per parameter attribute.
 
         The loss is mean |output - target|^2 across the selected samples
         (default: all samples minus the zero-filled window edges).  Shared
@@ -229,7 +199,7 @@ class AgmpnnModel:
         phi = as_samples(target)
         if psi.size != phi.size:
             raise ValueError("input and target lengths differ")
-        idx = _default_range(sample_range, psi.size, self.window)
+        idx = default_range(sample_range, psi.size, self.window)
         output, expert_out, weights, delayed, amp = self._forward_arrays(psi)
         output = output[idx]
         expert_out = expert_out[idx]
@@ -281,43 +251,22 @@ class AgmpnnModel:
                 g_expert = 0.0
             g_attn = float(np.sum(score_sens * (active @ self.attn_scale[j])))
             g_offsets[j] = scale * (g_expert + g_attn)
-        grads = AgmpnnGradients(expert_coeff=g_coeff, amp_offsets=g_offsets,
-                                attn_scale=g_scale, attn_bias=g_bias)
-        return loss, grads
+        return loss, {"expert_coeff": g_coeff, "amp_offsets": g_offsets,
+                      "attn_scale": g_scale, "attn_bias": g_bias}
 
     # ------------------------------------------------------------------
     # flat parameter vector protocol (used by the optimizer)
     # ------------------------------------------------------------------
 
     def param_vector(self) -> np.ndarray:
-        return np.concatenate([
-            np.ascontiguousarray(self.expert_coeff).view(np.float64).ravel(),
-            self.amp_offsets,
-            self.attn_scale.ravel(),
-            self.attn_bias.ravel(),
-        ])
+        return self.PARAMS.param_vector(self)
 
     def with_param_vector(self, vec: np.ndarray) -> "AgmpnnModel":
-        vec = np.asarray(vec, dtype=np.float64)
-        m, t_taps, k_orders = self.expert_coeff.shape
-        n_coeff = 2 * m * t_taps * k_orders
-        expected = n_coeff + m + 2 * m * t_taps
-        if vec.shape != (expected,):
-            raise ValueError(f"parameter vector must have {expected} entries, got {vec.shape}")
-        coeff = np.ascontiguousarray(vec[:n_coeff]).view(np.complex128).reshape(m, t_taps, k_orders)
-        pos = n_coeff
-        offsets = vec[pos:pos + m]
-        pos += m
-        scale = vec[pos:pos + m * t_taps].reshape(m, t_taps)
-        pos += m * t_taps
-        bias = vec[pos:pos + m * t_taps].reshape(m, t_taps)
-        return AgmpnnModel(window=self.window, k_orders=self.k_orders,
-                           n_experts=self.n_experts, expert_coeff=coeff,
-                           amp_offsets=offsets, attn_scale=scale, attn_bias=bias)
+        return self.PARAMS.with_param_vector(self, vec)
 
     def loss_and_gradient(self, x, target, sample_range=None) -> tuple[float, np.ndarray]:
         loss, grads = self.backward(x, target, sample_range)
-        return loss, grads.to_vector()
+        return loss, self.PARAMS.flatten(grads)
 
     @property
     def n_taps(self) -> int:
@@ -328,50 +277,12 @@ class AgmpnnModel:
     # ------------------------------------------------------------------
 
     def save(self, path) -> None:
-        post = self.window.post_taps
-        modelfile.write_model(
-            path,
-            MODEL_KIND,
-            scalars={
-                "pre_taps": self.window.pre_taps,
-                "post_taps": post,
-                "k_orders": self.k_orders,
-                "n_experts": self.n_experts,
-            },
-            arrays={
-                "coeff": self.expert_coeff,
-                "offsets": self.amp_offsets,
-                "attn_scale": self.attn_scale,
-                "attn_bias": self.attn_bias,
-            },
-            index_offsets={
-                "coeff": (0, -post, 0),
-                "attn_scale": (0, -post),
-                "attn_bias": (0, -post),
-            },
-        )
+        self.PARAMS.save(self, path)
 
     @classmethod
     def load(cls, path) -> "AgmpnnModel":
-        kind, scalars, sections = modelfile.read_model(path)
-        if kind != MODEL_KIND:
-            raise modelfile.FormatError(f"{path}: expected kind {MODEL_KIND!r}, found {kind!r}")
-        window = TapWindow(pre_taps=modelfile.header_int(scalars, "pre_taps", path),
-                           post_taps=modelfile.header_int(scalars, "post_taps", path))
-        k_orders = modelfile.header_int(scalars, "k_orders", path)
-        m = modelfile.header_int(scalars, "n_experts", path)
-        t_taps = window.n_taps
-        post = window.post_taps
-        return cls(
-            window=window, k_orders=k_orders, n_experts=m,
-            expert_coeff=modelfile.section_complex(sections, "coeff", (m, t_taps, k_orders),
-                                                   index_offset=(0, -post, 0), path=path),
-            amp_offsets=modelfile.section_real(sections, "offsets", (m,), path=path),
-            attn_scale=modelfile.section_real(sections, "attn_scale", (m, t_taps),
-                                              index_offset=(0, -post), path=path),
-            attn_bias=modelfile.section_real(sections, "attn_bias", (m, t_taps),
-                                             index_offset=(0, -post), path=path),
-        )
+        window, sizes, _, arrays = cls.PARAMS.load(path)
+        return cls(window=window, **sizes, **arrays)
 
 
 def attention_weights(model: AgmpnnModel, tap_values) -> np.ndarray:
@@ -383,13 +294,3 @@ def attention_weights(model: AgmpnnModel, tap_values) -> np.ndarray:
     scores = np.sum(model.attn_scale * rect, axis=1) + model.attn_bias.sum(axis=1)
     return _softmax(scores)
 
-
-def _default_range(sample_range, n: int, window: TapWindow) -> np.ndarray:
-    """Loss sample indices; by default drop the zero-filled window edges."""
-    if sample_range is None:
-        lo, hi = window.pre_taps, n - window.post_taps
-        if hi <= lo:
-            raise ValueError("sequence too short for the tap window")
-        return np.arange(lo, hi)
-    from .mpm import _normalize_range
-    return _normalize_range(sample_range, n)

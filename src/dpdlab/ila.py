@@ -11,16 +11,15 @@ repeated run is byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import modelfile
-from .agmpnn import (AgmpnnModel, agmpnn_param_count, count_params_actual,
-                     count_params_formula)
+from .agmpnn import AgmpnnModel, agmpnn_param_count, count_params_formula
 from .exceptions import FormatError
-from .mpm import BasisMatrix, MpmCoefficients, MpmSpec, build_basis, ls_fit
+from .mpm import BasisMatrix, MpmCoefficients, MpmSpec, build_basis, ls_fit, mpm_param_count
 from .pa_sim import PaConfig, pa_forward
 from .rvftdnn import RvftdnnModel, architecture_search, rvftdnn_param_count
 from .signal import ComplexSequence, TapWindow, align, as_samples, generate_waveform, nmse_db
@@ -62,6 +61,15 @@ class DpdModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in FAMILIES:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {FAMILIES}")
+
+    def n_params(self) -> int:
+        """Real trainable degrees of freedom of this configuration."""
+        taps = self.window.n_taps
+        if self.kind == "mpm":
+            return mpm_param_count(taps, self.k_orders)
+        if self.kind == "agmpnn":
+            return agmpnn_param_count(taps, self.k_orders, self.n_experts)
+        return rvftdnn_param_count(taps, self.n1, self.n2)
 
 
 @dataclass
@@ -295,15 +303,11 @@ def _deployed_report(pa: PaConfig, preset_label: str, spec: DpdModelSpec, drive:
     """Deploy a fitted postinverse on the drive's evaluation waveform; assemble the report."""
     lin, _ = linearization_nmse_db(pa, outcome.model, drive.chi_eval)
     taps = spec.window.n_taps
-    if spec.kind == "mpm":
-        actual = 2 * taps * outcome.k_orders
-        formula = actual
-    elif spec.kind == "agmpnn":
-        actual = count_params_actual(outcome.model)
-        formula = count_params_formula(taps, spec.k_orders, spec.n_experts)
-    else:
-        actual = rvftdnn_param_count(taps, outcome.n1, outcome.n2)
-        formula = actual
+    if outcome.n1 is not None:  # rvftdnn: the widths fitted, searched or not
+        spec = replace(spec, n1=outcome.n1, n2=outcome.n2)
+    actual = spec.n_params()
+    formula = (count_params_formula(taps, spec.k_orders, spec.n_experts)
+               if spec.kind == "agmpnn" else actual)
     return IlaReport(
         family=spec.kind, preset=preset_label, taps=taps, seed=drive.seed,
         k_orders=outcome.k_orders, m_experts=outcome.n_experts,
@@ -364,7 +368,7 @@ def _best_mpm_report(pa, preset_label, window, drive: IlaDrive, cfg, orders) -> 
     """
     first = drive.first_pass
     fits = _fit_mpm_orders(first.psi_norm, first.phi, window, orders, cfg.segment_len, None)
-    scores = [(val, 2 * window.n_taps * k, k) for k, (_, val) in zip(orders, fits)]
+    scores = [(val, mpm_param_count(window.n_taps, k), k) for k, (_, val) in zip(orders, fits)]
     best = scores.index(min(scores))
     k = orders[best]
     coeffs, val = fits[best]
@@ -388,7 +392,7 @@ def sweep_taps(pa: PaConfig, preset_label: str, taps_list=DEFAULT_TAPS_LIST,
     for family in families:
         for taps in taps_list:
             window = TapWindow(pre_taps=taps - 1)
-            orders = [k for k in mpm_k_grid if 2 * taps * k <= budget[1]]
+            orders = [k for k in mpm_k_grid if mpm_param_count(taps, k) <= budget[1]]
             widths = tuple((a, b) for a in nn_grid for b in nn_grid
                            if budget[0] <= rvftdnn_param_count(taps, a, b) <= budget[1])
             for seed in seeds:
@@ -410,52 +414,25 @@ def sweep_taps(pa: PaConfig, preset_label: str, taps_list=DEFAULT_TAPS_LIST,
     return rows
 
 
-def _closest_agmpnn(taps: int, target: int, k_grid=(1, 2, 3, 4, 5, 6), m_grid=(1, 2, 3, 4, 5, 6, 7, 8)):
-    best = None
-    for k in k_grid:
-        for m in m_grid:
-            count = agmpnn_param_count(taps, k, m)
-            key = (abs(count - target), count, k, m)
-            if best is None or key < best:
-                best = key
-    return best  # (distance, count, k, m)
-
-
-def _closest_rvftdnn(taps: int, target: int, width_range=range(2, 25)):
-    best = None
-    for n1 in width_range:
-        for n2 in width_range:
-            count = rvftdnn_param_count(taps, n1, n2)
-            key = (abs(count - target), count, n1, n2)
-            if best is None or key < best:
-                best = key
-    return best  # (distance, count, n1, n2)
-
-
-def _closest_mpm(taps: int, target: int, k_grid=DEFAULT_MPM_K_GRID):
-    best = None
-    for k in k_grid:
-        count = 2 * taps * k
-        key = (abs(count - target), count, k)
-        if best is None or key < best:
-            best = key
-    return best  # (distance, count, k)
+def _candidate_specs(family: str, window: TapWindow, mpm_k_grid) -> list[DpdModelSpec]:
+    """The complexity sweep's configurations of one family, in lexicographic
+    hyperparameter order."""
+    if family == "mpm":
+        return [DpdModelSpec(kind="mpm", window=window, k_orders=k) for k in sorted(mpm_k_grid)]
+    if family == "agmpnn":
+        return [DpdModelSpec(kind="agmpnn", window=window, k_orders=k, n_experts=m)
+                for k in range(1, 7) for m in range(1, 9)]
+    return [DpdModelSpec(kind="rvftdnn", window=window, n1=n1, n2=n2)
+            for n1 in range(2, 25) for n2 in range(2, 25)]
 
 
 def _closest_spec(family: str, window: TapWindow, target: int, mpm_k_grid) -> DpdModelSpec | None:
     """The family's configuration closest to the parameter target, or None when
-    it lands further than TARGET_TOLERANCE from it."""
-    taps = window.n_taps
-    if family == "mpm":
-        dist, _, k = _closest_mpm(taps, target, mpm_k_grid)
-        spec = DpdModelSpec(kind="mpm", window=window, k_orders=k)
-    elif family == "agmpnn":
-        dist, _, k, m = _closest_agmpnn(taps, target)
-        spec = DpdModelSpec(kind="agmpnn", window=window, k_orders=k, n_experts=m)
-    else:
-        dist, _, n1, n2 = _closest_rvftdnn(taps, target)
-        spec = DpdModelSpec(kind="rvftdnn", window=window, n1=n1, n2=n2)
-    return spec if dist <= TARGET_TOLERANCE * target else None
+    it lands further than TARGET_TOLERANCE from it.  Ties go to the smaller
+    count, then to the first configuration in hyperparameter order."""
+    spec = min(_candidate_specs(family, window, mpm_k_grid),
+               key=lambda s: (abs(s.n_params() - target), s.n_params()))
+    return spec if abs(spec.n_params() - target) <= TARGET_TOLERANCE * target else None
 
 
 def sweep_complexity(pa_by_preset: dict, taps: int = 7,
@@ -517,8 +494,7 @@ def reports_to_csv(rows) -> str:
 def load_model(path):
     """Load any model file, dispatching on its kind tag."""
     kind, _, _ = modelfile.read_model(path)
-    loaders = {"mpm": MpmCoefficients.load, "agmpnn": AgmpnnModel.load,
-               "rvftdnn": RvftdnnModel.load}
-    if kind not in loaders:
+    classes = {cls.PARAMS.kind: cls for cls in (MpmCoefficients, AgmpnnModel, RvftdnnModel)}
+    if kind not in classes:
         raise FormatError(f"{path}: unknown model kind {kind!r}")
-    return loaders[kind](path)
+    return classes[kind].load(path)

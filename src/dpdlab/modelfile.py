@@ -1,19 +1,28 @@
-"""Structured-text model persistence shared by every model family.
+"""Structured-text model persistence and the parameter tables behind it.
 
 Layout: `key = value` header lines, then one `[name]` section per parameter
 array.  Each section row is the integer indices of an entry followed by its
 value (re and im columns for complex arrays).  Floats are written with 17
 significant decimal digits after the leading digit, so a round trip is
 value-exact for float64.
+
+Every model family declares its parameter arrays once, as a ParamTable.  The
+table drives shape and finiteness validation, the optimizer's flat parameter
+vector, gradient flattening, and saving and loading the model file.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
 from .exceptions import FormatError
+from .signal import TapWindow
 
 MODEL_FORMAT = "DPDMODEL1"
 SCHEMA_VERSION = 1
@@ -57,7 +66,8 @@ def read_model(path):
     """Parse a model file into (kind, header dict, section rows).
 
     Header values stay strings; section rows are token lists.  Raises
-    FormatError on a bad magic line or malformed structure.
+    FormatError on a bad magic line, an unsupported version or malformed
+    structure.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -85,19 +95,26 @@ def read_model(path):
             sections[current].append(line.split())
     if scalars.get("format") != MODEL_FORMAT:
         raise FormatError(f"{path}: not a {MODEL_FORMAT} file")
+    version = scalars.get("version")
+    if version != str(SCHEMA_VERSION):
+        raise FormatError(f"{path}: unsupported model file version {version!r}; "
+                          f"expected {SCHEMA_VERSION}")
     kind = scalars.get("kind")
     if not kind:
         raise FormatError(f"{path}: missing model kind")
     return kind, scalars, sections
 
 
-def header_int(scalars: dict, key: str, path="model") -> int:
+def header_int(scalars: dict, key: str, path="model", minimum: int | None = None) -> int:
     try:
-        return int(scalars[key])
+        value = int(scalars[key])
     except KeyError:
         raise FormatError(f"{path}: missing header field {key!r}") from None
     except ValueError:
         raise FormatError(f"{path}: header field {key!r} is not an integer") from None
+    if minimum is not None and value < minimum:
+        raise FormatError(f"{path}: header field {key!r} is {value}; it must be at least {minimum}")
+    return value
 
 
 def header_float(scalars: dict, key: str, path="model") -> float:
@@ -110,6 +127,11 @@ def header_float(scalars: dict, key: str, path="model") -> float:
 
 
 def _fill(rows, shape, n_values, index_offset, name, path):
+    # Reject a short section before allocating, so a corrupt header size
+    # cannot ask for an arbitrarily large array.
+    n_entries = math.prod(shape)
+    if len(rows) < n_entries:
+        raise FormatError(f"{path}: section [{name}] has {len(rows)} rows, expected {n_entries}")
     arr = np.zeros(shape + (n_values,), dtype=np.float64)
     seen = np.zeros(shape, dtype=bool)
     n_idx = len(shape)
@@ -128,17 +150,117 @@ def _fill(rows, shape, n_values, index_offset, name, path):
         seen[idx] = True
     if not seen.all():
         raise FormatError(f"{path}: section [{name}] is missing entries")
+    if not np.all(np.isfinite(arr)):
+        raise FormatError(f"{path}: section [{name}] has a non-finite value")
     return arr
 
 
-def section_complex(sections: dict, name: str, shape: tuple, index_offset=None, path="model") -> np.ndarray:
-    if name not in sections:
-        raise FormatError(f"{path}: missing section [{name}]")
-    pairs = _fill(sections[name], shape, 2, index_offset, name, path)
-    return pairs[..., 0] + 1j * pairs[..., 1]
+@dataclass(frozen=True)
+class Param:
+    """One parameter array of a model family.
+
+    `shape` maps the model's sizes (`n_taps` plus the family's header size
+    fields) to the array shape.  `tap_axis` is the axis indexed by tap
+    position; the file writes that index as the tap delay, position minus
+    post_taps.
+    """
+
+    attr: str
+    section: str
+    shape: Callable[[Mapping[str, int]], tuple]
+    is_complex: bool = False
+    tap_axis: Optional[int] = None
+
+    def index_offsets(self, ndim: int, window: TapWindow) -> tuple:
+        return tuple(-window.post_taps if axis == self.tap_axis else 0 for axis in range(ndim))
 
 
-def section_real(sections: dict, name: str, shape: tuple, index_offset=None, path="model") -> np.ndarray:
-    if name not in sections:
-        raise FormatError(f"{path}: missing section [{name}]")
-    return _fill(sections[name], shape, 1, index_offset, name, path)[..., 0]
+@dataclass(frozen=True)
+class ParamTable:
+    """A model family's parameters: its file kind, the header size fields read
+    off the model by attribute, and its arrays in flat-vector and file order."""
+
+    kind: str
+    sizes: tuple
+    params: tuple
+
+    def freeze(self, model) -> None:
+        """Coerce the model's arrays to float64/complex128, check every size is
+        at least 1 and every array's shape and finiteness, and make them
+        read-only.  Called from the model's __post_init__."""
+        for p in self.params:
+            arr = np.array(getattr(model, p.attr), dtype=np.complex128 if p.is_complex else np.float64)
+            object.__setattr__(model, p.attr, arr)
+        sizes = {name: getattr(model, name) for name in self.sizes}
+        for name, value in sizes.items():
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        dims = {"n_taps": model.window.n_taps, **sizes}
+        for p in self.params:
+            arr = getattr(model, p.attr)
+            if arr.shape != p.shape(dims):
+                raise ValueError(f"{p.attr} shape {arr.shape} != {p.shape(dims)}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("model parameters must be finite")
+            arr.flags.writeable = False
+
+    def flatten(self, values: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Concatenate per-attribute arrays in table order; a complex array
+        contributes interleaved (re, im) pairs."""
+        return np.concatenate([
+            np.ascontiguousarray(values[p.attr]).view(np.float64).ravel() if p.is_complex
+            else np.asarray(values[p.attr], dtype=np.float64).ravel()
+            for p in self.params])
+
+    def param_vector(self, model) -> np.ndarray:
+        return self.flatten({p.attr: getattr(model, p.attr) for p in self.params})
+
+    def with_param_vector(self, model, vec):
+        """A copy of `model` whose arrays are read back from a flat vector."""
+        vec = np.asarray(vec, dtype=np.float64)
+        shapes = [getattr(model, p.attr).shape for p in self.params]
+        widths = [math.prod(s) * (2 if p.is_complex else 1) for p, s in zip(self.params, shapes)]
+        if vec.shape != (sum(widths),):
+            raise ValueError(f"parameter vector must have {sum(widths)} entries, got {vec.shape}")
+        pieces = {}
+        pos = 0
+        for p, shape, width in zip(self.params, shapes, widths):
+            piece = vec[pos:pos + width]
+            if p.is_complex:
+                piece = np.ascontiguousarray(piece).view(np.complex128)
+            pieces[p.attr] = piece.reshape(shape)
+            pos += width
+        return dataclasses.replace(model, **pieces)
+
+    def save(self, model, path, **extra_scalars) -> None:
+        """Write the header (taps, size fields, then `extra_scalars`) and one
+        section per table entry."""
+        window = model.window
+        scalars = {"pre_taps": window.pre_taps, "post_taps": window.post_taps,
+                   **{name: getattr(model, name) for name in self.sizes}, **extra_scalars}
+        arrays = {p.section: getattr(model, p.attr) for p in self.params}
+        offsets = {p.section: p.index_offsets(arrays[p.section].ndim, window) for p in self.params}
+        write_model(path, self.kind, scalars, arrays, offsets)
+
+    def load(self, path):
+        """Read a model file of this kind into (window, sizes, header, arrays).
+
+        Tap counts below 0, size fields below 1 and sections with fewer rows
+        than entries raise FormatError before any array is allocated.
+        """
+        kind, scalars, sections = read_model(path)
+        if kind != self.kind:
+            raise FormatError(f"{path}: expected kind {self.kind!r}, found {kind!r}")
+        window = TapWindow(pre_taps=header_int(scalars, "pre_taps", path, minimum=0),
+                           post_taps=header_int(scalars, "post_taps", path, minimum=0))
+        sizes = {name: header_int(scalars, name, path, minimum=1) for name in self.sizes}
+        dims = {"n_taps": window.n_taps, **sizes}
+        arrays = {}
+        for p in self.params:
+            if p.section not in sections:
+                raise FormatError(f"{path}: missing section [{p.section}]")
+            shape = p.shape(dims)
+            values = _fill(sections[p.section], shape, 2 if p.is_complex else 1,
+                           p.index_offsets(len(shape), window), p.section, path)
+            arrays[p.attr] = values[..., 0] + 1j * values[..., 1] if p.is_complex else values[..., 0]
+        return window, sizes, scalars, arrays

@@ -16,12 +16,17 @@ import scipy.linalg
 
 from . import modelfile
 from .exceptions import ConditioningError
-from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix
+from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix, normalize_range
 
 # Default ridge, relative to the mean diagonal of the normal matrix.
 RIDGE_DEFAULT_REL = 1e-10
 
 MODEL_KIND = "mpm"
+
+
+def mpm_param_count(n_taps: int, k_orders: int) -> int:
+    """Real trainable degrees of freedom: two per complex coefficient, 2TK."""
+    return 2 * n_taps * k_orders
 
 
 @dataclass(frozen=True)
@@ -71,27 +76,13 @@ def rectified_amplitude(delayed: np.ndarray, amp_offset: float) -> np.ndarray:
     return np.maximum(np.abs(delayed) + amp_offset, 0.0)
 
 
-def _normalize_range(sample_range, n: int) -> np.ndarray:
-    if sample_range is None:
-        return np.arange(n)
-    if isinstance(sample_range, slice):
-        idx = np.arange(n)[sample_range]
-    else:
-        idx = np.asarray(sample_range, dtype=np.intp).reshape(-1)
-    if idx.size == 0:
-        raise ValueError("sample_range is empty")
-    if idx.min() < 0 or idx.max() >= n:
-        raise ValueError(f"sample_range out of bounds for {n} samples")
-    return idx
-
-
 def build_basis(x, spec: MpmSpec, sample_range=None) -> BasisMatrix:
     """Evaluate the basis at the requested sample indices (default: all).
 
     Tap values outside the sequence are zero-filled, matching window_at.
     """
     samples = as_samples(x)
-    idx = _normalize_range(sample_range, samples.size)
+    idx = normalize_range(sample_range, samples.size)
     delayed = delayed_matrix(samples, spec.window)[idx]
     rect = rectified_amplitude(delayed, spec.amp_offset)
     rect_sq = rect * rect
@@ -154,23 +145,25 @@ class MpmCoefficients:
     spec: MpmSpec
     coeff: np.ndarray
 
+    PARAMS = modelfile.ParamTable(MODEL_KIND, sizes=("k_orders",), params=(
+        modelfile.Param("coeff", "coeff", lambda d: (d["n_taps"], d["k_orders"]),
+                        is_complex=True, tap_axis=0),
+    ))
+
     def __post_init__(self) -> None:
-        coeff = np.array(self.coeff, dtype=np.complex128)
-        expected = (self.spec.window.n_taps, self.spec.k_orders)
-        if coeff.shape != expected:
-            raise ValueError(f"coeff shape {coeff.shape} does not match spec {expected}")
-        if not np.all(np.isfinite(coeff)):
-            raise ValueError("coefficients must be finite")
-        coeff.flags.writeable = False
-        object.__setattr__(self, "coeff", coeff)
+        self.PARAMS.freeze(self)
 
     @property
     def window(self) -> TapWindow:
         return self.spec.window
 
+    @property
+    def k_orders(self) -> int:
+        return self.spec.k_orders
+
     def n_params(self) -> int:
         """Real trainable degrees of freedom (two per complex coefficient)."""
-        return 2 * int(self.coeff.size)
+        return mpm_param_count(self.window.n_taps, self.k_orders)
 
     def predict(self, x) -> ComplexSequence:
         seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
@@ -179,30 +172,11 @@ class MpmCoefficients:
                                sample_rate_hint=seq.sample_rate_hint)
 
     def save(self, path) -> None:
-        modelfile.write_model(
-            path,
-            MODEL_KIND,
-            scalars={
-                "pre_taps": self.spec.window.pre_taps,
-                "post_taps": self.spec.window.post_taps,
-                "k_orders": self.spec.k_orders,
-                "amp_offset": float(self.spec.amp_offset),
-            },
-            arrays={"coeff": self.coeff},
-            index_offsets={"coeff": (-self.spec.window.post_taps, 0)},
-        )
+        self.PARAMS.save(self, path, amp_offset=float(self.spec.amp_offset))
 
     @classmethod
     def load(cls, path) -> "MpmCoefficients":
-        kind, scalars, sections = modelfile.read_model(path)
-        if kind != MODEL_KIND:
-            raise modelfile.FormatError(f"{path}: expected kind {MODEL_KIND!r}, found {kind!r}")
-        window = TapWindow(pre_taps=modelfile.header_int(scalars, "pre_taps", path),
-                           post_taps=modelfile.header_int(scalars, "post_taps", path))
-        spec = MpmSpec(window=window,
-                       k_orders=modelfile.header_int(scalars, "k_orders", path),
+        window, sizes, scalars, arrays = cls.PARAMS.load(path)
+        spec = MpmSpec(window=window, k_orders=sizes["k_orders"],
                        amp_offset=modelfile.header_float(scalars, "amp_offset", path))
-        coeff = modelfile.section_complex(
-            sections, "coeff", (window.n_taps, spec.k_orders),
-            index_offset=(-window.post_taps, 0), path=path)
-        return cls(spec=spec, coeff=coeff)
+        return cls(spec=spec, **arrays)

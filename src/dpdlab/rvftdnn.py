@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modelfile
-from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix
+from .signal import ComplexSequence, TapWindow, as_samples, default_range, delayed_matrix
+from .training import train
 
 MODEL_KIND = "rvftdnn"
 
@@ -22,20 +23,6 @@ def rvftdnn_param_count(n_taps: int, n1: int, n2: int) -> int:
     if n_taps < 1 or n1 < 1 or n2 < 1:
         raise ValueError("taps and layer widths must be at least 1")
     return 2 * n_taps * n1 + n1 + n1 * n2 + n2 + 2 * n2 + 2
-
-
-@dataclass(frozen=True)
-class RvftdnnGradients:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in
-                               (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)])
 
 
 @dataclass(frozen=True)
@@ -50,37 +37,27 @@ class RvftdnnModel:
     w3: np.ndarray
     b3: np.ndarray
 
+    # The layer widths are read off the bias lengths; every weight is checked
+    # against them.
+    PARAMS = modelfile.ParamTable(MODEL_KIND, sizes=("n1", "n2"), params=(
+        modelfile.Param("w1", "w1", lambda d: (2 * d["n_taps"], d["n1"])),
+        modelfile.Param("b1", "b1", lambda d: (d["n1"],)),
+        modelfile.Param("w2", "w2", lambda d: (d["n1"], d["n2"])),
+        modelfile.Param("b2", "b2", lambda d: (d["n2"],)),
+        modelfile.Param("w3", "w3", lambda d: (d["n2"], 2)),
+        modelfile.Param("b3", "b3", lambda d: (2,)),
+    ))
+
     def __post_init__(self) -> None:
-        t2 = 2 * self.window.n_taps
-        w1 = np.array(self.w1, dtype=np.float64)
-        b1 = np.array(self.b1, dtype=np.float64).reshape(-1)
-        w2 = np.array(self.w2, dtype=np.float64)
-        b2 = np.array(self.b2, dtype=np.float64).reshape(-1)
-        w3 = np.array(self.w3, dtype=np.float64)
-        b3 = np.array(self.b3, dtype=np.float64).reshape(-1)
-        if w1.ndim != 2 or w1.shape[0] != t2:
-            raise ValueError(f"w1 must be ({t2}, n1)")
-        n1 = w1.shape[1]
-        if b1.shape != (n1,) or w2.shape[0] != n1:
-            raise ValueError("layer-1 shapes are inconsistent")
-        n2 = w2.shape[1]
-        if b2.shape != (n2,) or w3.shape != (n2, 2) or b3.shape != (2,):
-            raise ValueError("layer-2/output shapes are inconsistent")
-        for arr in (w1, b1, w2, b2, w3, b3):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("model parameters must be finite")
-            arr.flags.writeable = False
-        for name, arr in (("w1", w1), ("b1", b1), ("w2", w2),
-                          ("b2", b2), ("w3", w3), ("b3", b3)):
-            object.__setattr__(self, name, arr)
+        self.PARAMS.freeze(self)
 
     @property
     def n1(self) -> int:
-        return int(self.w1.shape[1])
+        return int(self.b1.size)
 
     @property
     def n2(self) -> int:
-        return int(self.w2.shape[1])
+        return int(self.b2.size)
 
     def n_params(self) -> int:
         return rvftdnn_param_count(self.window.n_taps, self.n1, self.n2)
@@ -123,14 +100,14 @@ class RvftdnnModel:
         return ComplexSequence(out[:, 0] + 1j * out[:, 1],
                                sample_rate_hint=seq.sample_rate_hint)
 
-    def backward(self, x, target, sample_range=None) -> tuple[float, RvftdnnGradients]:
-        """Mean |output - target|^2 over sample_range and its exact gradients."""
+    def backward(self, x, target, sample_range=None) -> tuple[float, dict]:
+        """Mean |output - target|^2 over sample_range and its exact gradients,
+        one gradient array per parameter attribute."""
         psi = as_samples(x)
         phi = as_samples(target)
         if psi.size != phi.size:
             raise ValueError("input and target lengths differ")
-        from .agmpnn import _default_range
-        idx = _default_range(sample_range, psi.size, self.window)
+        idx = default_range(sample_range, psi.size, self.window)
         feats = self._features(psi)[idx]
         h1 = np.tanh(feats @ self.w1 + self.b1)
         h2 = np.tanh(h1 @ self.w2 + self.b2)
@@ -147,68 +124,33 @@ class RvftdnnModel:
         d_h1 = (d_h2 @ self.w2.T) * (1.0 - h1 * h1)
         g_w1 = feats.T @ d_h1
         g_b1 = d_h1.sum(axis=0)
-        return loss, RvftdnnGradients(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2, w3=g_w3, b3=g_b3)
+        return loss, {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2, "w3": g_w3, "b3": g_b3}
 
     # ------------------------------------------------------------------
     # flat parameter vector protocol
     # ------------------------------------------------------------------
 
     def param_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in
-                               (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)])
+        return self.PARAMS.param_vector(self)
 
     def with_param_vector(self, vec: np.ndarray) -> "RvftdnnModel":
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.n_params(),):
-            raise ValueError(f"parameter vector must have {self.n_params()} entries")
-        pieces = []
-        pos = 0
-        for arr in (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3):
-            pieces.append(vec[pos:pos + arr.size].reshape(arr.shape))
-            pos += arr.size
-        return RvftdnnModel(self.window, *pieces)
+        return self.PARAMS.with_param_vector(self, vec)
 
     def loss_and_gradient(self, x, target, sample_range=None) -> tuple[float, np.ndarray]:
         loss, grads = self.backward(x, target, sample_range)
-        return loss, grads.to_vector()
+        return loss, self.PARAMS.flatten(grads)
 
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
 
     def save(self, path) -> None:
-        modelfile.write_model(
-            path,
-            MODEL_KIND,
-            scalars={
-                "pre_taps": self.window.pre_taps,
-                "post_taps": self.window.post_taps,
-                "n1": self.n1,
-                "n2": self.n2,
-            },
-            arrays={"w1": self.w1, "b1": self.b1, "w2": self.w2,
-                    "b2": self.b2, "w3": self.w3, "b3": self.b3},
-        )
+        self.PARAMS.save(self, path)
 
     @classmethod
     def load(cls, path) -> "RvftdnnModel":
-        kind, scalars, sections = modelfile.read_model(path)
-        if kind != MODEL_KIND:
-            raise modelfile.FormatError(f"{path}: expected kind {MODEL_KIND!r}, found {kind!r}")
-        window = TapWindow(pre_taps=modelfile.header_int(scalars, "pre_taps", path),
-                           post_taps=modelfile.header_int(scalars, "post_taps", path))
-        n1 = modelfile.header_int(scalars, "n1", path)
-        n2 = modelfile.header_int(scalars, "n2", path)
-        t2 = 2 * window.n_taps
-        return cls(
-            window=window,
-            w1=modelfile.section_real(sections, "w1", (t2, n1), path=path),
-            b1=modelfile.section_real(sections, "b1", (n1,), path=path),
-            w2=modelfile.section_real(sections, "w2", (n1, n2), path=path),
-            b2=modelfile.section_real(sections, "b2", (n2,), path=path),
-            w3=modelfile.section_real(sections, "w3", (n2, 2), path=path),
-            b3=modelfile.section_real(sections, "b3", (2,), path=path),
-        )
+        window, _, _, arrays = cls.PARAMS.load(path)
+        return cls(window=window, **arrays)
 
 
 @dataclass(frozen=True)
@@ -235,8 +177,6 @@ def architecture_search(window: TapWindow, psi, phi, cfg, grid=None,
     smaller parameter count, then lexicographic (n1, n2).  Raises ValueError
     when no grid entry fits the budget.
     """
-    from .training import train
-
     if grid is None:
         grid = default_search_grid()
     t_taps = window.n_taps

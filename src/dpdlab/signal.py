@@ -226,6 +226,32 @@ def delayed_matrix(x, window: TapWindow) -> np.ndarray:
     return out
 
 
+def normalize_range(sample_range, n: int) -> np.ndarray:
+    """Sample indices from None (all n), a slice or an index array; each must
+    lie in [0, n) and the selection must not be empty."""
+    if sample_range is None:
+        return np.arange(n)
+    if isinstance(sample_range, slice):
+        idx = np.arange(n)[sample_range]
+    else:
+        idx = np.asarray(sample_range, dtype=np.intp).reshape(-1)
+    if idx.size == 0:
+        raise ValueError("sample_range is empty")
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError(f"sample_range out of bounds for {n} samples")
+    return idx
+
+
+def default_range(sample_range, n: int, window: TapWindow) -> np.ndarray:
+    """Loss sample indices; by default drop the zero-filled window edges."""
+    if sample_range is None:
+        lo, hi = window.pre_taps, n - window.post_taps
+        if hi <= lo:
+            raise ValueError("sequence too short for the tap window")
+        return np.arange(lo, hi)
+    return normalize_range(sample_range, n)
+
+
 def serialize_iq(x: ComplexSequence, path) -> None:
     """Write the binary IQ format: magic, u64 count, f64 rate hint, f64 I/Q pairs.
 

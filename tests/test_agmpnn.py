@@ -266,7 +266,7 @@ def test_offset_gradient_vanishes_when_basis_is_linear_and_attention_flat():
     x = generate_waveform(9, 256, 0.5)
     y = generate_waveform(10, 256, 0.5)
     _, grads = model.backward(x, y)
-    assert np.max(np.abs(grads.amp_offsets)) == 0.0
+    assert np.max(np.abs(grads["amp_offsets"])) == 0.0
 
 
 def test_backward_rejects_bad_ranges():
@@ -298,7 +298,7 @@ def test_gradient_vector_layout_matches_param_vector():
     x = generate_waveform(12, 200, 0.5)
     y = generate_waveform(13, 200, 0.5)
     _, grads = model.backward(x, y)
-    vec = grads.to_vector()
+    vec = model.PARAMS.flatten(grads)
     assert vec.shape == model.param_vector().shape
     # Nudging parameters along -gradient must reduce the loss.
     loss0, _ = model.loss_and_gradient(x, y)

@@ -5,7 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from dpdlab import deserialize_iq, generate_waveform, nmse_db, pa_forward, preset, serialize_iq
+from dpdlab import (TapWindow, deserialize_iq, generate_waveform, nmse_db, pa_forward, preset,
+                    serialize_iq)
 from dpdlab.agmpnn import AgmpnnModel
 from dpdlab.cli import dispatch
 from dpdlab.config import parse_config
@@ -131,6 +132,19 @@ def test_fit_rejects_length_mismatch(tmp_path):
     dispatch(["gen-signal", "--seed", "8", "--n", "512", "--out", str(b)])
     assert dispatch(["fit", "--model", "mpm", "--in", str(a), "--target", str(b),
                      "--out", str(tmp_path / "m.model")]) == 2
+
+
+def test_eval_on_a_huge_declared_dimension_is_a_one_line_error(tmp_path, capsys):
+    model_path = tmp_path / "bad.model"
+    wave_path = tmp_path / "x.csv"
+    AgmpnnModel.init(TapWindow(pre_taps=1), 2, 2, seed=0).save(model_path)
+    model_path.write_text(model_path.read_text().replace("k_orders = 2", "k_orders = 99999999999"))
+    assert dispatch(["gen-signal", "--seed", "1", "--n", "64", "--out", str(wave_path)]) == 0
+    capsys.readouterr()
+    assert dispatch(["eval", "--model-file", str(model_path),
+                     "--in", str(wave_path), "--target", str(wave_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(model_path) in err[0]
 
 
 def test_fit_neural_model_with_config(tmp_path):

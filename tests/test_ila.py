@@ -24,6 +24,7 @@ from dpdlab.ila import (
     FAMILIES,
     MAX_ALIGN_LAG,
     REPORT_HEADER,
+    TARGET_TOLERANCE,
     DpdModelSpec,
     IlaReport,
     _advance,
@@ -39,6 +40,7 @@ from dpdlab.ila import (
     sweep_complexity,
     sweep_taps,
 )
+from dpdlab.agmpnn import agmpnn_param_count
 from dpdlab.pa_sim import PaConfig
 from dpdlab.rvftdnn import rvftdnn_param_count
 
@@ -302,6 +304,29 @@ def test_sweep_complexity_matches_independent_cells():
 
 # === complexity sweep ===
 
+def test_closest_spec_ties_go_to_fewer_params_then_lower_hyperparameters():
+    taps = 5
+    window = TapWindow(pre_taps=taps - 1)
+    grids = {
+        "mpm": ([(k,) for k in range(1, 6)], lambda k: 2 * taps * k),
+        "agmpnn": ([(k, m) for k in range(1, 7) for m in range(1, 9)],
+                   lambda k, m: agmpnn_param_count(taps, k, m)),
+        "rvftdnn": ([(a, b) for a in range(2, 25) for b in range(2, 25)],
+                    lambda a, b: rvftdnn_param_count(taps, a, b)),
+    }
+    hyper = {"mpm": lambda s: (s.k_orders,), "agmpnn": lambda s: (s.k_orders, s.n_experts),
+             "rvftdnn": lambda s: (s.n1, s.n2)}
+    for target in range(10, 800, 3):
+        for family, (grid, count) in grids.items():
+            dist, _, *best = min((abs(count(*h) - target), count(*h), *h) for h in grid)
+            # An unsorted grid with a repeat selects the same order count.
+            spec = _closest_spec(family, window, target, (5, 3, 1, 4, 2, 3))
+            if dist > TARGET_TOLERANCE * target:
+                assert spec is None
+            else:
+                assert hyper[family](spec) == tuple(best)
+
+
 def test_sweep_complexity_reduced_targets():
     pa_by = {"low": preset("low"), "high": preset("high")}
     rows = sweep_complexity(pa_by, taps=7, param_targets=(100, 600), seeds=(1,),
@@ -368,11 +393,159 @@ def test_load_model_dispatches_on_kind(tmp_path):
         assert np.array_equal(loaded.predict(x).samples, model.predict(x).samples)
 
 
-def test_load_model_rejects_unknown_kind(tmp_path):
-    model = MpmCoefficients(spec=MpmSpec(window=TapWindow(pre_taps=0), k_orders=1),
-                            coeff=np.ones((1, 1), dtype=complex))
-    path = tmp_path / "weird.model"
-    model.save(path)
-    path.write_text(path.read_text().replace("kind = mpm", "kind = volterra"))
-    with pytest.raises(FormatError):
+def _tiny_model(family):
+    """A small hand-built model of each family, with a lookahead tap."""
+    window = TapWindow(pre_taps=1, post_taps=1)
+    if family == "mpm":
+        return MpmCoefficients(spec=MpmSpec(window=window, k_orders=1, amp_offset=-0.1),
+                               coeff=np.array([[0.1 - 0.2j], [1.0 + 0.0j], [-0.3 + 1e-20j]]))
+    if family == "agmpnn":
+        return AgmpnnModel(
+            window=window, k_orders=1, n_experts=2,
+            expert_coeff=np.array([[[1.0 + 0.1j], [0.2j], [-0.3]],
+                                   [[0.5], [0.25 - 0.125j], [1e-3j]]]),
+            amp_offsets=np.array([0.0, -0.7]),
+            attn_scale=np.array([[0.1, 0.2, 0.3], [-0.1, -0.2, -0.3]]),
+            attn_bias=np.array([[5.0, 0.0, 0.0], [0.0, 0.0, 1.0 / 3.0]]))
+    return RvftdnnModel(window=window, w1=np.arange(6.0).reshape(6, 1) / 7.0, b1=np.array([0.1]),
+                        w2=np.array([[-2.5]]), b2=np.array([0.0]),
+                        w3=np.array([[1.0, -1.0]]), b3=np.array([0.1, 0.2]))
+
+
+# The file text of each _tiny_model: section order, tap-delay indices and the
+# float format are part of the format, so any drift must show here.
+GOLDEN_MODEL_TEXT = {
+    "mpm": """format = DPDMODEL1
+version = 1
+kind = mpm
+pre_taps = 1
+post_taps = 1
+k_orders = 1
+amp_offset = -1.00000000000000006e-01
+
+[coeff]
+-1 0 1.00000000000000006e-01 -2.00000000000000011e-01
+0 0 1.00000000000000000e+00 0.00000000000000000e+00
+1 0 -2.99999999999999989e-01 9.99999999999999945e-21
+""",
+    "agmpnn": """format = DPDMODEL1
+version = 1
+kind = agmpnn
+pre_taps = 1
+post_taps = 1
+k_orders = 1
+n_experts = 2
+
+[coeff]
+0 -1 0 1.00000000000000000e+00 1.00000000000000006e-01
+0 0 0 0.00000000000000000e+00 2.00000000000000011e-01
+0 1 0 -2.99999999999999989e-01 0.00000000000000000e+00
+1 -1 0 5.00000000000000000e-01 0.00000000000000000e+00
+1 0 0 2.50000000000000000e-01 -1.25000000000000000e-01
+1 1 0 0.00000000000000000e+00 1.00000000000000002e-03
+
+[offsets]
+0 0.00000000000000000e+00
+1 -6.99999999999999956e-01
+
+[attn_scale]
+0 -1 1.00000000000000006e-01
+0 0 2.00000000000000011e-01
+0 1 2.99999999999999989e-01
+1 -1 -1.00000000000000006e-01
+1 0 -2.00000000000000011e-01
+1 1 -2.99999999999999989e-01
+
+[attn_bias]
+0 -1 5.00000000000000000e+00
+0 0 0.00000000000000000e+00
+0 1 0.00000000000000000e+00
+1 -1 0.00000000000000000e+00
+1 0 0.00000000000000000e+00
+1 1 3.33333333333333315e-01
+""",
+    "rvftdnn": """format = DPDMODEL1
+version = 1
+kind = rvftdnn
+pre_taps = 1
+post_taps = 1
+n1 = 1
+n2 = 1
+
+[w1]
+0 0 0.00000000000000000e+00
+1 0 1.42857142857142849e-01
+2 0 2.85714285714285698e-01
+3 0 4.28571428571428548e-01
+4 0 5.71428571428571397e-01
+5 0 7.14285714285714302e-01
+
+[b1]
+0 1.00000000000000006e-01
+
+[w2]
+0 0 -2.50000000000000000e+00
+
+[b2]
+0 0.00000000000000000e+00
+
+[w3]
+0 0 1.00000000000000000e+00
+0 1 -1.00000000000000000e+00
+
+[b3]
+0 1.00000000000000006e-01
+1 2.00000000000000011e-01
+""",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_saved_model_text_matches_golden(tmp_path, family):
+    path = tmp_path / "m.model"
+    _tiny_model(family).save(path)
+    assert path.read_text() == GOLDEN_MODEL_TEXT[family]
+    again = tmp_path / "again.model"
+    load_model(path).save(again)
+    assert again.read_text() == GOLDEN_MODEL_TEXT[family]
+
+
+# A header size field of each family, corrupted by the cases below.
+_SIZE_FIELD = {"mpm": "k_orders", "agmpnn": "n_experts", "rvftdnn": "n1"}
+
+# defect -> (header field, replacement value, text the error must name)
+_HEADER_DEFECTS = {
+    "kind": ("kind", "volterra", "volterra"),
+    "huge_size": (None, "99999999999", "rows"),
+    "negative_size": (None, "-1", None),
+    "negative_taps": ("pre_taps", "-3", "pre_taps"),
+    "version": ("version", "7", "'7'"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_HEADER_DEFECTS))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_load_model_rejects_malformed_header(tmp_path, family, defect):
+    field, value, named = _HEADER_DEFECTS[defect]
+    field = field or _SIZE_FIELD[family]
+    named = named or field
+    path = tmp_path / "bad.model"
+    _tiny_model(family).save(path)
+    lines = [f"{field} = {value}" if line.split(" = ")[0] == field else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as caught:
+        load_model(path)
+    assert str(path) in str(caught.value)
+    assert named in str(caught.value)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_load_model_rejects_non_finite_values(tmp_path, family):
+    path = tmp_path / "bad.model"
+    _tiny_model(family).save(path)
+    lines = path.read_text().splitlines()
+    lines[-1] = " ".join(lines[-1].split()[:-1] + ["nan"])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="non-finite"):
         load_model(path)
