@@ -149,15 +149,15 @@ class AgmpnnModel:
     # forward
     # ------------------------------------------------------------------
 
-    def _forward_arrays(self, samples: np.ndarray):
+    def _forward_arrays(self, x):
         """Vectorized forward pass over every sample.
 
         Returns (output, expert_out, weights, delayed, amp) where expert_out
         and weights are (N, M) and delayed/amp are (N, T).
         """
-        delayed = delayed_matrix(samples, self.window)
+        delayed = delayed_matrix(x, self.window)
         amp = np.abs(delayed)
-        n = samples.size
+        n = delayed.shape[0]
         m = self.n_experts
         expert_out = np.empty((n, m), dtype=np.complex128)
         scores = np.empty((n, m))
@@ -179,7 +179,7 @@ class AgmpnnModel:
 
     def predict(self, x) -> ComplexSequence:
         seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
-        output, _, _, _, _ = self._forward_arrays(seq.samples)
+        output, _, _, _, _ = self._forward_arrays(seq)
         return ComplexSequence(output, sample_rate_hint=seq.sample_rate_hint)
 
     # ------------------------------------------------------------------
@@ -200,14 +200,14 @@ class AgmpnnModel:
         if psi.size != phi.size:
             raise ValueError("input and target lengths differ")
         idx = default_range(sample_range, psi.size, self.window)
-        output, expert_out, weights, delayed, amp = self._forward_arrays(psi)
+        output, expert_out, weights, delayed, amp = self._forward_arrays(x)
         output = output[idx]
         expert_out = expert_out[idx]
         weights = weights[idx]
         delayed = delayed[idx]
         amp = amp[idx]
         err = output - phi[idx]
-        count = idx.size
+        count = err.size
         loss = float(np.mean(np.abs(err) ** 2))
         scale = 2.0 / count
 
@@ -281,7 +281,12 @@ class AgmpnnModel:
 
     @classmethod
     def load(cls, path) -> "AgmpnnModel":
-        window, sizes, _, arrays = cls.PARAMS.load(path)
+        return cls.from_parsed(path, modelfile.read_model(path))
+
+    @classmethod
+    def from_parsed(cls, path, parsed) -> "AgmpnnModel":
+        """The model in the file at `path`, already parsed by read_model."""
+        window, sizes, _, arrays = cls.PARAMS.load(path, parsed)
         return cls(window=window, **sizes, **arrays)
 
 

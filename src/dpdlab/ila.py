@@ -493,8 +493,9 @@ def reports_to_csv(rows) -> str:
 
 def load_model(path):
     """Load any model file, dispatching on its kind tag."""
-    kind, _, _ = modelfile.read_model(path)
+    parsed = modelfile.read_model(path)
+    kind = parsed[0]
     classes = {cls.PARAMS.kind: cls for cls in (MpmCoefficients, AgmpnnModel, RvftdnnModel)}
     if kind not in classes:
         raise FormatError(f"{path}: unknown model kind {kind!r}")
-    return classes[kind].load(path)
+    return classes[kind].from_parsed(path, parsed)

@@ -119,11 +119,14 @@ def header_int(scalars: dict, key: str, path="model", minimum: int | None = None
 
 def header_float(scalars: dict, key: str, path="model") -> float:
     try:
-        return float(scalars[key])
+        value = float(scalars[key])
     except KeyError:
         raise FormatError(f"{path}: missing header field {key!r}") from None
     except ValueError:
         raise FormatError(f"{path}: header field {key!r} is not a number") from None
+    if not math.isfinite(value):
+        raise FormatError(f"{path}: header field {key!r} is {value}; it must be finite")
+    return value
 
 
 def _fill(rows, shape, n_values, index_offset, name, path):
@@ -242,13 +245,15 @@ class ParamTable:
         offsets = {p.section: p.index_offsets(arrays[p.section].ndim, window) for p in self.params}
         write_model(path, self.kind, scalars, arrays, offsets)
 
-    def load(self, path):
-        """Read a model file of this kind into (window, sizes, header, arrays).
+    def load(self, path, parsed):
+        """Turn `parsed`, the (kind, header, sections) that read_model returned
+        for the file at `path`, into (window, sizes, header, arrays).
 
         Tap counts below 0, size fields below 1 and sections with fewer rows
-        than entries raise FormatError before any array is allocated.
+        than entries raise FormatError naming `path` before any array is
+        allocated.
         """
-        kind, scalars, sections = read_model(path)
+        kind, scalars, sections = parsed
         if kind != self.kind:
             raise FormatError(f"{path}: expected kind {self.kind!r}, found {kind!r}")
         window = TapWindow(pre_taps=header_int(scalars, "pre_taps", path, minimum=0),

@@ -176,7 +176,12 @@ class MpmCoefficients:
 
     @classmethod
     def load(cls, path) -> "MpmCoefficients":
-        window, sizes, scalars, arrays = cls.PARAMS.load(path)
+        return cls.from_parsed(path, modelfile.read_model(path))
+
+    @classmethod
+    def from_parsed(cls, path, parsed) -> "MpmCoefficients":
+        """The model in the file at `path`, already parsed by read_model."""
+        window, sizes, scalars, arrays = cls.PARAMS.load(path, parsed)
         spec = MpmSpec(window=window, k_orders=sizes["k_orders"],
                        amp_offset=modelfile.header_float(scalars, "amp_offset", path))
         return cls(spec=spec, **arrays)

@@ -83,17 +83,14 @@ class RvftdnnModel:
     # forward / backward
     # ------------------------------------------------------------------
 
-    def _features(self, samples: np.ndarray) -> np.ndarray:
-        """Interleaved re/im tap features, shape (N, 2T)."""
-        delayed = delayed_matrix(samples, self.window)
-        feats = np.empty((samples.size, 2 * self.window.n_taps))
-        feats[:, 0::2] = delayed.real
-        feats[:, 1::2] = delayed.imag
-        return feats
+    def _features(self, x) -> np.ndarray:
+        """Interleaved re/im tap features, shape (N, 2T): the tap matrix seen
+        as float64, without a copy."""
+        return delayed_matrix(x, self.window).view(np.float64)
 
     def predict(self, x) -> ComplexSequence:
         seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
-        feats = self._features(seq.samples)
+        feats = self._features(seq)
         h1 = np.tanh(feats @ self.w1 + self.b1)
         h2 = np.tanh(h1 @ self.w2 + self.b2)
         out = h2 @ self.w3 + self.b3
@@ -108,12 +105,12 @@ class RvftdnnModel:
         if psi.size != phi.size:
             raise ValueError("input and target lengths differ")
         idx = default_range(sample_range, psi.size, self.window)
-        feats = self._features(psi)[idx]
+        feats = self._features(x)[idx]
         h1 = np.tanh(feats @ self.w1 + self.b1)
         h2 = np.tanh(h1 @ self.w2 + self.b2)
         out = h2 @ self.w3 + self.b3
-        err = np.stack([out[:, 0] - phi[idx].real, out[:, 1] - phi[idx].imag], axis=1)
-        count = idx.size
+        err = out - phi[idx].view(np.float64).reshape(-1, 2)
+        count = err.shape[0]
         loss = float(np.mean(err[:, 0] ** 2 + err[:, 1] ** 2))
         d_out = (2.0 / count) * err
         g_w3 = h2.T @ d_out
@@ -149,7 +146,12 @@ class RvftdnnModel:
 
     @classmethod
     def load(cls, path) -> "RvftdnnModel":
-        window, _, _, arrays = cls.PARAMS.load(path)
+        return cls.from_parsed(path, modelfile.read_model(path))
+
+    @classmethod
+    def from_parsed(cls, path, parsed) -> "RvftdnnModel":
+        """The model in the file at `path`, already parsed by read_model."""
+        window, _, _, arrays = cls.PARAMS.load(path, parsed)
         return cls(window=window, **arrays)
 
 

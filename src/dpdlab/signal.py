@@ -8,7 +8,7 @@ two-column CSV).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +27,11 @@ _LOWPASS_NTAPS = 127
 
 
 def as_samples(x) -> np.ndarray:
-    """Accept a ComplexSequence or array-like; return a 1-D complex128 array."""
+    """Accept a ComplexSequence or array-like; return a contiguous 1-D
+    complex128 array."""
     if isinstance(x, ComplexSequence):
         return x.samples
-    return np.asarray(x, dtype=np.complex128).reshape(-1)
+    return np.ascontiguousarray(x, dtype=np.complex128).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -210,8 +211,29 @@ def window_at(x, n: int, window: TapWindow) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class FramedSequence(ComplexSequence):
+    """A ComplexSequence that also holds its read-only delayed_matrix for one
+    TapWindow, so that repeated passes over the same data build it only once."""
+
+    window: TapWindow = field(kw_only=True)
+    delayed: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        delayed = delayed_matrix(self.samples, self.window)
+        delayed.flags.writeable = False
+        object.__setattr__(self, "delayed", delayed)
+
+
 def delayed_matrix(x, window: TapWindow) -> np.ndarray:
-    """N x T complex matrix whose row n equals window_at(x, n, window)."""
+    """N x T complex matrix whose row n equals window_at(x, n, window).
+
+    For a FramedSequence over the same window this is its held, read-only
+    matrix.
+    """
+    if isinstance(x, FramedSequence) and x.window == window:
+        return x.delayed
     samples = as_samples(x)
     n = samples.size
     out = np.zeros((n, window.n_taps), dtype=np.complex128)
@@ -242,13 +264,22 @@ def normalize_range(sample_range, n: int) -> np.ndarray:
     return idx
 
 
-def default_range(sample_range, n: int, window: TapWindow) -> np.ndarray:
-    """Loss sample indices; by default drop the zero-filled window edges."""
+def default_range(sample_range, n: int, window: TapWindow):
+    """Loss samples; by default drop the zero-filled window edges.
+
+    The default and any unit-step slice come back as a slice, so indexing
+    with it gives views; other ranges come back as index arrays.
+    """
     if sample_range is None:
         lo, hi = window.pre_taps, n - window.post_taps
         if hi <= lo:
             raise ValueError("sequence too short for the tap window")
-        return np.arange(lo, hi)
+        return slice(lo, hi)
+    if isinstance(sample_range, slice) and sample_range.step in (None, 1):
+        lo, hi, _ = sample_range.indices(n)
+        if hi <= lo:
+            raise ValueError("sample_range is empty")
+        return slice(lo, hi)
     return normalize_range(sample_range, n)
 
 

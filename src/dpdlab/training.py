@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import TrainingDivergedError
-from .signal import ComplexSequence, NMSE_FLOOR_DB, as_samples
+from .signal import ComplexSequence, FramedSequence, NMSE_FLOOR_DB, as_samples
 
 VAL_EVERY = 5
 
@@ -116,8 +116,11 @@ def split_segments(segments: list) -> tuple[list, list]:
     return train, val
 
 
-def _segment_pairs(psi: np.ndarray, phi: np.ndarray, ranges) -> list:
-    return [(ComplexSequence(psi[a:b]), ComplexSequence(phi[a:b])) for a, b in ranges]
+def _segment_pairs(psi: np.ndarray, phi: np.ndarray, ranges, window) -> list:
+    """(input, target) per segment; each input holds its tap matrix, built
+    once here for every gradient and validation pass of the fit."""
+    return [(FramedSequence(psi[a:b], window=window), ComplexSequence(phi[a:b]))
+            for a, b in ranges]
 
 
 def validation_nmse_db(model, pairs, window) -> float:
@@ -159,13 +162,13 @@ def train(model, psi, phi, cfg: TrainConfig):
         raise ValueError("input and target lengths differ")
     segments = segment_ranges(psi_s.size, cfg.segment_len)
     train_ranges, val_ranges = split_segments(segments)
-    train_pairs = _segment_pairs(psi_s, phi_s, train_ranges)
-    val_pairs = _segment_pairs(psi_s, phi_s, val_ranges)
     window = model.window
     lo, hi = window.pre_taps, cfg.segment_len - window.post_taps
     if hi <= lo:
         raise ValueError("segment_len too short for the tap window")
-    loss_range = np.arange(lo, hi)
+    train_pairs = _segment_pairs(psi_s, phi_s, train_ranges, window)
+    val_pairs = _segment_pairs(psi_s, phi_s, val_ranges, window)
+    loss_range = slice(lo, hi)
 
     rng = np.random.default_rng(cfg.seed)
     params = model.param_vector()

@@ -1,5 +1,7 @@
 """Indirect-learning fit/deploy/evaluate harness and sweep reports."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -501,12 +503,23 @@ n2 = 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_saved_model_text_matches_golden(tmp_path, family):
+def test_saved_model_text_matches_golden(tmp_path, monkeypatch, family):
     path = tmp_path / "m.model"
     _tiny_model(family).save(path)
     assert path.read_text() == GOLDEN_MODEL_TEXT[family]
+    reads = []
+    read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    loaded = load_model(path)
+    monkeypatch.undo()
+    assert reads == [path]
     again = tmp_path / "again.model"
-    load_model(path).save(again)
+    loaded.save(again)
     assert again.read_text() == GOLDEN_MODEL_TEXT[family]
 
 
@@ -538,6 +551,19 @@ def test_load_model_rejects_malformed_header(tmp_path, family, defect):
         load_model(path)
     assert str(path) in str(caught.value)
     assert named in str(caught.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_model_rejects_non_finite_amp_offset(tmp_path, value):
+    path = tmp_path / "bad.model"
+    _tiny_model("mpm").save(path)
+    lines = [f"amp_offset = {value}" if line.startswith("amp_offset =") else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as caught:
+        load_model(path)
+    assert str(path) in str(caught.value)
+    assert "'amp_offset'" in str(caught.value)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -1,0 +1,17 @@
+"""The README's Python API example runs as written."""
+
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _python_api_block() -> str:
+    section = README.read_text(encoding="utf-8").split("\n## Python API\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_python_api_example_runs(capsys):
+    exec(compile(_python_api_block(), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert all(float(value) for line in lines for value in line.split())

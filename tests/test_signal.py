@@ -18,7 +18,7 @@ from dpdlab import (
     window_at,
     write_iq_csv,
 )
-from dpdlab.signal import NMSE_FLOOR_DB
+from dpdlab.signal import NMSE_FLOOR_DB, FramedSequence
 
 import reference_impls as ref
 
@@ -210,6 +210,19 @@ def test_delayed_matrix_rows_equal_window_at():
         assert mat.shape == (128, w.n_taps)
         for n in (0, 1, 63, 126, 127):
             assert np.array_equal(mat[n], window_at(x, n, w))
+
+
+def test_framed_sequence_holds_its_window_matrix():
+    x = generate_waveform(8, 128, 0.5)
+    w = TapWindow(pre_taps=3, post_taps=2)
+    framed = FramedSequence(x.samples, window=w)
+    held = delayed_matrix(framed, w)
+    assert held is framed.delayed
+    assert delayed_matrix(framed, TapWindow(pre_taps=3, post_taps=2)) is held
+    assert not held.flags.writeable
+    assert np.array_equal(held, delayed_matrix(x, w))
+    other = TapWindow(pre_taps=1)
+    assert np.array_equal(delayed_matrix(framed, other), delayed_matrix(x, other))
 
 
 # === IQ file formats ===

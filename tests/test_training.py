@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass, replace
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,11 @@ from dpdlab import (
     finite_diff_check,
     generate_waveform,
     nmse_db,
+    pa_forward,
+    preset,
     train,
 )
-from dpdlab.signal import NMSE_FLOOR_DB
+from dpdlab.signal import NMSE_FLOOR_DB, FramedSequence
 from dpdlab.training import (
     VAL_EVERY,
     segment_ranges,
@@ -341,3 +345,66 @@ def test_finite_diff_check_respects_sample_range():
     y = generate_waveform(17, 200, 0.5)
     model = _ScalarModel(a=0.3)
     assert finite_diff_check(model, x, y, sample_range=slice(50, 150)) < 1e-7
+
+
+# === reuse of each segment's tap matrix ===
+
+def _pa_pair(n_samples):
+    """(PA output, PA input): the postinverse training direction."""
+    x = generate_waveform(3, n_samples, 0.25)
+    return pa_forward(preset("high"), x), x
+
+
+def _family_model(family, window, calibration):
+    if family == "rvftdnn":
+        return RvftdnnModel.init(window, 6, 5, seed=2)
+    return AgmpnnModel.init(window, 3, 3, seed=2, calibration=calibration)
+
+
+@pytest.mark.parametrize("family", ["rvftdnn", "agmpnn"])
+def test_framed_segment_gives_the_same_bytes_as_a_plain_one(family):
+    y, x = _pa_pair(700)
+    window = TapWindow(pre_taps=4, post_taps=1)
+    model = _family_model(family, window, x)
+    framed = FramedSequence(y.samples, window=window)
+    assert np.array_equal(model.predict(framed).samples, model.predict(y).samples)
+    strided_target = np.stack([x.samples, x.samples], axis=1)[:, 0]
+    for sample_range in (None, slice(10, 600), np.array([5, 7, 6, 600])):
+        got = model.loss_and_gradient(framed, x, sample_range)
+        want = model.loss_and_gradient(y.samples, strided_target, sample_range)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+
+
+# History CSV and SHA-256 of the trained parameter bytes of a short seeded fit,
+# recorded while every gradient call still rebuilt its segment's tap matrix.
+GOLDEN_TRAIN = {
+    "rvftdnn": ("""epoch,train_loss,val_nmse_db
+0,1.343070745639e+00,1.217257
+1,1.286494766091e+00,0.497290
+2,1.069886230150e+00,-0.233922
+3,8.916606458718e-01,-0.950762
+4,7.338060343755e-01,-1.643330
+5,6.163592585921e-01,-2.303372
+""", "7a6c3152abd013a8531f23e6ac4352c38753ede862aa4dd6be6ac9e26ad3de6d"),
+    "agmpnn": ("""epoch,train_loss,val_nmse_db
+0,1.869572184966e-01,-7.019040
+1,1.651974198430e-01,-8.406017
+2,1.147331742792e-01,-10.003964
+3,7.609824157780e-02,-11.512157
+4,5.786603456789e-02,-12.294428
+5,4.973753622288e-02,-12.307523
+""", "af6a67cc3b543db6c94de5e4dbb49a8f3c2c8c29e2947fececd817d6c734afb4"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_TRAIN))
+def test_short_train_matches_golden_bytes(family):
+    y, x = _pa_pair(4096)
+    model = _family_model(family, TapWindow(pre_taps=4, post_taps=1), x)
+    cfg = TrainConfig(learning_rate=5e-3, batch_size=3, segment_len=512, max_epochs=5,
+                      patience=5, seed=4)
+    trained, history = train(model, y, x, cfg)
+    csv, digest = GOLDEN_TRAIN[family]
+    assert history.to_csv() == csv
+    assert hashlib.sha256(trained.param_vector().tobytes()).hexdigest() == digest
