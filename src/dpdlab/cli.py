@@ -77,6 +77,15 @@ def _write_text(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
+def _write_report(reports: list, out) -> None:
+    """Write report rows as CSV to `out`, or to stdout when `out` is None."""
+    text = ila.reports_to_csv(reports)
+    if out:
+        _write_text(out, text)
+    else:
+        sys.stdout.write(text)
+
+
 # ----------------------------------------------------------------------
 # subcommand bodies
 # ----------------------------------------------------------------------
@@ -147,11 +156,7 @@ def _cmd_ila_run(args) -> int:
         cfg.pa_config(), cfg.preset_label(), cfg.model_spec(), cfg.seed,
         n_samples=cfg.n_samples, bandwidth_fraction=cfg.bandwidth_fraction,
         cfg=cfg.train_config(), n_iterations=args.iterations)
-    text = ila.reports_to_csv([report])
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_report([report], args.out)
     return 0
 
 
@@ -162,11 +167,7 @@ def _cmd_sweep_taps(args) -> int:
         seeds=cfg.seeds, families=cfg.families, budget=(cfg.budget_lo, cfg.budget_hi),
         n_samples=cfg.n_samples, bandwidth_fraction=cfg.bandwidth_fraction,
         cfg=cfg.train_config(), nn_grid=cfg.nn_grid, mpm_k_grid=cfg.mpm_k_grid)
-    text = ila.reports_to_csv(rows)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_report(rows, args.out)
     print(f"{len(rows)} sweep rows", file=sys.stderr)
     return 0
 
@@ -179,11 +180,7 @@ def _cmd_sweep_complexity(args) -> int:
         seeds=cfg.seeds, families=cfg.families, n_samples=cfg.n_samples,
         bandwidth_fraction=cfg.bandwidth_fraction, cfg=cfg.train_config(),
         mpm_k_grid=cfg.mpm_k_grid)
-    text = ila.reports_to_csv(rows)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_report(rows, args.out)
     print(f"{len(rows)} sweep rows", file=sys.stderr)
     return 0
 
@@ -297,10 +294,11 @@ def build_parser() -> _Parser:
     p.add_argument("--model", choices=ila.FAMILIES, required=True)
     p.add_argument("--taps", type=int, default=4, help="total tap count")
     p.add_argument("--post-taps", type=int, default=0, help="taps ahead of the current sample")
-    p.add_argument("--k", type=int, default=3, help="number of even-order terms")
-    p.add_argument("--experts", type=int, default=3)
-    p.add_argument("--n1", type=int, default=16)
-    p.add_argument("--n2", type=int, default=16)
+    p.add_argument("--k", type=int, default=ila.DpdModelSpec.k_orders,
+                   help="number of even-order terms")
+    p.add_argument("--experts", type=int, default=ila.DpdModelSpec.n_experts)
+    p.add_argument("--n1", type=int, default=ila.DpdModelSpec.n1)
+    p.add_argument("--n2", type=int, default=ila.DpdModelSpec.n2)
     p.add_argument("--ridge", type=float, default=None, help="least-squares regularizer")
     p.add_argument("--cold-start", action="store_true",
                    help="skip the least-squares warm start (agmpnn only)")

@@ -8,11 +8,13 @@ complete, runnable experiment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .exceptions import FormatError
-from .ila import FAMILIES, DpdModelSpec
+from .ila import (DEFAULT_MPM_K_GRID, DEFAULT_NN_GRID, DEFAULT_PARAM_TARGETS, DEFAULT_TAPS_LIST,
+                  FAMILIES, DpdModelSpec)
 from .pa_sim import (PRESET_A_SAT, PRESET_DRIVE_DB, PRESET_FEEDBACK_SNR_DB, PRESET_K_PA,
                      PRESET_L_PA, PRESET_RHO, PRESET_SIGMA, PaConfig, coeffs_from_rule)
 from .signal import TapWindow
@@ -31,13 +33,16 @@ def _int(value: str) -> int:
 
 
 def _float(value: str) -> float:
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _opt_float(value: str) -> Optional[float]:
     if value.lower() == "none":
         return None
-    return float(value)
+    return _float(value)
 
 
 def _bool(value: str) -> bool:
@@ -69,105 +74,60 @@ def _word_list(value: str) -> tuple:
     return items
 
 
-_SCHEMA = {
-    "pa": {
-        "rho": _float,
-        "sigma": _float,
-        "l_pa": _int,
-        "k_pa": _int,
-        "drive_db": _float,
-        "a_sat": _opt_float,
-        "feedback_snr_db": _opt_float,
-    },
-    "signal": {
-        "seed": _int,
-        "n_samples": _int,
-        "bandwidth_fraction": _float,
-    },
-    "model": {
-        "kind": _word,
-        "taps": _int,
-        "post_taps": _int,
-        "k_orders": _int,
-        "n_experts": _int,
-        "n1": _int,
-        "n2": _int,
-        "ridge": _opt_float,
-        "warm_start": _bool,
-    },
-    "train": {
-        "learning_rate": _float,
-        "beta1": _float,
-        "beta2": _float,
-        "epsilon": _float,
-        "batch_size": _int,
-        "segment_len": _int,
-        "max_epochs": _int,
-        "patience": _int,
-        "seed": _int,
-    },
-    "sweep": {
-        "families": _word_list,
-        "preset": _word,
-        "taps_list": _int_list,
-        "param_targets": _int_list,
-        "seeds": _int_list,
-        "budget_lo": _int,
-        "budget_hi": _int,
-        "nn_grid": _int_list,
-        "mpm_k_grid": _int_list,
-        "taps": _int,
-    },
-}
+def _field(section: str, reader, default, key: Optional[str] = None):
+    """A RunConfig field: its `[section]`, the reader of its value text, its
+    default, and its key in that section when the key differs from the name."""
+    return field(default=default, metadata={"section": section, "reader": reader, "key": key})
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved experiment description (one value per schema key)."""
+    """Fully resolved experiment description: each field declares one config
+    key, and its default is read from the object that owns the value."""
 
     # [pa] — memory-polynomial coefficient rule plus operating point
-    rho: float = PRESET_RHO
-    sigma: float = PRESET_SIGMA
-    l_pa: int = PRESET_L_PA
-    k_pa: int = PRESET_K_PA
-    drive_db: float = PRESET_DRIVE_DB["high"]
-    a_sat: Optional[float] = PRESET_A_SAT
-    feedback_snr_db: Optional[float] = PRESET_FEEDBACK_SNR_DB
+    rho: float = _field("pa", _float, PRESET_RHO)
+    sigma: float = _field("pa", _float, PRESET_SIGMA)
+    l_pa: int = _field("pa", _int, PRESET_L_PA)
+    k_pa: int = _field("pa", _int, PRESET_K_PA)
+    drive_db: float = _field("pa", _float, PRESET_DRIVE_DB["high"])
+    a_sat: Optional[float] = _field("pa", _opt_float, PRESET_A_SAT)
+    feedback_snr_db: Optional[float] = _field("pa", _opt_float, PRESET_FEEDBACK_SNR_DB)
     # [signal]
-    seed: int = 1
-    n_samples: int = 16384
-    bandwidth_fraction: float = 0.25
+    seed: int = _field("signal", _int, 1)
+    n_samples: int = _field("signal", _int, 16384)
+    bandwidth_fraction: float = _field("signal", _float, 0.25)
     # [model]
-    kind: str = "mpm"
-    taps: int = 4
-    post_taps: int = 0
-    k_orders: int = 3
-    n_experts: int = 3
-    n1: int = 16
-    n2: int = 16
-    ridge: Optional[float] = None
-    warm_start: bool = True
-    # [train]
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    batch_size: int = 50
-    segment_len: int = 1024
-    max_epochs: int = 100
-    patience: int = 5
-    train_seed: int = 0
+    kind: str = _field("model", _word, "mpm")
+    taps: int = _field("model", _int, 4)
+    post_taps: int = _field("model", _int, TapWindow.post_taps)
+    k_orders: int = _field("model", _int, DpdModelSpec.k_orders)
+    n_experts: int = _field("model", _int, DpdModelSpec.n_experts)
+    n1: int = _field("model", _int, DpdModelSpec.n1)
+    n2: int = _field("model", _int, DpdModelSpec.n2)
+    ridge: Optional[float] = _field("model", _opt_float, DpdModelSpec.ridge)
+    warm_start: bool = _field("model", _bool, DpdModelSpec.warm_start)
+    # [train] — keys are TrainConfig's field names
+    learning_rate: float = _field("train", _float, TrainConfig.learning_rate)
+    beta1: float = _field("train", _float, TrainConfig.beta1)
+    beta2: float = _field("train", _float, TrainConfig.beta2)
+    epsilon: float = _field("train", _float, TrainConfig.epsilon)
+    batch_size: int = _field("train", _int, TrainConfig.batch_size)
+    segment_len: int = _field("train", _int, TrainConfig.segment_len)
+    max_epochs: int = _field("train", _int, TrainConfig.max_epochs)
+    patience: int = _field("train", _int, TrainConfig.patience)
+    train_seed: int = _field("train", _int, TrainConfig.seed, key="seed")
     # [sweep]
-    families: tuple = FAMILIES
-    preset: str = "high"
-    taps_list: tuple = (4, 5, 6, 7, 8, 9, 10)
-    param_targets: tuple = (100, 200, 300, 400, 500, 600)
-    seeds: tuple = (1, 2, 3)
-    budget_lo: int = 100
-    budget_hi: int = 600
-    nn_grid: tuple = (8, 10, 12, 14, 16, 18, 20)
-    mpm_k_grid: tuple = (1, 2, 3, 4, 5, 6, 7, 8)
-    sweep_taps: int = 7
+    families: tuple = _field("sweep", _word_list, FAMILIES)
+    preset: str = _field("sweep", _word, "high")
+    taps_list: tuple = _field("sweep", _int_list, DEFAULT_TAPS_LIST)
+    param_targets: tuple = _field("sweep", _int_list, DEFAULT_PARAM_TARGETS)
+    seeds: tuple = _field("sweep", _int_list, (1, 2, 3))
+    budget_lo: int = _field("sweep", _int, DpdModelSpec.budget[0])
+    budget_hi: int = _field("sweep", _int, DpdModelSpec.budget[1])
+    nn_grid: tuple = _field("sweep", _int_list, DEFAULT_NN_GRID)
+    mpm_k_grid: tuple = _field("sweep", _int_list, DEFAULT_MPM_K_GRID)
+    sweep_taps: int = _field("sweep", _int, 7, key="taps")
 
     def __post_init__(self) -> None:
         if self.kind not in FAMILIES:
@@ -214,20 +174,18 @@ class RunConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate, beta1=self.beta1, beta2=self.beta2,
-            epsilon=self.epsilon, batch_size=self.batch_size,
-            segment_len=self.segment_len, max_epochs=self.max_epochs,
-            patience=self.patience, seed=self.train_seed,
-        )
+        return TrainConfig(**{key: getattr(self, f.name) for key, f in _SCHEMA["train"].items()})
 
 
-# Config keys whose RunConfig attribute name differs from the bare key.
-_ATTR_OVERRIDES = {("train", "seed"): "train_seed", ("sweep", "taps"): "sweep_taps"}
+def _schema() -> dict:
+    """{section: {key: RunConfig field}}, both in declaration order."""
+    schema = {}
+    for f in fields(RunConfig):
+        schema.setdefault(f.metadata["section"], {})[f.metadata["key"] or f.name] = f
+    return schema
 
 
-def _attr_name(section: str, key: str) -> str:
-    return _ATTR_OVERRIDES.get((section, key), key)
+_SCHEMA = _schema()
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
@@ -257,8 +215,9 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
             known = ", ".join(sorted(schema))
             raise FormatError(
                 f"{path}:{lineno}: unknown key {key!r} in [{section}] (known: {known})")
+        f = schema[key]
         try:
-            values[_attr_name(section, key)] = schema[key](value)
+            values[f.name] = f.metadata["reader"](value)
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     try:
@@ -289,7 +248,7 @@ def render_config(cfg: RunConfig) -> str:
     lines = []
     for section, schema in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key in schema:
-            lines.append(f"{key} = {_render_value(getattr(cfg, _attr_name(section, key)))}")
+        for key, f in schema.items():
+            lines.append(f"{key} = {_render_value(getattr(cfg, f.name))}")
         lines.append("")
     return "\n".join(lines)

@@ -7,6 +7,7 @@ two-column CSV).
 
 from __future__ import annotations
 
+import cmath
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,12 +35,13 @@ def as_samples(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.complex128).reshape(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexSequence:
     """Immutable, uniformly sampled complex baseband waveform.
 
     The sample rate is informational only; every algorithm in the package works
-    in normalized (cycles per sample) units.
+    in normalized (cycles per sample) units.  Equality and hashing are by
+    identity; compare values with np.array_equal on `samples`.
     """
 
     samples: np.ndarray
@@ -211,13 +213,13 @@ def window_at(x, n: int, window: TapWindow) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FramedSequence(ComplexSequence):
     """A ComplexSequence that also holds its read-only delayed_matrix for one
     TapWindow, so that repeated passes over the same data build it only once."""
 
     window: TapWindow = field(kw_only=True)
-    delayed: np.ndarray = field(init=False, repr=False, compare=False)
+    delayed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -334,9 +336,12 @@ def read_iq_csv(path, sample_rate_hint: float = 1.0) -> ComplexSequence:
             if len(parts) != 2:
                 raise FormatError(f"{path}:{line_no}: expected two columns, found {len(parts)}")
             try:
-                values.append(complex(float(parts[0]), float(parts[1])))
+                value = complex(float(parts[0]), float(parts[1]))
             except ValueError:
                 raise FormatError(f"{path}:{line_no}: could not parse {line!r}") from None
+            if not cmath.isfinite(value):
+                raise FormatError(f"{path}:{line_no}: non-finite sample {line!r}")
+            values.append(value)
     if not values:
         raise FormatError(f"{path}: no samples found")
     return ComplexSequence(np.array(values), sample_rate_hint=sample_rate_hint)

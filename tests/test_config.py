@@ -1,5 +1,7 @@
 """Sectioned key-value run configuration: parsing, rendering, builders."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,19 @@ def test_bad_value_names_line():
     assert str(err.value).startswith("run.cfg:2:")
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("pa", "drive_db", "inf"),
+    ("train", "learning_rate", "nan"),
+    ("model", "ridge", "-inf"),
+    ("signal", "bandwidth_fraction", "1e999"),
+])
+def test_non_finite_float_names_line_and_key(section, key, value):
+    with pytest.raises(FormatError) as err:
+        parse_config(f"[{section}]\n{key} = {value}\n", path="run.cfg")
+    assert str(err.value) == (
+        f"run.cfg:2: bad value for {key!r}: expected a finite number, got {value!r}")
+
+
 def test_key_outside_section():
     with pytest.raises(FormatError) as err:
         parse_config("seed = 1\n")
@@ -133,15 +148,76 @@ def test_render_parse_round_trip_defaults():
     assert parse_config(render_config(cfg)) == cfg
 
 
+CUSTOMIZED = (
+    "[pa]\nrho = 0.35\na_sat = none\n"
+    "[model]\nkind = agmpnn\ntaps = 7\npost_taps = 1\nridge = 2.5e-9\nwarm_start = false\n"
+    "[train]\nlearning_rate = 0.005\nseed = 11\n"
+    "[sweep]\ntaps = 9\nseeds = 2, 4\n")
+
+
 def test_render_parse_round_trip_customized():
-    cfg = parse_config(
-        "[pa]\nrho = 0.35\na_sat = none\n"
-        "[model]\nkind = agmpnn\ntaps = 7\npost_taps = 1\nridge = 2.5e-9\nwarm_start = false\n"
-        "[train]\nlearning_rate = 0.005\nseed = 11\n"
-        "[sweep]\ntaps = 9\nseeds = 2, 4\n")
+    cfg = parse_config(CUSTOMIZED)
     assert parse_config(render_config(cfg)) == cfg
     assert cfg.train_seed == 11
     assert cfg.sweep_taps == 9
+
+
+GOLDEN_DEFAULT_TEXT = """\
+[pa]
+rho = 0.2
+sigma = -0.12
+l_pa = 3
+k_pa = 4
+drive_db = -3.0
+a_sat = 1.0
+feedback_snr_db = 40.0
+
+[signal]
+seed = 1
+n_samples = 16384
+bandwidth_fraction = 0.25
+
+[model]
+kind = mpm
+taps = 4
+post_taps = 0
+k_orders = 3
+n_experts = 3
+n1 = 16
+n2 = 16
+ridge = none
+warm_start = true
+
+[train]
+learning_rate = 0.001
+beta1 = 0.9
+beta2 = 0.999
+epsilon = 1e-08
+batch_size = 50
+segment_len = 1024
+max_epochs = 100
+patience = 5
+seed = 0
+
+[sweep]
+families = mpm, agmpnn, rvftdnn
+preset = high
+taps_list = 4, 5, 6, 7, 8, 9, 10
+param_targets = 100, 200, 300, 400, 500, 600
+seeds = 1, 2, 3
+budget_lo = 100
+budget_hi = 600
+nn_grid = 8, 10, 12, 14, 16, 18, 20
+mpm_k_grid = 1, 2, 3, 4, 5, 6, 7, 8
+taps = 7
+"""
+
+
+def test_rendered_text_matches_golden():
+    assert render_config(RunConfig()) == GOLDEN_DEFAULT_TEXT
+    customized = render_config(parse_config(CUSTOMIZED)).encode("utf-8")
+    assert hashlib.sha256(customized).hexdigest() == (
+        "66ac978c770e4b12fb112d63015efa4ce982433f46ebad0e6aeee47dbb823386")
 
 
 def test_load_config_reads_files(tmp_path):

@@ -225,6 +225,20 @@ def test_framed_sequence_holds_its_window_matrix():
     assert np.array_equal(delayed_matrix(framed, other), delayed_matrix(x, other))
 
 
+@pytest.mark.parametrize("make", [
+    lambda samples: ComplexSequence(samples),
+    lambda samples: FramedSequence(samples, window=TapWindow(pre_taps=1)),
+], ids=["ComplexSequence", "FramedSequence"])
+def test_sequence_equality_is_identity_and_hashable(make):
+    a = make([1.0, 2.0, 3.0])
+    twin = make(a.samples)
+    assert a == a
+    assert a != twin
+    assert hash(a) == hash(a)
+    assert a in {a} and twin not in {a}
+    assert np.array_equal(a.samples, twin.samples)
+
+
 # === IQ file formats ===
 
 def test_iq_binary_round_trip(tmp_path):
