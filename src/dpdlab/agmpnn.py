@@ -42,16 +42,9 @@ def count_params_formula(n_taps: int, k_orders: int, n_experts: int) -> int:
     return 4 * l * k * m + l * m + 4 * l + 2 * m + 2
 
 
-def agmpnn_param_count(n_taps: int, k_orders: int, n_experts: int) -> int:
-    """Real trainable degrees of freedom of a (T taps, K orders, M experts)
-    mixture: 2MTK complex-coefficient parts, M offsets, MT attention scales and
-    MT attention biases, i.e. M(2TK + 1 + 2T)."""
-    return n_experts * (2 * n_taps * k_orders + 1 + 2 * n_taps)
-
-
 def count_params_actual(model: "AgmpnnModel") -> int:
-    """Real trainable degrees of freedom of a model, from its shape."""
-    return agmpnn_param_count(model.window.n_taps, model.k_orders, model.n_experts)
+    """Real trainable degrees of freedom of a model, from its parameter table."""
+    return model.n_params()
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -271,6 +264,10 @@ class AgmpnnModel:
     @property
     def n_taps(self) -> int:
         return self.window.n_taps
+
+    def n_params(self) -> int:
+        """Real trainable degrees of freedom (two per complex coefficient)."""
+        return self.PARAMS.count(self.PARAMS.dims(self))
 
     # ------------------------------------------------------------------
     # persistence

@@ -17,7 +17,7 @@ from .ila import (DEFAULT_MPM_K_GRID, DEFAULT_NN_GRID, DEFAULT_PARAM_TARGETS, DE
                   FAMILIES, DpdModelSpec)
 from .pa_sim import (PRESET_A_SAT, PRESET_DRIVE_DB, PRESET_FEEDBACK_SNR_DB, PRESET_K_PA,
                      PRESET_L_PA, PRESET_RHO, PRESET_SIGMA, PaConfig, coeffs_from_rule)
-from .signal import TapWindow
+from .signal import TapWindow, read_text
 from .training import TrainConfig
 
 PRESET_LEVELS = ("low", "high")
@@ -227,8 +227,7 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), path=str(path))
+    return parse_config(read_text(path), path=str(path))
 
 
 def _render_value(value) -> str:

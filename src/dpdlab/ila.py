@@ -11,24 +11,26 @@ repeated run is byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import modelfile
-from .agmpnn import AgmpnnModel, agmpnn_param_count, count_params_formula
+from .agmpnn import AgmpnnModel, count_params_formula
 from .exceptions import FormatError
-from .mpm import BasisMatrix, MpmCoefficients, MpmSpec, build_basis, ls_fit, mpm_param_count
+from .mpm import BasisMatrix, MpmCoefficients, MpmSpec, build_basis, ls_fit
 from .pa_sim import PaConfig, pa_forward
 from .rvftdnn import RvftdnnModel, architecture_search, rvftdnn_param_count
 from .signal import ComplexSequence, TapWindow, align, as_samples, generate_waveform, nmse_db
-from .training import TrainConfig, segment_ranges, split_segments, train, validation_nmse_db
+from .training import TrainConfig, segment_pairs, train, validation_nmse_db
 
 MAX_ALIGN_LAG = 8
 EVAL_SEED_OFFSET = 1000
 
-FAMILIES = ("mpm", "agmpnn", "rvftdnn")
+# Each model family's class, by the kind tag of its model files.
+MODEL_CLASSES = {cls.PARAMS.kind: cls for cls in (MpmCoefficients, AgmpnnModel, RvftdnnModel)}
+FAMILIES = tuple(MODEL_CLASSES)
 
 DEFAULT_TAPS_LIST = (4, 5, 6, 7, 8, 9, 10)
 DEFAULT_PARAM_TARGETS = (100, 200, 300, 400, 500, 600)
@@ -63,13 +65,10 @@ class DpdModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {FAMILIES}")
 
     def n_params(self) -> int:
-        """Real trainable degrees of freedom of this configuration."""
-        taps = self.window.n_taps
-        if self.kind == "mpm":
-            return mpm_param_count(taps, self.k_orders)
-        if self.kind == "agmpnn":
-            return agmpnn_param_count(taps, self.k_orders, self.n_experts)
-        return rvftdnn_param_count(taps, self.n1, self.n2)
+        """Real trainable degrees of freedom of this configuration, from its
+        family's parameter table."""
+        table = MODEL_CLASSES[self.kind].PARAMS
+        return table.count(table.dims(self))
 
 
 @dataclass
@@ -105,10 +104,6 @@ class FitOutcome:
 
     model: object
     postinv_nmse_db: float
-    k_orders: Optional[int] = None
-    n_experts: Optional[int] = None
-    n1: Optional[int] = None
-    n2: Optional[int] = None
     warm_start_nmse_db: Optional[float] = None
     gain: complex = 1.0 + 0j
     delay: int = 0
@@ -126,14 +121,14 @@ def _advance(samples: np.ndarray, delay: int) -> np.ndarray:
     return out
 
 
-def _fit_mpm_orders(psi_s: np.ndarray, phi_s: np.ndarray, window: TapWindow, orders,
+def _fit_mpm_orders(psi, phi, window: TapWindow, orders,
                     segment_len: int, ridge) -> list[tuple[MpmCoefficients, float]]:
     """Least-squares fit at each order count in `orders`: training on the
     training segments, validation NMSE over the rest.
 
-    Segments are treated as independent sequences (zero-filled tap edges), and
-    each contributes only its interior samples, matching the training loop's
-    edge policy so MPM and trained-model numbers are directly comparable.
+    Segments come from training.segment_pairs, and each contributes only its
+    interior (TapWindow.interior), as in the training loop, so MPM and
+    trained-model numbers are directly comparable.
 
     The training basis is built once, at the largest order.  Its columns are
     (l, k) with k varying fastest, and build_basis reaches each power by the
@@ -141,23 +136,15 @@ def _fit_mpm_orders(psi_s: np.ndarray, phi_s: np.ndarray, window: TapWindow, ord
     order-K basis bit for bit and each order's fit sees exactly the input a
     basis built at that order would give it.
     """
-    train_ranges, val_ranges = split_segments(segment_ranges(psi_s.size, segment_len))
+    train_pairs, val_pairs = segment_pairs(psi, phi, window, segment_len)
+    rows = window.interior(segment_len)
     k_max = max(orders)
     top = MpmSpec(window=window, k_orders=k_max)
-    lo = window.pre_taps
-    blocks = []
-    targets = []
-    for a, b in train_ranges:
-        hi = (b - a) - window.post_taps
-        if hi <= lo:
-            raise ValueError("segment too short for the tap window")
-        seg = ComplexSequence(psi_s[a:b])
-        blocks.append(build_basis(seg, top, sample_range=np.arange(lo, hi)).data)
-        targets.append(phi_s[a + lo:a + hi])
-    data = np.vstack(blocks)
-    del blocks  # keep one copy of the largest basis alive, not two
-    target = np.concatenate(targets)
-    val_pairs = [(ComplexSequence(psi_s[a:b]), ComplexSequence(phi_s[a:b])) for a, b in val_ranges]
+    # The per-segment blocks are freed once stacked: one copy of the largest
+    # basis stays alive, not two.
+    data = np.vstack([build_basis(seg_psi, top, sample_range=rows).data
+                      for seg_psi, _ in train_pairs])
+    target = np.concatenate([seg_phi.samples[rows] for _, seg_phi in train_pairs])
     fits = []
     for k in orders:
         # The top order fits on the stacked matrix itself; a lower one on a
@@ -173,42 +160,34 @@ def _fit_mpm_orders(psi_s: np.ndarray, phi_s: np.ndarray, window: TapWindow, ord
 
 def fit_model_on_data(psi, phi, spec: DpdModelSpec, cfg: TrainConfig, seed: int = 0) -> FitOutcome:
     """Fit one postinverse family on an already-normalized (psi, phi) pair."""
-    psi_s = as_samples(psi)
-    phi_s = as_samples(phi)
-    if psi_s.size != phi_s.size:
-        raise ValueError("input and target lengths differ")
-
     if spec.kind == "mpm":
-        [(coeffs, val)] = _fit_mpm_orders(psi_s, phi_s, spec.window, (spec.k_orders,),
+        [(coeffs, val)] = _fit_mpm_orders(psi, phi, spec.window, (spec.k_orders,),
                                           cfg.segment_len, spec.ridge)
-        return FitOutcome(model=coeffs, postinv_nmse_db=val, k_orders=spec.k_orders)
+        return FitOutcome(model=coeffs, postinv_nmse_db=val)
 
     if spec.kind == "agmpnn":
         warm = None
         warm_val = None
         if spec.warm_start:
-            [(warm, warm_val)] = _fit_mpm_orders(psi_s, phi_s, spec.window, (spec.k_orders,),
+            [(warm, warm_val)] = _fit_mpm_orders(psi, phi, spec.window, (spec.k_orders,),
                                                  cfg.segment_len, spec.ridge)
         model = AgmpnnModel.init(spec.window, spec.k_orders, spec.n_experts,
                                  warm_start=warm, seed=seed,
-                                 calibration=psi_s,
+                                 calibration=psi,
                                  perturb=0.0 if warm is not None else 1e-3)
-        trained, history = train(model, psi_s, phi_s, cfg)
+        trained, history = train(model, psi, phi, cfg)
         return FitOutcome(model=trained, postinv_nmse_db=history.best_val_nmse_db(),
-                          k_orders=spec.k_orders, n_experts=spec.n_experts,
                           warm_start_nmse_db=warm_val)
 
     # rvftdnn
     if spec.search_grid is not None:
-        result = architecture_search(spec.window, psi_s, phi_s, cfg, grid=spec.search_grid,
+        result = architecture_search(spec.window, psi, phi, cfg, grid=spec.search_grid,
                                      budget_lo=spec.budget[0], budget_hi=spec.budget[1],
                                      seed=seed)
-        return FitOutcome(model=result.model, postinv_nmse_db=result.val_nmse_db,
-                          n1=result.n1, n2=result.n2)
+        return FitOutcome(model=result.model, postinv_nmse_db=result.val_nmse_db)
     model = RvftdnnModel.init(spec.window, spec.n1, spec.n2, seed=seed)
-    trained, history = train(model, psi_s, phi_s, cfg)
-    return FitOutcome(model=trained, postinv_nmse_db=history.best_val_nmse_db(),
-                      n1=spec.n1, n2=spec.n2)
+    trained, history = train(model, psi, phi, cfg)
+    return FitOutcome(model=trained, postinv_nmse_db=history.best_val_nmse_db())
 
 
 @dataclass(frozen=True)
@@ -298,24 +277,25 @@ def drive_ila(pa: PaConfig, seed: int, n_samples: int = 16384,
                     first_pass=observe_pa(pa, chi_fit, seed), no_dpd_nmse_db=no_dpd)
 
 
-def _deployed_report(pa: PaConfig, preset_label: str, spec: DpdModelSpec, drive: IlaDrive,
+def _deployed_report(pa: PaConfig, preset_label: str, drive: IlaDrive,
                      outcome: FitOutcome) -> IlaReport:
-    """Deploy a fitted postinverse on the drive's evaluation waveform; assemble the report."""
-    lin, _ = linearization_nmse_db(pa, outcome.model, drive.chi_eval)
-    taps = spec.window.n_taps
-    if outcome.n1 is not None:  # rvftdnn: the widths fitted, searched or not
-        spec = replace(spec, n1=outcome.n1, n2=outcome.n2)
-    actual = spec.n_params()
-    formula = (count_params_formula(taps, spec.k_orders, spec.n_experts)
-               if spec.kind == "agmpnn" else actual)
+    """Deploy a fitted postinverse on the drive's evaluation waveform; assemble
+    the report, reading the family, sizes and parameter count off the model."""
+    model = outcome.model
+    lin, _ = linearization_nmse_db(pa, model, drive.chi_eval)
+    kind = model.PARAMS.kind
+    dims = model.PARAMS.dims(model)
+    actual = model.PARAMS.count(dims)
+    formula = (count_params_formula(dims["n_taps"], dims["k_orders"], dims["n_experts"])
+               if kind == "agmpnn" else actual)
     return IlaReport(
-        family=spec.kind, preset=preset_label, taps=taps, seed=drive.seed,
-        k_orders=outcome.k_orders, m_experts=outcome.n_experts,
+        family=kind, preset=preset_label, taps=dims["n_taps"], seed=drive.seed,
+        k_orders=dims.get("k_orders"), m_experts=dims.get("n_experts"),
         params_formula=formula, params_actual=actual,
         postinv_nmse_db=outcome.postinv_nmse_db, lin_nmse_db=lin,
         no_dpd_nmse_db=drive.no_dpd_nmse_db, eval_seed=drive.eval_seed, gain=outcome.gain,
         warm_start_nmse_db=outcome.warm_start_nmse_db,
-        n1=outcome.n1, n2=outcome.n2,
+        n1=dims.get("n1"), n2=dims.get("n2"),
         improved=bool(lin <= drive.no_dpd_nmse_db),
     )
 
@@ -329,7 +309,7 @@ def run_ila_cell(pa: PaConfig, preset_label: str, spec: DpdModelSpec, drive: Ila
     cfg = cfg or TrainConfig()
     outcome = fit_predistorter(pa, drive.chi_fit, spec, cfg, seed=drive.seed,
                                n_iterations=n_iterations, first_pass=drive.first_pass)
-    return _deployed_report(pa, preset_label, spec, drive, outcome)
+    return _deployed_report(pa, preset_label, drive, outcome)
 
 
 def run_ila(pa: PaConfig, preset_label: str, spec: DpdModelSpec, seed: int,
@@ -368,14 +348,9 @@ def _best_mpm_report(pa, preset_label, window, drive: IlaDrive, cfg, orders) -> 
     """
     first = drive.first_pass
     fits = _fit_mpm_orders(first.psi_norm, first.phi, window, orders, cfg.segment_len, None)
-    scores = [(val, mpm_param_count(window.n_taps, k), k) for k, (_, val) in zip(orders, fits)]
-    best = scores.index(min(scores))
-    k = orders[best]
-    coeffs, val = fits[best]
-    outcome = FitOutcome(model=coeffs, postinv_nmse_db=val, k_orders=k,
-                         gain=first.gain, delay=first.delay)
-    spec = DpdModelSpec(kind="mpm", window=window, k_orders=k)
-    return _deployed_report(pa, preset_label, spec, drive, outcome)
+    coeffs, val = min(fits, key=lambda fit: (fit[1], fit[0].n_params(), fit[0].k_orders))
+    outcome = FitOutcome(model=coeffs, postinv_nmse_db=val, gain=first.gain, delay=first.delay)
+    return _deployed_report(pa, preset_label, drive, outcome)
 
 
 def sweep_taps(pa: PaConfig, preset_label: str, taps_list=DEFAULT_TAPS_LIST,
@@ -392,7 +367,8 @@ def sweep_taps(pa: PaConfig, preset_label: str, taps_list=DEFAULT_TAPS_LIST,
     for family in families:
         for taps in taps_list:
             window = TapWindow(pre_taps=taps - 1)
-            orders = [k for k in mpm_k_grid if mpm_param_count(taps, k) <= budget[1]]
+            orders = [k for k in mpm_k_grid
+                      if DpdModelSpec(kind="mpm", window=window, k_orders=k).n_params() <= budget[1]]
             widths = tuple((a, b) for a in nn_grid for b in nn_grid
                            if budget[0] <= rvftdnn_param_count(taps, a, b) <= budget[1])
             for seed in seeds:
@@ -495,7 +471,6 @@ def load_model(path):
     """Load any model file, dispatching on its kind tag."""
     parsed = modelfile.read_model(path)
     kind = parsed[0]
-    classes = {cls.PARAMS.kind: cls for cls in (MpmCoefficients, AgmpnnModel, RvftdnnModel)}
-    if kind not in classes:
+    if kind not in MODEL_CLASSES:
         raise FormatError(f"{path}: unknown model kind {kind!r}")
-    return classes[kind].from_parsed(path, parsed)
+    return MODEL_CLASSES[kind].from_parsed(path, parsed)

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .exceptions import FormatError
-from .signal import TapWindow
+from .signal import TapWindow, read_text
 
 MODEL_FORMAT = "DPDMODEL1"
 SCHEMA_VERSION = 1
@@ -69,10 +69,7 @@ def read_model(path):
     FormatError on a bad magic line, an unsupported version or malformed
     structure.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: not a text model file") from None
+    text = read_text(path)
     scalars: dict[str, str] = {}
     sections: dict[str, list[list[str]]] = {}
     current = None
@@ -187,6 +184,20 @@ class ParamTable:
     sizes: tuple
     params: tuple
 
+    def dims(self, obj) -> dict:
+        """`n_taps` and the size fields of a model or a model spec, read off it
+        by attribute; each must be at least 1."""
+        dims = {"n_taps": obj.window.n_taps, **{name: getattr(obj, name) for name in self.sizes}}
+        for name, value in dims.items():
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        return dims
+
+    def count(self, dims: Mapping[str, int]) -> int:
+        """Length of the flat parameter vector at these sizes: the real
+        trainable degrees of freedom, two per complex entry."""
+        return sum(math.prod(p.shape(dims)) * (2 if p.is_complex else 1) for p in self.params)
+
     def freeze(self, model) -> None:
         """Coerce the model's arrays to float64/complex128, check every size is
         at least 1 and every array's shape and finiteness, and make them
@@ -194,11 +205,7 @@ class ParamTable:
         for p in self.params:
             arr = np.array(getattr(model, p.attr), dtype=np.complex128 if p.is_complex else np.float64)
             object.__setattr__(model, p.attr, arr)
-        sizes = {name: getattr(model, name) for name in self.sizes}
-        for name, value in sizes.items():
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-        dims = {"n_taps": model.window.n_taps, **sizes}
+        dims = self.dims(model)
         for p in self.params:
             arr = getattr(model, p.attr)
             if arr.shape != p.shape(dims):

@@ -24,11 +24,6 @@ RIDGE_DEFAULT_REL = 1e-10
 MODEL_KIND = "mpm"
 
 
-def mpm_param_count(n_taps: int, k_orders: int) -> int:
-    """Real trainable degrees of freedom: two per complex coefficient, 2TK."""
-    return 2 * n_taps * k_orders
-
-
 @dataclass(frozen=True)
 class MpmSpec:
     """Shape of a memory-polynomial model: tap window, order count, offset."""
@@ -79,11 +74,11 @@ def rectified_amplitude(delayed: np.ndarray, amp_offset: float) -> np.ndarray:
 def build_basis(x, spec: MpmSpec, sample_range=None) -> BasisMatrix:
     """Evaluate the basis at the requested sample indices (default: all).
 
-    Tap values outside the sequence are zero-filled, matching window_at.
+    Tap values outside the sequence are zero-filled, matching window_at.  A
+    FramedSequence's held tap matrix is reused.
     """
-    samples = as_samples(x)
-    idx = normalize_range(sample_range, samples.size)
-    delayed = delayed_matrix(samples, spec.window)[idx]
+    idx = normalize_range(sample_range, as_samples(x).size)
+    delayed = delayed_matrix(x, spec.window)[idx]
     rect = rectified_amplitude(delayed, spec.amp_offset)
     rect_sq = rect * rect
     k_orders = spec.k_orders
@@ -163,7 +158,7 @@ class MpmCoefficients:
 
     def n_params(self) -> int:
         """Real trainable degrees of freedom (two per complex coefficient)."""
-        return mpm_param_count(self.window.n_taps, self.k_orders)
+        return self.PARAMS.count(self.PARAMS.dims(self))
 
     def predict(self, x) -> ComplexSequence:
         seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))

@@ -18,13 +18,6 @@ from .training import train
 MODEL_KIND = "rvftdnn"
 
 
-def rvftdnn_param_count(n_taps: int, n1: int, n2: int) -> int:
-    """Trainable parameter count: 2T*n1 + n1 + n1*n2 + n2 + 2*n2 + 2."""
-    if n_taps < 1 or n1 < 1 or n2 < 1:
-        raise ValueError("taps and layer widths must be at least 1")
-    return 2 * n_taps * n1 + n1 + n1 * n2 + n2 + 2 * n2 + 2
-
-
 @dataclass(frozen=True)
 class RvftdnnModel:
     """Dense 2T -> n1 -> n2 -> 2 network with tanh hidden activations."""
@@ -60,7 +53,7 @@ class RvftdnnModel:
         return int(self.b2.size)
 
     def n_params(self) -> int:
-        return rvftdnn_param_count(self.window.n_taps, self.n1, self.n2)
+        return self.PARAMS.count(self.PARAMS.dims(self))
 
     @classmethod
     def init(cls, window: TapWindow, n1: int, n2: int, seed: int = 0) -> "RvftdnnModel":
@@ -155,6 +148,14 @@ class RvftdnnModel:
         return cls(window=window, **arrays)
 
 
+def rvftdnn_param_count(n_taps: int, n1: int, n2: int) -> int:
+    """Trainable parameter count of a (T taps, n1, n2) network, from its
+    parameter table."""
+    if n_taps < 1 or n1 < 1 or n2 < 1:
+        raise ValueError("taps and layer widths must be at least 1")
+    return RvftdnnModel.PARAMS.count({"n_taps": n_taps, "n1": n1, "n2": n2})
+
+
 @dataclass(frozen=True)
 class SearchResult:
     n1: int
@@ -191,7 +192,7 @@ def architecture_search(window: TapWindow, psi, phi, cfg, grid=None,
     for n1, n2 in sorted(feasible):
         model = RvftdnnModel.init(window, n1, n2, seed=seed)
         trained, history = train(model, psi, phi, cfg)
-        count = rvftdnn_param_count(t_taps, n1, n2)
+        count = trained.n_params()
         key = (history.val_nmse_db[history.epochs.index(history.best_epoch)], count, n1, n2)
         if best is None or key < best[0]:
             best = (key, SearchResult(n1=n1, n2=n2, val_nmse_db=key[0],

@@ -98,6 +98,14 @@ class TapWindow:
         """
         return np.arange(-self.post_taps, self.pre_taps + 1)
 
+    def interior(self, n: int) -> slice:
+        """The samples of an n-sample sequence whose taps all lie inside it,
+        [pre_taps, n - post_taps): the samples a loss or a score counts."""
+        lo, hi = self.pre_taps, n - self.post_taps
+        if hi <= lo:
+            raise ValueError(f"{n} samples are too few for a {self.n_taps}-tap window")
+        return slice(lo, hi)
+
 
 @dataclass(frozen=True)
 class AlignmentResult:
@@ -273,16 +281,21 @@ def default_range(sample_range, n: int, window: TapWindow):
     with it gives views; other ranges come back as index arrays.
     """
     if sample_range is None:
-        lo, hi = window.pre_taps, n - window.post_taps
-        if hi <= lo:
-            raise ValueError("sequence too short for the tap window")
-        return slice(lo, hi)
+        return window.interior(n)
     if isinstance(sample_range, slice) and sample_range.step in (None, 1):
         lo, hi, _ = sample_range.indices(n)
         if hi <= lo:
             raise ValueError("sample_range is empty")
         return slice(lo, hi)
     return normalize_range(sample_range, n)
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; any other bytes raise FormatError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not a UTF-8 text file") from None
 
 
 def serialize_iq(x: ComplexSequence, path) -> None:
@@ -305,10 +318,17 @@ def deserialize_iq(path) -> ComplexSequence:
     magic, count, rate = _IQ_HEADER.unpack_from(blob)
     if magic != IQ_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
+    if count < 1:
+        raise FormatError(f"{path}: header field 'count' is {count}; it must be at least 1")
+    if not (np.isfinite(rate) and rate > 0.0):
+        raise FormatError(f"{path}: header field 'sample_rate_hint' is {rate}; "
+                          "it must be positive and finite")
     if len(blob) != _IQ_HEADER.size + 16 * count:
         raise FormatError(
             f"{path}: payload holds {(len(blob) - _IQ_HEADER.size) // 16} samples, header says {count}")
     samples = np.frombuffer(blob, dtype="<c16", offset=_IQ_HEADER.size)
+    if not np.all(np.isfinite(samples)):
+        raise FormatError(f"{path}: payload holds a non-finite sample")
     return ComplexSequence(samples, sample_rate_hint=rate)
 
 
@@ -325,23 +345,22 @@ def write_iq_csv(x: ComplexSequence, path) -> None:
 def read_iq_csv(path, sample_rate_hint: float = 1.0) -> ComplexSequence:
     """Read a two-column re,im CSV; a leading 're,im' header row is optional."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line_no == 1 and line.lower().replace(" ", "") == "re,im":
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{line_no}: expected two columns, found {len(parts)}")
-            try:
-                value = complex(float(parts[0]), float(parts[1]))
-            except ValueError:
-                raise FormatError(f"{path}:{line_no}: could not parse {line!r}") from None
-            if not cmath.isfinite(value):
-                raise FormatError(f"{path}:{line_no}: non-finite sample {line!r}")
-            values.append(value)
+    for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line_no == 1 and line.lower().replace(" ", "") == "re,im":
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{line_no}: expected two columns, found {len(parts)}")
+        try:
+            value = complex(float(parts[0]), float(parts[1]))
+        except ValueError:
+            raise FormatError(f"{path}:{line_no}: could not parse {line!r}") from None
+        if not cmath.isfinite(value):
+            raise FormatError(f"{path}:{line_no}: non-finite sample {line!r}")
+        values.append(value)
     if not values:
         raise FormatError(f"{path}: no samples found")
     return ComplexSequence(np.array(values), sample_rate_hint=sample_rate_hint)

@@ -4,10 +4,11 @@ finite-difference gradient checker.
 Training operates on (input, target) sequence pairs cut into contiguous
 equal-length segments.  Every fifth segment is held out for validation; the
 rest are shuffled each epoch (seeded) and processed in accumulated batches.
-Each segment is treated as an independent sequence, so its first pre_taps and
-last post_taps samples are excluded from the loss.  The best-validation
-parameters are restored at the end, and the pre-training state is recorded as
-epoch 0, so a trained model can never end worse than it started on validation.
+Each segment is treated as an independent sequence, so only its interior
+(TapWindow.interior) counts in the loss and the validation score.  The
+best-validation parameters are restored at the end, and the pre-training state
+is recorded as epoch 0, so a trained model can never end worse than it started
+on validation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import TrainingDivergedError
-from .signal import ComplexSequence, FramedSequence, NMSE_FLOOR_DB, as_samples
+from .signal import ComplexSequence, FramedSequence, NMSE_FLOOR_DB, TapWindow, as_samples
 
 VAL_EVERY = 5
 
@@ -116,24 +117,36 @@ def split_segments(segments: list) -> tuple[list, list]:
     return train, val
 
 
-def _segment_pairs(psi: np.ndarray, phi: np.ndarray, ranges, window) -> list:
-    """(input, target) per segment; each input holds its tap matrix, built
-    once here for every gradient and validation pass of the fit."""
-    return [(FramedSequence(psi[a:b], window=window), ComplexSequence(phi[a:b]))
-            for a, b in ranges]
+def segment_pairs(psi, phi, window: TapWindow, segment_len: int) -> tuple[list, list]:
+    """Cut equal-length (input, target) sequences into segments and split them
+    (split_segments) into training and validation (input, target) pairs.
+
+    Each input is a FramedSequence that holds its tap matrix, built once here
+    for every gradient and validation pass of the fit.
+    """
+    psi_s = as_samples(psi)
+    phi_s = as_samples(phi)
+    if psi_s.size != phi_s.size:
+        raise ValueError("input and target lengths differ")
+    train_ranges, val_ranges = split_segments(segment_ranges(psi_s.size, segment_len))
+    window.interior(segment_len)  # reject a too-short segment before framing any
+
+    def pairs(ranges):
+        return [(FramedSequence(psi_s[a:b], window=window), ComplexSequence(phi_s[a:b]))
+                for a, b in ranges]
+
+    return pairs(train_ranges), pairs(val_ranges)
 
 
 def validation_nmse_db(model, pairs, window) -> float:
-    """NMSE over the concatenated valid regions of the given segment pairs."""
-    lo = window.pre_taps
+    """NMSE over the concatenated interiors (TapWindow.interior) of the given
+    segment pairs."""
     num = 0.0
     den = 0.0
     for seg_psi, seg_phi in pairs:
-        hi = len(seg_psi) - window.post_taps
-        if hi <= lo:
-            raise ValueError("segment too short for the tap window")
-        pred = model.predict(seg_psi).samples[lo:hi]
-        ref = seg_phi.samples[lo:hi]
+        rows = window.interior(len(seg_psi))
+        pred = model.predict(seg_psi).samples[rows]
+        ref = seg_phi.samples[rows]
         num += float(np.sum(np.abs(pred - ref) ** 2))
         den += float(np.sum(np.abs(ref) ** 2))
     if den == 0.0:
@@ -156,19 +169,9 @@ def train(model, psi, phi, cfg: TrainConfig):
     / predict and a `window` attribute.  Fully deterministic for fixed
     (model, data, cfg).
     """
-    psi_s = as_samples(psi)
-    phi_s = as_samples(phi)
-    if psi_s.size != phi_s.size:
-        raise ValueError("input and target lengths differ")
-    segments = segment_ranges(psi_s.size, cfg.segment_len)
-    train_ranges, val_ranges = split_segments(segments)
     window = model.window
-    lo, hi = window.pre_taps, cfg.segment_len - window.post_taps
-    if hi <= lo:
-        raise ValueError("segment_len too short for the tap window")
-    train_pairs = _segment_pairs(psi_s, phi_s, train_ranges, window)
-    val_pairs = _segment_pairs(psi_s, phi_s, val_ranges, window)
-    loss_range = slice(lo, hi)
+    train_pairs, val_pairs = segment_pairs(psi, phi, window, cfg.segment_len)
+    loss_range = window.interior(cfg.segment_len)
 
     rng = np.random.default_rng(cfg.seed)
     params = model.param_vector()

@@ -109,3 +109,22 @@ def adam_trace(params, grad_sequence, lr, beta1, beta2, eps):
 
 def lstsq_pinv(matrix, targets):
     return np.linalg.pinv(matrix) @ targets
+
+
+# Real trainable degrees of freedom of each family, written out by hand from
+# the parameter arrays (two per complex coefficient).
+
+def mpm_param_count(n_taps, k_orders):
+    """2TK: T x K complex coefficients."""
+    return 2 * n_taps * k_orders
+
+
+def agmpnn_param_count(n_taps, k_orders, n_experts):
+    """M(2TK + 1 + 2T): per expert T x K complex coefficients, one offset, T
+    attention scales and T attention biases."""
+    return n_experts * (2 * n_taps * k_orders + 1 + 2 * n_taps)
+
+
+def rvftdnn_param_count(n_taps, n1, n2):
+    """2T*n1 + n1 + n1*n2 + 3*n2 + 2: the 2T -> n1 -> n2 -> 2 weights and biases."""
+    return 2 * n_taps * n1 + n1 + n1 * n2 + 3 * n2 + 2

@@ -16,6 +16,7 @@ from dpdlab import (
     generate_waveform,
     pa_forward,
     preset,
+    train,
 )
 from dpdlab.ila import (
     DEFAULT_MPM_K_GRID,
@@ -30,6 +31,7 @@ from dpdlab.ila import (
     DpdModelSpec,
     IlaReport,
     _advance,
+    _candidate_specs,
     _closest_spec,
     _fit_mpm_orders,
     drive_ila,
@@ -42,9 +44,10 @@ from dpdlab.ila import (
     sweep_complexity,
     sweep_taps,
 )
-from dpdlab.agmpnn import agmpnn_param_count
 from dpdlab.pa_sim import PaConfig
 from dpdlab.rvftdnn import rvftdnn_param_count
+
+import reference_impls as ref
 
 FAST_CFG = TrainConfig(segment_len=512, max_epochs=3, patience=2)
 
@@ -258,6 +261,17 @@ def test_order_search_fits_equal_single_order_fits():
         assert val == single.postinv_nmse_db
 
 
+def test_train_and_order_search_reject_a_too_short_segment_alike():
+    x = generate_waveform(3, 2048, 0.25).samples
+    window = TapWindow(pre_taps=5, post_taps=2)
+    with pytest.raises(ValueError) as trained:
+        train(AgmpnnModel.init(window, 1, 1), x, x, TrainConfig(segment_len=7))
+    with pytest.raises(ValueError) as searched:
+        _fit_mpm_orders(x, x, window, (1, 2), 7, None)
+    assert str(trained.value) == str(searched.value)
+    assert str(searched.value).startswith("7 samples are too few for a 8-tap window")
+
+
 def test_sweep_taps_matches_independent_cells():
     pa = preset("high")
     taps_list, seeds, budget, nn_grid, k_grid = (3, 9), (1, 2), (60, 100), (4, 6), (1, 2, 3)
@@ -310,11 +324,11 @@ def test_closest_spec_ties_go_to_fewer_params_then_lower_hyperparameters():
     taps = 5
     window = TapWindow(pre_taps=taps - 1)
     grids = {
-        "mpm": ([(k,) for k in range(1, 6)], lambda k: 2 * taps * k),
+        "mpm": ([(k,) for k in range(1, 6)], lambda k: ref.mpm_param_count(taps, k)),
         "agmpnn": ([(k, m) for k in range(1, 7) for m in range(1, 9)],
-                   lambda k, m: agmpnn_param_count(taps, k, m)),
+                   lambda k, m: ref.agmpnn_param_count(taps, k, m)),
         "rvftdnn": ([(a, b) for a in range(2, 25) for b in range(2, 25)],
-                    lambda a, b: rvftdnn_param_count(taps, a, b)),
+                    lambda a, b: ref.rvftdnn_param_count(taps, a, b)),
     }
     hyper = {"mpm": lambda s: (s.k_orders,), "agmpnn": lambda s: (s.k_orders, s.n_experts),
              "rvftdnn": lambda s: (s.n1, s.n2)}
@@ -327,6 +341,30 @@ def test_closest_spec_ties_go_to_fewer_params_then_lower_hyperparameters():
                 assert spec is None
             else:
                 assert hyper[family](spec) == tuple(best)
+
+
+_ORACLES = {
+    "mpm": lambda t, s: ref.mpm_param_count(t, s.k_orders),
+    "agmpnn": lambda t, s: ref.agmpnn_param_count(t, s.k_orders, s.n_experts),
+    "rvftdnn": lambda t, s: ref.rvftdnn_param_count(t, s.n1, s.n2),
+}
+_BUILDERS = {
+    "mpm": lambda s: MpmCoefficients(MpmSpec(window=s.window, k_orders=s.k_orders),
+                                     np.zeros((s.window.n_taps, s.k_orders), complex)),
+    "agmpnn": lambda s: AgmpnnModel.init(s.window, s.k_orders, s.n_experts),
+    "rvftdnn": lambda s: RvftdnnModel.init(s.window, s.n1, s.n2),
+}
+
+
+@pytest.mark.parametrize("window", [TapWindow(pre_taps=t - 1) for t in (1, 4, 7, 10)]
+                         + [TapWindow(pre_taps=4, post_taps=2)], ids=repr)
+def test_every_candidate_count_equals_the_oracle_and_the_flat_vector(window):
+    for family in FAMILIES:
+        for spec in _candidate_specs(family, window, DEFAULT_MPM_K_GRID):
+            count = spec.n_params()
+            assert count == _ORACLES[family](window.n_taps, spec), spec
+            model = _BUILDERS[family](spec)
+            assert count == model.n_params() == model.PARAMS.param_vector(model).size, spec
 
 
 def test_sweep_complexity_reduced_targets():

@@ -1,19 +1,21 @@
-"""Readers of outside text raise FormatError and no other exception, whatever
-the text: run configs, IQ CSV waveforms and model files."""
+"""Readers of outside files raise FormatError and no other exception, whatever
+the bytes: run configs, IQ CSV and binary waveforms and model files."""
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dpdlab import FormatError, TapWindow, read_iq_csv
+from dpdlab import FormatError, TapWindow, deserialize_iq, read_iq_csv
 from dpdlab.agmpnn import AgmpnnModel
-from dpdlab.config import RunConfig, parse_config, render_config
+from dpdlab.config import RunConfig, load_config, parse_config, render_config
 from dpdlab.ila import load_model
 from dpdlab.mpm import MpmCoefficients, MpmSpec
 from dpdlab.rvftdnn import RvftdnnModel
+from dpdlab.signal import _IQ_HEADER, IQ_MAGIC
 
 FUZZ = settings(max_examples=300, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -73,6 +75,44 @@ def test_read_iq_csv_raises_only_format_error(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     try:
         read_iq_csv(path)
+    except FormatError:
+        pass
+
+
+@pytest.mark.parametrize("read, name", [(read_iq_csv, "wave.csv"), (load_config, "run.cfg"),
+                                        (load_model, "fit.model")],
+                         ids=["iq-csv", "config", "model"])
+def test_non_utf8_file_is_a_format_error_naming_it(tmp_path, read, name):
+    path = tmp_path / name
+    path.write_bytes(b"re,im\n1,\xff\n")
+    with pytest.raises(FormatError) as err:
+        read(path)
+    assert str(path) in str(err.value)
+
+
+# === binary IQ ===
+
+@st.composite
+def iq_blob(draw):
+    """A binary IQ file whose magic, count, rate, payload or length may be wrong."""
+    magic = draw(st.one_of(st.just(IQ_MAGIC), st.binary(min_size=8, max_size=8)))
+    count = draw(st.one_of(st.integers(0, 4), st.integers(0, 2 ** 64 - 1)))
+    payload = draw(st.one_of(
+        st.binary(max_size=48),
+        st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), max_size=4)
+        .map(lambda zs: np.array(zs, dtype="<c16").tobytes())))
+    blob = _IQ_HEADER.pack(magic, count, draw(st.floats())) + payload
+    return blob[:draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
+
+
+@FUZZ
+@given(iq_blob())
+@example(_IQ_HEADER.pack(IQ_MAGIC, 0, 1.0))
+def test_deserialize_iq_raises_only_format_error(tmp_path, blob):
+    path = tmp_path / "wave.iq"
+    path.write_bytes(blob)
+    try:
+        deserialize_iq(path)
     except FormatError:
         pass
 

@@ -18,7 +18,7 @@ from dpdlab import (
     window_at,
     write_iq_csv,
 )
-from dpdlab.signal import NMSE_FLOOR_DB, FramedSequence
+from dpdlab.signal import _IQ_HEADER, IQ_MAGIC, NMSE_FLOOR_DB, FramedSequence
 
 import reference_impls as ref
 
@@ -108,6 +108,18 @@ def test_tap_window():
         TapWindow(pre_taps=-1)
     with pytest.raises(ValueError):
         TapWindow(pre_taps=0, post_taps=-2)
+
+
+def test_tap_window_interior_counts_only_rows_whose_taps_lie_inside():
+    w = TapWindow(pre_taps=3, post_taps=2)
+    assert w.interior(10) == slice(3, 8)
+    assert w.interior(6) == slice(3, 4)
+    for n in range(6, 20):
+        inside = [r for r in range(n) if all(0 <= r - int(d) < n for d in w.delays())]
+        assert list(range(n)[w.interior(n)]) == inside
+    for n in range(0, 6):
+        with pytest.raises(ValueError, match=rf"^{n} samples are too few for a 6-tap window"):
+            w.interior(n)
 
 
 # === NMSE ===
@@ -270,6 +282,26 @@ def test_iq_binary_rejects_corruption(tmp_path):
     stub.write_bytes(blob[:10])
     with pytest.raises(FormatError):
         deserialize_iq(stub)
+
+
+@pytest.mark.parametrize("count, rate, payload, field", [
+    (0, 1.0, (), "'count' is 0"),
+    (1, 0.0, (1.0,), "'sample_rate_hint' is 0.0"),
+    (1, -2.0, (1.0,), "'sample_rate_hint' is -2.0"),
+    (1, float("nan"), (1.0,), "'sample_rate_hint' is nan"),
+    (1, float("inf"), (1.0,), "'sample_rate_hint' is inf"),
+    (2, 1.0, (1.0, complex(float("nan"), 0.0)), "payload holds a non-finite sample"),
+    (1, 1.0, (complex(0.0, float("-inf")),), "payload holds a non-finite sample"),
+], ids=["no-samples", "zero-rate", "negative-rate", "nan-rate", "inf-rate", "nan-sample",
+        "inf-sample"])
+def test_iq_binary_header_and_payload_defects_name_file_and_field(tmp_path, count, rate,
+                                                                  payload, field):
+    path = tmp_path / "wave.iq"
+    path.write_bytes(_IQ_HEADER.pack(IQ_MAGIC, count, rate)
+                     + np.array(payload, dtype="<c16").tobytes())
+    with pytest.raises(FormatError) as err:
+        deserialize_iq(path)
+    assert str(path) in str(err.value) and field in str(err.value)
 
 
 def test_iq_csv_round_trip(tmp_path):
