@@ -20,7 +20,7 @@ import numpy as np
 
 from . import modelfile
 from .mpm import MpmCoefficients
-from .signal import ComplexSequence, TapWindow, as_samples, default_range, delayed_matrix
+from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix
 
 MODEL_KIND = "agmpnn"
 
@@ -55,7 +55,7 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AgmpnnModel:
+class AgmpnnModel(modelfile.ParamModel):
     """Mixture of M offset memory-polynomial experts with softmax attention."""
 
     window: TapWindow
@@ -64,6 +64,9 @@ class AgmpnnModel:
     expert_coeff: np.ndarray  # (M, T, K) complex
     amp_offsets: np.ndarray   # (M,) real, shared by expert basis and attention
     attn_scale: np.ndarray    # (M, T) real
+    # Only each row sum of attn_bias enters the scores, so one bias per expert
+    # would do; collapsing it to (M,) would change the parameter counts and
+    # the sweep CSV bytes, so it stays (M, T).
     attn_bias: np.ndarray     # (M, T) real
 
     # expert_coeff is complex; in a gradient its real and imaginary parts are
@@ -78,9 +81,6 @@ class AgmpnnModel:
         modelfile.Param("attn_bias", "attn_bias", lambda d: (d["n_experts"], d["n_taps"]),
                         tap_axis=1),
     ))
-
-    def __post_init__(self) -> None:
-        self.PARAMS.freeze(self)
 
     # ------------------------------------------------------------------
     # construction
@@ -179,20 +179,20 @@ class AgmpnnModel:
     # backward
     # ------------------------------------------------------------------
 
-    def backward(self, x, target, sample_range=None) -> tuple[float, dict]:
-        """Mean-squared-error loss and its exact gradients over sample_range,
-        one gradient array per parameter attribute.
+    def backward(self, x, target) -> tuple[float, dict]:
+        """Mean-squared-error loss and its exact gradients, one gradient array
+        per parameter attribute.
 
-        The loss is mean |output - target|^2 across the selected samples
-        (default: all samples minus the zero-filled window edges).  Shared
-        offsets accumulate the expert-basis and attention paths; k = 0 basis
-        terms contribute nothing to the offset gradient.
+        The loss is mean |output - target|^2 across the window's interior
+        (TapWindow.interior).  Shared offsets accumulate the expert-basis and
+        attention paths; k = 0 basis terms contribute nothing to the offset
+        gradient.
         """
         psi = as_samples(x)
         phi = as_samples(target)
         if psi.size != phi.size:
             raise ValueError("input and target lengths differ")
-        idx = default_range(sample_range, psi.size, self.window)
+        idx = self.window.interior(psi.size)
         output, expert_out, weights, delayed, amp = self._forward_arrays(x)
         output = output[idx]
         expert_out = expert_out[idx]
@@ -251,34 +251,12 @@ class AgmpnnModel:
     # flat parameter vector protocol (used by the optimizer)
     # ------------------------------------------------------------------
 
-    def param_vector(self) -> np.ndarray:
-        return self.PARAMS.param_vector(self)
-
     def with_param_vector(self, vec: np.ndarray) -> "AgmpnnModel":
         return self.PARAMS.with_param_vector(self, vec)
 
-    def loss_and_gradient(self, x, target, sample_range=None) -> tuple[float, np.ndarray]:
-        loss, grads = self.backward(x, target, sample_range)
+    def loss_and_gradient(self, x, target) -> tuple[float, np.ndarray]:
+        loss, grads = self.backward(x, target)
         return loss, self.PARAMS.flatten(grads)
-
-    @property
-    def n_taps(self) -> int:
-        return self.window.n_taps
-
-    def n_params(self) -> int:
-        """Real trainable degrees of freedom (two per complex coefficient)."""
-        return self.PARAMS.count(self.PARAMS.dims(self))
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-
-    def save(self, path) -> None:
-        self.PARAMS.save(self, path)
-
-    @classmethod
-    def load(cls, path) -> "AgmpnnModel":
-        return cls.from_parsed(path, modelfile.read_model(path))
 
     @classmethod
     def from_parsed(cls, path, parsed) -> "AgmpnnModel":
@@ -290,8 +268,8 @@ class AgmpnnModel:
 def attention_weights(model: AgmpnnModel, tap_values) -> np.ndarray:
     """Softmax expert weights for one tap window (length n_taps)."""
     taps = np.asarray(tap_values, dtype=np.complex128).reshape(-1)
-    if taps.size != model.n_taps:
-        raise ValueError(f"expected {model.n_taps} tap values, got {taps.size}")
+    if taps.size != model.window.n_taps:
+        raise ValueError(f"expected {model.window.n_taps} tap values, got {taps.size}")
     rect = np.maximum(np.abs(taps)[None, :] + model.amp_offsets[:, None], 0.0)
     scores = np.sum(model.attn_scale * rect, axis=1) + model.attn_bias.sum(axis=1)
     return _softmax(scores)

@@ -22,7 +22,7 @@ from .mpm import MpmSpec, build_basis, ls_fit
 from .pa_sim import pa_forward, preset
 from .rvftdnn import RvftdnnModel
 from .signal import (ComplexSequence, TapWindow, deserialize_iq, generate_waveform, nmse_db,
-                     read_iq_csv, serialize_iq, write_iq_csv)
+                     read_iq_csv, read_text, serialize_iq, write_iq_csv)
 from .training import TrainConfig, finite_diff_check
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -201,13 +201,17 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
-def _summarize(rows: list) -> str:
+def _groups(rows) -> list:
+    """Report rows grouped by (family, preset), as sorted (key, rows) pairs."""
     groups = {}
     for row in rows:
         groups.setdefault((row["family"], row["preset"]), []).append(row)
+    return sorted(groups.items())
+
+
+def _summarize(groups: list) -> str:
     lines = ["family,preset,rows,feasible,mean_postinv_nmse_db,mean_lin_nmse_db,best_lin_nmse_db"]
-    for (family, level) in sorted(groups):
-        cells = groups[(family, level)]
+    for (family, level), cells in groups:
         lin = [float(r["lin_nmse_db"]) for r in cells if r["lin_nmse_db"]]
         post = [float(r["postinv_nmse_db"]) for r in cells if r["postinv_nmse_db"]]
         mean_post = f"{np.mean(post):.6f}" if post else "n/a"
@@ -217,16 +221,13 @@ def _summarize(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dat_mirror(rows: list) -> str:
+def _dat_mirror(groups: list) -> str:
     """Gnuplot-friendly mirror: one block per (family, preset), blank-line separated."""
-    groups = {}
-    for row in rows:
-        groups.setdefault((row["family"], row["preset"]), []).append(row)
     blocks = []
-    for (family, level) in sorted(groups):
+    for (family, level), cells in groups:
         lines = [f"# family={family} preset={level}",
                  "# taps params_actual seed postinv_nmse_db lin_nmse_db no_dpd_nmse_db"]
-        for r in groups[(family, level)]:
+        for r in cells:
             lines.append(" ".join([
                 r["taps"], r["params_actual"] or "nan", r["seed"],
                 r["postinv_nmse_db"] or "nan", r["lin_nmse_db"] or "nan",
@@ -236,15 +237,13 @@ def _dat_mirror(rows: list) -> str:
 
 
 def _cmd_report(args) -> int:
-    with open(args.infile, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ila.REPORT_HEADER.split(",")
-        if reader.fieldnames != expected:
-            raise DpdlabError(f"{args.infile}: not a sweep report (header {reader.fieldnames})")
-        rows = list(reader)
-    sys.stdout.write(_summarize(rows))
+    reader = csv.DictReader(read_text(args.infile).splitlines())
+    if reader.fieldnames != ila.REPORT_HEADER.split(","):
+        raise DpdlabError(f"{args.infile}: not a sweep report (header {reader.fieldnames})")
+    groups = _groups(reader)
+    sys.stdout.write(_summarize(groups))
     if args.dat:
-        _write_text(args.dat, _dat_mirror(rows))
+        _write_text(args.dat, _dat_mirror(groups))
         print(f"gnuplot mirror -> {args.dat}", file=sys.stderr)
     return 0
 

@@ -32,6 +32,14 @@ def _int(value: str) -> int:
     return int(value, 10)
 
 
+def _count(value: str) -> int:
+    """An integer of at least 1: a tap count, an order, a width or a size."""
+    number = _int(value)
+    if number < 1:
+        raise ValueError(f"expected an integer of at least 1, got {value!r}")
+    return number
+
+
 def _float(value: str) -> float:
     number = float(value)
     if not math.isfinite(number):
@@ -60,18 +68,19 @@ def _word(value: str) -> str:
     return value
 
 
-def _int_list(value: str) -> tuple:
-    items = tuple(int(tok.strip(), 10) for tok in value.split(",") if tok.strip())
-    if not items:
-        raise ValueError("empty list")
-    return items
+def _list_of(item):
+    """Reader of a non-empty comma-separated list whose entries `item` reads."""
+    def read(value: str) -> tuple:
+        items = tuple(item(tok.strip()) for tok in value.split(",") if tok.strip())
+        if not items:
+            raise ValueError("empty list")
+        return items
+    return read
 
 
-def _word_list(value: str) -> tuple:
-    items = tuple(tok.strip() for tok in value.split(",") if tok.strip())
-    if not items:
-        raise ValueError("empty list")
-    return items
+_int_list = _list_of(_int)
+_count_list = _list_of(_count)
+_word_list = _list_of(str)
 
 
 def _field(section: str, reader, default, key: Optional[str] = None):
@@ -99,12 +108,12 @@ class RunConfig:
     bandwidth_fraction: float = _field("signal", _float, 0.25)
     # [model]
     kind: str = _field("model", _word, "mpm")
-    taps: int = _field("model", _int, 4)
+    taps: int = _field("model", _count, 4)
     post_taps: int = _field("model", _int, TapWindow.post_taps)
-    k_orders: int = _field("model", _int, DpdModelSpec.k_orders)
-    n_experts: int = _field("model", _int, DpdModelSpec.n_experts)
-    n1: int = _field("model", _int, DpdModelSpec.n1)
-    n2: int = _field("model", _int, DpdModelSpec.n2)
+    k_orders: int = _field("model", _count, DpdModelSpec.k_orders)
+    n_experts: int = _field("model", _count, DpdModelSpec.n_experts)
+    n1: int = _field("model", _count, DpdModelSpec.n1)
+    n2: int = _field("model", _count, DpdModelSpec.n2)
     ridge: Optional[float] = _field("model", _opt_float, DpdModelSpec.ridge)
     warm_start: bool = _field("model", _bool, DpdModelSpec.warm_start)
     # [train] — keys are TrainConfig's field names
@@ -112,22 +121,22 @@ class RunConfig:
     beta1: float = _field("train", _float, TrainConfig.beta1)
     beta2: float = _field("train", _float, TrainConfig.beta2)
     epsilon: float = _field("train", _float, TrainConfig.epsilon)
-    batch_size: int = _field("train", _int, TrainConfig.batch_size)
-    segment_len: int = _field("train", _int, TrainConfig.segment_len)
-    max_epochs: int = _field("train", _int, TrainConfig.max_epochs)
-    patience: int = _field("train", _int, TrainConfig.patience)
+    batch_size: int = _field("train", _count, TrainConfig.batch_size)
+    segment_len: int = _field("train", _count, TrainConfig.segment_len)
+    max_epochs: int = _field("train", _count, TrainConfig.max_epochs)
+    patience: int = _field("train", _count, TrainConfig.patience)
     train_seed: int = _field("train", _int, TrainConfig.seed, key="seed")
     # [sweep]
     families: tuple = _field("sweep", _word_list, FAMILIES)
     preset: str = _field("sweep", _word, "high")
-    taps_list: tuple = _field("sweep", _int_list, DEFAULT_TAPS_LIST)
+    taps_list: tuple = _field("sweep", _count_list, DEFAULT_TAPS_LIST)
     param_targets: tuple = _field("sweep", _int_list, DEFAULT_PARAM_TARGETS)
     seeds: tuple = _field("sweep", _int_list, (1, 2, 3))
     budget_lo: int = _field("sweep", _int, DpdModelSpec.budget[0])
     budget_hi: int = _field("sweep", _int, DpdModelSpec.budget[1])
-    nn_grid: tuple = _field("sweep", _int_list, DEFAULT_NN_GRID)
-    mpm_k_grid: tuple = _field("sweep", _int_list, DEFAULT_MPM_K_GRID)
-    sweep_taps: int = _field("sweep", _int, 7, key="taps")
+    nn_grid: tuple = _field("sweep", _count_list, DEFAULT_NN_GRID)
+    mpm_k_grid: tuple = _field("sweep", _count_list, DEFAULT_MPM_K_GRID)
+    sweep_taps: int = _field("sweep", _count, 7, key="taps")
 
     def __post_init__(self) -> None:
         if self.kind not in FAMILIES:

@@ -142,8 +142,7 @@ def _fit_mpm_orders(psi, phi, window: TapWindow, orders,
     top = MpmSpec(window=window, k_orders=k_max)
     # The per-segment blocks are freed once stacked: one copy of the largest
     # basis stays alive, not two.
-    data = np.vstack([build_basis(seg_psi, top, sample_range=rows).data
-                      for seg_psi, _ in train_pairs])
+    data = np.vstack([build_basis(seg_psi, top).data[rows] for seg_psi, _ in train_pairs])
     target = np.concatenate([seg_phi.samples[rows] for _, seg_phi in train_pairs])
     fits = []
     for k in orders:

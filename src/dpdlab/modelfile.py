@@ -8,7 +8,9 @@ value-exact for float64.
 
 Every model family declares its parameter arrays once, as a ParamTable.  The
 table drives shape and finiteness validation, the optimizer's flat parameter
-vector, gradient flattening, and saving and loading the model file.
+vector, gradient flattening, and saving and loading the model file.  Each
+family subclasses ParamModel, which reads that protocol off its table, and
+writes only its own math and its constructor from a parsed file.
 """
 
 from __future__ import annotations
@@ -276,3 +278,29 @@ class ParamTable:
                            p.index_offsets(len(shape), window), p.section, path)
             arrays[p.attr] = values[..., 0] + 1j * values[..., 1] if p.is_complex else values[..., 0]
         return window, sizes, scalars, arrays
+
+
+class ParamModel:
+    """The protocol every model family shares, read off its `PARAMS` table:
+    validation on construction, the flat parameter vector, the trainable
+    count, and the model file.  A subclass is a frozen dataclass that sets
+    `PARAMS` and defines `from_parsed(path, parsed)`."""
+
+    PARAMS: ParamTable
+
+    def __post_init__(self) -> None:
+        self.PARAMS.freeze(self)
+
+    def param_vector(self) -> np.ndarray:
+        return self.PARAMS.param_vector(self)
+
+    def n_params(self) -> int:
+        """Real trainable degrees of freedom (two per complex coefficient)."""
+        return self.PARAMS.count(self.PARAMS.dims(self))
+
+    def save(self, path) -> None:
+        self.PARAMS.save(self, path)
+
+    @classmethod
+    def load(cls, path):
+        return cls.from_parsed(path, read_model(path))

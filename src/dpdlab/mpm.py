@@ -16,7 +16,7 @@ import scipy.linalg
 
 from . import modelfile
 from .exceptions import ConditioningError
-from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix, normalize_range
+from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix
 
 # Default ridge, relative to the mean diagonal of the normal matrix.
 RIDGE_DEFAULT_REL = 1e-10
@@ -71,18 +71,17 @@ def rectified_amplitude(delayed: np.ndarray, amp_offset: float) -> np.ndarray:
     return np.maximum(np.abs(delayed) + amp_offset, 0.0)
 
 
-def build_basis(x, spec: MpmSpec, sample_range=None) -> BasisMatrix:
-    """Evaluate the basis at the requested sample indices (default: all).
+def build_basis(x, spec: MpmSpec) -> BasisMatrix:
+    """Evaluate the basis at every sample.
 
     Tap values outside the sequence are zero-filled, matching window_at.  A
     FramedSequence's held tap matrix is reused.
     """
-    idx = normalize_range(sample_range, as_samples(x).size)
-    delayed = delayed_matrix(x, spec.window)[idx]
+    delayed = delayed_matrix(x, spec.window)
     rect = rectified_amplitude(delayed, spec.amp_offset)
     rect_sq = rect * rect
     k_orders = spec.k_orders
-    data = np.empty((idx.size, spec.n_columns), dtype=np.complex128)
+    data = np.empty((delayed.shape[0], spec.n_columns), dtype=np.complex128)
     power = np.ones_like(rect)
     for k in range(k_orders):
         if k:
@@ -134,7 +133,7 @@ def ls_fit(basis: BasisMatrix, targets, ridge: float | None = None) -> "MpmCoeff
 
 
 @dataclass(frozen=True)
-class MpmCoefficients:
+class MpmCoefficients(modelfile.ParamModel):
     """Fitted coefficients, shaped (taps, orders) to mirror the basis layout."""
 
     spec: MpmSpec
@@ -145,9 +144,6 @@ class MpmCoefficients:
                         is_complex=True, tap_axis=0),
     ))
 
-    def __post_init__(self) -> None:
-        self.PARAMS.freeze(self)
-
     @property
     def window(self) -> TapWindow:
         return self.spec.window
@@ -155,10 +151,6 @@ class MpmCoefficients:
     @property
     def k_orders(self) -> int:
         return self.spec.k_orders
-
-    def n_params(self) -> int:
-        """Real trainable degrees of freedom (two per complex coefficient)."""
-        return self.PARAMS.count(self.PARAMS.dims(self))
 
     def predict(self, x) -> ComplexSequence:
         seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
@@ -168,10 +160,6 @@ class MpmCoefficients:
 
     def save(self, path) -> None:
         self.PARAMS.save(self, path, amp_offset=float(self.spec.amp_offset))
-
-    @classmethod
-    def load(cls, path) -> "MpmCoefficients":
-        return cls.from_parsed(path, modelfile.read_model(path))
 
     @classmethod
     def from_parsed(cls, path, parsed) -> "MpmCoefficients":

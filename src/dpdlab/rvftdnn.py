@@ -12,14 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modelfile
-from .signal import ComplexSequence, TapWindow, as_samples, default_range, delayed_matrix
+from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix
 from .training import train
 
 MODEL_KIND = "rvftdnn"
 
 
 @dataclass(frozen=True)
-class RvftdnnModel:
+class RvftdnnModel(modelfile.ParamModel):
     """Dense 2T -> n1 -> n2 -> 2 network with tanh hidden activations."""
 
     window: TapWindow
@@ -41,9 +41,6 @@ class RvftdnnModel:
         modelfile.Param("b3", "b3", lambda d: (2,)),
     ))
 
-    def __post_init__(self) -> None:
-        self.PARAMS.freeze(self)
-
     @property
     def n1(self) -> int:
         return int(self.b1.size)
@@ -51,9 +48,6 @@ class RvftdnnModel:
     @property
     def n2(self) -> int:
         return int(self.b2.size)
-
-    def n_params(self) -> int:
-        return self.PARAMS.count(self.PARAMS.dims(self))
 
     @classmethod
     def init(cls, window: TapWindow, n1: int, n2: int, seed: int = 0) -> "RvftdnnModel":
@@ -90,14 +84,15 @@ class RvftdnnModel:
         return ComplexSequence(out[:, 0] + 1j * out[:, 1],
                                sample_rate_hint=seq.sample_rate_hint)
 
-    def backward(self, x, target, sample_range=None) -> tuple[float, dict]:
-        """Mean |output - target|^2 over sample_range and its exact gradients,
-        one gradient array per parameter attribute."""
+    def backward(self, x, target) -> tuple[float, dict]:
+        """Mean |output - target|^2 over the window's interior
+        (TapWindow.interior) and its exact gradients, one gradient array per
+        parameter attribute."""
         psi = as_samples(x)
         phi = as_samples(target)
         if psi.size != phi.size:
             raise ValueError("input and target lengths differ")
-        idx = default_range(sample_range, psi.size, self.window)
+        idx = self.window.interior(psi.size)
         feats = self._features(x)[idx]
         h1 = np.tanh(feats @ self.w1 + self.b1)
         h2 = np.tanh(h1 @ self.w2 + self.b2)
@@ -120,26 +115,12 @@ class RvftdnnModel:
     # flat parameter vector protocol
     # ------------------------------------------------------------------
 
-    def param_vector(self) -> np.ndarray:
-        return self.PARAMS.param_vector(self)
-
     def with_param_vector(self, vec: np.ndarray) -> "RvftdnnModel":
         return self.PARAMS.with_param_vector(self, vec)
 
-    def loss_and_gradient(self, x, target, sample_range=None) -> tuple[float, np.ndarray]:
-        loss, grads = self.backward(x, target, sample_range)
+    def loss_and_gradient(self, x, target) -> tuple[float, np.ndarray]:
+        loss, grads = self.backward(x, target)
         return loss, self.PARAMS.flatten(grads)
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-
-    def save(self, path) -> None:
-        self.PARAMS.save(self, path)
-
-    @classmethod
-    def load(cls, path) -> "RvftdnnModel":
-        return cls.from_parsed(path, modelfile.read_model(path))
 
     @classmethod
     def from_parsed(cls, path, parsed) -> "RvftdnnModel":

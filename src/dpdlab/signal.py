@@ -249,6 +249,8 @@ def delayed_matrix(x, window: TapWindow) -> np.ndarray:
     out = np.zeros((n, window.n_taps), dtype=np.complex128)
     for i, lag in enumerate(window.delays()):
         lag = int(lag)
+        if abs(lag) >= n:
+            continue  # every tap at this lag lies off the sequence: all zero
         if lag > 0:
             out[lag:, i] = samples[:n - lag]
         elif lag < 0:
@@ -256,38 +258,6 @@ def delayed_matrix(x, window: TapWindow) -> np.ndarray:
         else:
             out[:, i] = samples
     return out
-
-
-def normalize_range(sample_range, n: int) -> np.ndarray:
-    """Sample indices from None (all n), a slice or an index array; each must
-    lie in [0, n) and the selection must not be empty."""
-    if sample_range is None:
-        return np.arange(n)
-    if isinstance(sample_range, slice):
-        idx = np.arange(n)[sample_range]
-    else:
-        idx = np.asarray(sample_range, dtype=np.intp).reshape(-1)
-    if idx.size == 0:
-        raise ValueError("sample_range is empty")
-    if idx.min() < 0 or idx.max() >= n:
-        raise ValueError(f"sample_range out of bounds for {n} samples")
-    return idx
-
-
-def default_range(sample_range, n: int, window: TapWindow):
-    """Loss samples; by default drop the zero-filled window edges.
-
-    The default and any unit-step slice come back as a slice, so indexing
-    with it gives views; other ranges come back as index arrays.
-    """
-    if sample_range is None:
-        return window.interior(n)
-    if isinstance(sample_range, slice) and sample_range.step in (None, 1):
-        lo, hi, _ = sample_range.indices(n)
-        if hi <= lo:
-            raise ValueError("sample_range is empty")
-        return slice(lo, hi)
-    return normalize_range(sample_range, n)
 
 
 def read_text(path) -> str:

@@ -156,10 +156,11 @@ def validation_nmse_db(model, pairs, window) -> float:
     return max(10.0 * float(np.log10(num / den)), NMSE_FLOOR_DB)
 
 
-def _segment_loss(model, pair, loss_range) -> float:
+def _segment_loss(model, pair, window) -> float:
     seg_psi, seg_phi = pair
-    pred = model.predict(seg_psi).samples[loss_range]
-    return float(np.mean(np.abs(pred - seg_phi.samples[loss_range]) ** 2))
+    rows = window.interior(len(seg_psi))
+    pred = model.predict(seg_psi).samples[rows]
+    return float(np.mean(np.abs(pred - seg_phi.samples[rows]) ** 2))
 
 
 def train(model, psi, phi, cfg: TrainConfig):
@@ -171,7 +172,6 @@ def train(model, psi, phi, cfg: TrainConfig):
     """
     window = model.window
     train_pairs, val_pairs = segment_pairs(psi, phi, window, cfg.segment_len)
-    loss_range = window.interior(cfg.segment_len)
 
     rng = np.random.default_rng(cfg.seed)
     params = model.param_vector()
@@ -179,7 +179,7 @@ def train(model, psi, phi, cfg: TrainConfig):
     work = model
 
     history = TrainHistory()
-    initial_loss = float(np.mean([_segment_loss(work, p, loss_range) for p in train_pairs]))
+    initial_loss = float(np.mean([_segment_loss(work, p, window) for p in train_pairs]))
     best_val = validation_nmse_db(work, val_pairs, window)
     history.epochs.append(0)
     history.train_loss.append(initial_loss)
@@ -197,7 +197,7 @@ def train(model, psi, phi, cfg: TrainConfig):
             batch_loss = 0.0
             for seg_i in batch:
                 seg_psi, seg_phi = train_pairs[seg_i]
-                loss, grad = work.loss_and_gradient(seg_psi, seg_phi, loss_range)
+                loss, grad = work.loss_and_gradient(seg_psi, seg_phi)
                 grad_acc += grad
                 batch_loss += loss
             grad_acc /= batch.size
@@ -223,7 +223,7 @@ def train(model, psi, phi, cfg: TrainConfig):
     return work.with_param_vector(best_params), history
 
 
-def finite_diff_check(model, psi, phi, sample_range=None, step: float = 1e-6) -> float:
+def finite_diff_check(model, psi, phi, step: float = 1e-6) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
     The relative error divides by max(|analytic|, |numeric|, 1e-7).  Limited to
@@ -232,14 +232,14 @@ def finite_diff_check(model, psi, phi, sample_range=None, step: float = 1e-6) ->
     params = model.param_vector()
     if params.size > 1000:
         raise ValueError("finite-difference check is limited to 1000 parameters")
-    _, analytic = model.loss_and_gradient(psi, phi, sample_range)
+    _, analytic = model.loss_and_gradient(psi, phi)
     worst = 0.0
     for i in range(params.size):
         bumped = params.copy()
         bumped[i] = params[i] + step
-        loss_plus = model.with_param_vector(bumped).loss_and_gradient(psi, phi, sample_range)[0]
+        loss_plus = model.with_param_vector(bumped).loss_and_gradient(psi, phi)[0]
         bumped[i] = params[i] - step
-        loss_minus = model.with_param_vector(bumped).loss_and_gradient(psi, phi, sample_range)[0]
+        loss_minus = model.with_param_vector(bumped).loss_and_gradient(psi, phi)[0]
         numeric = (loss_plus - loss_minus) / (2.0 * step)
         denom = max(abs(numeric), abs(analytic[i]), 1e-7)
         worst = max(worst, abs(numeric - analytic[i]) / denom)

@@ -5,13 +5,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from dpdlab import (TapWindow, deserialize_iq, generate_waveform, nmse_db, pa_forward, preset,
-                    serialize_iq)
+from dpdlab import (ComplexSequence, TapWindow, deserialize_iq, generate_waveform, nmse_db,
+                    pa_forward, preset, serialize_iq, write_iq_csv)
 from dpdlab.agmpnn import AgmpnnModel
 from dpdlab.cli import dispatch
 from dpdlab.config import parse_config
 from dpdlab.ila import REPORT_HEADER, load_model
-from dpdlab.mpm import MpmCoefficients
+from dpdlab.mpm import MpmCoefficients, MpmSpec
 
 
 def _sha(path):
@@ -147,6 +147,18 @@ def test_eval_on_a_huge_declared_dimension_is_a_one_line_error(tmp_path, capsys)
     assert len(err) == 1 and err[0].startswith("error:") and str(model_path) in err[0]
 
 
+def test_eval_on_a_sequence_shorter_than_the_window_prints_a_finite_nmse(tmp_path, capsys):
+    # Taps that fall off a 3-sample sequence are zero-filled, as in window_at.
+    model_path = tmp_path / "long.model"
+    spec = MpmSpec(window=TapWindow(pre_taps=5, post_taps=1), k_orders=2)
+    MpmCoefficients(spec=spec, coeff=np.full((7, 2), 0.1 + 0.05j)).save(model_path)
+    wave_path = tmp_path / "short.csv"
+    write_iq_csv(ComplexSequence([1.0, 0.5j, -0.25]), wave_path)
+    assert dispatch(["eval", "--model-file", str(model_path),
+                     "--in", str(wave_path), "--target", str(wave_path)]) == 0
+    assert np.isfinite(float(capsys.readouterr().out.strip()))
+
+
 def test_fit_neural_model_with_config(tmp_path):
     chi_path = tmp_path / "chi.iq"
     psi_path = tmp_path / "psi.iq"
@@ -257,6 +269,14 @@ def test_report_rejects_non_report_csv(tmp_path):
     bogus = tmp_path / "bogus.csv"
     bogus.write_text("a,b,c\n1,2,3\n")
     assert dispatch(["report", "--in", str(bogus)]) == 2
+
+
+def test_report_on_a_non_utf8_file_names_it(tmp_path, capsys):
+    bad = tmp_path / "sweep.csv"
+    bad.write_bytes(REPORT_HEADER.encode() + b"\n\xff\n")
+    assert dispatch(["report", "--in", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "UTF-8" in err
 
 
 def test_show_config_round_trips(tmp_path, capsys):

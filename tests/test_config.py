@@ -119,6 +119,27 @@ def test_non_finite_float_names_line_and_key(section, key, value):
         f"run.cfg:2: bad value for {key!r}: expected a finite number, got {value!r}")
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "taps", "0"),
+    ("model", "k_orders", "0"),
+    ("model", "n_experts", "-1"),
+    ("model", "n1", "0"),
+    ("model", "n2", "0"),
+    ("sweep", "taps_list", "4, 0"),
+    ("sweep", "nn_grid", "0"),
+    ("sweep", "mpm_k_grid", "0"),
+    ("sweep", "taps", "0"),
+    ("train", "batch_size", "0"),
+    ("train", "segment_len", "0"),
+    ("train", "max_epochs", "0"),
+    ("train", "patience", "-3"),
+])
+def test_count_below_one_names_line_and_key(section, key, value):
+    with pytest.raises(FormatError) as err:
+        parse_config(f"[{section}]\n{key} = {value}\n", path="run.cfg")
+    assert str(err.value).startswith(f"run.cfg:2: bad value for {key!r}: ")
+
+
 def test_key_outside_section():
     with pytest.raises(FormatError) as err:
         parse_config("seed = 1\n")

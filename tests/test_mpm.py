@@ -82,19 +82,6 @@ def test_basis_matches_reference_rows():
             assert np.max(np.abs(data[n] - expected)) < 1e-12
 
 
-def test_basis_sample_range():
-    x = generate_waveform(2, 64, 0.5)
-    full = build_basis(x, _spec()).data
-    sub = build_basis(x, _spec(), sample_range=slice(10, 20)).data
-    assert np.array_equal(sub, full[10:20])
-    picked = build_basis(x, _spec(), sample_range=[3, 5, 8]).data
-    assert np.array_equal(picked, full[[3, 5, 8]])
-    with pytest.raises(ValueError):
-        build_basis(x, _spec(), sample_range=[])
-    with pytest.raises(ValueError):
-        build_basis(x, _spec(), sample_range=[70])
-
-
 def test_lower_order_basis_is_each_tap_blocks_column_prefix():
     # Columns are (l, k) with k fastest and every power comes from the same
     # repeated multiply, so the order-K basis is the first K columns of each
@@ -102,12 +89,11 @@ def test_lower_order_basis_is_each_tap_blocks_column_prefix():
     x = generate_waveform(4, 300, 0.5)
     k_max = 6
     for pre, post, b in ((3, 0, 0.0), (2, 2, -0.4)):
-        for rng_ in (None, np.arange(5, 290)):
-            top = build_basis(x, _spec(pre=pre, post=post, k=k_max, b=b), sample_range=rng_).data
-            blocks = top.reshape(top.shape[0], pre + post + 1, k_max)
-            for k in range(1, k_max + 1):
-                basis = build_basis(x, _spec(pre=pre, post=post, k=k, b=b), sample_range=rng_).data
-                assert np.array_equal(basis, blocks[:, :, :k].reshape(top.shape[0], -1))
+        top = build_basis(x, _spec(pre=pre, post=post, k=k_max, b=b)).data
+        blocks = top.reshape(top.shape[0], pre + post + 1, k_max)
+        for k in range(1, k_max + 1):
+            basis = build_basis(x, _spec(pre=pre, post=post, k=k, b=b)).data
+            assert np.array_equal(basis, blocks[:, :, :k].reshape(top.shape[0], -1))
 
 
 # === least squares ===
@@ -175,7 +161,7 @@ def test_ls_fit_shape_errors():
     basis = build_basis(x, _spec())
     with pytest.raises(ValueError):
         ls_fit(basis, np.ones(32))
-    tall = build_basis(x, _spec(pre=5, k=4), sample_range=slice(0, 10))
+    tall = build_basis(x.samples[:10], _spec(pre=5, k=4))
     with pytest.raises(ValueError):
         ls_fit(tall, np.ones(10))  # 10 rows < 24 columns
     with pytest.raises(ValueError):

@@ -222,6 +222,14 @@ def test_delayed_matrix_rows_equal_window_at():
         assert mat.shape == (128, w.n_taps)
         for n in (0, 1, 63, 126, 127):
             assert np.array_equal(mat[n], window_at(x, n, w))
+    # Sequences shorter than pre_taps or post_taps: every tap off the ends
+    # is zero-filled.
+    for samples, pre, post in ((x.samples[:3], 5, 0), (x.samples[:2], 1, 4), (x.samples[:1], 6, 6)):
+        w = TapWindow(pre_taps=pre, post_taps=post)
+        mat = delayed_matrix(samples, w)
+        assert mat.shape == (samples.size, w.n_taps)
+        for n in range(samples.size):
+            assert np.array_equal(mat[n], window_at(samples, n, w))
 
 
 def test_framed_sequence_holds_its_window_matrix():

@@ -340,13 +340,6 @@ def test_finite_diff_check_rejects_large_models():
         finite_diff_check(model, x, x)
 
 
-def test_finite_diff_check_respects_sample_range():
-    x = generate_waveform(16, 200, 0.5)
-    y = generate_waveform(17, 200, 0.5)
-    model = _ScalarModel(a=0.3)
-    assert finite_diff_check(model, x, y, sample_range=slice(50, 150)) < 1e-7
-
-
 # === reuse of each segment's tap matrix ===
 
 def _pa_pair(n_samples):
@@ -369,11 +362,10 @@ def test_framed_segment_gives_the_same_bytes_as_a_plain_one(family):
     framed = FramedSequence(y.samples, window=window)
     assert np.array_equal(model.predict(framed).samples, model.predict(y).samples)
     strided_target = np.stack([x.samples, x.samples], axis=1)[:, 0]
-    for sample_range in (None, slice(10, 600), np.array([5, 7, 6, 600])):
-        got = model.loss_and_gradient(framed, x, sample_range)
-        want = model.loss_and_gradient(y.samples, strided_target, sample_range)
-        assert got[0] == want[0]
-        assert np.array_equal(got[1], want[1])
+    got = model.loss_and_gradient(framed, x)
+    want = model.loss_and_gradient(y.samples, strided_target)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
 
 
 # History CSV and SHA-256 of the trained parameter bytes of a short seeded fit,
