@@ -17,7 +17,7 @@ import numpy as np
 from . import ila
 from .agmpnn import AgmpnnModel
 from .config import RunConfig, load_config, render_config
-from .exceptions import DpdlabError
+from .exceptions import DpdlabError, FormatError
 from .mpm import MpmSpec, build_basis, ls_fit
 from .pa_sim import pa_forward, preset
 from .rvftdnn import RvftdnnModel
@@ -201,6 +201,39 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
+# Report cells read as numbers; a blank cell is an infeasible one.
+_REPORT_NMSE_FIELDS = ("postinv_nmse_db", "lin_nmse_db", "no_dpd_nmse_db")
+
+
+def _read_report(path) -> list[dict]:
+    """A sweep report's rows, each checked for its field count and NMSE cells."""
+    header = ila.REPORT_HEADER.split(",")
+    reader = csv.reader(read_text(path).splitlines())
+    fieldnames = next(reader, None)
+    if fieldnames != header:
+        raise DpdlabError(f"{path}: not a sweep report (header {fieldnames})")
+    rows = []
+    for fields in reader:
+        if not fields:
+            continue
+        where = f"{path}:{reader.line_num}"
+        if len(fields) != len(header):
+            raise FormatError(f"{where}: row has {len(fields)} fields, expected {len(header)}")
+        row = dict(zip(header, fields))
+        for key in _REPORT_NMSE_FIELDS:
+            if row[key] and not _finite_number(row[key]):
+                raise FormatError(f"{where}: bad value for {key!r}: {row[key]!r}")
+        rows.append(row)
+    return rows
+
+
+def _finite_number(text: str) -> bool:
+    try:
+        return bool(np.isfinite(float(text)))
+    except ValueError:
+        return False
+
+
 def _groups(rows) -> list:
     """Report rows grouped by (family, preset), as sorted (key, rows) pairs."""
     groups = {}
@@ -237,10 +270,7 @@ def _dat_mirror(groups: list) -> str:
 
 
 def _cmd_report(args) -> int:
-    reader = csv.DictReader(read_text(args.infile).splitlines())
-    if reader.fieldnames != ila.REPORT_HEADER.split(","):
-        raise DpdlabError(f"{args.infile}: not a sweep report (header {reader.fieldnames})")
-    groups = _groups(reader)
+    groups = _groups(_read_report(args.infile))
     sys.stdout.write(_summarize(groups))
     if args.dat:
         _write_text(args.dat, _dat_mirror(groups))

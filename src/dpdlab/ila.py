@@ -19,7 +19,7 @@ import numpy as np
 from . import modelfile
 from .agmpnn import AgmpnnModel, count_params_formula
 from .exceptions import FormatError
-from .mpm import BasisMatrix, MpmCoefficients, MpmSpec, build_basis, ls_fit
+from .mpm import BasisMatrix, MpmCoefficients, MpmSpec, build_basis, ls_fit, order_blocked_qr
 from .pa_sim import PaConfig, pa_forward
 from .rvftdnn import RvftdnnModel, architecture_search, rvftdnn_param_count
 from .signal import ComplexSequence, TapWindow, align, as_samples, generate_waveform, nmse_db
@@ -130,29 +130,29 @@ def _fit_mpm_orders(psi, phi, window: TapWindow, orders,
     interior (TapWindow.interior), as in the training loop, so MPM and
     trained-model numbers are directly comparable.
 
-    The training basis is built once, at the largest order.  Its columns are
-    (l, k) with k varying fastest, and build_basis reaches each power by the
-    same repeated multiply, so the first K columns of every tap block equal the
-    order-K basis bit for bit and each order's fit sees exactly the input a
-    basis built at that order would give it.
+    The training basis is built once, at the largest order, and factored
+    once by mpm.order_blocked_qr: order K's least-squares system is the
+    factor's leading T·K block.  Each order block is orthogonalized only
+    against the blocks before it, so that system is bit for bit the one a
+    search topped at order K would give, and each order's fit equals a fit at
+    that order alone.  ls_fit solves it with its columns put back in the
+    basis's (l, k) order, k varying fastest.
     """
     train_pairs, val_pairs = segment_pairs(psi, phi, window, segment_len)
     rows = window.interior(segment_len)
-    k_max = max(orders)
-    top = MpmSpec(window=window, k_orders=k_max)
-    # The per-segment blocks are freed once stacked: one copy of the largest
-    # basis stays alive, not two.
-    data = np.vstack([build_basis(seg_psi, top).data[rows] for seg_psi, _ in train_pairs])
+    top = MpmSpec(window=window, k_orders=max(orders))
     target = np.concatenate([seg_phi.samples[rows] for _, seg_phi in train_pairs])
+    # The stacked basis is freed once factored.
+    r, qh_target = order_blocked_qr(BasisMatrix(
+        data=np.vstack([build_basis(seg_psi, top).data[rows] for seg_psi, _ in train_pairs]),
+        spec=top), target)
+    t_taps = window.n_taps
     fits = []
     for k in orders:
-        # The top order fits on the stacked matrix itself; a lower one on a
-        # gathered copy of its columns.
-        cols = data if k == k_max else (
-            data.reshape(data.shape[0], window.n_taps, k_max)[:, :, :k]
-            .reshape(data.shape[0], window.n_taps * k))
-        coeffs = ls_fit(BasisMatrix(data=cols, spec=MpmSpec(window=window, k_orders=k)),
-                        target, ridge=ridge)
+        cols = t_taps * k
+        tap_major = np.arange(cols).reshape(k, t_taps).T.reshape(-1)
+        system = BasisMatrix(data=r[:cols, tap_major], spec=MpmSpec(window=window, k_orders=k))
+        coeffs = ls_fit(system, qh_target[:cols], ridge=ridge)
         fits.append((coeffs, validation_nmse_db(coeffs, val_pairs, window)))
     return fits
 

@@ -100,6 +100,14 @@ def _dependent_columns(basis: BasisMatrix) -> list[str]:
     return sorted(f"(l={labels[c][0]}, k={labels[c][1]})" for c in piv[rank:])
 
 
+def _check_system(rows: int, cols: int, n_targets: int) -> None:
+    """Reject a least-squares system whose targets or rows do not fit its columns."""
+    if n_targets != rows:
+        raise ValueError(f"target length {n_targets} does not match {rows} basis rows")
+    if rows < cols:
+        raise ValueError(f"need at least {cols} rows to fit {cols} columns, have {rows}")
+
+
 def ls_fit(basis: BasisMatrix, targets, ridge: float | None = None) -> "MpmCoefficients":
     """Least-squares coefficient fit, solved by orthogonal factorization.
 
@@ -110,10 +118,7 @@ def ls_fit(basis: BasisMatrix, targets, ridge: float | None = None) -> "MpmCoeff
     phi = as_samples(targets)
     data = basis.data
     rows, cols = data.shape
-    if phi.size != rows:
-        raise ValueError(f"target length {phi.size} does not match {rows} basis rows")
-    if rows < cols:
-        raise ValueError(f"need at least {cols} rows to fit {cols} columns, have {rows}")
+    _check_system(rows, cols, phi.size)
     if ridge is None:
         ridge = RIDGE_DEFAULT_REL * float(np.mean(np.sum(np.abs(data) ** 2, axis=0)))
     if ridge < 0:
@@ -130,6 +135,44 @@ def ls_fit(basis: BasisMatrix, targets, ridge: float | None = None) -> "MpmCoeff
                 f"dependent columns: {', '.join(_dependent_columns(basis))}")
     t_taps = basis.spec.window.n_taps
     return MpmCoefficients(spec=basis.spec, coeff=coeff.reshape(t_taps, basis.spec.k_orders))
+
+
+def order_blocked_qr(basis: BasisMatrix, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Factor basis = Q·R one order block at a time; returns R and Qᴴ·targets.
+
+    Both are in order-major column layout: order k's T taps are the block
+    [k·T, (k+1)·T).  Each block is orthogonalized against the blocks before
+    it by classical Gram–Schmidt applied twice, then its remainder is
+    factored by np.linalg.qr.  A block's operations depend only on the blocks
+    before it, so R[:p, :p] and (Qᴴ·targets)[:p], p = T·K, are bit for bit
+    the factor of the order-K basis alone, whatever the basis's top order.
+    R's columns have the basis columns' norms, to rounding, so ls_fit on them
+    applies the same default ridge.
+    """
+    phi = as_samples(targets)
+    data = basis.data
+    rows, cols = data.shape
+    _check_system(rows, cols, phi.size)
+    t_taps, k_orders = basis.spec.window.n_taps, basis.spec.k_orders
+    # Column-major, so every block and every prefix of blocks is a contiguous
+    # matrix with the same leading dimension at any top order.
+    q = np.empty((rows, cols), dtype=np.complex128, order="F")
+    for k in range(k_orders):
+        q[:, k * t_taps:(k + 1) * t_taps] = data[:, k::k_orders]
+    r = np.zeros((cols, cols), dtype=np.complex128)
+    qh_phi = np.empty(cols, dtype=np.complex128)
+    for start in range(0, cols, t_taps):
+        block = slice(start, start + t_taps)
+        done = q[:, :start]
+        rest = q[:, block]
+        # The second pass removes what rounding left of the first.
+        for _ in range(2 if start else 0):
+            proj = (rest.conj().T @ done).conj().T
+            rest -= done @ proj
+            r[:start, block] += proj
+        q[:, block], r[block, block] = np.linalg.qr(rest)
+        qh_phi[block] = q[:, block].conj().T @ phi
+    return r, qh_phi
 
 
 @dataclass(frozen=True)

@@ -279,6 +279,20 @@ def test_report_on_a_non_utf8_file_names_it(tmp_path, capsys):
     assert err.startswith(f"error: {bad}: ") and "UTF-8" in err
 
 
+def test_report_names_the_line_of_a_short_row(tmp_path, capsys):
+    bad = tmp_path / "sweep.csv"
+    bad.write_text(f"{REPORT_HEADER}\nmpm,high,4,1,,8,8,1,-20.0,-19.0,-15.0\nmpm\n")
+    assert dispatch(["report", "--in", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:3: row has 1 fields, expected 11\n"
+
+
+def test_report_names_the_line_of_a_non_numeric_nmse_cell(tmp_path, capsys):
+    bad = tmp_path / "sweep.csv"
+    bad.write_text(f"{REPORT_HEADER}\nmpm,high,4,1,,8,8,1,x,-19.0,-15.0\n")
+    assert dispatch(["report", "--in", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:2: bad value for 'postinv_nmse_db': 'x'\n"
+
+
 def test_show_config_round_trips(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("[model]\nkind = agmpnn\ntaps = 7\n[train]\nseed = 5\n")

@@ -7,6 +7,7 @@ import pytest
 
 from dpdlab import (
     AgmpnnModel,
+    ConditioningError,
     FormatError,
     MpmCoefficients,
     MpmSpec,
@@ -44,8 +45,10 @@ from dpdlab.ila import (
     sweep_complexity,
     sweep_taps,
 )
+from dpdlab.mpm import BasisMatrix, build_basis, ls_fit
 from dpdlab.pa_sim import PaConfig
 from dpdlab.rvftdnn import rvftdnn_param_count
+from dpdlab.training import segment_pairs, validation_nmse_db
 
 import reference_impls as ref
 
@@ -259,6 +262,46 @@ def test_order_search_fits_equal_single_order_fits():
         single = fit_model_on_data(psi, chi, spec, TrainConfig(segment_len=512))
         assert np.array_equal(coeffs.coeff, single.model.coeff)
         assert val == single.postinv_nmse_db
+
+
+def test_order_search_fits_match_tall_least_squares_fits():
+    # Oracle: every order of a 10-tap search, fitted from the one factor,
+    # matches ls_fit on that order's own tall basis gathered from the same
+    # training rows, on the drive a sweep fits.
+    window = TapWindow(pre_taps=9)
+    orders = tuple(range(1, 9))
+    segment_len = 1024
+    rows = window.interior(segment_len)
+    for seed in (1, 2, 3):
+        first = drive_ila(preset("high"), seed, 4096).first_pass
+        fits = _fit_mpm_orders(first.psi_norm, first.phi, window, orders, segment_len, None)
+        train_pairs, val_pairs = segment_pairs(first.psi_norm, first.phi, window, segment_len)
+        target = np.concatenate([seg_phi.samples[rows] for _, seg_phi in train_pairs])
+        for k, (coeffs, val) in zip(orders, fits):
+            spec = MpmSpec(window=window, k_orders=k)
+            tall = np.vstack([build_basis(seg_psi, spec).data[rows] for seg_psi, _ in train_pairs])
+            expected = ls_fit(BasisMatrix(data=tall, spec=spec), target)
+            np.testing.assert_allclose(coeffs.coeff, expected.coeff, rtol=1e-9, atol=0.0)
+            assert abs(val - validation_nmse_db(expected, val_pairs, window)) <= 1e-9
+
+
+def test_order_search_rejects_fewer_training_rows_than_top_order_columns():
+    # 100 samples in 20-sample segments: four training segments of 11 interior
+    # rows each, too few for 10 taps at order 5.
+    x = generate_waveform(3, 100, 0.25).samples
+    with pytest.raises(ValueError, match=r"^need at least 50 rows to fit 50 columns, have 44$"):
+        _fit_mpm_orders(x, x, TapWindow(pre_taps=9), (1, 5), 20, None)
+
+
+def test_order_search_without_ridge_names_the_dependent_columns():
+    # A constant-amplitude input makes every order proportional to the linear
+    # column, so an exact fit refuses and says which columns.
+    x = np.exp(1j * np.linspace(0.0, 64.0, 2048))
+    spec = DpdModelSpec(kind="mpm", window=TapWindow(pre_taps=0), k_orders=3, ridge=0.0)
+    with pytest.raises(ConditioningError) as err:
+        fit_model_on_data(x, x, spec, TrainConfig(segment_len=512))
+    message = str(err.value)
+    assert "(l=0, k=1)" in message and "(l=0, k=2)" in message
 
 
 def test_train_and_order_search_reject_a_too_short_segment_alike():
