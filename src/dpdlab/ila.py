@@ -130,22 +130,21 @@ def _fit_mpm_orders(psi, phi, window: TapWindow, orders,
     interior (TapWindow.interior), as in the training loop, so MPM and
     trained-model numbers are directly comparable.
 
-    The training basis is built once, at the largest order, and factored
-    once by mpm.order_blocked_qr: order K's least-squares system is the
-    factor's leading T·K block.  Each order block is orthogonalized only
-    against the blocks before it, so that system is bit for bit the one a
-    search topped at order K would give, and each order's fit equals a fit at
-    that order alone.  ls_fit solves it with its columns put back in the
+    The training basis is built once, at the largest order, one segment at a
+    time, and mpm.order_blocked_qr fills its factor straight from those
+    segment blocks, so no stacked copy of the basis is made.  Order K's
+    least-squares system is the factor's leading T·K block.  Each order block
+    is orthogonalized only against the blocks before it, so that system is
+    bit for bit the one a search topped at order K would give, and each
+    order's fit equals a fit at that order alone.  ls_fit solves it with its columns put back in the
     basis's (l, k) order, k varying fastest.
     """
     train_pairs, val_pairs = segment_pairs(psi, phi, window, segment_len)
     rows = window.interior(segment_len)
     top = MpmSpec(window=window, k_orders=max(orders))
     target = np.concatenate([seg_phi.samples[rows] for _, seg_phi in train_pairs])
-    # The stacked basis is freed once factored.
-    r, qh_target = order_blocked_qr(BasisMatrix(
-        data=np.vstack([build_basis(seg_psi, top).data[rows] for seg_psi, _ in train_pairs]),
-        spec=top), target)
+    r, qh_target = order_blocked_qr(
+        (build_basis(seg_psi, top).data[rows] for seg_psi, _ in train_pairs), top, target)
     t_taps = window.n_taps
     fits = []
     for k in orders:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import modelfile
 from .exceptions import ConditioningError
@@ -91,13 +90,26 @@ def build_basis(x, spec: MpmSpec) -> BasisMatrix:
 
 
 def _dependent_columns(basis: BasisMatrix) -> list[str]:
-    """Diagnose which columns are linearly dependent, via pivoted QR."""
-    _, r, piv = scipy.linalg.qr(basis.data, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = (diag.max() * max(basis.data.shape) * np.finfo(float).eps) if diag.size else 0.0
-    rank = int(np.sum(diag > tol))
+    """Name the linearly dependent columns by greedy pivoted Gram–Schmidt.
+
+    Each step takes the column of largest remaining norm and projects it out
+    of the columns left (Businger & Golub, Numer. Math. 1965).  The search
+    stops once that norm is at most max(rows, cols)·eps times the largest
+    column norm; the columns left then are the dependent ones.
+    """
+    rest, left = basis.data, np.arange(basis.data.shape[1])
+    norms = np.linalg.norm(rest, axis=0)
+    tol = norms.max() * max(rest.shape) * np.finfo(float).eps
+    while left.size:
+        best = int(np.argmax(norms))
+        if norms[best] <= tol:
+            break
+        q = rest[:, best] / norms[best]
+        rest, left = np.delete(rest, best, axis=1), np.delete(left, best)
+        rest -= np.outer(q, q.conj() @ rest)
+        norms = np.linalg.norm(rest, axis=0)
     labels = basis.spec.column_labels()
-    return sorted(f"(l={labels[c][0]}, k={labels[c][1]})" for c in piv[rank:])
+    return sorted(f"(l={labels[c][0]}, k={labels[c][1]})" for c in left)
 
 
 def _check_system(rows: int, cols: int, n_targets: int) -> None:
@@ -137,28 +149,37 @@ def ls_fit(basis: BasisMatrix, targets, ridge: float | None = None) -> "MpmCoeff
     return MpmCoefficients(spec=basis.spec, coeff=coeff.reshape(t_taps, basis.spec.k_orders))
 
 
-def order_blocked_qr(basis: BasisMatrix, targets) -> tuple[np.ndarray, np.ndarray]:
+def order_blocked_qr(blocks, spec: MpmSpec, targets) -> tuple[np.ndarray, np.ndarray]:
     """Factor basis = Q·R one order block at a time; returns R and Qᴴ·targets.
 
-    Both are in order-major column layout: order k's T taps are the block
-    [k·T, (k+1)·T).  Each block is orthogonalized against the blocks before
-    it by classical Gram–Schmidt applied twice, then its remainder is
-    factored by np.linalg.qr.  A block's operations depend only on the blocks
-    before it, so R[:p, :p] and (Qᴴ·targets)[:p], p = T·K, are bit for bit
-    the factor of the order-K basis alone, whatever the basis's top order.
-    R's columns have the basis columns' norms, to rounding, so ls_fit on them
-    applies the same default ridge.
+    The basis of `spec` arrives as row blocks (one per training segment,
+    columns ordered as spec.column_labels()) whose rows, stacked, pair with
+    `targets`.  Each block is copied straight into the factor, so only one
+    of them need be alive at a time.
+
+    R and Qᴴ·targets are in order-major column layout: order k's T taps are
+    the block [k·T, (k+1)·T).  Each order block is orthogonalized against the
+    blocks before it by classical Gram–Schmidt applied twice, then its
+    remainder is factored by np.linalg.qr.  A block's operations depend only
+    on the blocks before it, so R[:p, :p] and (Qᴴ·targets)[:p], p = T·K, are
+    bit for bit the factor of the order-K basis alone, whatever the basis's
+    top order.  R's columns have the basis columns' norms, to rounding, so
+    ls_fit on them applies the same default ridge.
     """
     phi = as_samples(targets)
-    data = basis.data
-    rows, cols = data.shape
-    _check_system(rows, cols, phi.size)
-    t_taps, k_orders = basis.spec.window.n_taps, basis.spec.k_orders
+    t_taps, k_orders, cols = spec.window.n_taps, spec.k_orders, spec.n_columns
     # Column-major, so every block and every prefix of blocks is a contiguous
     # matrix with the same leading dimension at any top order.
-    q = np.empty((rows, cols), dtype=np.complex128, order="F")
-    for k in range(k_orders):
-        q[:, k * t_taps:(k + 1) * t_taps] = data[:, k::k_orders]
+    q = np.empty((phi.size, cols), dtype=np.complex128, order="F")
+    rows = 0
+    for data in blocks:
+        end = rows + data.shape[0]
+        # Rows past the targets are only counted, for _check_system's message.
+        if end <= phi.size:
+            for k in range(k_orders):
+                q[rows:end, k * t_taps:(k + 1) * t_taps] = data[:, k::k_orders]
+        rows = end
+    _check_system(rows, cols, phi.size)
     r = np.zeros((cols, cols), dtype=np.complex128)
     qh_phi = np.empty(cols, dtype=np.complex128)
     for start in range(0, cols, t_taps):

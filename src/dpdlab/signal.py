@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import firwin
 
 from .exceptions import FormatError
 
@@ -115,14 +114,27 @@ class AlignmentResult:
     gain: complex
 
 
+def _lowpass_taps(bandwidth_fraction: float) -> np.ndarray:
+    """Hamming-windowed sinc at cutoff bandwidth_fraction / 2 (fs = 1), unit DC gain."""
+    n = _LOWPASS_NTAPS
+    m = np.arange(n) - 0.5 * (n - 1)
+    # 1 - 0.54 is not the double nearest 0.46; written so, the taps are
+    # bit for bit scipy.signal.firwin's, and every waveform keeps its bytes.
+    window = 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, n))
+    h = bandwidth_fraction * np.sinc(bandwidth_fraction * m) * window
+    return h / np.sum(h)
+
+
 def generate_waveform(seed: int, n_samples: int, bandwidth_fraction: float,
                       sample_rate_hint: float = 1.0) -> ComplexSequence:
     """Band-limited complex Gaussian noise at unit RMS.
 
-    White complex Gaussian noise is shaped by a linear-phase FIR low-pass with
-    normalized cutoff ``bandwidth_fraction / 2`` (the waveform occupies the
-    central ``bandwidth_fraction`` of the sampling bandwidth) and rescaled to
-    unit RMS.  Deterministic for a fixed (seed, n_samples, bandwidth_fraction).
+    White complex Gaussian noise is shaped by a 127-tap linear-phase FIR
+    low-pass, a Hamming-windowed sinc with normalized cutoff
+    ``bandwidth_fraction / 2`` scaled to unit DC gain (the waveform occupies
+    the central ``bandwidth_fraction`` of the sampling bandwidth), and
+    rescaled to unit RMS.  Deterministic for a fixed (seed, n_samples,
+    bandwidth_fraction).
 
     Parameters
     ----------
@@ -141,7 +153,7 @@ def generate_waveform(seed: int, n_samples: int, bandwidth_fraction: float,
     rng = np.random.default_rng(seed)
     white = (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)) / np.sqrt(2.0)
     if bandwidth_fraction < 1.0:
-        taps = firwin(_LOWPASS_NTAPS, bandwidth_fraction / 2.0, fs=1.0)
+        taps = _lowpass_taps(bandwidth_fraction)
         # Center slice of the full convolution; np.convolve(mode="same") would
         # return len(taps) samples whenever n_samples < len(taps).
         start = (_LOWPASS_NTAPS - 1) // 2

@@ -15,7 +15,7 @@ from dpdlab import (
     ls_fit,
     nmse_db,
 )
-from dpdlab.mpm import rectified_amplitude
+from dpdlab.mpm import BasisMatrix, _dependent_columns, order_blocked_qr, rectified_amplitude
 
 import reference_impls as ref
 
@@ -177,6 +177,78 @@ def test_singular_system_names_dependent_columns():
         ls_fit(basis, x, ridge=0.0)
     message = str(err.value)
     assert "(l=0, k=1)" in message and "(l=0, k=2)" in message
+
+
+def _planted_basis(rng):
+    # A random basis in which some columns are combinations of others (or zero).
+    spec = _spec(pre=int(rng.integers(0, 5)), k=int(rng.integers(1, 5)))
+    cols = spec.n_columns
+    rows = int(rng.integers(cols, 3 * cols + 40))
+    data = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    data *= 10.0 ** rng.uniform(-2.0, 2.0, cols)
+    for j in rng.choice(cols, int(rng.integers(0, cols)), replace=False):
+        others = rng.choice(np.delete(np.arange(cols), j), int(rng.integers(0, 4)))
+        coef = rng.standard_normal(others.size) + 1j * rng.standard_normal(others.size)
+        data[:, j] = data[:, others] @ coef
+    return BasisMatrix(data=data, spec=spec)
+
+
+def _column_indices(basis, names):
+    labels = [f"(l={l}, k={k})" for l, k in basis.spec.column_labels()]
+    return [labels.index(name) for name in names]
+
+
+def test_dependent_columns_leave_a_full_rank_basis():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        basis = _planted_basis(rng)
+        dependent = _column_indices(basis, _dependent_columns(basis))
+        rank = np.linalg.matrix_rank(basis.data)
+        assert len(dependent) == basis.spec.n_columns - rank
+        kept = np.delete(basis.data, dependent, axis=1)
+        assert np.linalg.matrix_rank(kept) == kept.shape[1] == rank
+
+
+def test_dependent_columns_match_scipy_pivoted_qr():
+    # SciPy is a test-only oracle: column-pivoted Householder QR with the
+    # cutoff max(rows, cols)·eps·|R[0, 0]| names the same columns.
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        basis = _planted_basis(rng)
+        _, r, piv = scipy_linalg.qr(basis.data, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(r))
+        rank = int(np.sum(diag > diag.max() * max(basis.data.shape) * np.finfo(float).eps))
+        dependent = _column_indices(basis, _dependent_columns(basis))
+        assert sorted(dependent) == sorted(piv[rank:].tolist())
+
+
+def test_order_blocked_qr_factors_the_stacked_segment_blocks():
+    # R is the order-major basis's triangular factor: RᴴR = BᴴB, and
+    # (Qᴴ·targets) solves the same least-squares problem.
+    spec = _spec(pre=2, k=3)
+    x = generate_waveform(4, 256, 0.25)
+    data = build_basis(x, spec).data
+    blocks = [data[:100], data[100:180], data[180:]]
+    r, qh_phi = order_blocked_qr(iter(blocks), spec, x.samples)
+    order_major = np.concatenate([data[:, k::3] for k in range(3)], axis=1)
+    assert np.array_equal(r, np.triu(r))
+    scale = np.max(np.abs(order_major.conj().T @ order_major))
+    np.testing.assert_allclose(r.conj().T @ r, order_major.conj().T @ order_major,
+                               rtol=0.0, atol=1e-12 * scale)
+    lstsq, *_ = np.linalg.lstsq(order_major, x.samples, rcond=None)
+    np.testing.assert_allclose(np.linalg.solve(r, qh_phi), lstsq, rtol=1e-9, atol=1e-12)
+
+
+def test_order_blocked_qr_checks_rows_against_targets_and_columns():
+    spec = _spec(pre=2, k=2)
+    data = build_basis(generate_waveform(4, 64, 0.25), spec).data
+    for n_targets in (29, 31):
+        with pytest.raises(ValueError,
+                           match=rf"^target length {n_targets} does not match 30 basis rows$"):
+            order_blocked_qr(iter([data[:20], data[20:30]]), spec, np.ones(n_targets))
+    with pytest.raises(ValueError, match=r"^need at least 6 rows to fit 6 columns, have 5$"):
+        order_blocked_qr(iter([data[:5]]), spec, np.ones(5))
 
 
 def test_default_ridge_handles_singular_system():

@@ -1,8 +1,15 @@
 """Waveform generation, metrics, alignment, windowing, and IQ file I/O."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dpdlab
 from dpdlab import (
     AlignmentResult,
     ComplexSequence,
@@ -18,7 +25,14 @@ from dpdlab import (
     window_at,
     write_iq_csv,
 )
-from dpdlab.signal import _IQ_HEADER, IQ_MAGIC, NMSE_FLOOR_DB, FramedSequence
+from dpdlab.signal import (
+    _IQ_HEADER,
+    _LOWPASS_NTAPS,
+    IQ_MAGIC,
+    NMSE_FLOOR_DB,
+    FramedSequence,
+    _lowpass_taps,
+)
 
 import reference_impls as ref
 
@@ -66,6 +80,47 @@ def test_generate_waveform_band_limited():
     freqs = np.fft.fftfreq(len(w))
     in_band = spectrum[np.abs(freqs) <= 0.130].sum()
     assert in_band / spectrum.sum() > 0.99
+
+
+# SHA-256 of generate_waveform(seed, 4096, bw).samples.tobytes(), recorded
+# when the low-pass was scipy.signal.firwin(127, bw / 2, fs=1.0).
+_GOLDEN_WAVEFORM_SHA256 = {
+    (0.1, 1): "cd7745a4b1206701f20be15516b8a209282b8aebefef11673d2beb0a2e8917dd",
+    (0.1, 2): "e20f2768759837d9b125299a28c7736e5d4d82519a27a117b130d9917ebf130b",
+    (0.25, 1): "cd6879e7238fe95a1d0aab9bd979b0d63c65d21b8d506f8342fffb1c79f55bcc",
+    (0.25, 2): "311fa0e36ea4371111d7396af596f2439b2950cd7ca1c611caed3d9afce3d63b",
+    (0.6, 1): "0c0a34193ee616e36d7380fb0d0910ea2911c02535626064f1fed6c16533df4c",
+    (0.6, 2): "fbcc3948ebade5c2c92476c3888858b55606eb0f995774713fd240795bc7461e",
+    (1.0, 1): "54e3c5b02e476a8d7f8307592f1588f2a67777e5b2d248b346b45d3061141029",
+    (1.0, 2): "f0582facdb53cfdaa92098ebd760450a34ca43a7e902b0e95602eea86d1cec8b",
+}
+
+
+@pytest.mark.parametrize("bw, seed", sorted(_GOLDEN_WAVEFORM_SHA256))
+def test_generate_waveform_golden_bytes(bw, seed):
+    samples = generate_waveform(seed, 4096, bw).samples
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == _GOLDEN_WAVEFORM_SHA256[bw, seed]
+
+
+def test_lowpass_equals_scipy_firwin():
+    # SciPy is a test-only oracle: the NumPy low-pass is bit for bit firwin.
+    scipy_signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(2024)
+    bandwidths = np.concatenate([rng.uniform(0.0, 1.0, 500), np.linspace(0.002, 0.998, 499)])
+    for bw in bandwidths[bandwidths > 0.0]:
+        expected = scipy_signal.firwin(_LOWPASS_NTAPS, bw / 2.0, fs=1.0)
+        assert np.array_equal(_lowpass_taps(bw), expected), bw
+
+
+def test_import_does_not_load_scipy():
+    # A fresh interpreter importing the dpdlab under test loads no SciPy module.
+    src = str(Path(dpdlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, dpdlab; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 def test_generate_waveform_rejects_bad_args():
