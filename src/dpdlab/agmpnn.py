@@ -142,37 +142,44 @@ class AgmpnnModel(modelfile.ParamModel):
     # forward
     # ------------------------------------------------------------------
 
-    def _forward_arrays(self, x):
-        """Vectorized forward pass over every sample.
+    def _forward_arrays(self, delayed: np.ndarray, keep_bases: bool = False):
+        """Vectorized forward pass over the rows of a (N, T) tap matrix.
 
-        Returns (output, expert_out, weights, delayed, amp) where expert_out
-        and weights are (N, M) and delayed/amp are (N, T).
+        Returns (output, expert_out, weights, bases) where expert_out and
+        weights are (N, M).  With `keep_bases`, bases[j] holds expert j's
+        rectified amplitudes and their even powers, (rect, [rect^0, rect^2,
+        ...]), each (N, T); otherwise bases is None.
         """
-        delayed = delayed_matrix(x, self.window)
         amp = np.abs(delayed)
         n = delayed.shape[0]
         m = self.n_experts
         expert_out = np.empty((n, m), dtype=np.complex128)
         scores = np.empty((n, m))
+        bases = [] if keep_bases else None
         for j in range(m):
             rect = np.maximum(amp + self.amp_offsets[j], 0.0)
             rect_sq = rect * rect
             coef = self.expert_coeff[j]
             poly = np.zeros((n, self.window.n_taps), dtype=np.complex128)
+            powers = []
             power = np.ones_like(rect)
             for k in range(self.k_orders):
                 if k:
                     power = power * rect_sq
                 poly += power * coef[:, k][None, :]
+                if keep_bases:
+                    powers.append(power)
             expert_out[:, j] = np.einsum("nt,nt->n", delayed, poly)
             scores[:, j] = rect @ self.attn_scale[j] + self.attn_bias[j].sum()
+            if keep_bases:
+                bases.append((rect, powers))
         weights = _softmax(scores)
         output = np.einsum("nm,nm->n", weights, expert_out)
-        return output, expert_out, weights, delayed, amp
+        return output, expert_out, weights, bases
 
     def predict(self, x) -> ComplexSequence:
         seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
-        output, _, _, _, _ = self._forward_arrays(seq)
+        output, _, _, _ = self._forward_arrays(delayed_matrix(seq, self.window))
         return ComplexSequence(output, sample_rate_hint=seq.sample_rate_hint)
 
     # ------------------------------------------------------------------
@@ -184,21 +191,18 @@ class AgmpnnModel(modelfile.ParamModel):
         per parameter attribute.
 
         The loss is mean |output - target|^2 across the window's interior
-        (TapWindow.interior).  Shared offsets accumulate the expert-basis and
-        attention paths; k = 0 basis terms contribute nothing to the offset
-        gradient.
+        (TapWindow.interior), and the forward pass runs on those rows only,
+        keeping each expert's rectified amplitudes and their powers for the
+        gradients.  Shared offsets accumulate the expert-basis and attention
+        paths; k = 0 basis terms contribute nothing to the offset gradient.
         """
         psi = as_samples(x)
         phi = as_samples(target)
         if psi.size != phi.size:
             raise ValueError("input and target lengths differ")
         idx = self.window.interior(psi.size)
-        output, expert_out, weights, delayed, amp = self._forward_arrays(x)
-        output = output[idx]
-        expert_out = expert_out[idx]
-        weights = weights[idx]
-        delayed = delayed[idx]
-        amp = amp[idx]
+        delayed = delayed_matrix(x, self.window)[idx]
+        output, expert_out, weights, bases = self._forward_arrays(delayed, keep_bases=True)
         err = output - phi[idx]
         count = err.size
         loss = float(np.mean(np.abs(err) ** 2))
@@ -212,18 +216,13 @@ class AgmpnnModel(modelfile.ParamModel):
         g_scale = np.empty((m, t_taps))
         g_bias = np.empty((m, t_taps))
         conj_delayed = np.conj(delayed)
-        for j in range(m):
-            rect = np.maximum(amp + self.amp_offsets[j], 0.0)
-            rect_sq = rect * rect
-            active = (amp + self.amp_offsets[j] > 0.0).astype(np.float64)
+        for j, (rect, powers) in enumerate(bases):
+            active = (rect > 0.0).astype(np.float64)
             coef = self.expert_coeff[j]
 
             # lambda: carrier sum_n err * conj(w * tap * rect^2k)
             weighted_err = weights[:, j] * err
-            power = np.ones_like(rect)
-            for k in range(k_orders):
-                if k:
-                    power = power * rect_sq
+            for k, power in enumerate(powers):
                 g_coeff[j, :, k] = scale * (weighted_err @ (conj_delayed * power))
 
             # attention chain: d(output)/d(score_j) = w_j * (E_j - output)
@@ -231,11 +230,12 @@ class AgmpnnModel(modelfile.ParamModel):
             g_scale[j] = scale * (score_sens @ rect)
             g_bias[j] = scale * score_sens.sum()
 
-            # offset through the expert basis: sum_{k>=1} 2k coef rect^(2k-1)
+            # offset through the expert basis: sum_{k>=1} 2k coef rect^(2k-1),
+            # the odd powers stepping by rect^2 = powers[1]
             db_poly = np.zeros((count, t_taps), dtype=np.complex128)
             odd_power = None
             for k in range(1, k_orders):
-                odd_power = rect.copy() if k == 1 else odd_power * rect_sq
+                odd_power = rect if k == 1 else odd_power * powers[1]
                 db_poly += (2.0 * k) * odd_power * coef[:, k][None, :]
             if k_orders > 1:
                 expert_path = np.einsum("nt,nt->n", delayed * active, db_poly)

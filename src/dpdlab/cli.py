@@ -207,7 +207,7 @@ _REPORT_NMSE_FIELDS = ("postinv_nmse_db", "lin_nmse_db", "no_dpd_nmse_db")
 
 def _read_report(path) -> list[dict]:
     """A sweep report's rows, each checked for its field count and NMSE cells."""
-    header = ila.REPORT_HEADER.split(",")
+    header = list(ila.REPORT_COLUMNS)
     reader = csv.reader(read_text(path).splitlines())
     fieldnames = next(reader, None)
     if fieldnames != header:

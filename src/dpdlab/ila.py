@@ -19,7 +19,8 @@ import numpy as np
 from . import modelfile
 from .agmpnn import AgmpnnModel, count_params_formula
 from .exceptions import FormatError
-from .mpm import BasisMatrix, MpmCoefficients, MpmSpec, build_basis, ls_fit, order_blocked_qr
+from .mpm import (BasisMatrix, MpmCoefficients, MpmSpec, _require_full_rank, build_basis, ls_fit,
+                  order_blocked_qr)
 from .pa_sim import PaConfig, pa_forward
 from .rvftdnn import RvftdnnModel, architecture_search, rvftdnn_param_count
 from .signal import ComplexSequence, TapWindow, align, as_samples, generate_waveform, nmse_db
@@ -41,8 +42,10 @@ DEFAULT_NN_GRID = (8, 10, 12, 14, 16, 18, 20)
 # this relative distance of the parameter target.
 TARGET_TOLERANCE = 0.25
 
-REPORT_HEADER = ("family,preset,taps,k_orders,m_experts,params_formula,"
-                 "params_actual,seed,postinv_nmse_db,lin_nmse_db,no_dpd_nmse_db")
+# The report CSV's columns: IlaReport field names, in column order.
+REPORT_COLUMNS = ("family", "preset", "taps", "k_orders", "m_experts", "params_formula",
+                  "params_actual", "seed", "postinv_nmse_db", "lin_nmse_db", "no_dpd_nmse_db")
+REPORT_HEADER = ",".join(REPORT_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,9 @@ class DpdModelSpec:
     n2: int = 16
     ridge: Optional[float] = None
     warm_start: bool = True
-    search_grid: Optional[tuple] = None    # rvftdnn: (n1, n2) candidates
+    # Candidates to search, keeping the best validation: mpm order counts,
+    # rvftdnn (n1, n2) widths.  None fits the spec's own size.
+    search_grid: Optional[tuple] = None
     budget: tuple = (100, 600)
 
     def __post_init__(self) -> None:
@@ -132,12 +137,12 @@ def _fit_mpm_orders(psi, phi, window: TapWindow, orders,
 
     The training basis is built once, at the largest order, one segment at a
     time, and mpm.order_blocked_qr fills its factor straight from those
-    segment blocks, so no stacked copy of the basis is made.  Order K's
-    least-squares system is the factor's leading T·K block.  Each order block
-    is orthogonalized only against the blocks before it, so that system is
-    bit for bit the one a search topped at order K would give, and each
-    order's fit equals a fit at that order alone.  ls_fit solves it with its columns put back in the
-    basis's (l, k) order, k varying fastest.
+    segment blocks.  Order K's system is the factor's leading T·K block, bit
+    for bit the one a search topped at order K would give, so each order's
+    fit equals a fit at that order alone.  ls_fit solves it with its columns
+    put back in the basis's (l, k) order.  With ridge 0 the block is held to
+    the rank rule of the tall training basis it stands for, so the search
+    refuses exactly what ls_fit refuses on that basis.
     """
     train_pairs, val_pairs = segment_pairs(psi, phi, window, segment_len)
     rows = window.interior(segment_len)
@@ -151,6 +156,8 @@ def _fit_mpm_orders(psi, phi, window: TapWindow, orders,
         cols = t_taps * k
         tap_major = np.arange(cols).reshape(k, t_taps).T.reshape(-1)
         system = BasisMatrix(data=r[:cols, tap_major], spec=MpmSpec(window=window, k_orders=k))
+        if ridge == 0:
+            _require_full_rank(system, target.size)
         coeffs = ls_fit(system, qh_target[:cols], ridge=ridge)
         fits.append((coeffs, validation_nmse_db(coeffs, val_pairs, window)))
     return fits
@@ -159,8 +166,12 @@ def _fit_mpm_orders(psi, phi, window: TapWindow, orders,
 def fit_model_on_data(psi, phi, spec: DpdModelSpec, cfg: TrainConfig, seed: int = 0) -> FitOutcome:
     """Fit one postinverse family on an already-normalized (psi, phi) pair."""
     if spec.kind == "mpm":
-        [(coeffs, val)] = _fit_mpm_orders(psi, phi, spec.window, (spec.k_orders,),
-                                          cfg.segment_len, spec.ridge)
+        # The best validation; ties go to fewer parameters, then the lower order.
+        orders = (spec.k_orders,) if spec.search_grid is None else spec.search_grid
+        if not orders:
+            raise ValueError("the mpm search grid holds no order count")
+        fits = _fit_mpm_orders(psi, phi, spec.window, orders, cfg.segment_len, spec.ridge)
+        coeffs, val = min(fits, key=lambda fit: (fit[1], fit[0].n_params(), fit[0].k_orders))
         return FitOutcome(model=coeffs, postinv_nmse_db=val)
 
     if spec.kind == "agmpnn":
@@ -326,29 +337,43 @@ def run_ila(pa: PaConfig, preset_label: str, spec: DpdModelSpec, seed: int,
 # ----------------------------------------------------------------------
 # sweeps
 # ----------------------------------------------------------------------
-#
-# Every cell of one (preset, seed) shares its drive stage, so a sweep computes
-# each drive once and keeps it for the rest of the call.
 
 
-def _shared_drive(drives: dict, pa: PaConfig, preset_label: str, seed: int,
-                  n_samples: int, bandwidth_fraction: float) -> IlaDrive:
-    key = (preset_label, seed)
-    if key not in drives:
-        drives[key] = drive_ila(pa, seed, n_samples, bandwidth_fraction)
-    return drives[key]
+def _sweep(cells, seeds, n_samples: int, bandwidth_fraction: float,
+           cfg: TrainConfig | None) -> list[IlaReport]:
+    """One report row per (family, taps, preset, pa, spec) cell and seed, in
+    that order; a cell without a spec gets blank (infeasible) rows.  Cells of
+    one (preset, seed) share its drive stage, computed once per call."""
+    cfg = cfg or TrainConfig()
+    drives = {}
+    rows = []
+    for family, taps, preset_label, pa, spec in cells:
+        for seed in seeds:
+            if spec is None:
+                rows.append(IlaReport(family=family, preset=preset_label, taps=taps, seed=seed))
+                continue
+            if (preset_label, seed) not in drives:
+                drives[preset_label, seed] = drive_ila(pa, seed, n_samples, bandwidth_fraction)
+            rows.append(run_ila_cell(pa, preset_label, spec, drives[preset_label, seed], cfg))
+    return rows
 
 
-def _best_mpm_report(pa, preset_label, window, drive: IlaDrive, cfg, orders) -> IlaReport:
-    """Fit the MPM at every order count in `orders`; deploy the best validation.
-
-    Ties go to fewer parameters, then the lower order.
-    """
-    first = drive.first_pass
-    fits = _fit_mpm_orders(first.psi_norm, first.phi, window, orders, cfg.segment_len, None)
-    coeffs, val = min(fits, key=lambda fit: (fit[1], fit[0].n_params(), fit[0].k_orders))
-    outcome = FitOutcome(model=coeffs, postinv_nmse_db=val, gain=first.gain, delay=first.delay)
-    return _deployed_report(pa, preset_label, drive, outcome)
+def _tap_sweep_spec(family: str, window: TapWindow, budget, nn_grid,
+                    mpm_k_grid) -> DpdModelSpec | None:
+    """A tap-sweep cell's spec: MPM searched over its orders under the budget's
+    upper bound, RVFTDNN over its widths within the budget, AGMPNN at
+    (K=3, M=3); None when the search has no candidate."""
+    if family == "agmpnn":
+        return DpdModelSpec(kind="agmpnn", window=window, k_orders=3, n_experts=3)
+    if family == "mpm":
+        grid = tuple(k for k in mpm_k_grid
+                     if DpdModelSpec(kind="mpm", window=window, k_orders=k).n_params() <= budget[1])
+    else:
+        grid = tuple((a, b) for a in nn_grid for b in nn_grid
+                     if budget[0] <= rvftdnn_param_count(window.n_taps, a, b) <= budget[1])
+    if not grid:
+        return None
+    return DpdModelSpec(kind=family, window=window, search_grid=grid, budget=budget)
 
 
 def sweep_taps(pa: PaConfig, preset_label: str, taps_list=DEFAULT_TAPS_LIST,
@@ -359,33 +384,10 @@ def sweep_taps(pa: PaConfig, preset_label: str, taps_list=DEFAULT_TAPS_LIST,
     """Tap-count sweep: AGMPNN fixed at (K=3, M=3), RVFTDNN architecture-searched
     within the budget, MPM at its best order within budget.  A family with no
     configuration inside the budget gets a blank (infeasible) row."""
-    cfg = cfg or TrainConfig()
-    drives = {}
-    rows = []
-    for family in families:
-        for taps in taps_list:
-            window = TapWindow(pre_taps=taps - 1)
-            orders = [k for k in mpm_k_grid
-                      if DpdModelSpec(kind="mpm", window=window, k_orders=k).n_params() <= budget[1]]
-            widths = tuple((a, b) for a in nn_grid for b in nn_grid
-                           if budget[0] <= rvftdnn_param_count(taps, a, b) <= budget[1])
-            for seed in seeds:
-                if (family == "mpm" and not orders) or (family == "rvftdnn" and not widths):
-                    rows.append(IlaReport(family=family, preset=preset_label,
-                                          taps=taps, seed=seed))
-                    continue
-                drive = _shared_drive(drives, pa, preset_label, seed, n_samples,
-                                      bandwidth_fraction)
-                if family == "mpm":
-                    rows.append(_best_mpm_report(pa, preset_label, window, drive, cfg, orders))
-                    continue
-                if family == "agmpnn":
-                    spec = DpdModelSpec(kind="agmpnn", window=window, k_orders=3, n_experts=3)
-                else:
-                    spec = DpdModelSpec(kind="rvftdnn", window=window,
-                                        search_grid=widths, budget=budget)
-                rows.append(run_ila_cell(pa, preset_label, spec, drive, cfg))
-    return rows
+    cells = [(family, taps, preset_label, pa,
+              _tap_sweep_spec(family, TapWindow(pre_taps=taps - 1), budget, nn_grid, mpm_k_grid))
+             for family in families for taps in taps_list]
+    return _sweep(cells, seeds, n_samples, bandwidth_fraction, cfg)
 
 
 def _candidate_specs(family: str, window: TapWindow, mpm_k_grid) -> list[DpdModelSpec]:
@@ -418,24 +420,14 @@ def sweep_complexity(pa_by_preset: dict, taps: int = 7,
     """Complexity sweep at fixed taps: per family, pick the configuration whose
     trainable parameter count comes closest to each target; a cell further than
     25% from its target is marked infeasible (blank metrics)."""
-    cfg = cfg or TrainConfig()
     window = TapWindow(pre_taps=taps - 1)
-    drives = {}
-    rows = []
+    cells = []
     for family in families:
         for target in param_targets:
             spec = _closest_spec(family, window, target, mpm_k_grid)
-            for preset_label in sorted(pa_by_preset):
-                pa = pa_by_preset[preset_label]
-                for seed in seeds:
-                    if spec is None:
-                        rows.append(IlaReport(family=family, preset=preset_label,
-                                              taps=taps, seed=seed))
-                        continue
-                    drive = _shared_drive(drives, pa, preset_label, seed, n_samples,
-                                          bandwidth_fraction)
-                    rows.append(run_ila_cell(pa, preset_label, spec, drive, cfg))
-    return rows
+            cells += [(family, taps, label, pa_by_preset[label], spec)
+                      for label in sorted(pa_by_preset)]
+    return _sweep(cells, seeds, n_samples, bandwidth_fraction, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -454,14 +446,7 @@ def _cell(value) -> str:
 def reports_to_csv(rows) -> str:
     """Fixed-format CSV; identical inputs serialize byte-identically."""
     lines = [REPORT_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            r.family, r.preset, str(r.taps),
-            _cell(r.k_orders), _cell(r.m_experts),
-            _cell(r.params_formula), _cell(r.params_actual),
-            str(r.seed),
-            _cell(r.postinv_nmse_db), _cell(r.lin_nmse_db), _cell(r.no_dpd_nmse_db),
-        ]))
+    lines += [",".join(_cell(getattr(r, column)) for column in REPORT_COLUMNS) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -60,10 +60,6 @@ class BasisMatrix:
             raise ValueError("basis data shape does not match its spec")
         object.__setattr__(self, "data", data)
 
-    @property
-    def rows(self) -> int:
-        return int(self.data.shape[0])
-
 
 def rectified_amplitude(delayed: np.ndarray, amp_offset: float) -> np.ndarray:
     """max(0, |tap| + b); the clamp can engage only for b < 0."""
@@ -89,17 +85,18 @@ def build_basis(x, spec: MpmSpec) -> BasisMatrix:
     return BasisMatrix(data=data, spec=spec)
 
 
-def _dependent_columns(basis: BasisMatrix) -> list[str]:
+def _dependent_columns(basis: BasisMatrix, rows: int) -> list[str]:
     """Name the linearly dependent columns by greedy pivoted Gram–Schmidt.
 
     Each step takes the column of largest remaining norm and projects it out
     of the columns left (Businger & Golub, Numer. Math. 1965).  The search
     stops once that norm is at most max(rows, cols)·eps times the largest
-    column norm; the columns left then are the dependent ones.
+    column norm, `rows` being those of the system the basis stands for; the
+    columns left then are the dependent ones.
     """
     rest, left = basis.data, np.arange(basis.data.shape[1])
     norms = np.linalg.norm(rest, axis=0)
-    tol = norms.max() * max(rest.shape) * np.finfo(float).eps
+    tol = norms.max() * max(rows, rest.shape[1]) * np.finfo(float).eps
     while left.size:
         best = int(np.argmax(norms))
         if norms[best] <= tol:
@@ -110,6 +107,22 @@ def _dependent_columns(basis: BasisMatrix) -> list[str]:
         norms = np.linalg.norm(rest, axis=0)
     labels = basis.spec.column_labels()
     return sorted(f"(l={labels[c][0]}, k={labels[c][1]})" for c in left)
+
+
+def _require_full_rank(basis: BasisMatrix, rows: int) -> None:
+    """Rank rule of an exact (ridge 0) fit, NumPy lstsq's cutoff on a system of
+    `rows` rows: singular values at most max(rows, cols)·eps times the largest
+    count as zero, and any such raises ConditioningError naming the dependent
+    columns.  A triangular factor has its tall basis's singular values and
+    column norms, so with that basis's row count it refuses alike.
+    """
+    cols = basis.data.shape[1]
+    singular = np.linalg.svd(basis.data, compute_uv=False)
+    rank = int(np.count_nonzero(singular > singular[0] * max(rows, cols) * np.finfo(float).eps))
+    if rank < cols:
+        raise ConditioningError(
+            f"singular least-squares system (rank {rank} < {cols} columns) with ridge 0; "
+            f"dependent columns: {', '.join(_dependent_columns(basis, rows))}")
 
 
 def _check_system(rows: int, cols: int, n_targets: int) -> None:
@@ -140,11 +153,8 @@ def ls_fit(basis: BasisMatrix, targets, ridge: float | None = None) -> "MpmCoeff
         rhs = np.concatenate([phi, np.zeros(cols, dtype=np.complex128)])
         coeff, _, _, _ = np.linalg.lstsq(aug, rhs, rcond=None)
     else:
-        coeff, _, rank, _ = np.linalg.lstsq(data, phi, rcond=None)
-        if rank < cols:
-            raise ConditioningError(
-                f"singular least-squares system (rank {rank} < {cols} columns) with ridge 0; "
-                f"dependent columns: {', '.join(_dependent_columns(basis))}")
+        _require_full_rank(basis, rows)
+        coeff, _, _, _ = np.linalg.lstsq(data, phi, rcond=None)
     t_taps = basis.spec.window.n_taps
     return MpmCoefficients(spec=basis.spec, coeff=coeff.reshape(t_taps, basis.spec.k_orders))
 

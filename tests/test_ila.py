@@ -1,5 +1,6 @@
 """Indirect-learning fit/deploy/evaluate harness and sweep reports."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from dpdlab import (
     preset,
     train,
 )
+from dpdlab.cli import dispatch
 from dpdlab.ila import (
     DEFAULT_MPM_K_GRID,
     DEFAULT_NN_GRID,
@@ -27,6 +29,7 @@ from dpdlab.ila import (
     EVAL_SEED_OFFSET,
     FAMILIES,
     MAX_ALIGN_LAG,
+    REPORT_COLUMNS,
     REPORT_HEADER,
     TARGET_TOLERANCE,
     DpdModelSpec,
@@ -72,6 +75,7 @@ def test_module_constants():
     assert REPORT_HEADER.split(",") == [
         "family", "preset", "taps", "k_orders", "m_experts", "params_formula",
         "params_actual", "seed", "postinv_nmse_db", "lin_nmse_db", "no_dpd_nmse_db"]
+    assert set(REPORT_COLUMNS) <= set(IlaReport.__dataclass_fields__)
 
 
 def test_model_spec_rejects_unknown_kind():
@@ -249,6 +253,26 @@ def _independent_best_mpm(pa, window, seed, k_grid, budget_hi):
     return best[1]
 
 
+def test_mpm_search_spec_deploys_the_best_single_order_cell():
+    # An mpm spec with a search grid fits every order and deploys the one a
+    # run_ila per order would pick by (postinverse NMSE, parameters, order).
+    pa, window = preset("high"), TapWindow(pre_taps=3)
+    for seed, orders in ((1, (1, 2, 3)), (2, (4, 2, 1, 3))):
+        spec = DpdModelSpec(kind="mpm", window=window, search_grid=orders)
+        searched = run_ila(pa, "high", spec, seed, **TINY)
+        best = _independent_best_mpm(pa, window, seed, orders, 600)
+        assert ((searched.postinv_nmse_db, searched.params_actual, searched.k_orders)
+                == (best.postinv_nmse_db, best.params_actual, best.k_orders))
+        assert reports_to_csv([searched]) == reports_to_csv([best])
+
+
+def test_mpm_search_spec_rejects_an_empty_grid():
+    x = generate_waveform(3, 2048, 0.25).samples
+    spec = DpdModelSpec(kind="mpm", window=TapWindow(pre_taps=1), search_grid=())
+    with pytest.raises(ValueError, match="^the mpm search grid holds no order count$"):
+        fit_model_on_data(x, x, spec, TrainConfig(segment_len=512))
+
+
 def test_order_search_fits_equal_single_order_fits():
     # One basis at the largest order serves every order: each order's
     # coefficients and validation NMSE equal a fit at that order alone.
@@ -302,6 +326,26 @@ def test_order_search_without_ridge_names_the_dependent_columns():
         fit_model_on_data(x, x, spec, TrainConfig(segment_len=512))
     message = str(err.value)
     assert "(l=0, k=1)" in message and "(l=0, k=2)" in message
+
+
+def test_order_search_without_ridge_refuses_what_the_tall_fit_refuses():
+    # A near-constant amplitude, |x| = 1 + 1e-7·N(0, 1), plants a near
+    # dependence (condition number ~8e13): below the rank cutoff of the 1536
+    # training rows, above that of the 3x3 factor alone.  Both fits refuse it.
+    rng = np.random.default_rng(5)
+    x = (1 + 1e-7 * rng.standard_normal(2048)) * np.exp(2j * np.pi * rng.uniform(size=2048))
+    window, segment_len = TapWindow(pre_taps=0), 512
+    spec = MpmSpec(window=window, k_orders=3)
+    rows = window.interior(segment_len)
+    train_pairs, _ = segment_pairs(x, x, window, segment_len)
+    tall = np.vstack([build_basis(seg_psi, spec).data[rows] for seg_psi, _ in train_pairs])
+    target = np.concatenate([seg_phi.samples[rows] for _, seg_phi in train_pairs])
+    with pytest.raises(ConditioningError) as tall_err:
+        ls_fit(BasisMatrix(data=tall, spec=spec), target, ridge=0.0)
+    with pytest.raises(ConditioningError) as search_err:
+        _fit_mpm_orders(x, x, window, (3,), segment_len, 0.0)
+    assert str(search_err.value) == str(tall_err.value)
+    assert str(search_err.value).endswith("dependent columns: (l=0, k=1)")
 
 
 def test_train_and_order_search_reject_a_too_short_segment_alike():
@@ -359,6 +403,36 @@ def test_sweep_complexity_matches_independent_cells():
                         else IlaReport(family=family, preset=label, taps=taps, seed=seed))
     assert 0 < sum(not r.feasible for r in expected) < len(expected)
     assert reports_to_csv(rows) == reports_to_csv(expected)
+
+
+# === golden sweep bytes ===
+
+_SWEEP_RECIPE = "[train]\nmax_epochs = 3\nsegment_len = 512\npatience = 2\n"
+GOLDEN_SWEEPS = {
+    "criterion-10": (
+        "sweep-taps",
+        "[signal]\nn_samples = 4096\n" + _SWEEP_RECIPE
+        + "[sweep]\ntaps_list = 4, 7\nseeds = 1\nnn_grid = 8, 10\n",
+        "7ddbf79a6c2eb2c352b0122fbf1a0f81732bcc03c30a7275f03e5edcbf7d9991"),
+    "default-mpm": (
+        "sweep-taps", "[sweep]\nfamilies = mpm\n",
+        "f70a2671a8ba8e20226a3f82ab675220ec60d6059f84e3dc9acd1d2df77de135"),
+    "complexity": (
+        "sweep-complexity",
+        "[signal]\nn_samples = 4096\nseed = 1\n" + _SWEEP_RECIPE
+        + "[sweep]\ntaps = 5\nparam_targets = 30, 100, 200, 600\nseeds = 1\n"
+        "mpm_k_grid = 3, 1, 2\n",
+        "8a7bb401844ee7b6ac3e0bb1c40e8e382f3fb1191d085b20c9638176130b9a89"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SWEEPS)
+def test_sweep_csv_matches_golden_bytes(tmp_path, name):
+    command, config, digest = GOLDEN_SWEEPS[name]
+    cfg, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+    cfg.write_text(config)
+    assert dispatch([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # === complexity sweep ===

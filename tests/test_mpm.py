@@ -202,7 +202,7 @@ def test_dependent_columns_leave_a_full_rank_basis():
     rng = np.random.default_rng(17)
     for _ in range(200):
         basis = _planted_basis(rng)
-        dependent = _column_indices(basis, _dependent_columns(basis))
+        dependent = _column_indices(basis, _dependent_columns(basis, basis.data.shape[0]))
         rank = np.linalg.matrix_rank(basis.data)
         assert len(dependent) == basis.spec.n_columns - rank
         kept = np.delete(basis.data, dependent, axis=1)
@@ -219,7 +219,7 @@ def test_dependent_columns_match_scipy_pivoted_qr():
         _, r, piv = scipy_linalg.qr(basis.data, mode="economic", pivoting=True)
         diag = np.abs(np.diag(r))
         rank = int(np.sum(diag > diag.max() * max(basis.data.shape) * np.finfo(float).eps))
-        dependent = _column_indices(basis, _dependent_columns(basis))
+        dependent = _column_indices(basis, _dependent_columns(basis, basis.data.shape[0]))
         assert sorted(dependent) == sorted(piv[rank:].tolist())
 
 
