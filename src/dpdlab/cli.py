@@ -19,7 +19,7 @@ from .agmpnn import AgmpnnModel
 from .config import RunConfig, load_config, render_config
 from .exceptions import DpdlabError, FormatError
 from .mpm import MpmSpec, build_basis, ls_fit
-from .pa_sim import pa_forward, preset
+from .pa_sim import PRESET_DRIVE_DB, pa_forward, preset
 from .rvftdnn import RvftdnnModel
 from .signal import (ComplexSequence, TapWindow, deserialize_iq, generate_waveform, nmse_db,
                      read_iq_csv, read_text, serialize_iq, write_iq_csv)
@@ -39,14 +39,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_from(lowest: int):
+    """argparse type of an integer of at least `lowest`."""
+    def read(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+    return read
+
+
+_positive_int = _int_from(1)
+_seed = _int_from(0)
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +181,7 @@ def _cmd_sweep_taps(args) -> int:
 
 def _cmd_sweep_complexity(args) -> int:
     cfg = _load_run_config(args)
-    pa_by_preset = {level: cfg.pa_for_preset(level) for level in ("low", "high")}
+    pa_by_preset = {level: cfg.pa_for_preset(level) for level in PRESET_DRIVE_DB}
     rows = ila.sweep_complexity(
         pa_by_preset, taps=cfg.sweep_taps, param_targets=cfg.param_targets,
         seeds=cfg.seeds, families=cfg.families, n_samples=cfg.n_samples,
@@ -305,7 +312,7 @@ def build_parser() -> _Parser:
         return p
 
     p = add("gen-signal", _cmd_gen_signal, "generate a band-limited unit-RMS test waveform")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--n", type=int, required=True, help="number of samples")
     p.add_argument("--bandwidth", type=float, default=0.25, help="occupied fraction of fs")
     p.add_argument("--sample-rate", type=float, default=1.0, help="informational rate hint")
@@ -314,9 +321,9 @@ def build_parser() -> _Parser:
     p = add("simulate-pa", _cmd_simulate_pa, "run a waveform through the simulated amplifier")
     p.add_argument("--in", dest="infile", required=True, help="input waveform")
     p.add_argument("--out", required=True, help="output waveform")
-    p.add_argument("--preset", choices=("low", "high"), default="high")
+    p.add_argument("--preset", choices=tuple(PRESET_DRIVE_DB), default="high")
     _add_config_flag(p)
-    p.add_argument("--noise-seed", type=int, default=None,
+    p.add_argument("--noise-seed", type=_seed, default=None,
                    help="enable feedback noise with this seed")
 
     p = add("fit", _cmd_fit, "fit a postinverse model on an (input, target) waveform pair")
@@ -331,7 +338,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ridge", type=float, default=None, help="least-squares regularizer")
     p.add_argument("--cold-start", action="store_true",
                    help="skip the least-squares warm start (agmpnn only)")
-    p.add_argument("--seed", type=int, default=0, help="initialization seed")
+    p.add_argument("--seed", type=_seed, default=0, help="initialization seed")
     p.add_argument("--in", dest="infile", required=True, help="model input waveform")
     p.add_argument("--target", required=True, help="desired output waveform")
     p.add_argument("--out", required=True, help="model file to write")
@@ -365,7 +372,7 @@ def build_parser() -> _Parser:
     p.add_argument("--experts", type=int, default=2)
     p.add_argument("--n1", type=int, default=4)
     p.add_argument("--n2", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n", type=int, default=256, help="check-waveform length")
     p.add_argument("--threshold", type=float, default=GRADCHECK_THRESHOLD)
 

@@ -20,8 +20,6 @@ from .pa_sim import (PRESET_A_SAT, PRESET_DRIVE_DB, PRESET_FEEDBACK_SNR_DB, PRES
 from .signal import TapWindow, read_text
 from .training import TrainConfig
 
-PRESET_LEVELS = ("low", "high")
-
 
 # ----------------------------------------------------------------------
 # value converters (raise ValueError with a short reason)
@@ -32,12 +30,19 @@ def _int(value: str) -> int:
     return int(value, 10)
 
 
-def _count(value: str) -> int:
-    """An integer of at least 1: a tap count, an order, a width or a size."""
-    number = _int(value)
-    if number < 1:
-        raise ValueError(f"expected an integer of at least 1, got {value!r}")
-    return number
+def _at_least(lowest: int):
+    """Reader of an integer of at least `lowest`: 1 for a tap count, an order,
+    a width or a size, 0 for a seed."""
+    def read(value: str) -> int:
+        number = _int(value)
+        if number < lowest:
+            raise ValueError(f"expected an integer of at least {lowest}, got {value!r}")
+        return number
+    return read
+
+
+_count = _at_least(1)
+_seed = _at_least(0)
 
 
 def _float(value: str) -> float:
@@ -78,7 +83,6 @@ def _list_of(item):
     return read
 
 
-_int_list = _list_of(_int)
 _count_list = _list_of(_count)
 _word_list = _list_of(str)
 
@@ -103,7 +107,7 @@ class RunConfig:
     a_sat: Optional[float] = _field("pa", _opt_float, PRESET_A_SAT)
     feedback_snr_db: Optional[float] = _field("pa", _opt_float, PRESET_FEEDBACK_SNR_DB)
     # [signal]
-    seed: int = _field("signal", _int, 1)
+    seed: int = _field("signal", _seed, 1)
     n_samples: int = _field("signal", _int, 16384)
     bandwidth_fraction: float = _field("signal", _float, 0.25)
     # [model]
@@ -125,13 +129,13 @@ class RunConfig:
     segment_len: int = _field("train", _count, TrainConfig.segment_len)
     max_epochs: int = _field("train", _count, TrainConfig.max_epochs)
     patience: int = _field("train", _count, TrainConfig.patience)
-    train_seed: int = _field("train", _int, TrainConfig.seed, key="seed")
+    train_seed: int = _field("train", _seed, TrainConfig.seed, key="seed")
     # [sweep]
     families: tuple = _field("sweep", _word_list, FAMILIES)
     preset: str = _field("sweep", _word, "high")
     taps_list: tuple = _field("sweep", _count_list, DEFAULT_TAPS_LIST)
-    param_targets: tuple = _field("sweep", _int_list, DEFAULT_PARAM_TARGETS)
-    seeds: tuple = _field("sweep", _int_list, (1, 2, 3))
+    param_targets: tuple = _field("sweep", _count_list, DEFAULT_PARAM_TARGETS)
+    seeds: tuple = _field("sweep", _list_of(_seed), (1, 2, 3))
     budget_lo: int = _field("sweep", _int, DpdModelSpec.budget[0])
     budget_hi: int = _field("sweep", _int, DpdModelSpec.budget[1])
     nn_grid: tuple = _field("sweep", _count_list, DEFAULT_NN_GRID)
@@ -141,13 +145,17 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.kind not in FAMILIES:
             raise FormatError(f"[model] kind must be one of {FAMILIES}, got {self.kind!r}")
-        if self.preset not in PRESET_LEVELS:
-            raise FormatError(f"[sweep] preset must be one of {PRESET_LEVELS}, got {self.preset!r}")
+        if self.preset not in PRESET_DRIVE_DB:
+            raise FormatError(
+                f"[sweep] preset must be one of {tuple(PRESET_DRIVE_DB)}, got {self.preset!r}")
         for fam in self.families:
             if fam not in FAMILIES:
                 raise FormatError(f"[sweep] families entry {fam!r} not one of {FAMILIES}")
         if self.taps < 1 or self.post_taps < 0 or self.post_taps >= self.taps:
             raise FormatError("[model] needs taps >= 1 and 0 <= post_taps < taps")
+        if self.budget_lo > self.budget_hi:
+            raise FormatError(f"[sweep] budget_lo ({self.budget_lo}) exceeds "
+                              f"budget_hi ({self.budget_hi})")
 
     # ------------------------------------------------------------------
     # builders
@@ -162,15 +170,13 @@ class RunConfig:
         )
 
     def pa_for_preset(self, level: str) -> PaConfig:
-        if level not in PRESET_LEVELS:
+        if level not in PRESET_DRIVE_DB:
             raise ValueError(f"unknown preset level {level!r}")
         return self.pa_config(drive_db=PRESET_DRIVE_DB[level])
 
     def preset_label(self) -> str:
-        for level in PRESET_LEVELS:
-            if self.drive_db == PRESET_DRIVE_DB[level]:
-                return level
-        return "custom"
+        return next((level for level, db in PRESET_DRIVE_DB.items() if db == self.drive_db),
+                    "custom")
 
     def window(self) -> TapWindow:
         return TapWindow(pre_taps=self.taps - 1 - self.post_taps, post_taps=self.post_taps)

@@ -19,12 +19,11 @@ import numpy as np
 from . import modelfile
 from .agmpnn import AgmpnnModel, count_params_formula
 from .exceptions import FormatError
-from .mpm import (BasisMatrix, MpmCoefficients, MpmSpec, _require_full_rank, build_basis, ls_fit,
-                  order_blocked_qr)
+from .mpm import MpmCoefficients, fit_orders
 from .pa_sim import PaConfig, pa_forward
 from .rvftdnn import RvftdnnModel, architecture_search, rvftdnn_param_count
 from .signal import ComplexSequence, TapWindow, align, as_samples, generate_waveform, nmse_db
-from .training import TrainConfig, segment_pairs, train, validation_nmse_db
+from .training import TrainConfig, best_fit, segment_pairs, train, validation_nmse_db
 
 MAX_ALIGN_LAG = 8
 EVAL_SEED_OFFSET = 1000
@@ -60,14 +59,17 @@ class DpdModelSpec:
     n2: int = 16
     ridge: Optional[float] = None
     warm_start: bool = True
-    # Candidates to search, keeping the best validation: mpm order counts,
-    # rvftdnn (n1, n2) widths.  None fits the spec's own size.
+    # Candidates to search, one kept by training.best_fit: mpm order counts,
+    # rvftdnn (n1, n2) widths; agmpnn takes none.  None fits the spec's own size.
     search_grid: Optional[tuple] = None
     budget: tuple = (100, 600)
 
     def __post_init__(self) -> None:
         if self.kind not in FAMILIES:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {FAMILIES}")
+        if self.kind == "agmpnn" and self.search_grid is not None:
+            raise ValueError("an agmpnn spec takes no search_grid: it fits its own "
+                             "(k_orders, n_experts)")
 
     def n_params(self) -> int:
         """Real trainable degrees of freedom of this configuration, from its
@@ -128,51 +130,21 @@ def _advance(samples: np.ndarray, delay: int) -> np.ndarray:
 
 def _fit_mpm_orders(psi, phi, window: TapWindow, orders,
                     segment_len: int, ridge) -> list[tuple[MpmCoefficients, float]]:
-    """Least-squares fit at each order count in `orders`: training on the
-    training segments, validation NMSE over the rest.
-
-    Segments come from training.segment_pairs, and each contributes only its
-    interior (TapWindow.interior), as in the training loop, so MPM and
-    trained-model numbers are directly comparable.
-
-    The training basis is built once, at the largest order, one segment at a
-    time, and mpm.order_blocked_qr fills its factor straight from those
-    segment blocks.  Order K's system is the factor's leading T·K block, bit
-    for bit the one a search topped at order K would give, so each order's
-    fit equals a fit at that order alone.  ls_fit solves it with its columns
-    put back in the basis's (l, k) order.  With ridge 0 the block is held to
-    the rank rule of the tall training basis it stands for, so the search
-    refuses exactly what ls_fit refuses on that basis.
-    """
+    """mpm.fit_orders on the training segments of training.segment_pairs, as
+    in the training loop, each fit paired with its validation NMSE."""
     train_pairs, val_pairs = segment_pairs(psi, phi, window, segment_len)
-    rows = window.interior(segment_len)
-    top = MpmSpec(window=window, k_orders=max(orders))
-    target = np.concatenate([seg_phi.samples[rows] for _, seg_phi in train_pairs])
-    r, qh_target = order_blocked_qr(
-        (build_basis(seg_psi, top).data[rows] for seg_psi, _ in train_pairs), top, target)
-    t_taps = window.n_taps
-    fits = []
-    for k in orders:
-        cols = t_taps * k
-        tap_major = np.arange(cols).reshape(k, t_taps).T.reshape(-1)
-        system = BasisMatrix(data=r[:cols, tap_major], spec=MpmSpec(window=window, k_orders=k))
-        if ridge == 0:
-            _require_full_rank(system, target.size)
-        coeffs = ls_fit(system, qh_target[:cols], ridge=ridge)
-        fits.append((coeffs, validation_nmse_db(coeffs, val_pairs, window)))
-    return fits
+    return [(coeffs, validation_nmse_db(coeffs, val_pairs, window))
+            for coeffs in fit_orders(train_pairs, window, orders, ridge)]
 
 
 def fit_model_on_data(psi, phi, spec: DpdModelSpec, cfg: TrainConfig, seed: int = 0) -> FitOutcome:
     """Fit one postinverse family on an already-normalized (psi, phi) pair."""
     if spec.kind == "mpm":
-        # The best validation; ties go to fewer parameters, then the lower order.
         orders = (spec.k_orders,) if spec.search_grid is None else spec.search_grid
         if not orders:
             raise ValueError("the mpm search grid holds no order count")
-        fits = _fit_mpm_orders(psi, phi, spec.window, orders, cfg.segment_len, spec.ridge)
-        coeffs, val = min(fits, key=lambda fit: (fit[1], fit[0].n_params(), fit[0].k_orders))
-        return FitOutcome(model=coeffs, postinv_nmse_db=val)
+        return FitOutcome(*best_fit(_fit_mpm_orders(psi, phi, spec.window, orders,
+                                                    cfg.segment_len, spec.ridge)))
 
     if spec.kind == "agmpnn":
         warm = None
@@ -190,10 +162,9 @@ def fit_model_on_data(psi, phi, spec: DpdModelSpec, cfg: TrainConfig, seed: int 
 
     # rvftdnn
     if spec.search_grid is not None:
-        result = architecture_search(spec.window, psi, phi, cfg, grid=spec.search_grid,
-                                     budget_lo=spec.budget[0], budget_hi=spec.budget[1],
-                                     seed=seed)
-        return FitOutcome(model=result.model, postinv_nmse_db=result.val_nmse_db)
+        return FitOutcome(*architecture_search(spec.window, psi, phi, cfg, spec.search_grid,
+                                               budget_lo=spec.budget[0],
+                                               budget_hi=spec.budget[1], seed=seed))
     model = RvftdnnModel.init(spec.window, spec.n1, spec.n2, seed=seed)
     trained, history = train(model, psi, phi, cfg)
     return FitOutcome(model=trained, postinv_nmse_db=history.best_val_nmse_db())

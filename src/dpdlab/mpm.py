@@ -139,6 +139,7 @@ def ls_fit(basis: BasisMatrix, targets, ridge: float | None = None) -> "MpmCoeff
     ridge=None applies the default ridge of RIDGE_DEFAULT_REL times the mean
     diagonal of the normal matrix; an explicit ridge of 0 demands full column
     rank and raises ConditioningError naming the dependent columns otherwise.
+    An explicit ridge that is negative or not finite raises ValueError.
     """
     phi = as_samples(targets)
     data = basis.data
@@ -146,8 +147,8 @@ def ls_fit(basis: BasisMatrix, targets, ridge: float | None = None) -> "MpmCoeff
     _check_system(rows, cols, phi.size)
     if ridge is None:
         ridge = RIDGE_DEFAULT_REL * float(np.mean(np.sum(np.abs(data) ** 2, axis=0)))
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
+    elif not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and non-negative, got {ridge}")
     if ridge > 0:
         aug = np.vstack([data, np.sqrt(ridge) * np.eye(cols, dtype=np.complex128)])
         rhs = np.concatenate([phi, np.zeros(cols, dtype=np.complex128)])
@@ -204,6 +205,33 @@ def order_blocked_qr(blocks, spec: MpmSpec, targets) -> tuple[np.ndarray, np.nda
         q[:, block], r[block, block] = np.linalg.qr(rest)
         qh_phi[block] = q[:, block].conj().T @ phi
     return r, qh_phi
+
+
+def fit_orders(pairs, window: TapWindow, orders,
+               ridge: float | None = None) -> list["MpmCoefficients"]:
+    """ls_fit at each order count in `orders`, on the interiors
+    (TapWindow.interior) of the (input, target) segment pairs.
+
+    The basis is built once, at the largest order, one segment at a time, into
+    order_blocked_qr's factor.  Order K's system is the factor's leading T·K
+    block, its columns put back in (l, k) order: bit for bit the system of a
+    fit at order K alone.  With ridge 0 that block is held to the rank rule of
+    the tall basis it stands for, so the search refuses what ls_fit refuses.
+    """
+    top = MpmSpec(window=window, k_orders=max(orders))
+    interiors = [window.interior(len(psi)) for psi, _ in pairs]
+    target = np.concatenate([as_samples(phi)[rows] for (_, phi), rows in zip(pairs, interiors)])
+    blocks = (build_basis(psi, top).data[rows] for (psi, _), rows in zip(pairs, interiors))
+    r, qh_target = order_blocked_qr(blocks, top, target)
+    fits = []
+    for k in orders:
+        cols = window.n_taps * k
+        tap_major = np.arange(cols).reshape(k, window.n_taps).T.reshape(-1)
+        system = BasisMatrix(data=r[:cols, tap_major], spec=MpmSpec(window=window, k_orders=k))
+        if ridge == 0:
+            _require_full_rank(system, target.size)
+        fits.append(ls_fit(system, qh_target[:cols], ridge=ridge))
+    return fits
 
 
 @dataclass(frozen=True)

@@ -73,9 +73,9 @@ def coeffs_from_rule(rho: float, sigma: float, l_pa: int, k_pa: int,
 
 
 def preset(level: str) -> PaConfig:
-    """Frozen 'low' / 'high' distortion configurations (drive -9 / -3 dB)."""
+    """A frozen distortion configuration, at the drive PRESET_DRIVE_DB names it by."""
     if level not in PRESET_DRIVE_DB:
-        raise ValueError(f"unknown preset {level!r}; expected 'low' or 'high'")
+        raise ValueError(f"unknown preset {level!r}; expected one of {tuple(PRESET_DRIVE_DB)}")
     return PaConfig(
         coeffs=coeffs_from_rule(PRESET_RHO, PRESET_SIGMA, PRESET_L_PA, PRESET_K_PA),
         drive_db=PRESET_DRIVE_DB[level],

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import modelfile
 from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix
-from .training import train
+from .training import best_fit, train
 
 MODEL_KIND = "rvftdnn"
 
@@ -137,45 +137,21 @@ def rvftdnn_param_count(n_taps: int, n1: int, n2: int) -> int:
     return RvftdnnModel.PARAMS.count({"n_taps": n_taps, "n1": n1, "n2": n2})
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    n1: int
-    n2: int
-    val_nmse_db: float
-    param_count: int
-    model: RvftdnnModel
-
-
-def default_search_grid(lo: int = 8, hi: int = 20, step: int = 1):
-    """All (n1, n2) pairs with both widths in [lo, hi]."""
-    values = range(lo, hi + 1, step)
-    return tuple((a, b) for a in values for b in values)
-
-
-def architecture_search(window: TapWindow, psi, phi, cfg, grid=None,
+def architecture_search(window: TapWindow, psi, phi, cfg, grid,
                         budget_lo: int = 100, budget_hi: int = 600,
-                        seed: int = 0) -> SearchResult:
-    """Exhaustively train every grid pair within the parameter budget.
+                        seed: int = 0) -> tuple[RvftdnnModel, float]:
+    """Train every grid pair within the parameter budget.
 
-    Returns the pair with the best validation NMSE; ties break toward the
-    smaller parameter count, then lexicographic (n1, n2).  Raises ValueError
-    when no grid entry fits the budget.
+    Returns best_fit's (model, validation NMSE) pick of the trained
+    candidates.  Raises ValueError when no grid entry fits the budget.
     """
-    if grid is None:
-        grid = default_search_grid()
-    t_taps = window.n_taps
     feasible = [(n1, n2) for n1, n2 in grid
-                if budget_lo <= rvftdnn_param_count(t_taps, n1, n2) <= budget_hi]
+                if budget_lo <= rvftdnn_param_count(window.n_taps, n1, n2) <= budget_hi]
     if not feasible:
         raise ValueError(
             f"no (n1, n2) in the search grid fits the parameter budget [{budget_lo}, {budget_hi}]")
-    best = None
-    for n1, n2 in sorted(feasible):
-        model = RvftdnnModel.init(window, n1, n2, seed=seed)
-        trained, history = train(model, psi, phi, cfg)
-        count = trained.n_params()
-        key = (history.val_nmse_db[history.epochs.index(history.best_epoch)], count, n1, n2)
-        if best is None or key < best[0]:
-            best = (key, SearchResult(n1=n1, n2=n2, val_nmse_db=key[0],
-                                      param_count=count, model=trained))
-    return best[1]
+    fits = []
+    for n1, n2 in feasible:
+        trained, history = train(RvftdnnModel.init(window, n1, n2, seed=seed), psi, phi, cfg)
+        fits.append((trained, history.best_val_nmse_db()))
+    return best_fit(fits)

@@ -156,6 +156,14 @@ def validation_nmse_db(model, pairs, window) -> float:
     return max(10.0 * float(np.log10(num / den)), NMSE_FLOOR_DB)
 
 
+def best_fit(fits):
+    """The model-selection rule of every candidate search: the (model,
+    val_nmse_db) pair of best validation; ties go to fewer parameters, then to
+    smaller sizes in the order of the family's PARAMS.sizes."""
+    return min(fits, key=lambda fit: (fit[1], fit[0].n_params(),
+                                      tuple(getattr(fit[0], s) for s in fit[0].PARAMS.sizes)))
+
+
 def _segment_loss(model, pair, window) -> float:
     seg_psi, seg_phi = pair
     rows = window.interior(len(seg_psi))

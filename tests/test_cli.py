@@ -61,6 +61,33 @@ def test_non_positive_iterations_is_a_usage_error(capsys):
         assert "--iterations" in capsys.readouterr().err
 
 
+def test_negative_seeds_are_usage_errors_naming_the_flag(tmp_path, capsys):
+    wave = str(tmp_path / "w.iq")
+    for argv, flag in (
+            (["gen-signal", "--seed", "-1", "--n", "64", "--out", wave], "--seed"),
+            (["fit", "--model", "mpm", "--seed", "-2", "--in", wave, "--target", wave,
+              "--out", wave], "--seed"),
+            (["gradcheck", "--seed", "-3"], "--seed"),
+            (["simulate-pa", "--in", wave, "--out", wave, "--noise-seed", "-4"], "--noise-seed")):
+        assert dispatch(argv) == 1
+        assert f"argument {flag}: must be at least 0" in capsys.readouterr().err
+
+
+def test_a_preset_is_declared_once(monkeypatch):
+    # A drive level added to PRESET_DRIVE_DB is a preset to pa_sim, to the
+    # run configuration and to `simulate-pa --preset`.
+    from dpdlab import cli, pa_sim
+    monkeypatch.setitem(pa_sim.PRESET_DRIVE_DB, "mid", -6.0)
+    assert preset("mid").drive_db == -6.0
+    assert parse_config("[sweep]\npreset = mid\n").pa_for_preset("mid").drive_db == -6.0
+    args = cli.build_parser().parse_args(["simulate-pa", "--in", "a", "--out", "b",
+                                          "--preset", "mid"])
+    assert args.preset == "mid"
+    monkeypatch.delitem(pa_sim.PRESET_DRIVE_DB, "mid")
+    with pytest.raises(ValueError, match=r"expected one of \('low', 'high'\)$"):
+        preset("mid")
+
+
 # === waveform commands ===
 
 def test_gen_signal_writes_binary_waveform(tmp_path, capsys):
@@ -123,6 +150,19 @@ def test_fit_and_eval_agree_on_polynomial_residual(tmp_path, capsys):
     expected = nmse_db(model.predict(deserialize_iq(psi_path)), deserialize_iq(chi_path))
     assert abs(printed - expected) < 1e-9
     assert expected < -25.0  # postinverse actually fits
+
+
+def test_fit_rejects_a_non_finite_ridge(tmp_path, capsys):
+    chi = str(tmp_path / "chi.iq")
+    out = tmp_path / "post.model"
+    assert dispatch(["gen-signal", "--seed", "7", "--n", "4096", "--out", chi]) == 0
+    for model, ridge in (("mpm", "nan"), ("mpm", "inf"), ("mpm", "-1"), ("agmpnn", "nan")):
+        capsys.readouterr()
+        assert dispatch(["fit", "--model", model, "--ridge", ridge,
+                         "--in", chi, "--target", chi, "--out", str(out)]) == 2
+        assert (f"ridge must be finite and non-negative, got {float(ridge)}"
+                in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_fit_rejects_length_mismatch(tmp_path):

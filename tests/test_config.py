@@ -133,11 +133,31 @@ def test_non_finite_float_names_line_and_key(section, key, value):
     ("train", "segment_len", "0"),
     ("train", "max_epochs", "0"),
     ("train", "patience", "-3"),
+    ("sweep", "param_targets", "0, -5"),
 ])
 def test_count_below_one_names_line_and_key(section, key, value):
     with pytest.raises(FormatError) as err:
         parse_config(f"[{section}]\n{key} = {value}\n", path="run.cfg")
     assert str(err.value).startswith(f"run.cfg:2: bad value for {key!r}: ")
+
+
+@pytest.mark.parametrize("section, key, value, bad", [
+    ("signal", "seed", "-1", "-1"),
+    ("train", "seed", "-2", "-2"),
+    ("sweep", "seeds", "1, -3", "-3"),
+])
+def test_negative_seed_names_line_and_key(section, key, value, bad):
+    with pytest.raises(FormatError) as err:
+        parse_config(f"[{section}]\n{key} = {value}\n", path="run.cfg")
+    assert str(err.value) == (
+        f"run.cfg:2: bad value for {key!r}: expected an integer of at least 0, got {bad!r}")
+
+
+def test_inverted_budget_names_the_section():
+    with pytest.raises(FormatError) as err:
+        parse_config("[sweep]\nbudget_lo = 600\nbudget_hi = 100\n", path="run.cfg")
+    assert str(err.value) == "run.cfg: [sweep] budget_lo (600) exceeds budget_hi (100)"
+    assert parse_config("[sweep]\nbudget_lo = 300\nbudget_hi = 300\n").budget_hi == 300
 
 
 def test_key_outside_section():

@@ -288,6 +288,25 @@ def test_order_search_fits_equal_single_order_fits():
         assert val == single.postinv_nmse_db
 
 
+def test_mpm_search_keeps_the_best_validation_then_fewer_parameters_then_lower_order():
+    # Oracle: the fit of minimum (validation, count, order).
+    chi = generate_waveform(3, 2048, 0.25)
+    psi = pa_forward(preset("high"), chi, noise_seed=3)
+    window = TapWindow(pre_taps=3, post_taps=1)
+    orders = (4, 2, 3, 1)
+    fits = _fit_mpm_orders(psi.samples, chi.samples, window, orders, 512, None)
+    expected, val = min(fits, key=lambda fit: (fit[1], fit[0].n_params(), fit[0].k_orders))
+    spec = DpdModelSpec(kind="mpm", window=window, search_grid=orders)
+    outcome = fit_model_on_data(psi, chi, spec, TrainConfig(segment_len=512))
+    assert outcome.postinv_nmse_db == val
+    assert np.array_equal(outcome.model.coeff, expected.coeff)
+
+
+def test_agmpnn_spec_rejects_a_search_grid():
+    with pytest.raises(ValueError, match="agmpnn spec takes no search_grid"):
+        DpdModelSpec(kind="agmpnn", window=TapWindow(pre_taps=2), search_grid=((3, 3),))
+
+
 def test_order_search_fits_match_tall_least_squares_fits():
     # Oracle: every order of a 10-tap search, fitted from the one factor,
     # matches ls_fit on that order's own tall basis gathered from the same

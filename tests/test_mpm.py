@@ -168,6 +168,15 @@ def test_ls_fit_shape_errors():
         ls_fit(basis, x.samples, ridge=-1.0)
 
 
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf")])
+def test_ls_fit_rejects_a_negative_or_non_finite_ridge(ridge):
+    # NaN fails both `< 0` and `> 0`, so unchecked it acts as ridge 0; inf
+    # would reach LAPACK.
+    x = generate_waveform(8, 64, 0.5)
+    with pytest.raises(ValueError, match=f"^ridge must be finite and non-negative, got {ridge}$"):
+        ls_fit(build_basis(x, _spec()), x.samples, ridge=ridge)
+
+
 def test_singular_system_names_dependent_columns():
     # A constant-amplitude input makes every order of a tap proportional to
     # the linear column, so an exact fit must refuse and say which columns.

@@ -12,7 +12,7 @@ from dpdlab import (
     generate_waveform,
     rvftdnn_param_count,
 )
-from dpdlab.rvftdnn import default_search_grid
+from dpdlab.training import train
 
 import reference_impls as ref
 
@@ -148,21 +148,15 @@ def test_param_vector_round_trip():
 
 # === architecture search ===
 
-def test_default_search_grid():
-    grid = default_search_grid(8, 10)
-    assert grid == ((8, 8), (8, 9), (8, 10), (9, 8), (9, 9), (9, 10),
-                    (10, 8), (10, 9), (10, 10))
-
-
 def test_search_singleton_grid_returns_that_pair():
     x = generate_waveform(7, 1024, 0.25)
     y = x.samples * (1.0 - 0.1 * np.abs(x.samples) ** 2)
     cfg = TrainConfig(max_epochs=3, segment_len=256)
-    res = architecture_search(TapWindow(pre_taps=3), x, y, cfg, grid=((16, 16),))
-    assert (res.n1, res.n2) == (16, 16)
-    assert res.param_count == rvftdnn_param_count(4, 16, 16)
-    assert np.isfinite(res.val_nmse_db)
-    assert isinstance(res.model, RvftdnnModel)
+    model, val = architecture_search(TapWindow(pre_taps=3), x, y, cfg, ((16, 16),))
+    assert (model.n1, model.n2) == (16, 16)
+    assert model.n_params() == rvftdnn_param_count(4, 16, 16)
+    assert np.isfinite(val)
+    assert isinstance(model, RvftdnnModel)
 
 
 def test_search_respects_budget():
@@ -170,10 +164,9 @@ def test_search_respects_budget():
     y = x.samples
     cfg = TrainConfig(max_epochs=2, segment_len=256)
     with pytest.raises(ValueError):
-        architecture_search(TapWindow(pre_taps=3), x, y, cfg, grid=((25, 25),))
-    res = architecture_search(TapWindow(pre_taps=3), x, y, cfg,
-                              grid=((2, 2), (12, 12)))
-    assert (res.n1, res.n2) == (12, 12)  # (2, 2) falls below the 100-param floor
+        architecture_search(TapWindow(pre_taps=3), x, y, cfg, ((25, 25),))
+    model, _ = architecture_search(TapWindow(pre_taps=3), x, y, cfg, ((2, 2), (12, 12)))
+    assert (model.n1, model.n2) == (12, 12)  # (2, 2) falls below the 100-param floor
 
 
 def test_search_is_deterministic():
@@ -181,11 +174,30 @@ def test_search_is_deterministic():
     y = x.samples * (1.0 - (0.05 + 0.02j) * np.abs(x.samples) ** 2)
     cfg = TrainConfig(max_epochs=3, segment_len=256)
     grid = ((10, 10), (12, 8))
-    a = architecture_search(TapWindow(pre_taps=3), x, y, cfg, grid=grid)
-    b = architecture_search(TapWindow(pre_taps=3), x, y, cfg, grid=grid)
+    a, a_val = architecture_search(TapWindow(pre_taps=3), x, y, cfg, grid)
+    b, b_val = architecture_search(TapWindow(pre_taps=3), x, y, cfg, grid)
     assert (a.n1, a.n2) == (b.n1, b.n2)
-    assert a.val_nmse_db == b.val_nmse_db
-    assert np.array_equal(a.model.param_vector(), b.model.param_vector())
+    assert a_val == b_val
+    assert np.array_equal(a.param_vector(), b.param_vector())
+
+
+def test_search_keeps_the_best_validation_then_fewer_parameters_then_smaller_widths():
+    # Oracle: train each candidate by hand and keep the minimum of
+    # (validation, count, n1, n2).
+    x = generate_waveform(9, 1024, 0.25)
+    y = x.samples * (1.0 - (0.05 + 0.02j) * np.abs(x.samples) ** 2)
+    cfg = TrainConfig(max_epochs=3, segment_len=256)
+    window = TapWindow(pre_taps=3)
+    grid = ((12, 8), (10, 10), (8, 12), (9, 9))
+    model, val = architecture_search(window, x, y, cfg, grid)
+    keyed = []
+    for n1, n2 in sorted(grid):
+        trained, history = train(RvftdnnModel.init(window, n1, n2), x, y, cfg)
+        keyed.append(((history.best_val_nmse_db(), trained.n_params(), n1, n2), trained))
+    key, expected = min(keyed, key=lambda item: item[0])
+    assert val == key[0]
+    assert (model.n1, model.n2) == key[2:]
+    assert np.array_equal(model.param_vector(), expected.param_vector())
 
 
 # === persistence ===

@@ -23,8 +23,10 @@ from dpdlab import (
     train,
 )
 from dpdlab.signal import NMSE_FLOOR_DB, FramedSequence
+from dpdlab.mpm import MpmCoefficients, MpmSpec
 from dpdlab.training import (
     VAL_EVERY,
+    best_fit,
     segment_ranges,
     split_segments,
     validation_nmse_db,
@@ -155,6 +157,54 @@ def test_validation_nmse_skips_window_edges():
     got = validation_nmse_db(model, [(ComplexSequence(bad_edge), ComplexSequence(bad_edge))],
                              TapWindow(pre_taps=1))
     assert got == NMSE_FLOOR_DB
+
+
+# === model selection ===
+
+def _mpm(k, n_taps=2):
+    window = TapWindow(pre_taps=n_taps - 1)
+    return MpmCoefficients(spec=MpmSpec(window=window, k_orders=k),
+                           coeff=np.zeros((n_taps, k), dtype=complex))
+
+
+def _rvftdnn(n1, n2, n_taps=1):
+    return RvftdnnModel.init(TapWindow(pre_taps=n_taps - 1), n1, n2)
+
+
+def test_best_fit_takes_the_best_validation_whatever_the_size():
+    fits = [(_mpm(1), -20.0), (_mpm(4), -21.0), (_mpm(2), -20.5)]
+    assert best_fit(fits) == fits[1]
+
+
+def test_best_fit_breaks_a_validation_tie_toward_fewer_parameters():
+    fits = [(_mpm(3), -20.0), (_mpm(2), -20.0), (_mpm(4), -19.0)]
+    assert best_fit(fits) == fits[1]
+    fits = [(_rvftdnn(4, 4), -15.0), (_rvftdnn(6, 2), -15.0), (_rvftdnn(2, 2), -15.0)]
+    assert best_fit(fits) == fits[2]
+
+
+def test_best_fit_breaks_a_parameter_tie_toward_smaller_sizes():
+    # With one tap, (1, 3) and (3, 1) both have 17 parameters.
+    wide, narrow = _rvftdnn(3, 1), _rvftdnn(1, 3)
+    assert wide.n_params() == narrow.n_params() == 17
+    for fits in ([(wide, -15.0), (narrow, -15.0)], [(narrow, -15.0), (wide, -15.0)]):
+        assert best_fit(fits)[0] is narrow
+
+
+def test_best_fit_matches_each_search_key():
+    # Oracles: min (validation, count, order) for the order search and min
+    # (validation, count, n1, n2) for the width search.  Planted validation
+    # ties make the count and size tie-breaks decide.
+    rng = np.random.default_rng(4)
+    mpm = [_mpm(k, t) for k in (1, 2, 3, 4) for t in (1, 2, 3)]
+    nets = [_rvftdnn(a, b, t) for a in (1, 2, 3) for b in (1, 2, 3) for t in (1, 2)]
+    for models, old_key in (
+            (mpm, lambda fit: (fit[1], fit[0].n_params(), fit[0].k_orders)),
+            (nets, lambda fit: (fit[1], fit[0].n_params(), fit[0].n1, fit[0].n2))):
+        for _ in range(50):
+            picked = rng.permutation(len(models))[:6]
+            fits = [(models[i], float(rng.choice([-20.0, -21.0]))) for i in picked]
+            assert best_fit(fits) is min(fits, key=old_key)
 
 
 # === rigged models for loop-control tests ===
