@@ -47,6 +47,17 @@ REPORT_COLUMNS = ("family", "preset", "taps", "k_orders", "m_experts", "params_f
 REPORT_HEADER = ",".join(REPORT_COLUMNS)
 
 
+def _check_families(families) -> None:
+    for kind in families:
+        if kind not in FAMILIES:
+            raise ValueError(f"unknown model kind {kind!r}; expected one of {FAMILIES}")
+
+
+def _check_budget(budget) -> None:
+    if budget[0] > budget[1]:
+        raise ValueError(f"budget lower bound {budget[0]} exceeds upper bound {budget[1]}")
+
+
 @dataclass(frozen=True)
 class DpdModelSpec:
     """Which model family to fit, and its hyperparameters."""
@@ -65,15 +76,16 @@ class DpdModelSpec:
     budget: tuple = (100, 600)
 
     def __post_init__(self) -> None:
-        if self.kind not in FAMILIES:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {FAMILIES}")
+        _check_families((self.kind,))
         if self.kind == "agmpnn" and self.search_grid is not None:
             raise ValueError("an agmpnn spec takes no search_grid: it fits its own "
                              "(k_orders, n_experts)")
+        _check_budget(self.budget)
+        if self.ridge is not None and not 0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge must be finite and non-negative, got {self.ridge}")
 
     def n_params(self) -> int:
-        """Real trainable degrees of freedom of this configuration, from its
-        family's parameter table."""
+        """Trainable parameter count, from the family's parameter table."""
         table = MODEL_CLASSES[self.kind].PARAMS
         return table.count(table.dims(self))
 
@@ -147,15 +159,12 @@ def fit_model_on_data(psi, phi, spec: DpdModelSpec, cfg: TrainConfig, seed: int 
                                                     cfg.segment_len, spec.ridge)))
 
     if spec.kind == "agmpnn":
-        warm = None
-        warm_val = None
+        warm, warm_val = None, None
         if spec.warm_start:
             [(warm, warm_val)] = _fit_mpm_orders(psi, phi, spec.window, (spec.k_orders,),
                                                  cfg.segment_len, spec.ridge)
-        model = AgmpnnModel.init(spec.window, spec.k_orders, spec.n_experts,
-                                 warm_start=warm, seed=seed,
-                                 calibration=psi,
-                                 perturb=0.0 if warm is not None else 1e-3)
+        model = AgmpnnModel.init(spec.window, spec.k_orders, spec.n_experts, warm_start=warm,
+                                 seed=seed, calibration=psi, perturb=0.0)
         trained, history = train(model, psi, phi, cfg)
         return FitOutcome(model=trained, postinv_nmse_db=history.best_val_nmse_db(),
                           warm_start_nmse_db=warm_val)
@@ -185,47 +194,28 @@ class PaObservation:
     gain: complex
 
 
+def _pa_aligned(pa: PaConfig, drive, reference, noise_seed: int | None):
+    """Run the PA on `drive`, align its output onto `reference` and advance it
+    by the found delay; returns the advanced output and the alignment."""
+    psi = pa_forward(pa, drive, noise_seed=noise_seed)
+    aligned = align(reference, psi, MAX_ALIGN_LAG)
+    return _advance(psi.samples, aligned.delay), aligned
+
+
 def observe_pa(pa: PaConfig, phi, noise_seed: int) -> PaObservation:
     """Drive the PA with `phi` and align its noisy output onto the drive."""
-    psi = pa_forward(pa, phi, noise_seed=noise_seed)
-    aligned = align(phi, psi, MAX_ALIGN_LAG)
-    psi_norm = _advance(psi.samples, aligned.delay) / aligned.gain
+    psi, aligned = _pa_aligned(pa, phi, phi, noise_seed)
+    psi_norm = psi / aligned.gain
     psi_norm.flags.writeable = False  # shared by every cell of a sweep seed
     return PaObservation(phi=as_samples(phi), psi_norm=psi_norm,
                          delay=aligned.delay, gain=aligned.gain)
 
 
-def fit_predistorter(pa: PaConfig, chi: ComplexSequence, spec: DpdModelSpec,
-                     cfg: TrainConfig, seed: int = 0, n_iterations: int = 1,
-                     first_pass: PaObservation | None = None) -> FitOutcome:
-    """Indirect-learning fit: drive the PA, learn the postinverse of its output.
-
-    Each pass fits on observe_pa's aligned, normalized output.  With
-    n_iterations > 1 the freshly fitted model predistorts the next pass's
-    drive; the first pass always drives the PA with chi directly.  A caller
-    that already holds that first pass, observe_pa(pa, chi, seed), passes it
-    as `first_pass` and it is not observed again.
-    """
-    if n_iterations < 1:
-        raise ValueError("n_iterations must be at least 1")
-    observed = first_pass if first_pass is not None else observe_pa(pa, chi, seed)
-    outcome = None
-    for it in range(n_iterations):
-        if it:
-            observed = observe_pa(pa, outcome.model.predict(chi), seed + it)
-        outcome = fit_model_on_data(observed.psi_norm, observed.phi, spec, cfg, seed=seed)
-        outcome.gain = observed.gain
-        outcome.delay = observed.delay
-    return outcome
-
-
 def linearization_nmse_db(pa: PaConfig, dpd_model, chi: ComplexSequence) -> tuple[float, complex]:
     """Deploy the postinverse as predistorter; NMSE of PA output vs gain * chi."""
     drive = dpd_model.predict(chi) if dpd_model is not None else chi
-    psi = pa_forward(pa, drive, noise_seed=None)
-    aligned = align(chi, psi, MAX_ALIGN_LAG)
-    psi_c = _advance(psi.samples, aligned.delay)
-    return nmse_db(psi_c, aligned.gain * chi.samples), aligned.gain
+    psi, aligned = _pa_aligned(pa, drive, chi, None)
+    return nmse_db(psi, aligned.gain * chi.samples), aligned.gain
 
 
 @dataclass(frozen=True)
@@ -233,7 +223,6 @@ class IlaDrive:
     """The drive stage's result: everything the cells of one (PA, seed) share."""
 
     seed: int
-    eval_seed: int
     chi_fit: ComplexSequence
     chi_eval: ComplexSequence
     first_pass: PaObservation
@@ -241,26 +230,40 @@ class IlaDrive:
 
 
 def drive_ila(pa: PaConfig, seed: int, n_samples: int = 16384,
-              bandwidth_fraction: float = 0.25, eval_seed: int | None = None) -> IlaDrive:
+              bandwidth_fraction: float = 0.25) -> IlaDrive:
     """Drive stage of a cell, a pure function of its arguments: the fitting and
-    evaluation waveforms, the first fitting pass and the no-DPD baseline.
-
-    The two waveforms use distinct seeds (eval defaults to seed + 1000);
-    feedback noise applies only to the fitting pass.
-    """
-    if eval_seed is None:
-        eval_seed = seed + EVAL_SEED_OFFSET
+    evaluation (seed + EVAL_SEED_OFFSET) waveforms, the first fitting pass and
+    the no-DPD baseline.  Feedback noise applies only to the fitting pass."""
     chi_fit = generate_waveform(seed, n_samples, bandwidth_fraction)
-    chi_eval = generate_waveform(eval_seed, n_samples, bandwidth_fraction)
+    chi_eval = generate_waveform(seed + EVAL_SEED_OFFSET, n_samples, bandwidth_fraction)
     no_dpd, _ = linearization_nmse_db(pa, None, chi_eval)
-    return IlaDrive(seed=seed, eval_seed=eval_seed, chi_fit=chi_fit, chi_eval=chi_eval,
+    return IlaDrive(seed=seed, chi_fit=chi_fit, chi_eval=chi_eval,
                     first_pass=observe_pa(pa, chi_fit, seed), no_dpd_nmse_db=no_dpd)
 
 
-def _deployed_report(pa: PaConfig, preset_label: str, drive: IlaDrive,
-                     outcome: FitOutcome) -> IlaReport:
-    """Deploy a fitted postinverse on the drive's evaluation waveform; assemble
-    the report, reading the family, sizes and parameter count off the model."""
+def fit_predistorter(pa: PaConfig, drive: IlaDrive, spec: DpdModelSpec, cfg: TrainConfig,
+                     n_iterations: int = 1) -> FitOutcome:
+    """Indirect-learning fit of the postinverse, starting from the drive's first
+    pass.  Each later pass `it` observes the PA driven by the last fit's
+    predistortion of chi_fit, with noise seed drive.seed + it; the outcome
+    carries the last pass's gain and delay."""
+    if n_iterations < 1:
+        raise ValueError("n_iterations must be at least 1")
+    observed = drive.first_pass
+    for it in range(n_iterations):
+        if it:
+            observed = observe_pa(pa, outcome.model.predict(drive.chi_fit), drive.seed + it)
+        outcome = fit_model_on_data(observed.psi_norm, observed.phi, spec, cfg, seed=drive.seed)
+    outcome.gain, outcome.delay = observed.gain, observed.delay
+    return outcome
+
+
+def run_ila_cell(pa: PaConfig, preset_label: str, spec: DpdModelSpec, drive: IlaDrive,
+                 cfg: TrainConfig | None = None, n_iterations: int = 1) -> IlaReport:
+    """Cell stage: fit one spec on the drive (fit_predistorter), deploy it on the
+    drive's evaluation waveform and report, reading the family, sizes and
+    parameter count off the fitted model."""
+    outcome = fit_predistorter(pa, drive, spec, cfg or TrainConfig(), n_iterations)
     model = outcome.model
     lin, _ = linearization_nmse_db(pa, model, drive.chi_eval)
     kind = model.PARAMS.kind
@@ -273,35 +276,18 @@ def _deployed_report(pa: PaConfig, preset_label: str, drive: IlaDrive,
         k_orders=dims.get("k_orders"), m_experts=dims.get("n_experts"),
         params_formula=formula, params_actual=actual,
         postinv_nmse_db=outcome.postinv_nmse_db, lin_nmse_db=lin,
-        no_dpd_nmse_db=drive.no_dpd_nmse_db, eval_seed=drive.eval_seed, gain=outcome.gain,
-        warm_start_nmse_db=outcome.warm_start_nmse_db,
+        no_dpd_nmse_db=drive.no_dpd_nmse_db, eval_seed=drive.seed + EVAL_SEED_OFFSET,
+        gain=outcome.gain, warm_start_nmse_db=outcome.warm_start_nmse_db,
         n1=dims.get("n1"), n2=dims.get("n2"),
         improved=bool(lin <= drive.no_dpd_nmse_db),
     )
 
 
-def run_ila_cell(pa: PaConfig, preset_label: str, spec: DpdModelSpec, drive: IlaDrive,
-                 cfg: TrainConfig | None = None, n_iterations: int = 1) -> IlaReport:
-    """Cell stage: fit one spec on the drive's first pass, deploy it, report.
-
-    With n_iterations > 1 only the first pass comes from the drive.
-    """
-    cfg = cfg or TrainConfig()
-    outcome = fit_predistorter(pa, drive.chi_fit, spec, cfg, seed=drive.seed,
-                               n_iterations=n_iterations, first_pass=drive.first_pass)
-    return _deployed_report(pa, preset_label, drive, outcome)
-
-
 def run_ila(pa: PaConfig, preset_label: str, spec: DpdModelSpec, seed: int,
             n_samples: int = 16384, bandwidth_fraction: float = 0.25,
-            cfg: TrainConfig | None = None, eval_seed: int | None = None,
-            n_iterations: int = 1) -> IlaReport:
-    """Full cell: the drive stage (drive_ila), then the cell stage (run_ila_cell).
-
-    The fitting and evaluation waveforms use distinct seeds (eval defaults to
-    seed + 1000); feedback noise applies only during fitting.
-    """
-    drive = drive_ila(pa, seed, n_samples, bandwidth_fraction, eval_seed)
+            cfg: TrainConfig | None = None, n_iterations: int = 1) -> IlaReport:
+    """Full cell: the drive stage (drive_ila), then the cell stage (run_ila_cell)."""
+    drive = drive_ila(pa, seed, n_samples, bandwidth_fraction)
     return run_ila_cell(pa, preset_label, spec, drive, cfg, n_iterations)
 
 
@@ -315,7 +301,7 @@ def _sweep(cells, seeds, n_samples: int, bandwidth_fraction: float,
     """One report row per (family, taps, preset, pa, spec) cell and seed, in
     that order; a cell without a spec gets blank (infeasible) rows.  Cells of
     one (preset, seed) share its drive stage, computed once per call."""
-    cfg = cfg or TrainConfig()
+    _check_families(family for family, *_ in cells)
     drives = {}
     rows = []
     for family, taps, preset_label, pa, spec in cells:
@@ -355,6 +341,7 @@ def sweep_taps(pa: PaConfig, preset_label: str, taps_list=DEFAULT_TAPS_LIST,
     """Tap-count sweep: AGMPNN fixed at (K=3, M=3), RVFTDNN architecture-searched
     within the budget, MPM at its best order within budget.  A family with no
     configuration inside the budget gets a blank (infeasible) row."""
+    _check_budget(budget)
     cells = [(family, taps, preset_label, pa,
               _tap_sweep_spec(family, TapWindow(pre_taps=taps - 1), budget, nn_grid, mpm_k_grid))
              for family in families for taps in taps_list]
@@ -382,11 +369,9 @@ def _closest_spec(family: str, window: TapWindow, target: int, mpm_k_grid) -> Dp
     return spec if abs(spec.n_params() - target) <= TARGET_TOLERANCE * target else None
 
 
-def sweep_complexity(pa_by_preset: dict, taps: int = 7,
-                     param_targets=DEFAULT_PARAM_TARGETS, seeds=(1, 2, 3),
-                     families=FAMILIES, n_samples: int = 16384,
-                     bandwidth_fraction: float = 0.25,
-                     cfg: TrainConfig | None = None,
+def sweep_complexity(pa_by_preset: dict, taps: int = 7, param_targets=DEFAULT_PARAM_TARGETS,
+                     seeds=(1, 2, 3), families=FAMILIES, n_samples: int = 16384,
+                     bandwidth_fraction: float = 0.25, cfg: TrainConfig | None = None,
                      mpm_k_grid=DEFAULT_MPM_K_GRID) -> list[IlaReport]:
     """Complexity sweep at fixed taps: per family, pick the configuration whose
     trainable parameter count comes closest to each target; a cell further than

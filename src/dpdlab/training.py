@@ -46,6 +46,8 @@ class TrainConfig:
             raise ValueError("batch_size and segment_len must be at least 1")
         if self.max_epochs < 1 or self.patience < 1:
             raise ValueError("max_epochs and patience must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

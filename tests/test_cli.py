@@ -156,9 +156,11 @@ def test_fit_rejects_a_non_finite_ridge(tmp_path, capsys):
     chi = str(tmp_path / "chi.iq")
     out = tmp_path / "post.model"
     assert dispatch(["gen-signal", "--seed", "7", "--n", "4096", "--out", chi]) == 0
-    for model, ridge in (("mpm", "nan"), ("mpm", "inf"), ("mpm", "-1"), ("agmpnn", "nan")):
+    # rvftdnn and a cold-started agmpnn never reach ls_fit; the model spec checks their ridge.
+    for model, ridge in (("mpm", "nan"), ("mpm", "inf"), ("mpm", "-1"), ("agmpnn", "nan"),
+                         ("rvftdnn", "nan"), ("agmpnn --cold-start", "nan")):
         capsys.readouterr()
-        assert dispatch(["fit", "--model", model, "--ridge", ridge,
+        assert dispatch(["fit", "--model", *model.split(), "--ridge", ridge,
                          "--in", chi, "--target", chi, "--out", str(out)]) == 2
         assert (f"ridge must be finite and non-negative, got {float(ridge)}"
                 in capsys.readouterr().err)

@@ -43,6 +43,7 @@ from dpdlab.ila import (
     fit_predistorter,
     linearization_nmse_db,
     load_model,
+    observe_pa,
     reports_to_csv,
     run_ila,
     sweep_complexity,
@@ -81,6 +82,21 @@ def test_module_constants():
 def test_model_spec_rejects_unknown_kind():
     with pytest.raises(ValueError):
         DpdModelSpec(kind="volterra", window=TapWindow(pre_taps=3))
+
+
+def test_model_spec_rejects_a_reversed_budget():
+    with pytest.raises(ValueError, match="^budget lower bound 600 exceeds upper bound 100$"):
+        DpdModelSpec(kind="rvftdnn", window=TapWindow(pre_taps=3), budget=(600, 100))
+
+
+@pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1.0])
+def test_model_spec_rejects_a_bad_ridge(ridge):
+    # Checked where every family's spec is made, not only where ls_fit reads it.
+    for kind in FAMILIES:
+        with pytest.raises(ValueError,
+                           match=f"^ridge must be finite and non-negative, got {ridge}$"):
+            DpdModelSpec(kind=kind, window=TapWindow(pre_taps=3), ridge=ridge)
+    assert DpdModelSpec(kind="mpm", window=TapWindow(pre_taps=3), ridge=0.0).ridge == 0.0
 
 
 def test_report_feasibility():
@@ -122,9 +138,9 @@ def test_eval_seed_defaults_to_offset():
     spec = DpdModelSpec(kind="mpm", window=TapWindow(pre_taps=1), k_orders=2)
     report = run_ila(preset("low"), "low", spec, seed=7, n_samples=4096)
     assert report.eval_seed == 7 + EVAL_SEED_OFFSET
-    explicit = run_ila(preset("low"), "low", spec, seed=7, n_samples=4096, eval_seed=42)
-    assert explicit.eval_seed == 42
-    assert explicit.lin_nmse_db != report.lin_nmse_db  # different evaluation data
+    drive = drive_ila(preset("low"), 7, 4096)
+    assert np.array_equal(drive.chi_eval.samples,
+                          generate_waveform(7 + EVAL_SEED_OFFSET, 4096, 0.25).samples)
 
 
 def test_run_ila_is_deterministic():
@@ -140,9 +156,10 @@ def test_run_ila_is_deterministic():
 def test_fit_seed_changes_feedback_noise():
     spec = DpdModelSpec(kind="mpm", window=TapWindow(pre_taps=3), k_orders=3)
     chi = generate_waveform(1, 4096, 0.25)
-    a = fit_predistorter(preset("low"), chi, spec, TrainConfig(), seed=1)
-    b = fit_predistorter(preset("low"), chi, spec, TrainConfig(), seed=2)
-    assert a.postinv_nmse_db != b.postinv_nmse_db
+    a, b = (observe_pa(preset("low"), chi, noise_seed) for noise_seed in (1, 2))
+    fit_a = fit_model_on_data(a.psi_norm, a.phi, spec, TrainConfig())
+    fit_b = fit_model_on_data(b.psi_norm, b.phi, spec, TrainConfig())
+    assert fit_a.postinv_nmse_db != fit_b.postinv_nmse_db
 
 
 def test_improved_flag_matches_metrics():
@@ -153,26 +170,32 @@ def test_improved_flag_matches_metrics():
 
 def test_iterated_fit_runs_and_stays_feasible():
     spec = DpdModelSpec(kind="mpm", window=TapWindow(pre_taps=4), k_orders=4)
-    chi = generate_waveform(4, 4096, 0.25)
-    once = fit_predistorter(preset("low"), chi, spec, TrainConfig(), seed=4, n_iterations=1)
-    twice = fit_predistorter(preset("low"), chi, spec, TrainConfig(), seed=4, n_iterations=2)
+    drive = drive_ila(preset("low"), 4, 4096)
+    once = fit_predistorter(preset("low"), drive, spec, TrainConfig(), n_iterations=1)
+    twice = fit_predistorter(preset("low"), drive, spec, TrainConfig(), n_iterations=2)
     assert np.isfinite(once.postinv_nmse_db)
     assert np.isfinite(twice.postinv_nmse_db)
     assert not np.array_equal(once.model.coeff, twice.model.coeff)
-    with pytest.raises(ValueError):
-        fit_predistorter(preset("low"), chi, spec, TrainConfig(), seed=4, n_iterations=0)
+    with pytest.raises(ValueError, match="n_iterations must be at least 1"):
+        fit_predistorter(preset("low"), drive, spec, TrainConfig(), n_iterations=0)
 
 
 def test_iterated_fit_reuses_only_the_drive_stages_first_pass():
-    spec = DpdModelSpec(kind="mpm", window=TapWindow(pre_taps=4), k_orders=4)
-    drive = drive_ila(preset("low"), 4, 4096)
-    shared = fit_predistorter(preset("low"), drive.chi_fit, spec, TrainConfig(), seed=4,
-                              n_iterations=2, first_pass=drive.first_pass)
-    fresh = fit_predistorter(preset("low"), drive.chi_fit, spec, TrainConfig(), seed=4,
-                             n_iterations=2)
-    assert np.array_equal(shared.model.coeff, fresh.model.coeff)
-    assert (shared.gain, shared.delay) == (fresh.gain, fresh.delay)
-    assert shared.gain != drive.first_pass.gain  # the second pass was observed anew
+    # Pass 0 fits the drive's first pass as it stands; pass 1 drives the PA
+    # with that fit's predistortion and observes it anew, with noise seed + 1.
+    pa, spec = preset("low"), DpdModelSpec(kind="mpm", window=TapWindow(pre_taps=4), k_orders=4)
+    drive = drive_ila(pa, 4, 4096)
+    first = fit_model_on_data(drive.first_pass.psi_norm, drive.first_pass.phi, spec,
+                              TrainConfig(), seed=4)
+    once = fit_predistorter(pa, drive, spec, TrainConfig(), n_iterations=1)
+    assert np.array_equal(once.model.coeff, first.model.coeff)
+    assert (once.gain, once.delay) == (drive.first_pass.gain, drive.first_pass.delay)
+    second = observe_pa(pa, first.model.predict(drive.chi_fit), 5)
+    twice = fit_predistorter(pa, drive, spec, TrainConfig(), n_iterations=2)
+    assert np.array_equal(twice.model.coeff, fit_model_on_data(
+        second.psi_norm, second.phi, spec, TrainConfig(), seed=4).model.coeff)
+    assert (twice.gain, twice.delay) == (second.gain, second.delay)
+    assert twice.gain != drive.first_pass.gain  # the second pass was observed anew
 
 
 def test_no_dpd_metric_ignores_model():
@@ -227,10 +250,29 @@ def test_sweep_taps_marks_infeasible_network_budget():
 def test_sweep_taps_marks_infeasible_polynomial_budget():
     # 2 * taps * K > budget_hi for every order at 7 taps; 4 taps, K = 1 fits.
     rows = sweep_taps(preset("high"), "high", taps_list=(7, 4), seeds=(1,),
-                      families=("mpm",), budget=(100, 10), n_samples=4096, cfg=FAST_CFG)
+                      families=("mpm",), budget=(1, 10), n_samples=4096, cfg=FAST_CFG)
     assert [(r.taps, r.feasible) for r in rows] == [(7, False), (4, True)]
     assert rows[0].lin_nmse_db is None and rows[0].params_actual is None
     assert rows[1].k_orders == 1
+
+
+def test_sweep_taps_rejects_a_reversed_budget():
+    # Before the check the rvftdnn row came back blank, with no error.
+    for family in FAMILIES:
+        with pytest.raises(ValueError, match="^budget lower bound 600 exceeds upper bound 100$"):
+            sweep_taps(preset("high"), "high", taps_list=(7,), seeds=(1,), families=(family,),
+                       budget=(600, 100), n_samples=4096, cfg=FAST_CFG)
+
+
+def test_sweeps_reject_an_unknown_family():
+    # The complexity sweep used to run the rvftdnn candidates for any other name.
+    match = r"^unknown model kind 'foo'; expected one of \('mpm', 'agmpnn', 'rvftdnn'\)$"
+    with pytest.raises(ValueError, match=match):
+        sweep_complexity({"high": preset("high")}, taps=7, param_targets=(100,), seeds=(1,),
+                         families=("foo",), n_samples=4096, cfg=FAST_CFG)
+    with pytest.raises(ValueError, match=match):
+        sweep_taps(preset("high"), "high", taps_list=(4,), seeds=(1,), families=("foo",),
+                   budget=(1, 2), n_samples=4096, cfg=FAST_CFG)
 
 
 # === sweeps share each seed's drive stage ===
