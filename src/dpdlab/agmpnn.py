@@ -10,6 +10,28 @@ gradient accumulates both paths.
 
 Forward and backward passes are exact analytic computations in numpy; the
 rectifier kink uses the zero subgradient.
+
+The kernels are expert-major: scores, softmax weights, mixing, error
+sensitivities and offset sums are (M, N) arrays, one row per expert, and the
+basis terms (M, N, T) arrays.  They give, bit for bit, the values of the
+per-expert loops they replaced (kept as the test oracle), because they keep
+every value's operations and reduction order.  That rests on facts about numpy
+and OpenBLAS that the code does not show:
+
+- A complex einsum such as "nt,nt->n" sums its products, each without FMA,
+  sequentially from 0 whatever the operand layout: the expert-major
+  "nt,mnt->mn" and a tap-major "tn" layout give the same bits.
+- A real x complex product equals its split real products (r * re, r * im),
+  so a power times a coefficient is exact in any layout, and a product by an
+  exact 1 or a sum started from an exact 0 can be left out.
+- A numpy complex x complex product uses FMA and does not equal its split real
+  products, so it stays one complex product.
+- A gemv's bits change with its operands' layout (C or F order, a strided
+  vector) and when columns are stacked into one matrix; a batched np.matmul
+  over a leading axis makes the same gemv calls and keeps them.  A one-row
+  matrix product is a dot product, whose bits differ from the gemv's.
+- A reduction along a contiguous axis is sequential below 8 entries and
+  pairwise from 8 on, so the softmax's expert sum stays on the (N, M) layout.
 """
 
 from __future__ import annotations
@@ -29,6 +51,15 @@ MODEL_KIND = "agmpnn"
 # 0.01 dB, small enough that the other experts still receive usable gradients.
 WARM_START_SCORE_BIAS = 10.0
 
+# Rows per forward block in predict.  Every result of the forward pass is a
+# function of its own row, and the attention gemv gives each row the same bits
+# in a block that starts at a multiple of 16 rows, so the blocking changes no
+# output bit (measured up to 28 taps; from 29 taps on, OpenBLAS's two-thread
+# split of a long unblocked gemv already moved a few rows' bits).  A last block
+# of one row joins the block before it: numpy takes a one-row product as a dot
+# product, whose bits differ.
+PREDICT_BLOCK_ROWS = 1024
+
 
 def count_params_formula(n_taps: int, k_orders: int, n_experts: int) -> int:
     """Nominal complexity figure reported in sweeps: 4LKM + LM + 4L + 2M + 2.
@@ -47,11 +78,28 @@ def count_params_actual(model: "AgmpnnModel") -> int:
     return model.n_params()
 
 
+def _tile_sum(factors, tiles, start=None) -> np.ndarray:
+    """start + sum_k factors[k] * tiles[k], added in k order, as a new complex
+    array: real (M, N, T) factors times complex coefficient tiles."""
+    out = np.multiply(factors[0], tiles[0])
+    if start is not None:
+        out += start
+    term = np.empty_like(out)
+    for factor, tile in zip(factors[1:], tiles[1:]):
+        np.multiply(factor, tile, out=term)
+        out += term
+    return out
+
+
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax over the last axis."""
-    z = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Max-subtracted softmax over the first axis, the experts.
+
+    Only the expert sum depends on an order: it is taken along the contiguous
+    last axis of the (..., M) layout, whose reduction order a per-sample
+    softmax over M scores has.
+    """
+    e = np.exp(scores - scores.max(axis=0))
+    return e / np.ascontiguousarray(e.T).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -142,44 +190,56 @@ class AgmpnnModel(modelfile.ParamModel):
     # forward
     # ------------------------------------------------------------------
 
-    def _forward_arrays(self, delayed: np.ndarray, keep_bases: bool = False):
-        """Vectorized forward pass over the rows of a (N, T) tap matrix.
+    def _coeff_tiles(self, n_rows: int) -> np.ndarray:
+        """expert_coeff as a read-only (K, M, n_rows, T) array, repeated down
+        n_rows rows, so that every coefficient product is a same-shape product
+        along the flattened rows and taps (a (T,) row broadcast down the rows
+        makes numpy loop over short rows).  Built once per model, for the most
+        rows asked of it so far."""
+        tiles = self.__dict__.get("_tiles")
+        if tiles is None or tiles.shape[2] < n_rows:
+            tiles = np.tile(np.moveaxis(self.expert_coeff, 2, 0)[:, :, None, :], (n_rows, 1))
+            tiles.flags.writeable = False
+            object.__setattr__(self, "_tiles", tiles)
+        return tiles[:, :, :n_rows]
 
-        Returns (output, expert_out, weights, bases) where expert_out and
-        weights are (N, M).  With `keep_bases`, bases[j] holds expert j's
-        rectified amplitudes and their even powers, (rect, [rect^0, rect^2,
-        ...]), each (N, T); otherwise bases is None.
+    def _forward_arrays(self, delayed: np.ndarray):
+        """Expert-major forward pass over the rows of an (N, T) tap matrix.
+
+        Returns (output, expert_out, weights, rect, powers): output is (N,),
+        expert_out and weights are (M, N), one row per expert, rect holds the
+        (M, N, T) rectified amplitudes and powers their even powers
+        [rect^2, ..., rect^(2K-2)].
         """
-        amp = np.abs(delayed)
         n = delayed.shape[0]
-        m = self.n_experts
-        expert_out = np.empty((n, m), dtype=np.complex128)
-        scores = np.empty((n, m))
-        bases = [] if keep_bases else None
-        for j in range(m):
-            rect = np.maximum(amp + self.amp_offsets[j], 0.0)
+        rect = np.abs(delayed) + self.amp_offsets[:, None, None]
+        np.maximum(rect, 0.0, out=rect)
+        powers = []
+        if self.k_orders > 1:
             rect_sq = rect * rect
-            coef = self.expert_coeff[j]
-            poly = np.zeros((n, self.window.n_taps), dtype=np.complex128)
-            powers = []
-            power = np.ones_like(rect)
-            for k in range(self.k_orders):
-                if k:
-                    power = power * rect_sq
-                poly += power * coef[:, k][None, :]
-                if keep_bases:
-                    powers.append(power)
-            expert_out[:, j] = np.einsum("nt,nt->n", delayed, poly)
-            scores[:, j] = rect @ self.attn_scale[j] + self.attn_bias[j].sum()
-            if keep_bases:
-                bases.append((rect, powers))
+            powers.append(rect_sq)
+            for _ in range(2, self.k_orders):
+                powers.append(powers[-1] * rect_sq)
+        tiles = self._coeff_tiles(n)
+        poly = _tile_sum(powers, tiles[1:], start=tiles[0]) if powers else tiles[0]
+        expert_out = np.einsum("nt,mnt->mn", delayed, poly)
+        scores = (np.matmul(rect, self.attn_scale[:, :, None])[:, :, 0]
+                  + self.attn_bias.sum(axis=1)[:, None])
         weights = _softmax(scores)
-        output = np.einsum("nm,nm->n", weights, expert_out)
-        return output, expert_out, weights, bases
+        output = np.einsum("mn,mn->n", weights, expert_out)
+        return output, expert_out, weights, rect, powers
 
     def predict(self, x) -> ComplexSequence:
+        """The model output; the forward pass runs on PREDICT_BLOCK_ROWS rows at
+        a time, which bounds its expert-major temporaries."""
         seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
-        output, _, _, _ = self._forward_arrays(delayed_matrix(seq, self.window))
+        delayed = delayed_matrix(seq, self.window)
+        n = delayed.shape[0]
+        output = np.empty(n, dtype=np.complex128)
+        start = 0
+        for stop in [*range(PREDICT_BLOCK_ROWS, n - 1, PREDICT_BLOCK_ROWS), n]:
+            output[start:stop] = self._forward_arrays(delayed[start:stop])[0]
+            start = stop
         return ComplexSequence(output, sample_rate_hint=seq.sample_rate_hint)
 
     # ------------------------------------------------------------------
@@ -192,9 +252,9 @@ class AgmpnnModel(modelfile.ParamModel):
 
         The loss is mean |output - target|^2 across the window's interior
         (TapWindow.interior), and the forward pass runs on those rows only,
-        keeping each expert's rectified amplitudes and their powers for the
-        gradients.  Shared offsets accumulate the expert-basis and attention
-        paths; k = 0 basis terms contribute nothing to the offset gradient.
+        keeping the rectified amplitudes and their powers for the gradients.
+        Shared offsets accumulate the expert-basis and attention paths; k = 0
+        basis terms contribute nothing to the offset gradient.
         """
         psi = as_samples(x)
         phi = as_samples(target)
@@ -202,48 +262,46 @@ class AgmpnnModel(modelfile.ParamModel):
             raise ValueError("input and target lengths differ")
         idx = self.window.interior(psi.size)
         delayed = delayed_matrix(x, self.window)[idx]
-        output, expert_out, weights, bases = self._forward_arrays(delayed, keep_bases=True)
+        output, expert_out, weights, rect, powers = self._forward_arrays(delayed)
         err = output - phi[idx]
         count = err.size
         loss = float(np.mean(np.abs(err) ** 2))
         scale = 2.0 / count
 
-        m = self.n_experts
-        t_taps = self.window.n_taps
-        k_orders = self.k_orders
-        g_coeff = np.empty((m, t_taps, k_orders), dtype=np.complex128)
-        g_offsets = np.empty(m)
-        g_scale = np.empty((m, t_taps))
-        g_bias = np.empty((m, t_taps))
+        # lambda: carrier sum_n err * conj(w * tap * rect^2k), one gemv per
+        # expert and order; the k = 0 power is an exact 1.  weights is
+        # C-contiguous, so each expert's gemv vector has unit stride.
         conj_delayed = np.conj(delayed)
-        for j, (rect, powers) in enumerate(bases):
-            active = (rect > 0.0).astype(np.float64)
-            coef = self.expert_coeff[j]
+        weighted_err = (weights * err)[:, None, :]
+        sums = [np.matmul(weighted_err, conj_delayed)]
+        carrier = np.empty(rect.shape, dtype=np.complex128)
+        for power in powers:
+            np.multiply(power, conj_delayed, out=carrier)
+            sums.append(np.matmul(weighted_err, carrier))
+        g_coeff = scale * np.stack([s[:, 0] for s in sums], axis=-1)
 
-            # lambda: carrier sum_n err * conj(w * tap * rect^2k)
-            weighted_err = weights[:, j] * err
-            for k, power in enumerate(powers):
-                g_coeff[j, :, k] = scale * (weighted_err @ (conj_delayed * power))
+        # attention chain: d(output)/d(score_j) = w_j * (E_j - output)
+        score_sens = np.real(np.conj(err) * (expert_out - output)) * weights
+        g_scale = scale * np.matmul(score_sens[:, None, :], rect)[:, 0]
+        g_bias = np.empty_like(g_scale)
+        g_bias[:] = scale * score_sens.sum(axis=1)[:, None]
 
-            # attention chain: d(output)/d(score_j) = w_j * (E_j - output)
-            score_sens = np.real(np.conj(err) * (expert_out[:, j] - output)) * weights[:, j]
-            g_scale[j] = scale * (score_sens @ rect)
-            g_bias[j] = scale * score_sens.sum()
-
-            # offset through the expert basis: sum_{k>=1} 2k coef rect^(2k-1),
-            # the odd powers stepping by rect^2 = powers[1]
-            db_poly = np.zeros((count, t_taps), dtype=np.complex128)
-            odd_power = None
-            for k in range(1, k_orders):
-                odd_power = rect if k == 1 else odd_power * powers[1]
-                db_poly += (2.0 * k) * odd_power * coef[:, k][None, :]
-            if k_orders > 1:
-                expert_path = np.einsum("nt,nt->n", delayed * active, db_poly)
-                g_expert = float(np.sum(np.real(np.conj(err) * weights[:, j] * expert_path)))
-            else:
-                g_expert = 0.0
-            g_attn = float(np.sum(score_sens * (active @ self.attn_scale[j])))
-            g_offsets[j] = scale * (g_expert + g_attn)
+        # offset through the expert basis: sum_{k>=1} 2k coef rect^(2k-1), the
+        # odd powers stepping by rect^2; where a rectifier is off every term is
+        # an exact zero, so the taps need no mask
+        g_expert = 0.0
+        if powers:
+            odd_powers = [2.0 * rect]
+            odd_power = rect
+            for k in range(2, self.k_orders):
+                odd_power = odd_power * powers[0]
+                odd_powers.append((2.0 * k) * odd_power)
+            db_poly = _tile_sum(odd_powers, self._coeff_tiles(count)[1:])
+            expert_path = np.einsum("nt,mnt->mn", delayed, db_poly)
+            g_expert = np.real(np.conj(err) * weights * expert_path).sum(axis=1)
+        active = np.greater(rect, 0.0, out=np.empty_like(rect))
+        g_attn = (score_sens * np.matmul(active, self.attn_scale[:, :, None])[:, :, 0]).sum(axis=1)
+        g_offsets = scale * (g_expert + g_attn)
         return loss, {"expert_coeff": g_coeff, "amp_offsets": g_offsets,
                       "attn_scale": g_scale, "attn_bias": g_bias}
 

@@ -56,6 +56,17 @@ _positive_int = _int_from(1)
 _seed = _int_from(0)
 
 
+def _threshold(text: str) -> float:
+    """argparse type of a finite, non-negative threshold."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
 # ----------------------------------------------------------------------
 # waveform I/O by extension
 # ----------------------------------------------------------------------
@@ -202,7 +213,7 @@ def _cmd_gradcheck(args) -> int:
     phi = generate_waveform(args.seed + 1, args.n, 0.5)
     worst = finite_diff_check(model, psi.samples, phi.samples)
     print(f"{worst:.3e}")
-    if worst > args.threshold:
+    if not worst <= args.threshold:  # a NaN worst fails too
         print(f"gradient check failed: {worst:.3e} > {args.threshold:.3e}", file=sys.stderr)
         return 2
     return 0
@@ -374,7 +385,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n2", type=int, default=3)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n", type=int, default=256, help="check-waveform length")
-    p.add_argument("--threshold", type=float, default=GRADCHECK_THRESHOLD)
+    p.add_argument("--threshold", type=_threshold, default=GRADCHECK_THRESHOLD)
 
     p = add("report", _cmd_report, "summarize a sweep CSV; optionally mirror to gnuplot .dat")
     p.add_argument("--in", dest="infile", required=True, help="sweep report CSV")

@@ -53,6 +53,15 @@ def _check_families(families) -> None:
             raise ValueError(f"unknown model kind {kind!r}; expected one of {FAMILIES}")
 
 
+def _check_at_least(name: str, values, lowest: int) -> None:
+    """The config reader's rule for counts (lowest 1) and seeds (lowest 0),
+    applied to the API argument `name`: each of `values` is an integer of at
+    least `lowest`."""
+    for value in values:
+        if not isinstance(value, (int, np.integer)) or value < lowest:
+            raise ValueError(f"{name}: expected an integer of at least {lowest}, got {value!r}")
+
+
 def _check_budget(budget) -> None:
     if budget[0] > budget[1]:
         raise ValueError(f"budget lower bound {budget[0]} exceeds upper bound {budget[1]}")
@@ -234,6 +243,7 @@ def drive_ila(pa: PaConfig, seed: int, n_samples: int = 16384,
     """Drive stage of a cell, a pure function of its arguments: the fitting and
     evaluation (seed + EVAL_SEED_OFFSET) waveforms, the first fitting pass and
     the no-DPD baseline.  Feedback noise applies only to the fitting pass."""
+    _check_at_least("seed", (seed,), 0)
     chi_fit = generate_waveform(seed, n_samples, bandwidth_fraction)
     chi_eval = generate_waveform(seed + EVAL_SEED_OFFSET, n_samples, bandwidth_fraction)
     no_dpd, _ = linearization_nmse_db(pa, None, chi_eval)
@@ -302,6 +312,7 @@ def _sweep(cells, seeds, n_samples: int, bandwidth_fraction: float,
     that order; a cell without a spec gets blank (infeasible) rows.  Cells of
     one (preset, seed) share its drive stage, computed once per call."""
     _check_families(family for family, *_ in cells)
+    _check_at_least("seeds", seeds, 0)
     drives = {}
     rows = []
     for family, taps, preset_label, pa, spec in cells:
@@ -342,6 +353,7 @@ def sweep_taps(pa: PaConfig, preset_label: str, taps_list=DEFAULT_TAPS_LIST,
     within the budget, MPM at its best order within budget.  A family with no
     configuration inside the budget gets a blank (infeasible) row."""
     _check_budget(budget)
+    _check_at_least("taps_list", taps_list, 1)
     cells = [(family, taps, preset_label, pa,
               _tap_sweep_spec(family, TapWindow(pre_taps=taps - 1), budget, nn_grid, mpm_k_grid))
              for family in families for taps in taps_list]
@@ -376,6 +388,8 @@ def sweep_complexity(pa_by_preset: dict, taps: int = 7, param_targets=DEFAULT_PA
     """Complexity sweep at fixed taps: per family, pick the configuration whose
     trainable parameter count comes closest to each target; a cell further than
     25% from its target is marked infeasible (blank metrics)."""
+    _check_at_least("taps", (taps,), 1)
+    _check_at_least("param_targets", param_targets, 1)
     window = TapWindow(pre_taps=taps - 1)
     cells = []
     for family in families:

@@ -236,21 +236,23 @@ def train(model, psi, phi, cfg: TrainConfig):
 def finite_diff_check(model, psi, phi, step: float = 1e-6) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
-    The relative error divides by max(|analytic|, |numeric|, 1e-7).  Limited to
-    models with at most 1000 parameters.
+    The relative error divides by max(|analytic|, |numeric|, 1e-7).  A
+    non-finite gradient entry, analytic or numeric, makes the result NaN, which
+    fails every threshold.  Limited to models with at most 1000 parameters.
     """
     params = model.param_vector()
     if params.size > 1000:
         raise ValueError("finite-difference check is limited to 1000 parameters")
     _, analytic = model.loss_and_gradient(psi, phi)
-    worst = 0.0
+    numeric = np.empty(params.size)
     for i in range(params.size):
         bumped = params.copy()
         bumped[i] = params[i] + step
         loss_plus = model.with_param_vector(bumped).loss_and_gradient(psi, phi)[0]
         bumped[i] = params[i] - step
         loss_minus = model.with_param_vector(bumped).loss_and_gradient(psi, phi)[0]
-        numeric = (loss_plus - loss_minus) / (2.0 * step)
-        denom = max(abs(numeric), abs(analytic[i]), 1e-7)
-        worst = max(worst, abs(numeric - analytic[i]) / denom)
-    return worst
+        numeric[i] = (loss_plus - loss_minus) / (2.0 * step)
+    if not (np.all(np.isfinite(numeric)) and np.all(np.isfinite(analytic))):
+        return float("nan")
+    denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-7)
+    return float(np.max(np.abs(numeric - analytic) / denom))

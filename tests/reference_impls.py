@@ -128,3 +128,88 @@ def agmpnn_param_count(n_taps, k_orders, n_experts):
 def rvftdnn_param_count(n_taps, n1, n2):
     """2T*n1 + n1 + n1*n2 + 3*n2 + 2: the 2T -> n1 -> n2 -> 2 weights and biases."""
     return 2 * n_taps * n1 + n1 + n1 * n2 + 3 * n2 + 2
+
+
+# The per-expert AgmpnnModel kernels as they stood before the expert-major
+# rewrite, kept unchanged (self -> model) as the bitwise oracle for it.
+
+def _agmpnn_softmax(scores):
+    z = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def agmpnn_forward_arrays(model, delayed, keep_bases=False):
+    """(output, expert_out, weights, bases) of one (N, T) tap matrix, one
+    expert at a time; expert_out and weights are (N, M)."""
+    amp = np.abs(delayed)
+    n = delayed.shape[0]
+    m = model.n_experts
+    expert_out = np.empty((n, m), dtype=np.complex128)
+    scores = np.empty((n, m))
+    bases = [] if keep_bases else None
+    for j in range(m):
+        rect = np.maximum(amp + model.amp_offsets[j], 0.0)
+        rect_sq = rect * rect
+        coef = model.expert_coeff[j]
+        poly = np.zeros((n, model.window.n_taps), dtype=np.complex128)
+        powers = []
+        power = np.ones_like(rect)
+        for k in range(model.k_orders):
+            if k:
+                power = power * rect_sq
+            poly += power * coef[:, k][None, :]
+            if keep_bases:
+                powers.append(power)
+        expert_out[:, j] = np.einsum("nt,nt->n", delayed, poly)
+        scores[:, j] = rect @ model.attn_scale[j] + model.attn_bias[j].sum()
+        if keep_bases:
+            bases.append((rect, powers))
+    weights = _agmpnn_softmax(scores)
+    output = np.einsum("nm,nm->n", weights, expert_out)
+    return output, expert_out, weights, bases
+
+
+def agmpnn_backward(model, delayed, phi):
+    """(loss, gradients) over the rows of an (N, T) tap matrix `delayed`
+    (already cut to the window's interior) against the target rows `phi`."""
+    output, expert_out, weights, bases = agmpnn_forward_arrays(model, delayed, keep_bases=True)
+    err = output - phi
+    count = err.size
+    loss = float(np.mean(np.abs(err) ** 2))
+    scale = 2.0 / count
+
+    m = model.n_experts
+    t_taps = model.window.n_taps
+    k_orders = model.k_orders
+    g_coeff = np.empty((m, t_taps, k_orders), dtype=np.complex128)
+    g_offsets = np.empty(m)
+    g_scale = np.empty((m, t_taps))
+    g_bias = np.empty((m, t_taps))
+    conj_delayed = np.conj(delayed)
+    for j, (rect, powers) in enumerate(bases):
+        active = (rect > 0.0).astype(np.float64)
+        coef = model.expert_coeff[j]
+
+        weighted_err = weights[:, j] * err
+        for k, power in enumerate(powers):
+            g_coeff[j, :, k] = scale * (weighted_err @ (conj_delayed * power))
+
+        score_sens = np.real(np.conj(err) * (expert_out[:, j] - output)) * weights[:, j]
+        g_scale[j] = scale * (score_sens @ rect)
+        g_bias[j] = scale * score_sens.sum()
+
+        db_poly = np.zeros((count, t_taps), dtype=np.complex128)
+        odd_power = None
+        for k in range(1, k_orders):
+            odd_power = rect if k == 1 else odd_power * powers[1]
+            db_poly += (2.0 * k) * odd_power * coef[:, k][None, :]
+        if k_orders > 1:
+            expert_path = np.einsum("nt,nt->n", delayed * active, db_poly)
+            g_expert = float(np.sum(np.real(np.conj(err) * weights[:, j] * expert_path)))
+        else:
+            g_expert = 0.0
+        g_attn = float(np.sum(score_sens * (active @ model.attn_scale[j])))
+        g_offsets[j] = scale * (g_expert + g_attn)
+    return loss, {"expert_coeff": g_coeff, "amp_offsets": g_offsets,
+                  "attn_scale": g_scale, "attn_bias": g_bias}

@@ -17,7 +17,8 @@ from dpdlab import (
     ls_fit,
     nmse_db,
 )
-from dpdlab.agmpnn import WARM_START_SCORE_BIAS, attention_weights
+from dpdlab.agmpnn import PREDICT_BLOCK_ROWS, WARM_START_SCORE_BIAS, attention_weights
+from dpdlab.signal import as_samples, delayed_matrix
 
 import reference_impls as ref
 
@@ -281,6 +282,95 @@ def test_backward_rejects_bad_ranges():
     x = generate_waveform(11, 128, 0.5)
     with pytest.raises(ValueError):
         model.backward(x, x.samples[:64])
+
+
+# === bitwise agreement with the per-expert kernels ===
+
+def _assert_matches_oracle(model, x, y):
+    """predict, the backward loss and every gradient array equal, bit for bit,
+    the per-expert kernels kept in reference_impls."""
+    x, y = as_samples(x), as_samples(y)
+    delayed = delayed_matrix(x, model.window)
+    assert np.array_equal(model.predict(x).samples, ref.agmpnn_forward_arrays(model, delayed)[0])
+    rows = model.window.interior(x.size)
+    loss, grads = model.backward(x, y)
+    ref_loss, ref_grads = ref.agmpnn_backward(model, delayed[rows], y[rows])
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in ref_grads.items():
+        assert np.array_equal(grads[name], grad), name
+
+
+def _perturbed(model, seed):
+    rng = np.random.default_rng(seed)
+    vec = model.param_vector()
+    return model.with_param_vector(vec + 0.05 * rng.standard_normal(vec.size))
+
+
+# Tap counts 1 to 13: from 8 taps on, a sum along the taps is pairwise in numpy,
+# no longer sequential, so both sides of that line are covered.
+@pytest.mark.parametrize("pre, post", [(0, 0), (3, 0), (6, 0), (9, 0), (12, 0), (4, 2)])
+def test_kernels_match_per_expert_oracle_bitwise(pre, post):
+    x = generate_waveform(21, 300, 0.5)
+    y = generate_waveform(22, 300, 0.5)
+    for k in (1, 2, 3, 5):
+        for m in (1, 2, 3, 5):
+            model = AgmpnnModel.init(TapWindow(pre_taps=pre, post_taps=post), k, m,
+                                     seed=10 * k + m, calibration=x)
+            _assert_matches_oracle(_perturbed(model, 100 * pre + 10 * k + m), x, y)
+
+
+def test_kernels_match_oracle_with_eight_experts():
+    # From 8 experts on, the softmax's expert sum is pairwise in numpy.
+    x = generate_waveform(23, 300, 0.5)
+    y = generate_waveform(24, 300, 0.5)
+    model = AgmpnnModel.init(TapWindow(pre_taps=6), 3, 8, seed=5, calibration=x)
+    _assert_matches_oracle(_perturbed(model, 6), x, y)
+
+
+def test_blocked_predict_matches_oracle_bitwise():
+    # predict runs PREDICT_BLOCK_ROWS rows at a time.  A last block of one row
+    # would be a dot product, not a gemv: with unit-size attention scales its
+    # score differs in the last bit for several of these inputs.
+    for seed in range(6):
+        for pre in (6, 12):
+            for n in (PREDICT_BLOCK_ROWS + 1, 2 * PREDICT_BLOCK_ROWS + 1, 3000):
+                x = generate_waveform(seed, n, 0.5)
+                base = AgmpnnModel.init(TapWindow(pre_taps=pre), 3, 3, seed=seed, calibration=x)
+                scale = np.random.default_rng(seed).standard_normal(base.attn_scale.shape)
+                model = AgmpnnModel(window=base.window, k_orders=3, n_experts=3,
+                                    expert_coeff=base.expert_coeff, amp_offsets=base.amp_offsets,
+                                    attn_scale=scale, attn_bias=base.attn_bias)
+                expected = ref.agmpnn_forward_arrays(model, delayed_matrix(x, model.window))[0]
+                assert np.array_equal(model.predict(x).samples, expected), (seed, pre, n)
+
+
+def test_warm_started_kernels_match_oracle():
+    chi = generate_waveform(25, 2048, 0.25)
+    spec = MpmSpec(window=TapWindow(pre_taps=6), k_orders=3)
+    lam = ls_fit(build_basis(chi, spec), chi.samples * (1.0 - 0.2 * np.abs(chi.samples) ** 2),
+                 ridge=0.0)
+    for perturb in (0.0, 1e-3):
+        model = AgmpnnModel.init(spec.window, 3, 3, warm_start=lam, seed=1,
+                                 calibration=chi, perturb=perturb)
+        _assert_matches_oracle(model, chi.samples[:1024], generate_waveform(26, 1024, 0.25))
+
+
+def test_kernels_match_oracle_where_an_offset_zeroes_whole_rows():
+    # Expert 2's offset switches every tap of the quieter rows off, where the
+    # offset gradient's expert path runs without the rectifier mask.
+    x = generate_waveform(27, 400, 0.5)
+    y = generate_waveform(28, 400, 0.5)
+    window = TapWindow(pre_taps=3)
+    base = _perturbed(AgmpnnModel.init(window, 3, 3, seed=2, calibration=x), 29)
+    offsets = base.amp_offsets.copy()
+    offsets[1] = -float(np.median(np.abs(x.samples)))
+    model = AgmpnnModel(window=window, k_orders=3, n_experts=3, expert_coeff=base.expert_coeff,
+                        amp_offsets=offsets, attn_scale=base.attn_scale, attn_bias=base.attn_bias)
+    rect = np.maximum(np.abs(delayed_matrix(x, window)) + offsets[1], 0.0)
+    off_rows = np.all(rect == 0.0, axis=1)
+    assert 0 < off_rows.sum() < off_rows.size
+    _assert_matches_oracle(model, x, y)
 
 
 # === parameter vector protocol ===

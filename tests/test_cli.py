@@ -246,6 +246,29 @@ def test_gradcheck_unreachable_threshold_fails(capsys):
     assert "gradient check failed" in err
 
 
+def test_gradcheck_threshold_must_be_finite_and_non_negative(capsys):
+    # --threshold nan used to make every check pass.
+    for value in ("nan", "inf", "-1e-3", "tiny"):
+        assert dispatch(["gradcheck", "--threshold", value]) == 1
+        assert "argument --threshold" in capsys.readouterr().err
+
+
+def test_gradcheck_fails_on_a_non_finite_gradient(monkeypatch, capsys):
+    exact = AgmpnnModel.loss_and_gradient
+
+    def one_nan_entry(self, x, target):
+        loss, grad = exact(self, x, target)
+        grad = grad.copy()
+        grad[0] = np.nan
+        return loss, grad
+
+    monkeypatch.setattr(AgmpnnModel, "loss_and_gradient", one_nan_entry)
+    assert dispatch(["gradcheck"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "nan"
+    assert "gradient check failed" in captured.err
+
+
 # === harness commands ===
 
 def _tiny_cfg(tmp_path, extra=""):

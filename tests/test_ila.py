@@ -275,6 +275,31 @@ def test_sweeps_reject_an_unknown_family():
                    budget=(1, 2), n_samples=4096, cfg=FAST_CFG)
 
 
+def test_api_rejects_bad_counts_and_seeds_by_name():
+    # The config reader's rules: tap counts and parameter targets are integers
+    # of at least 1, seeds of at least 0.  A target of 0 used to give a blank
+    # row, a negative seed NumPy's bare "expected non-negative integer" and a
+    # tap count of 0 a message about the window's tap counts.
+    pa = preset("high")
+    spec = DpdModelSpec(kind="mpm", window=TapWindow(pre_taps=3))
+    cases = [
+        (lambda: sweep_complexity({"high": pa}, taps=7, param_targets=(0, -5), seeds=(1,),
+                                  families=("mpm",)), "param_targets", "0"),
+        (lambda: sweep_complexity({"high": pa}, taps=0, seeds=(1,), families=("mpm",)),
+         "taps", "0"),
+        (lambda: sweep_complexity({"high": pa}, seeds=(-2,), families=("mpm",)), "seeds", "-2"),
+        (lambda: sweep_taps(pa, "high", taps_list=(7, 0), seeds=(1,), families=("mpm",)),
+         "taps_list", "0"),
+        (lambda: sweep_taps(pa, "high", taps_list=(7,), seeds=(1, -1), families=("mpm",)),
+         "seeds", "-1"),
+        (lambda: run_ila(pa, "high", spec, seed=-3), "seed", "-3"),
+    ]
+    for call, name, value in cases:
+        with pytest.raises(ValueError, match=rf"^{name}: expected an integer of at least [01], "
+                                             rf"got {value}$"):
+            call()
+
+
 # === sweeps share each seed's drive stage ===
 
 TINY = dict(n_samples=2048, cfg=TrainConfig(segment_len=512, max_epochs=2, patience=2))

@@ -385,6 +385,24 @@ def test_finite_diff_check_catches_a_wrong_gradient():
     assert finite_diff_check(model, x, y) > 0.5
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_finite_diff_check_fails_on_a_non_finite_gradient(monkeypatch, bad):
+    # max(worst, nan) keeps worst, so one NaN analytic entry used to pass.
+    x = generate_waveform(7, 256, 0.5)
+    y = generate_waveform(8, 256, 0.5)
+    model = AgmpnnModel.init(TapWindow(pre_taps=2), 2, 2, seed=0)
+    exact = AgmpnnModel.loss_and_gradient
+
+    def one_bad_entry(self, x, target):
+        loss, grad = exact(self, x, target)
+        grad = grad.copy()
+        grad[3] = bad
+        return loss, grad
+
+    monkeypatch.setattr(AgmpnnModel, "loss_and_gradient", one_bad_entry)
+    assert not np.isfinite(finite_diff_check(model, x, y))
+
+
 def test_finite_diff_check_rejects_large_models():
     model = RvftdnnModel.init(TapWindow(pre_taps=9), 22, 22)  # 1014 parameters
     x = generate_waveform(15, 128, 0.5)
