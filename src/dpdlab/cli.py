@@ -163,7 +163,16 @@ def _cmd_eval(args) -> int:
     model = ila.load_model(args.model_file)
     psi = _read_waveform(args.infile)
     phi = _read_waveform(args.target)
-    value = nmse_db(model.predict(psi), phi)
+    # The model and the input are both checked by now, so predict fails only
+    # where the model's output sequence is not finite: a finite input of large
+    # amplitude can overflow a polynomial's powers.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            predicted = model.predict(psi)
+    except ValueError:
+        raise DpdlabError(f"{args.model_file}: the model's output is not finite "
+                          f"on {args.infile}") from None
+    value = nmse_db(predicted, phi)
     print(f"{value:.12f}")
     return 0
 

@@ -227,22 +227,43 @@ class ParamTable:
     def param_vector(self, model) -> np.ndarray:
         return self.flatten({p.attr: getattr(model, p.attr) for p in self.params})
 
-    def with_param_vector(self, model, vec):
-        """A copy of `model` whose arrays are read back from a flat vector."""
-        vec = np.asarray(vec, dtype=np.float64)
-        shapes = [getattr(model, p.attr).shape for p in self.params]
-        widths = [math.prod(s) * (2 if p.is_complex else 1) for p, s in zip(self.params, shapes)]
-        if vec.shape != (sum(widths),):
-            raise ValueError(f"parameter vector must have {sum(widths)} entries, got {vec.shape}")
-        pieces = {}
+    def size(self, model) -> int:
+        """Length of the model's flat parameter vector, read off its arrays;
+        construction checked them against count."""
+        return sum(getattr(model, p.attr).size * (2 if p.is_complex else 1) for p in self.params)
+
+    def views(self, model, vec: np.ndarray) -> dict:
+        """The arrays of a flat vector laid out like `model`'s parameters, as
+        views of it in table order: the inverse of flatten."""
+        views = {}
         pos = 0
-        for p, shape, width in zip(self.params, shapes, widths):
-            piece = vec[pos:pos + width]
-            if p.is_complex:
-                piece = np.ascontiguousarray(piece).view(np.complex128)
-            pieces[p.attr] = piece.reshape(shape)
-            pos += width
-        return dataclasses.replace(model, **pieces)
+        for p in self.params:
+            arr = getattr(model, p.attr)
+            stop = pos + arr.size * (2 if p.is_complex else 1)
+            piece = vec[pos:stop]
+            views[p.attr] = (piece.view(np.complex128) if p.is_complex else piece).reshape(arr.shape)
+            pos = stop
+        return views
+
+    def with_param_vector(self, model, vec):
+        """A copy of `model` whose arrays are read-only views of one float64
+        copy of the flat vector `vec`.
+
+        `vec` is checked once, for its length and finiteness; the model's
+        other fields carry over as they are, and nothing else it holds (a
+        cache) does.
+        """
+        vec = np.array(vec, dtype=np.float64)
+        size = self.size(model)
+        if vec.shape != (size,):
+            raise ValueError(f"parameter vector must have {size} entries, got {vec.shape}")
+        if not np.isfinite(vec).all():
+            raise ValueError("model parameters must be finite")
+        vec.flags.writeable = False
+        rebuilt = object.__new__(type(model))
+        vars(rebuilt).update({f.name: getattr(model, f.name) for f in dataclasses.fields(model)})
+        vars(rebuilt).update(self.views(model, vec))
+        return rebuilt
 
     def save(self, model, path, **extra_scalars) -> None:
         """Write the header (taps, size fields, then `extra_scalars`) and one
@@ -296,7 +317,7 @@ class ParamModel:
 
     def n_params(self) -> int:
         """Real trainable degrees of freedom (two per complex coefficient)."""
-        return self.PARAMS.count(self.PARAMS.dims(self))
+        return self.PARAMS.size(self)
 
     def save(self, path) -> None:
         self.PARAMS.save(self, path)

@@ -3,6 +3,27 @@
 The input of sample n is the interleaved real/imaginary parts of the tap
 window (2T features), followed by two tanh hidden layers and a linear
 two-unit output read back as a complex sample.
+
+The forward and backward passes write in place: each layer's bias add and
+tanh, the output error, the tanh slope 1 - h*h and its product with the
+back-propagated error reuse their array, and every gradient is written with
+`out=` into one flat vector in PARAMS order.  They give, bit for bit, the
+values of the kernels they replaced (kept as the test oracle), because every
+value keeps its operations and their order.  That rests on facts about numpy
+that the code does not show:
+
+- A ufunc computes each element the same way whether it writes a new array
+  or, through `out=`, one of its inputs; a product is the same either way
+  round.  So `h += b`, `np.tanh(h, out=h)` and `d *= slope` are exact, and the
+  slope keeps its form 1 - h*h ((1 - h) * (1 + h) rounds differently).
+- np.matmul into an `out=` view of the flat gradient makes the gemm call it
+  makes into a new array.
+- `d.sum(axis=0)` of an (N, k) C-contiguous array with k >= 2 adds the rows in
+  order, one short row at a time; np.einsum("ij->j", d) adds them in the same
+  order in one pass per column, without the per-row cost.  A single column
+  (k = 1) is contiguous, and sum adds it pairwise, so a width-1 layer keeps
+  sum.
+- np.mean of a vector is its pairwise sum divided by its length.
 """
 
 from __future__ import annotations
@@ -75,41 +96,30 @@ class RvftdnnModel(modelfile.ParamModel):
         as float64, without a copy."""
         return delayed_matrix(x, self.window).view(np.float64)
 
+    def _forward(self, feats: np.ndarray):
+        """(h1, h2, out) of the rows of a feature matrix; each layer's bias
+        and tanh are applied in place."""
+        h1 = feats @ self.w1
+        h1 += self.b1
+        np.tanh(h1, out=h1)
+        h2 = h1 @ self.w2
+        h2 += self.b2
+        np.tanh(h2, out=h2)
+        out = h2 @ self.w3
+        out += self.b3
+        return h1, h2, out
+
     def predict(self, x) -> ComplexSequence:
         seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
-        feats = self._features(seq)
-        h1 = np.tanh(feats @ self.w1 + self.b1)
-        h2 = np.tanh(h1 @ self.w2 + self.b2)
-        out = h2 @ self.w3 + self.b3
+        out = self._forward(self._features(seq))[2]
         return ComplexSequence(out[:, 0] + 1j * out[:, 1],
                                sample_rate_hint=seq.sample_rate_hint)
 
     def backward(self, x, target) -> tuple[float, dict]:
-        """Mean |output - target|^2 over the window's interior
-        (TapWindow.interior) and its exact gradients, one gradient array per
-        parameter attribute."""
-        psi = as_samples(x)
-        phi = as_samples(target)
-        if psi.size != phi.size:
-            raise ValueError("input and target lengths differ")
-        idx = self.window.interior(psi.size)
-        feats = self._features(x)[idx]
-        h1 = np.tanh(feats @ self.w1 + self.b1)
-        h2 = np.tanh(h1 @ self.w2 + self.b2)
-        out = h2 @ self.w3 + self.b3
-        err = out - phi[idx].view(np.float64).reshape(-1, 2)
-        count = err.shape[0]
-        loss = float(np.mean(err[:, 0] ** 2 + err[:, 1] ** 2))
-        d_out = (2.0 / count) * err
-        g_w3 = h2.T @ d_out
-        g_b3 = d_out.sum(axis=0)
-        d_h2 = (d_out @ self.w3.T) * (1.0 - h2 * h2)
-        g_w2 = h1.T @ d_h2
-        g_b2 = d_h2.sum(axis=0)
-        d_h1 = (d_h2 @ self.w2.T) * (1.0 - h1 * h1)
-        g_w1 = feats.T @ d_h1
-        g_b1 = d_h1.sum(axis=0)
-        return loss, {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2, "w3": g_w3, "b3": g_b3}
+        """(loss, gradients) as loss_and_gradient returns them, with one
+        gradient array per parameter attribute: views of the flat gradient."""
+        loss, grad = self.loss_and_gradient(x, target)
+        return loss, self.PARAMS.views(self, grad)
 
     # ------------------------------------------------------------------
     # flat parameter vector protocol
@@ -119,14 +129,54 @@ class RvftdnnModel(modelfile.ParamModel):
         return self.PARAMS.with_param_vector(self, vec)
 
     def loss_and_gradient(self, x, target) -> tuple[float, np.ndarray]:
-        loss, grads = self.backward(x, target)
-        return loss, self.PARAMS.flatten(grads)
+        """Mean |output - target|^2 over the window's interior
+        (TapWindow.interior) and its exact gradient, written layer by layer
+        into one flat vector in PARAMS order."""
+        psi = as_samples(x)
+        phi = as_samples(target)
+        if psi.size != phi.size:
+            raise ValueError("input and target lengths differ")
+        idx = self.window.interior(psi.size)
+        feats = self._features(x)[idx]
+        h1, h2, err = self._forward(feats)
+        err -= phi[idx].view(np.float64).reshape(-1, 2)
+        count = err.shape[0]
+        loss = float((err[:, 0] ** 2 + err[:, 1] ** 2).sum()) / count
+        d_out = np.multiply(err, 2.0 / count, out=err)
+        grad = np.empty(self.n_params())
+        g = self.PARAMS.views(self, grad)
+        np.matmul(h2.T, d_out, out=g["w3"])
+        _column_sums(d_out, g["b3"])
+        d_h2 = d_out @ self.w3.T
+        d_h2 *= _tanh_slope(h2)
+        np.matmul(h1.T, d_h2, out=g["w2"])
+        _column_sums(d_h2, g["b2"])
+        d_h1 = d_h2 @ self.w2.T
+        d_h1 *= _tanh_slope(h1)
+        np.matmul(feats.T, d_h1, out=g["w1"])
+        _column_sums(d_h1, g["b1"])
+        return loss, grad
 
     @classmethod
     def from_parsed(cls, path, parsed) -> "RvftdnnModel":
         """The model in the file at `path`, already parsed by read_model."""
         window, _, _, arrays = cls.PARAMS.load(path, parsed)
         return cls(window=window, **arrays)
+
+
+def _tanh_slope(h: np.ndarray) -> np.ndarray:
+    """1 - h*h, written over h (a layer's tanh output, no longer needed)."""
+    np.multiply(h, h, out=h)
+    return np.subtract(1.0, h, out=h)
+
+
+def _column_sums(d: np.ndarray, out: np.ndarray) -> None:
+    """d.sum(axis=0) written into out, bit for bit: einsum adds the rows in
+    the same order, except for a single column, which sum adds pairwise."""
+    if d.shape[1] == 1:
+        d.sum(axis=0, out=out)
+    else:
+        np.einsum("ij->j", d, out=out)
 
 
 def rvftdnn_param_count(n_taps: int, n1: int, n2: int) -> int:

@@ -1,12 +1,16 @@
 """Straight-line reference evaluators used as oracles by the test suite.
 
-Everything here is written as plain per-sample loops, directly from the model
-definitions, independent of the vectorized package implementations.
+The evaluators are plain per-sample loops, written directly from the model
+definitions, independent of the vectorized package implementations.  The last
+two sections keep the agmpnn and rvftdnn kernels as they were before their
+rewrites, as bitwise oracles for the kernels that replaced them.
 """
 
 import math
 
 import numpy as np
+
+from dpdlab.signal import ComplexSequence, as_samples, delayed_matrix
 
 
 def tap_values(samples, n, pre_taps, post_taps):
@@ -213,3 +217,45 @@ def agmpnn_backward(model, delayed, phi):
         g_offsets[j] = scale * (g_expert + g_attn)
     return loss, {"expert_coeff": g_coeff, "amp_offsets": g_offsets,
                   "attn_scale": g_scale, "attn_bias": g_bias}
+
+
+# The RvftdnnModel kernels as they stood before the in-place rewrite, kept
+# unchanged (self -> model) as the bitwise oracle for it.
+
+def _rvftdnn_features(model, x):
+    return delayed_matrix(x, model.window).view(np.float64)
+
+
+def rvftdnn_predict(model, x):
+    seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
+    feats = _rvftdnn_features(model, seq)
+    h1 = np.tanh(feats @ model.w1 + model.b1)
+    h2 = np.tanh(h1 @ model.w2 + model.b2)
+    out = h2 @ model.w3 + model.b3
+    return ComplexSequence(out[:, 0] + 1j * out[:, 1],
+                           sample_rate_hint=seq.sample_rate_hint)
+
+
+def rvftdnn_backward(model, x, target):
+    psi = as_samples(x)
+    phi = as_samples(target)
+    if psi.size != phi.size:
+        raise ValueError("input and target lengths differ")
+    idx = model.window.interior(psi.size)
+    feats = _rvftdnn_features(model, x)[idx]
+    h1 = np.tanh(feats @ model.w1 + model.b1)
+    h2 = np.tanh(h1 @ model.w2 + model.b2)
+    out = h2 @ model.w3 + model.b3
+    err = out - phi[idx].view(np.float64).reshape(-1, 2)
+    count = err.shape[0]
+    loss = float(np.mean(err[:, 0] ** 2 + err[:, 1] ** 2))
+    d_out = (2.0 / count) * err
+    g_w3 = h2.T @ d_out
+    g_b3 = d_out.sum(axis=0)
+    d_h2 = (d_out @ model.w3.T) * (1.0 - h2 * h2)
+    g_w2 = h1.T @ d_h2
+    g_b2 = d_h2.sum(axis=0)
+    d_h1 = (d_h2 @ model.w2.T) * (1.0 - h1 * h1)
+    g_w1 = feats.T @ d_h1
+    g_b1 = d_h1.sum(axis=0)
+    return loss, {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2, "w3": g_w3, "b3": g_b3}

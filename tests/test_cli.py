@@ -201,6 +201,24 @@ def test_eval_on_a_sequence_shorter_than_the_window_prints_a_finite_nmse(tmp_pat
     assert np.isfinite(float(capsys.readouterr().out.strip()))
 
 
+@pytest.mark.parametrize("family", ["mpm", "agmpnn"])
+def test_eval_of_a_model_whose_output_overflows_names_the_model_file(tmp_path, capsys, family):
+    # The input is finite; the model's powers of |x| ~ 1e80 are not.
+    model_path = tmp_path / f"{family}.model"
+    window = TapWindow(pre_taps=2)
+    if family == "mpm":
+        MpmCoefficients(spec=MpmSpec(window=window, k_orders=4),
+                        coeff=np.full((3, 4), 0.1 + 0.05j)).save(model_path)
+    else:
+        AgmpnnModel.init(window, 3, 2, seed=0).save(model_path)
+    wave_path = tmp_path / "loud.csv"
+    write_iq_csv(ComplexSequence(np.linspace(1e80, 3e80, 16) * (1 - 0.5j)), wave_path)
+    assert dispatch(["eval", "--model-file", str(model_path),
+                     "--in", str(wave_path), "--target", str(wave_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {model_path}: the model's output is not finite on {wave_path}"]
+
+
 def test_fit_neural_model_with_config(tmp_path):
     chi_path = tmp_path / "chi.iq"
     psi_path = tmp_path / "psi.iq"

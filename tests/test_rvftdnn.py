@@ -12,6 +12,7 @@ from dpdlab import (
     generate_waveform,
     rvftdnn_param_count,
 )
+from dpdlab.signal import FramedSequence
 from dpdlab.training import train
 
 import reference_impls as ref
@@ -144,6 +145,40 @@ def test_param_vector_round_trip():
         assert np.array_equal(getattr(rebuilt, name), getattr(model, name))
     with pytest.raises(ValueError):
         model.with_param_vector(np.zeros(4))
+
+
+# === the in-place kernels against the kernels they replaced ===
+
+WIDTHS = ((1, 1), (1, 5), (5, 1), (2, 2), (3, 20), (16, 16), (24, 24))
+WINDOWS = (TapWindow(pre_taps=0), TapWindow(pre_taps=3), TapWindow(pre_taps=6),
+           TapWindow(pre_taps=12), TapWindow(pre_taps=5, post_taps=1))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("window", WINDOWS, ids=lambda w: f"{w.pre_taps}-{w.post_taps}")
+@pytest.mark.parametrize("n1, n2", WIDTHS)
+def test_kernels_give_the_reference_bits(n1, n2, window):
+    base = RvftdnnModel.init(window, n1, n2, seed=n1 + n2)
+    rng = np.random.default_rng(10 * n1 + n2)
+    model = base.with_param_vector(base.param_vector()
+                                   + 0.3 * rng.standard_normal(base.n_params()))
+    for n in (512, 1024, 1025):
+        x = generate_waveform(n, n, 0.5).samples
+        y = x * (1.0 - 0.2 * np.abs(x) ** 2) + 0.01 * rng.standard_normal(n)
+        for seq in (x, FramedSequence(x, window=window)):
+            assert _same_bits(model.predict(seq).samples, ref.rvftdnn_predict(model, seq).samples)
+            loss, grads = model.backward(seq, y)
+            ref_loss, ref_grads = ref.rvftdnn_backward(model, seq, y)
+            assert _same_bits(loss, ref_loss)
+            assert grads.keys() == ref_grads.keys()
+            for name, grad in grads.items():
+                assert _same_bits(grad, ref_grads[name]), (n, type(seq).__name__, name)
+            flat = model.loss_and_gradient(seq, y)[1]
+            assert _same_bits(flat, model.PARAMS.flatten(ref_grads))
 
 
 # === architecture search ===

@@ -209,6 +209,61 @@ def test_best_fit_matches_each_search_key():
             assert best_fit(fits) is min(fits, key=old_key)
 
 
+# === rebuilding a model from a flat parameter vector ===
+
+def _three_families():
+    window = TapWindow(pre_taps=2, post_taps=1)
+    rng = np.random.default_rng(6)
+    coeff = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    return (MpmCoefficients(spec=MpmSpec(window=window, k_orders=3), coeff=coeff),
+            AgmpnnModel.init(window, 3, 2, seed=6),
+            RvftdnnModel.init(window, 4, 3, seed=6))
+
+
+@pytest.mark.parametrize("model", _three_families(), ids=lambda m: m.PARAMS.kind)
+def test_rebuild_checks_the_vector_once_with_the_construction_messages(model):
+    vec = model.param_vector()
+    with pytest.raises(ValueError, match=rf"^parameter vector must have {vec.size} entries, "
+                                         rf"got \({vec.size - 1},\)$"):
+        model.PARAMS.with_param_vector(model, vec[:-1])
+    for bad in (np.nan, np.inf, -np.inf):
+        spoilt = vec.copy()
+        spoilt[-1] = bad
+        with pytest.raises(ValueError, match="^model parameters must be finite$"):
+            model.PARAMS.with_param_vector(model, spoilt)
+        with pytest.raises(ValueError, match="^model parameters must be finite$"):
+            replace(model, **model.PARAMS.views(model, spoilt))
+
+
+@pytest.mark.parametrize("model", _three_families(), ids=lambda m: m.PARAMS.kind)
+def test_rebuilt_arrays_are_read_only_copies_of_the_vector(model):
+    vec = 0.5 * model.param_vector()
+    rebuilt = model.PARAMS.with_param_vector(model, vec)
+    vec[:] = 0.0  # the caller's vector is not held
+    for p in model.PARAMS.params:
+        arr = getattr(rebuilt, p.attr)
+        assert arr.dtype == (np.complex128 if p.is_complex else np.float64)
+        assert arr.shape == getattr(model, p.attr).shape
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+    assert np.array_equal(rebuilt.param_vector(), 0.5 * model.param_vector())
+    assert type(rebuilt) is type(model) and rebuilt.window == model.window
+
+
+def test_rebuilt_agmpnn_predicts_what_a_freshly_built_one_does():
+    # The old model's coefficient tiles must not serve the new coefficients.
+    _, model, _ = _three_families()
+    x = generate_waveform(11, 700, 0.5)
+    model.predict(x)
+    vec = model.param_vector() + 0.1 * np.random.default_rng(3).standard_normal(model.n_params())
+    rebuilt = model.with_param_vector(vec)
+    fresh = AgmpnnModel(window=model.window, k_orders=model.k_orders,
+                        n_experts=model.n_experts, **model.PARAMS.views(model, vec))
+    assert np.array_equal(rebuilt.predict(x).samples, fresh.predict(x).samples)
+    assert not np.array_equal(rebuilt.predict(x).samples, model.predict(x).samples)
+
+
 # === rigged models for loop-control tests ===
 
 @dataclass(frozen=True)
@@ -421,6 +476,8 @@ def _pa_pair(n_samples):
 def _family_model(family, window, calibration):
     if family == "rvftdnn":
         return RvftdnnModel.init(window, 6, 5, seed=2)
+    if family == "rvftdnn_1x1":
+        return RvftdnnModel.init(window, 1, 1, seed=2)
     return AgmpnnModel.init(window, 3, 3, seed=2, calibration=calibration)
 
 
@@ -457,6 +514,16 @@ GOLDEN_TRAIN = {
 4,5.786603456789e-02,-12.294428
 5,4.973753622288e-02,-12.307523
 """, "af6a67cc3b543db6c94de5e4dbb49a8f3c2c8c29e2947fececd817d6c734afb4"),
+    # Width 1, where a layer's bias gradient is a pairwise column sum;
+    # recorded before the in-place kernels.
+    "rvftdnn_1x1": ("""epoch,train_loss,val_nmse_db
+0,9.125829664373e-01,-0.397449
+1,9.181552581189e-01,-0.472930
+2,9.014770015190e-01,-0.554474
+3,8.845720451193e-01,-0.638663
+4,8.472247035822e-01,-0.724805
+5,8.321825634340e-01,-0.812883
+""", "5df725304a1db6bbdca9a47fb6ca947b9a4e477a2df8522de6470061231e0046"),
 }
 
 
