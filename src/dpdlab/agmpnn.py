@@ -243,30 +243,30 @@ class AgmpnnModel(modelfile.ParamModel):
         return ComplexSequence(output, sample_rate_hint=seq.sample_rate_hint)
 
     # ------------------------------------------------------------------
-    # backward
+    # loss and gradient, the flat parameter vector protocol
     # ------------------------------------------------------------------
 
-    def backward(self, x, target) -> tuple[float, dict]:
-        """Mean-squared-error loss and its exact gradients, one gradient array
-        per parameter attribute.
+    def with_param_vector(self, vec: np.ndarray) -> "AgmpnnModel":
+        return self.PARAMS.with_param_vector(self, vec)
 
-        The loss is mean |output - target|^2 across the window's interior
-        (TapWindow.interior), and the forward pass runs on those rows only,
-        keeping the rectified amplitudes and their powers for the gradients.
-        Shared offsets accumulate the expert-basis and attention paths; k = 0
-        basis terms contribute nothing to the offset gradient.
+    def loss_and_gradient(self, x, target) -> tuple[float, np.ndarray]:
+        """Mean |output - target|^2 over the scored rows
+        (TapWindow.scored_rows) and its exact gradient, written into one flat
+        vector in PARAMS order.
+
+        The forward pass runs on the scored rows only, keeping the rectified
+        amplitudes and their powers for the gradients.  Shared offsets
+        accumulate the expert-basis and attention paths; k = 0 basis terms
+        contribute nothing to the offset gradient.
         """
-        psi = as_samples(x)
-        phi = as_samples(target)
-        if psi.size != phi.size:
-            raise ValueError("input and target lengths differ")
-        idx = self.window.interior(psi.size)
-        delayed = delayed_matrix(x, self.window)[idx]
+        delayed, phi = self.window.scored_rows(x, target)
         output, expert_out, weights, rect, powers = self._forward_arrays(delayed)
-        err = output - phi[idx]
+        err = output - phi
         count = err.size
         loss = float(np.mean(np.abs(err) ** 2))
         scale = 2.0 / count
+        grad = np.empty(self.n_params())
+        g = self.PARAMS.views(self, grad)
 
         # lambda: carrier sum_n err * conj(w * tap * rect^2k), one gemv per
         # expert and order; the k = 0 power is an exact 1.  weights is
@@ -278,13 +278,12 @@ class AgmpnnModel(modelfile.ParamModel):
         for power in powers:
             np.multiply(power, conj_delayed, out=carrier)
             sums.append(np.matmul(weighted_err, carrier))
-        g_coeff = scale * np.stack([s[:, 0] for s in sums], axis=-1)
+        np.multiply(scale, np.stack([s[:, 0] for s in sums], axis=-1), out=g["expert_coeff"])
 
         # attention chain: d(output)/d(score_j) = w_j * (E_j - output)
         score_sens = np.real(np.conj(err) * (expert_out - output)) * weights
-        g_scale = scale * np.matmul(score_sens[:, None, :], rect)[:, 0]
-        g_bias = np.empty_like(g_scale)
-        g_bias[:] = scale * score_sens.sum(axis=1)[:, None]
+        np.multiply(scale, np.matmul(score_sens[:, None, :], rect)[:, 0], out=g["attn_scale"])
+        g["attn_bias"][:] = scale * score_sens.sum(axis=1)[:, None]
 
         # offset through the expert basis: sum_{k>=1} 2k coef rect^(2k-1), the
         # odd powers stepping by rect^2; where a rectifier is off every term is
@@ -301,20 +300,8 @@ class AgmpnnModel(modelfile.ParamModel):
             g_expert = np.real(np.conj(err) * weights * expert_path).sum(axis=1)
         active = np.greater(rect, 0.0, out=np.empty_like(rect))
         g_attn = (score_sens * np.matmul(active, self.attn_scale[:, :, None])[:, :, 0]).sum(axis=1)
-        g_offsets = scale * (g_expert + g_attn)
-        return loss, {"expert_coeff": g_coeff, "amp_offsets": g_offsets,
-                      "attn_scale": g_scale, "attn_bias": g_bias}
-
-    # ------------------------------------------------------------------
-    # flat parameter vector protocol (used by the optimizer)
-    # ------------------------------------------------------------------
-
-    def with_param_vector(self, vec: np.ndarray) -> "AgmpnnModel":
-        return self.PARAMS.with_param_vector(self, vec)
-
-    def loss_and_gradient(self, x, target) -> tuple[float, np.ndarray]:
-        loss, grads = self.backward(x, target)
-        return loss, self.PARAMS.flatten(grads)
+        np.multiply(scale, g_expert + g_attn, out=g["amp_offsets"])
+        return loss, grad
 
     @classmethod
     def from_parsed(cls, path, parsed) -> "AgmpnnModel":
@@ -324,11 +311,9 @@ class AgmpnnModel(modelfile.ParamModel):
 
 
 def attention_weights(model: AgmpnnModel, tap_values) -> np.ndarray:
-    """Softmax expert weights for one tap window (length n_taps)."""
-    taps = np.asarray(tap_values, dtype=np.complex128).reshape(-1)
+    """Softmax expert weights for one tap window (length n_taps): the weight
+    column of the model's own forward pass on that one row."""
+    taps = np.asarray(tap_values, dtype=np.complex128).reshape(1, -1)
     if taps.size != model.window.n_taps:
         raise ValueError(f"expected {model.window.n_taps} tap values, got {taps.size}")
-    rect = np.maximum(np.abs(taps)[None, :] + model.amp_offsets[:, None], 0.0)
-    scores = np.sum(model.attn_scale * rect, axis=1) + model.attn_bias.sum(axis=1)
-    return _softmax(scores)
-
+    return model._forward_arrays(taps)[2][:, 0]

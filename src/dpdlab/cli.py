@@ -334,7 +334,8 @@ def build_parser() -> _Parser:
     p = add("gen-signal", _cmd_gen_signal, "generate a band-limited unit-RMS test waveform")
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--n", type=int, required=True, help="number of samples")
-    p.add_argument("--bandwidth", type=float, default=0.25, help="occupied fraction of fs")
+    p.add_argument("--bandwidth", type=float, default=ila.DEFAULT_BANDWIDTH_FRACTION,
+                   help="occupied fraction of fs")
     p.add_argument("--sample-rate", type=float, default=1.0, help="informational rate hint")
     p.add_argument("--out", required=True, help="output waveform (.iq binary or .csv)")
 

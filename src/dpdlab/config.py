@@ -13,8 +13,9 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .exceptions import FormatError
-from .ila import (DEFAULT_MPM_K_GRID, DEFAULT_NN_GRID, DEFAULT_PARAM_TARGETS, DEFAULT_TAPS_LIST,
-                  FAMILIES, DpdModelSpec)
+from .ila import (DEFAULT_BANDWIDTH_FRACTION, DEFAULT_COMPLEXITY_TAPS, DEFAULT_MPM_K_GRID,
+                  DEFAULT_N_SAMPLES, DEFAULT_NN_GRID, DEFAULT_PARAM_TARGETS, DEFAULT_SEEDS,
+                  DEFAULT_TAPS_LIST, FAMILIES, DpdModelSpec)
 from .pa_sim import (PRESET_A_SAT, PRESET_DRIVE_DB, PRESET_FEEDBACK_SNR_DB, PRESET_K_PA,
                      PRESET_L_PA, PRESET_RHO, PRESET_SIGMA, PaConfig, coeffs_from_rule)
 from .signal import TapWindow, read_text
@@ -108,8 +109,8 @@ class RunConfig:
     feedback_snr_db: Optional[float] = _field("pa", _opt_float, PRESET_FEEDBACK_SNR_DB)
     # [signal]
     seed: int = _field("signal", _seed, 1)
-    n_samples: int = _field("signal", _int, 16384)
-    bandwidth_fraction: float = _field("signal", _float, 0.25)
+    n_samples: int = _field("signal", _int, DEFAULT_N_SAMPLES)
+    bandwidth_fraction: float = _field("signal", _float, DEFAULT_BANDWIDTH_FRACTION)
     # [model]
     kind: str = _field("model", _word, "mpm")
     taps: int = _field("model", _count, 4)
@@ -135,12 +136,12 @@ class RunConfig:
     preset: str = _field("sweep", _word, "high")
     taps_list: tuple = _field("sweep", _count_list, DEFAULT_TAPS_LIST)
     param_targets: tuple = _field("sweep", _count_list, DEFAULT_PARAM_TARGETS)
-    seeds: tuple = _field("sweep", _list_of(_seed), (1, 2, 3))
+    seeds: tuple = _field("sweep", _list_of(_seed), DEFAULT_SEEDS)
     budget_lo: int = _field("sweep", _int, DpdModelSpec.budget[0])
     budget_hi: int = _field("sweep", _int, DpdModelSpec.budget[1])
     nn_grid: tuple = _field("sweep", _count_list, DEFAULT_NN_GRID)
     mpm_k_grid: tuple = _field("sweep", _count_list, DEFAULT_MPM_K_GRID)
-    sweep_taps: int = _field("sweep", _count, 7, key="taps")
+    sweep_taps: int = _field("sweep", _count, DEFAULT_COMPLEXITY_TAPS, key="taps")
 
     def __post_init__(self) -> None:
         if self.kind not in FAMILIES:

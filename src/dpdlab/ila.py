@@ -21,7 +21,7 @@ from .agmpnn import AgmpnnModel, count_params_formula
 from .exceptions import FormatError
 from .mpm import MpmCoefficients, fit_orders
 from .pa_sim import PaConfig, pa_forward
-from .rvftdnn import RvftdnnModel, architecture_search, rvftdnn_param_count
+from .rvftdnn import DEFAULT_BUDGET, RvftdnnModel, architecture_search, rvftdnn_param_count
 from .signal import ComplexSequence, TapWindow, align, as_samples, generate_waveform, nmse_db
 from .training import TrainConfig, best_fit, segment_pairs, train, validation_nmse_db
 
@@ -32,7 +32,11 @@ EVAL_SEED_OFFSET = 1000
 MODEL_CLASSES = {cls.PARAMS.kind: cls for cls in (MpmCoefficients, AgmpnnModel, RvftdnnModel)}
 FAMILIES = tuple(MODEL_CLASSES)
 
+DEFAULT_N_SAMPLES = 16384
+DEFAULT_BANDWIDTH_FRACTION = 0.25
+DEFAULT_SEEDS = (1, 2, 3)
 DEFAULT_TAPS_LIST = (4, 5, 6, 7, 8, 9, 10)
+DEFAULT_COMPLEXITY_TAPS = 7
 DEFAULT_PARAM_TARGETS = (100, 200, 300, 400, 500, 600)
 DEFAULT_MPM_K_GRID = (1, 2, 3, 4, 5, 6, 7, 8)
 DEFAULT_NN_GRID = (8, 10, 12, 14, 16, 18, 20)
@@ -82,7 +86,7 @@ class DpdModelSpec:
     # Candidates to search, one kept by training.best_fit: mpm order counts,
     # rvftdnn (n1, n2) widths; agmpnn takes none.  None fits the spec's own size.
     search_grid: Optional[tuple] = None
-    budget: tuple = (100, 600)
+    budget: tuple = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         _check_families((self.kind,))
@@ -238,8 +242,8 @@ class IlaDrive:
     no_dpd_nmse_db: float
 
 
-def drive_ila(pa: PaConfig, seed: int, n_samples: int = 16384,
-              bandwidth_fraction: float = 0.25) -> IlaDrive:
+def drive_ila(pa: PaConfig, seed: int, n_samples: int = DEFAULT_N_SAMPLES,
+              bandwidth_fraction: float = DEFAULT_BANDWIDTH_FRACTION) -> IlaDrive:
     """Drive stage of a cell, a pure function of its arguments: the fitting and
     evaluation (seed + EVAL_SEED_OFFSET) waveforms, the first fitting pass and
     the no-DPD baseline.  Feedback noise applies only to the fitting pass."""
@@ -294,7 +298,8 @@ def run_ila_cell(pa: PaConfig, preset_label: str, spec: DpdModelSpec, drive: Ila
 
 
 def run_ila(pa: PaConfig, preset_label: str, spec: DpdModelSpec, seed: int,
-            n_samples: int = 16384, bandwidth_fraction: float = 0.25,
+            n_samples: int = DEFAULT_N_SAMPLES,
+            bandwidth_fraction: float = DEFAULT_BANDWIDTH_FRACTION,
             cfg: TrainConfig | None = None, n_iterations: int = 1) -> IlaReport:
     """Full cell: the drive stage (drive_ila), then the cell stage (run_ila_cell)."""
     drive = drive_ila(pa, seed, n_samples, bandwidth_fraction)
@@ -345,8 +350,9 @@ def _tap_sweep_spec(family: str, window: TapWindow, budget, nn_grid,
 
 
 def sweep_taps(pa: PaConfig, preset_label: str, taps_list=DEFAULT_TAPS_LIST,
-               seeds=(1, 2, 3), families=FAMILIES, budget=(100, 600),
-               n_samples: int = 16384, bandwidth_fraction: float = 0.25,
+               seeds=DEFAULT_SEEDS, families=FAMILIES, budget=DEFAULT_BUDGET,
+               n_samples: int = DEFAULT_N_SAMPLES,
+               bandwidth_fraction: float = DEFAULT_BANDWIDTH_FRACTION,
                cfg: TrainConfig | None = None, nn_grid=DEFAULT_NN_GRID,
                mpm_k_grid=DEFAULT_MPM_K_GRID) -> list[IlaReport]:
     """Tap-count sweep: AGMPNN fixed at (K=3, M=3), RVFTDNN architecture-searched
@@ -381,9 +387,11 @@ def _closest_spec(family: str, window: TapWindow, target: int, mpm_k_grid) -> Dp
     return spec if abs(spec.n_params() - target) <= TARGET_TOLERANCE * target else None
 
 
-def sweep_complexity(pa_by_preset: dict, taps: int = 7, param_targets=DEFAULT_PARAM_TARGETS,
-                     seeds=(1, 2, 3), families=FAMILIES, n_samples: int = 16384,
-                     bandwidth_fraction: float = 0.25, cfg: TrainConfig | None = None,
+def sweep_complexity(pa_by_preset: dict, taps: int = DEFAULT_COMPLEXITY_TAPS,
+                     param_targets=DEFAULT_PARAM_TARGETS, seeds=DEFAULT_SEEDS,
+                     families=FAMILIES, n_samples: int = DEFAULT_N_SAMPLES,
+                     bandwidth_fraction: float = DEFAULT_BANDWIDTH_FRACTION,
+                     cfg: TrainConfig | None = None,
                      mpm_k_grid=DEFAULT_MPM_K_GRID) -> list[IlaReport]:
     """Complexity sweep at fixed taps: per family, pick the configuration whose
     trainable parameter count comes closest to each target; a cell further than

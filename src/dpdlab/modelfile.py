@@ -7,10 +7,11 @@ significant decimal digits after the leading digit, so a round trip is
 value-exact for float64.
 
 Every model family declares its parameter arrays once, as a ParamTable.  The
-table drives shape and finiteness validation, the optimizer's flat parameter
-vector, gradient flattening, and saving and loading the model file.  Each
-family subclasses ParamModel, which reads that protocol off its table, and
-writes only its own math and its constructor from a parsed file.
+table drives shape and finiteness validation, the layout of the optimizer's
+flat parameter vector and of the flat gradient a family's loss writes, and
+saving and loading the model file.  Each family subclasses ParamModel, which
+reads that protocol off its table, and writes only its own math and its
+constructor from a parsed file.
 """
 
 from __future__ import annotations
@@ -234,7 +235,9 @@ class ParamTable:
 
     def views(self, model, vec: np.ndarray) -> dict:
         """The arrays of a flat vector laid out like `model`'s parameters, as
-        views of it in table order: the inverse of flatten."""
+        views of it in table order: the inverse of flatten.  A family's
+        loss_and_gradient writes each gradient into these views of one vector,
+        and a caller that wants one gradient array per parameter reads them."""
         views = {}
         pos = 0
         for p in self.params:
@@ -305,7 +308,9 @@ class ParamModel:
     """The protocol every model family shares, read off its `PARAMS` table:
     validation on construction, the flat parameter vector, the trainable
     count, and the model file.  A subclass is a frozen dataclass that sets
-    `PARAMS` and defines `from_parsed(path, parsed)`."""
+    `PARAMS` and defines `from_parsed(path, parsed)`; a trained family's
+    `loss_and_gradient` returns its gradient as one flat vector in the same
+    layout."""
 
     PARAMS: ParamTable
 

@@ -38,6 +38,9 @@ from .training import best_fit, train
 
 MODEL_KIND = "rvftdnn"
 
+# Default trainable-parameter budget (low, high) of an architecture search.
+DEFAULT_BUDGET = (100, 600)
+
 
 @dataclass(frozen=True)
 class RvftdnnModel(modelfile.ParamModel):
@@ -88,17 +91,13 @@ class RvftdnnModel(modelfile.ParamModel):
         )
 
     # ------------------------------------------------------------------
-    # forward / backward
+    # forward, loss and gradient, the flat parameter vector protocol
     # ------------------------------------------------------------------
 
-    def _features(self, x) -> np.ndarray:
-        """Interleaved re/im tap features, shape (N, 2T): the tap matrix seen
-        as float64, without a copy."""
-        return delayed_matrix(x, self.window).view(np.float64)
-
     def _forward(self, feats: np.ndarray):
-        """(h1, h2, out) of the rows of a feature matrix; each layer's bias
-        and tanh are applied in place."""
+        """(h1, h2, out) of the rows of a feature matrix, the interleaved re/im
+        tap features (the tap matrix seen as float64, shape (N, 2T)); each
+        layer's bias and tanh are applied in place."""
         h1 = feats @ self.w1
         h1 += self.b1
         np.tanh(h1, out=h1)
@@ -111,35 +110,21 @@ class RvftdnnModel(modelfile.ParamModel):
 
     def predict(self, x) -> ComplexSequence:
         seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
-        out = self._forward(self._features(seq))[2]
+        out = self._forward(delayed_matrix(seq, self.window).view(np.float64))[2]
         return ComplexSequence(out[:, 0] + 1j * out[:, 1],
                                sample_rate_hint=seq.sample_rate_hint)
-
-    def backward(self, x, target) -> tuple[float, dict]:
-        """(loss, gradients) as loss_and_gradient returns them, with one
-        gradient array per parameter attribute: views of the flat gradient."""
-        loss, grad = self.loss_and_gradient(x, target)
-        return loss, self.PARAMS.views(self, grad)
-
-    # ------------------------------------------------------------------
-    # flat parameter vector protocol
-    # ------------------------------------------------------------------
 
     def with_param_vector(self, vec: np.ndarray) -> "RvftdnnModel":
         return self.PARAMS.with_param_vector(self, vec)
 
     def loss_and_gradient(self, x, target) -> tuple[float, np.ndarray]:
-        """Mean |output - target|^2 over the window's interior
-        (TapWindow.interior) and its exact gradient, written layer by layer
+        """Mean |output - target|^2 over the scored rows
+        (TapWindow.scored_rows) and its exact gradient, written layer by layer
         into one flat vector in PARAMS order."""
-        psi = as_samples(x)
-        phi = as_samples(target)
-        if psi.size != phi.size:
-            raise ValueError("input and target lengths differ")
-        idx = self.window.interior(psi.size)
-        feats = self._features(x)[idx]
+        delayed, phi = self.window.scored_rows(x, target)
+        feats = delayed.view(np.float64)
         h1, h2, err = self._forward(feats)
-        err -= phi[idx].view(np.float64).reshape(-1, 2)
+        err -= phi.view(np.float64).reshape(-1, 2)
         count = err.shape[0]
         loss = float((err[:, 0] ** 2 + err[:, 1] ** 2).sum()) / count
         d_out = np.multiply(err, 2.0 / count, out=err)
@@ -188,7 +173,7 @@ def rvftdnn_param_count(n_taps: int, n1: int, n2: int) -> int:
 
 
 def architecture_search(window: TapWindow, psi, phi, cfg, grid,
-                        budget_lo: int = 100, budget_hi: int = 600,
+                        budget_lo: int = DEFAULT_BUDGET[0], budget_hi: int = DEFAULT_BUDGET[1],
                         seed: int = 0) -> tuple[RvftdnnModel, float]:
     """Train every grid pair within the parameter budget.
 

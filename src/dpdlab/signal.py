@@ -8,6 +8,7 @@ two-column CSV).
 from __future__ import annotations
 
 import cmath
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +18,7 @@ import numpy as np
 from .exceptions import FormatError
 
 NMSE_FLOOR_DB = -300.0
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 IQ_MAGIC = b"DPDIQ1\x00\x00"
 _IQ_HEADER = struct.Struct("<8sQd")
@@ -53,8 +55,8 @@ class ComplexSequence:
         if not np.all(np.isfinite(samples)):
             raise ValueError("sequence samples must be finite")
         rate = float(self.sample_rate_hint)
-        if not rate > 0.0:
-            raise ValueError("sample_rate_hint must be positive")
+        if not 0.0 < rate < np.inf:
+            raise ValueError(f"sample_rate_hint is {rate}; it must be positive and finite")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hint", rate)
@@ -104,6 +106,16 @@ class TapWindow:
         if hi <= lo:
             raise ValueError(f"{n} samples are too few for a {self.n_taps}-tap window")
         return slice(lo, hi)
+
+    def scored_rows(self, x, target) -> tuple[np.ndarray, np.ndarray]:
+        """The rows a loss scores: the interior rows of x's tap matrix
+        (delayed_matrix) and the interior samples of target, which must be as
+        long as x."""
+        phi = as_samples(target)
+        if as_samples(x).size != phi.size:
+            raise ValueError("input and target lengths differ")
+        rows = self.interior(phi.size)
+        return delayed_matrix(x, self)[rows], phi[rows]
 
 
 @dataclass(frozen=True)
@@ -167,20 +179,32 @@ def generate_waveform(seed: int, n_samples: int, bandwidth_fraction: float,
 def nmse_db(estimate, reference) -> float:
     """10*log10(||estimate - reference||^2 / ||reference||^2) in dB.
 
-    Clamped below at -300 dB so an exact match stays finite.  Raises ValueError
-    on length mismatch or a zero-energy reference.
+    Clamped below at -300 dB so an exact match stays finite.  Where an energy
+    overflows float64, or the reference's underflows past its normal range,
+    both sequences are first scaled by the power of two that brings the
+    reference's largest real or imaginary part into [0.5, 1), which keeps the
+    ratio.  Raises ValueError on length mismatch or a zero-energy reference.
     """
     est = as_samples(estimate)
     ref = as_samples(reference)
     if est.size != ref.size:
         raise ValueError(f"length mismatch: estimate has {est.size} samples, reference {ref.size}")
-    ref_energy = float(np.sum(np.abs(ref) ** 2))
+    with np.errstate(over="ignore"):
+        ref_energy, err_energy = _energies(est, ref)
+        if not _SMALLEST_NORMAL <= ref_energy < np.inf or err_energy == np.inf:
+            exp = math.frexp(float(np.max(np.abs(ref.view(np.float64)))))[1]
+            ref_energy, err_energy = _energies(
+                *(np.ldexp(z.view(np.float64), -exp).view(np.complex128) for z in (est, ref)))
     if ref_energy == 0.0:
         raise ValueError("reference sequence has zero energy")
-    err_energy = float(np.sum(np.abs(est - ref) ** 2))
     if err_energy == 0.0:
         return NMSE_FLOOR_DB
     return max(10.0 * float(np.log10(err_energy / ref_energy)), NMSE_FLOOR_DB)
+
+
+def _energies(est: np.ndarray, ref: np.ndarray) -> tuple[float, float]:
+    """(||ref||^2, ||est - ref||^2)."""
+    return float(np.sum(np.abs(ref) ** 2)), float(np.sum(np.abs(est - ref) ** 2))
 
 
 def align(reference, measured, max_lag: int) -> AlignmentResult:

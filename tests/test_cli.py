@@ -12,6 +12,7 @@ from dpdlab.cli import dispatch
 from dpdlab.config import parse_config
 from dpdlab.ila import REPORT_HEADER, load_model
 from dpdlab.mpm import MpmCoefficients, MpmSpec
+from dpdlab.rvftdnn import RvftdnnModel
 
 
 def _sha(path):
@@ -217,6 +218,27 @@ def test_eval_of_a_model_whose_output_overflows_names_the_model_file(tmp_path, c
                      "--in", str(wave_path), "--target", str(wave_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {model_path}: the model's output is not finite on {wave_path}"]
+
+
+def test_eval_against_a_target_whose_energy_overflows_prints_a_finite_nmse(tmp_path, capsys):
+    # tanh keeps the model's output finite on a 1e200 input; the NMSE squares
+    # the 1e200 target and the error.
+    model_path = tmp_path / "net.model"
+    RvftdnnModel.init(TapWindow(pre_taps=2), 3, 3, seed=0).save(model_path)
+    wave_path = tmp_path / "loud.csv"
+    write_iq_csv(ComplexSequence(np.linspace(1e200, 3e200, 16) * (1 - 0.5j)), wave_path)
+    assert dispatch(["eval", "--model-file", str(model_path),
+                     "--in", str(wave_path), "--target", str(wave_path)]) == 0
+    assert np.isfinite(float(capsys.readouterr().out.strip()))
+
+
+def test_gen_signal_rejects_a_rate_that_the_reader_would_refuse(tmp_path, capsys):
+    out = tmp_path / "x.iq"
+    assert dispatch(["gen-signal", "--seed", "1", "--n", "64", "--sample-rate", "inf",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: sample_rate_hint is inf; it must be positive and finite"]
+    assert not out.exists()
 
 
 def test_fit_neural_model_with_config(tmp_path):

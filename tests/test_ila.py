@@ -198,6 +198,49 @@ def test_iterated_fit_reuses_only_the_drive_stages_first_pass():
     assert twice.gain != drive.first_pass.gain  # the second pass was observed anew
 
 
+# === known answers on linear PAs, whose inverses the MPM holds ===
+
+# A minimum-phase FIR: its inverse is a stable, decaying IIR, which 7 taps
+# truncate.
+LINEAR_FIR = np.array([[1.0], [0.4 * np.exp(0.3j)], [0.1]])
+
+
+def _linear_cell(coeffs, k_orders, feedback_snr_db=None):
+    """The 7-tap MPM cell of seed 1 on 8192 samples, on a PA with these
+    coefficients."""
+    spec = DpdModelSpec(kind="mpm", window=TapWindow(pre_taps=6), k_orders=k_orders)
+    return run_ila(PaConfig(coeffs=coeffs, feedback_snr_db=feedback_snr_db), "linear", spec,
+                   seed=1, n_samples=8192)
+
+
+# Depths measured at 7 taps: identity K = 1 -137.9 dB, K = 3 -103.4 dB; the
+# FIR -93.0 and -89.9 dB; with 40 dB feedback noise -50.3 dB at both orders.
+@pytest.mark.parametrize("coeffs, k_orders, snr_db, depth_db", [
+    ([[1.0]], 1, None, -130.0),
+    ([[1.0]], 3, None, -85.0),
+    (LINEAR_FIR, 1, None, -85.0),
+    (LINEAR_FIR, 3, None, -85.0),
+    (LINEAR_FIR, 1, 40.0, -45.0),
+    (LINEAR_FIR, 3, 40.0, -45.0),
+], ids=["identity-k1", "identity-k3", "fir-k1", "fir-k3", "fir-noise-k1", "fir-noise-k3"])
+def test_mpm_linearizes_a_linear_pa_to_a_stated_depth(coeffs, k_orders, snr_db, depth_db):
+    assert _linear_cell(coeffs, k_orders, snr_db).lin_nmse_db <= depth_db
+
+
+@pytest.mark.parametrize("coeffs", [[[1.0]], LINEAR_FIR], ids=["identity", "fir"])
+def test_a_pa_gain_leaves_the_linear_report_unchanged(coeffs):
+    # align divides the gain out.  A gain of 2 scales every sample exactly, so
+    # every float keeps its bits; another gain rounds, and moves only the
+    # last bits, below the report's six decimals.
+    coeffs = np.asarray(coeffs)
+    base = _linear_cell(coeffs, 3)
+    turned = _linear_cell(0.5 * np.exp(0.7j) * coeffs, 3)
+    assert reports_to_csv([turned]) == reports_to_csv([base])
+    doubled = _linear_cell(2.0 * coeffs, 3)
+    for name in ("postinv_nmse_db", "lin_nmse_db", "no_dpd_nmse_db"):
+        assert getattr(doubled, name).hex() == getattr(base, name).hex(), name
+
+
 def test_no_dpd_metric_ignores_model():
     chi = generate_waveform(5, 4096, 0.25)
     nmse, gain = linearization_nmse_db(preset("high"), None, chi)

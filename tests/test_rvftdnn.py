@@ -171,7 +171,8 @@ def test_kernels_give_the_reference_bits(n1, n2, window):
         y = x * (1.0 - 0.2 * np.abs(x) ** 2) + 0.01 * rng.standard_normal(n)
         for seq in (x, FramedSequence(x, window=window)):
             assert _same_bits(model.predict(seq).samples, ref.rvftdnn_predict(model, seq).samples)
-            loss, grads = model.backward(seq, y)
+            loss, flat = model.loss_and_gradient(seq, y)
+            grads = model.PARAMS.views(model, flat)
             ref_loss, ref_grads = ref.rvftdnn_backward(model, seq, y)
             assert _same_bits(loss, ref_loss)
             assert grads.keys() == ref_grads.keys()

@@ -148,6 +148,14 @@ def test_complex_sequence_validation():
         seq.samples[0] = 0.0
 
 
+@pytest.mark.parametrize("rate", [0.0, -2.0, float("nan"), float("inf")])
+def test_sample_rate_hint_must_be_positive_and_finite(rate):
+    # The binary reader's rule: a written waveform must read back.
+    with pytest.raises(ValueError, match=f"sample_rate_hint is {rate}; it must be positive "
+                                         "and finite"):
+        ComplexSequence(np.array([1.0]), sample_rate_hint=rate)
+
+
 def test_papr_simple_values():
     assert abs(ComplexSequence([1.0, 1.0, 1.0]).papr_db()) < 1e-12
     two_tone = ComplexSequence([2.0, 0.0, 2.0, 0.0])
@@ -200,6 +208,19 @@ def test_nmse_rotation_invariance():
     y = x.samples * 1.05 * np.exp(0.3j)
     rot = np.exp(1.234j)
     assert abs(nmse_db(y, x) - nmse_db(rot * y, rot * x.samples)) < 1e-10
+
+
+def test_nmse_of_samples_whose_energy_overflows_or_underflows_keeps_its_value():
+    # 2**600 is exact, so the pair keeps its ratio bit for bit; its energies,
+    # ~1e361, overflow a float64 where the plain pair's do not.
+    a = np.array([1.0, 2.0 - 0.5j, 3.0j])
+    plain = nmse_db(a * 1.001, a)
+    assert nmse_db(a * 1.001 * 2.0 ** 600, a * 2.0 ** 600) == plain
+    assert abs(plain - 20.0 * np.log10(0.001)) < 1e-9
+    b = np.array([1e200, 2e200, 3e200])
+    assert abs(nmse_db(b * 1.001, b) - 20.0 * np.log10(0.001)) < 1e-6
+    # The mirror case: energies of ~1e-361 underflow to 0.
+    assert nmse_db(a * 1.001 * 2.0 ** -600, a * 2.0 ** -600) == plain
 
 
 def test_nmse_rejects_bad_inputs():
