@@ -4,7 +4,14 @@ Simulated memoryful power amplifier, three predistorter families (classical
 least-squares memory polynomial, attention-gated mixture of offset memory
 polynomials, real-valued time-delay dense network), an indirect-learning
 fit/deploy/evaluate harness, and CSV sweep reports.
+
+Importing dpdlab sets NumPy's bundled OpenBLAS to one thread for the whole
+process, so its results do not depend on the machine's core count.
 """
+
+from ._blas import pin_one_thread
+
+pin_one_thread()
 
 from .exceptions import ConditioningError, DpdlabError, FormatError, TrainingDivergedError
 from .signal import (

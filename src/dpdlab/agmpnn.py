@@ -32,6 +32,11 @@ and OpenBLAS that the code does not show:
   matrix product is a dot product, whose bits differ from the gemv's.
 - A reduction along a contiguous axis is sequential below 8 entries and
   pairwise from 8 on, so the softmax's expert sum stays on the (N, M) layout.
+- On one OpenBLAS thread, which importing dpdlab sets, the attention gemv
+  gives each row the same bits in a block of rows that starts at a multiple
+  of 16 rows as in the whole matrix, so predict's row blocks change no output
+  bit (measured at 7, 13, 28, 29 and 32 taps on 16390 samples).  Two threads
+  split a long gemv and, from 29 taps on, move a few rows' bits.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import numpy as np
 
 from . import modelfile
 from .mpm import MpmCoefficients
-from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix
+from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix, predict_blocks
 
 MODEL_KIND = "agmpnn"
 
@@ -50,15 +55,6 @@ MODEL_KIND = "agmpnn"
 # that the initial model reproduces the warm-start predictor to well below
 # 0.01 dB, small enough that the other experts still receive usable gradients.
 WARM_START_SCORE_BIAS = 10.0
-
-# Rows per forward block in predict.  Every result of the forward pass is a
-# function of its own row, and the attention gemv gives each row the same bits
-# in a block that starts at a multiple of 16 rows, so the blocking changes no
-# output bit (measured up to 28 taps; from 29 taps on, OpenBLAS's two-thread
-# split of a long unblocked gemv already moved a few rows' bits).  A last block
-# of one row joins the block before it: numpy takes a one-row product as a dot
-# product, whose bits differ.
-PREDICT_BLOCK_ROWS = 1024
 
 
 def count_params_formula(n_taps: int, k_orders: int, n_experts: int) -> int:
@@ -230,16 +226,15 @@ class AgmpnnModel(modelfile.ParamModel):
         return output, expert_out, weights, rect, powers
 
     def predict(self, x) -> ComplexSequence:
-        """The model output; the forward pass runs on PREDICT_BLOCK_ROWS rows at
-        a time, which bounds its expert-major temporaries."""
+        """The model output; the forward pass runs on one predict_blocks block
+        of rows at a time, which bounds its expert-major temporaries.  Every
+        result of the pass is a function of its own row, so the blocking
+        changes no output bit (see the module docstring)."""
         seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
         delayed = delayed_matrix(seq, self.window)
-        n = delayed.shape[0]
-        output = np.empty(n, dtype=np.complex128)
-        start = 0
-        for stop in [*range(PREDICT_BLOCK_ROWS, n - 1, PREDICT_BLOCK_ROWS), n]:
-            output[start:stop] = self._forward_arrays(delayed[start:stop])[0]
-            start = stop
+        output = np.empty(delayed.shape[0], dtype=np.complex128)
+        for rows in predict_blocks(delayed.shape[0]):
+            output[rows] = self._forward_arrays(delayed[rows])[0]
         return ComplexSequence(output, sample_rate_hint=seq.sample_rate_hint)
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import modelfile
 from .exceptions import ConditioningError
-from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix
+from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix, predict_blocks
 
 # Default ridge, relative to the mean diagonal of the normal matrix.
 RIDGE_DEFAULT_REL = 1e-10
@@ -72,7 +72,12 @@ def build_basis(x, spec: MpmSpec) -> BasisMatrix:
     Tap values outside the sequence are zero-filled, matching window_at.  A
     FramedSequence's held tap matrix is reused.
     """
-    delayed = delayed_matrix(x, spec.window)
+    return BasisMatrix(data=basis_rows(delayed_matrix(x, spec.window), spec), spec=spec)
+
+
+def basis_rows(delayed: np.ndarray, spec: MpmSpec) -> np.ndarray:
+    """The basis rows of the rows of an (N, T) tap matrix, as an (N, T·K)
+    array; each row depends only on its own tap row."""
     rect = rectified_amplitude(delayed, spec.amp_offset)
     rect_sq = rect * rect
     k_orders = spec.k_orders
@@ -82,7 +87,7 @@ def build_basis(x, spec: MpmSpec) -> BasisMatrix:
         if k:
             power = power * rect_sq
         data[:, k::k_orders] = delayed * power
-    return BasisMatrix(data=data, spec=spec)
+    return data
 
 
 def _dependent_columns(basis: BasisMatrix, rows: int) -> list[str]:
@@ -255,10 +260,17 @@ class MpmCoefficients(modelfile.ParamModel):
         return self.spec.k_orders
 
     def predict(self, x) -> ComplexSequence:
+        """basis · coeff; the basis is built one predict_blocks block of rows at
+        a time, so no N × T·K basis is held.  Each output row is the gemv's
+        product of its own basis row, the same in a block as in the whole
+        basis, so the blocking changes no output bit."""
         seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
-        basis = build_basis(seq, self.spec)
-        return ComplexSequence(basis.data @ self.coeff.reshape(-1),
-                               sample_rate_hint=seq.sample_rate_hint)
+        delayed = delayed_matrix(seq, self.window)
+        coeff = self.coeff.reshape(-1)
+        output = np.empty(delayed.shape[0], dtype=np.complex128)
+        for rows in predict_blocks(delayed.shape[0]):
+            output[rows] = basis_rows(delayed[rows], self.spec) @ coeff
+        return ComplexSequence(output, sample_rate_hint=seq.sample_rate_hint)
 
     def save(self, path) -> None:
         self.PARAMS.save(self, path, amp_offset=float(self.spec.amp_offset))

@@ -179,32 +179,49 @@ def generate_waveform(seed: int, n_samples: int, bandwidth_fraction: float,
 def nmse_db(estimate, reference) -> float:
     """10*log10(||estimate - reference||^2 / ||reference||^2) in dB.
 
-    Clamped below at -300 dB so an exact match stays finite.  Where an energy
-    overflows float64, or the reference's underflows past its normal range,
-    both sequences are first scaled by the power of two that brings the
-    reference's largest real or imaginary part into [0.5, 1), which keeps the
-    ratio.  Raises ValueError on length mismatch or a zero-energy reference.
+    Clamped below at -300 dB so an exact match stays finite.  Where either
+    energy overflows float64 or falls below its normal range, each is taken
+    again on samples scaled by its own power of two: the reference by the one
+    that brings its largest real or imaginary part into [0.5, 1), the error by
+    the one that does so for the larger of the two sequences.  The exponent
+    difference is added back to the logarithm, so the result is finite
+    whatever the scale.  Raises ValueError on length mismatch or a
+    zero-energy reference.
     """
     est = as_samples(estimate)
     ref = as_samples(reference)
     if est.size != ref.size:
         raise ValueError(f"length mismatch: estimate has {est.size} samples, reference {ref.size}")
+    octaves = 0
     with np.errstate(over="ignore"):
-        ref_energy, err_energy = _energies(est, ref)
-        if not _SMALLEST_NORMAL <= ref_energy < np.inf or err_energy == np.inf:
-            exp = math.frexp(float(np.max(np.abs(ref.view(np.float64)))))[1]
-            ref_energy, err_energy = _energies(
-                *(np.ldexp(z.view(np.float64), -exp).view(np.complex128) for z in (est, ref)))
+        ref_energy, err_energy = _energy(ref), _energy(est - ref)
+    if not all(_SMALLEST_NORMAL <= e < np.inf for e in (ref_energy, err_energy)):
+        ref_exp = _exponent(ref)
+        err_exp = max(_exponent(est), ref_exp)
+        ref_energy = _energy(_scaled(ref, ref_exp))
+        err_energy = _energy(_scaled(est, err_exp) - _scaled(ref, err_exp))
+        octaves = 2 * (err_exp - ref_exp)
     if ref_energy == 0.0:
         raise ValueError("reference sequence has zero energy")
     if err_energy == 0.0:
         return NMSE_FLOOR_DB
-    return max(10.0 * float(np.log10(err_energy / ref_energy)), NMSE_FLOOR_DB)
+    db = 10.0 * (float(np.log10(err_energy / ref_energy)) + octaves * math.log10(2.0))
+    return max(db, NMSE_FLOOR_DB)
 
 
-def _energies(est: np.ndarray, ref: np.ndarray) -> tuple[float, float]:
-    """(||ref||^2, ||est - ref||^2)."""
-    return float(np.sum(np.abs(ref) ** 2)), float(np.sum(np.abs(est - ref) ** 2))
+def _energy(z: np.ndarray) -> float:
+    """||z||^2."""
+    return float(np.sum(np.abs(z) ** 2))
+
+
+def _exponent(z: np.ndarray) -> int:
+    """The power of two that brings z's largest real or imaginary part into [0.5, 1)."""
+    return math.frexp(float(np.max(np.abs(z.view(np.float64)))))[1]
+
+
+def _scaled(z: np.ndarray, exp: int) -> np.ndarray:
+    """z * 2**-exp, exact wherever it stays in the normal range."""
+    return np.ldexp(z.view(np.float64), -exp).view(np.complex128)
 
 
 def align(reference, measured, max_lag: int) -> AlignmentResult:
@@ -294,6 +311,20 @@ def delayed_matrix(x, window: TapWindow) -> np.ndarray:
         else:
             out[:, i] = samples
     return out
+
+
+# Rows per block of a model's predict pass over its tap matrix, which bounds
+# the pass's temporaries.  Each family's module says why its blocked output
+# keeps the unblocked output's bits.
+PREDICT_BLOCK_ROWS = 1024
+
+
+def predict_blocks(n_rows: int) -> list[slice]:
+    """Slices of PREDICT_BLOCK_ROWS rows covering n_rows rows.  A last block
+    of one row joins the block before it: numpy takes a one-row matrix
+    product as a dot product, whose bits differ from a gemv's."""
+    stops = [*range(PREDICT_BLOCK_ROWS, n_rows - 1, PREDICT_BLOCK_ROWS), n_rows]
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
 def read_text(path) -> str:

@@ -17,8 +17,8 @@ from dpdlab import (
     ls_fit,
     nmse_db,
 )
-from dpdlab.agmpnn import PREDICT_BLOCK_ROWS, WARM_START_SCORE_BIAS, attention_weights
-from dpdlab.signal import as_samples, delayed_matrix
+from dpdlab.agmpnn import WARM_START_SCORE_BIAS, attention_weights
+from dpdlab.signal import PREDICT_BLOCK_ROWS, as_samples, delayed_matrix
 
 import reference_impls as ref
 

@@ -1,11 +1,15 @@
 """Indirect-learning fit/deploy/evaluate harness and sweep reports."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpdlab
 from dpdlab import (
     AgmpnnModel,
     ConditioningError,
@@ -551,7 +555,7 @@ GOLDEN_SWEEPS = {
         "[signal]\nn_samples = 4096\nseed = 1\n" + _SWEEP_RECIPE
         + "[sweep]\ntaps = 5\nparam_targets = 30, 100, 200, 600\nseeds = 1\n"
         "mpm_k_grid = 3, 1, 2\n",
-        "8a7bb401844ee7b6ac3e0bb1c40e8e382f3fb1191d085b20c9638176130b9a89"),
+        "8ff1e623f4bb73fd4db53f7c0f99bfb3a62f5bd23cd05c51c5aab784b976b879"),
 }
 
 
@@ -562,6 +566,21 @@ def test_sweep_csv_matches_golden_bytes(tmp_path, name):
     cfg.write_text(config)
     assert dispatch([command, "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_golden_sweep_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, threads):
+    # Each fresh interpreter asks OpenBLAS for another thread count (three on a
+    # two-CPU machine only oversubscribes); importing dpdlab holds it to one.
+    src = str(Path(dpdlab.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for name, (command, config, digest) in GOLDEN_SWEEPS.items():
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+        cfg.write_text(config)
+        subprocess.run([sys.executable, "-m", "dpdlab", command, "--config", str(cfg),
+                        "--out", str(out)], capture_output=True, check=True, env=env)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
 
 
 # === complexity sweep ===

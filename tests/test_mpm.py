@@ -16,6 +16,7 @@ from dpdlab import (
     nmse_db,
 )
 from dpdlab.mpm import BasisMatrix, _dependent_columns, order_blocked_qr, rectified_amplitude
+from dpdlab.signal import PREDICT_BLOCK_ROWS
 
 import reference_impls as ref
 
@@ -270,13 +271,19 @@ def test_default_ridge_handles_singular_system():
 # === prediction ===
 
 def test_predict_equals_basis_times_coeff():
-    rng = np.random.default_rng(9)
-    x = generate_waveform(9, 256, 0.25)
-    spec = _spec(pre=2, post=1, k=3, b=-0.1)
-    coeff = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    model = MpmCoefficients(spec=spec, coeff=coeff)
-    direct = build_basis(x, spec).data @ coeff.reshape(-1)
-    assert np.array_equal(model.predict(x).samples, direct)
+    # predict builds the basis PREDICT_BLOCK_ROWS rows at a time, bit for bit
+    # the whole basis's gemv; 1025 and 2049 samples end in a one-row tail,
+    # which joins the block before it.
+    for n in (256, PREDICT_BLOCK_ROWS + 1, 2 * PREDICT_BLOCK_ROWS + 1, 16390):
+        x = generate_waveform(n, n, 0.25)
+        for pre, post, k, b in ((2, 1, 3, -0.1), (3, 0, 4, 0.0), (9, 0, 8, 0.0), (12, 0, 1, 0.0)):
+            rng = np.random.default_rng(pre * 10 + k)
+            taps = pre + post + 1
+            coeff = rng.standard_normal((taps, k)) + 1j * rng.standard_normal((taps, k))
+            spec = _spec(pre=pre, post=post, k=k, b=b)
+            direct = build_basis(x, spec).data @ coeff.reshape(-1)
+            predicted = MpmCoefficients(spec=spec, coeff=coeff).predict(x).samples
+            assert np.array_equal(predicted, direct), (n, pre, k, b)
 
 
 def test_predict_matches_reference_loop():

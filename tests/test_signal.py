@@ -223,6 +223,15 @@ def test_nmse_of_samples_whose_energy_overflows_or_underflows_keeps_its_value():
     assert nmse_db(a * 1.001 * 2.0 ** -600, a * 2.0 ** -600) == plain
 
 
+def test_nmse_of_an_error_far_above_the_reference_stays_finite():
+    # The error energy, ~1e400 of a reference of 5, overflows even once both
+    # are scaled by the reference's power of two.
+    assert abs(nmse_db([1e200, 2e200], [1.0, 2.0]) - 4000.0) < 1e-9
+    # Here the reference's energy underflows and the error's overflows.
+    assert abs(nmse_db([1e300] * 2, [1e-300] * 2) - 12000.0) < 1e-9
+    assert nmse_db([1e-300] * 2, [1e300] * 2) == 0.0
+
+
 def test_nmse_rejects_bad_inputs():
     with pytest.raises(ValueError):
         nmse_db(np.ones(4), np.ones(5))
