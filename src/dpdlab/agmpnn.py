@@ -47,9 +47,7 @@ import numpy as np
 
 from . import modelfile
 from .mpm import MpmCoefficients
-from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix, predict_blocks
-
-MODEL_KIND = "agmpnn"
+from .signal import ComplexSequence, TapWindow, as_samples, predict_rows
 
 # Attention score bias applied to expert 1 when warm starting, large enough
 # that the initial model reproduces the warm-start predictor to well below
@@ -64,8 +62,7 @@ def count_params_formula(n_taps: int, k_orders: int, n_experts: int) -> int:
     enumerated trainable count, which count_params_actual reports.
     """
     l, k, m = int(n_taps), int(k_orders), int(n_experts)
-    if l < 1 or k < 1 or m < 1:
-        raise ValueError("taps, orders and experts must all be at least 1")
+    modelfile.check_sizes({"n_taps": l, "k_orders": k, "n_experts": m})
     return 4 * l * k * m + l * m + 4 * l + 2 * m + 2
 
 
@@ -115,7 +112,7 @@ class AgmpnnModel(modelfile.ParamModel):
 
     # expert_coeff is complex; in a gradient its real and imaginary parts are
     # the derivatives with respect to the coefficient's real and imaginary parts.
-    PARAMS = modelfile.ParamTable(MODEL_KIND, sizes=("k_orders", "n_experts"), params=(
+    PARAMS = modelfile.ParamTable("agmpnn", sizes=("k_orders", "n_experts"), params=(
         modelfile.Param("expert_coeff", "coeff",
                         lambda d: (d["n_experts"], d["n_taps"], d["k_orders"]),
                         is_complex=True, tap_axis=1),
@@ -148,8 +145,7 @@ class AgmpnnModel(modelfile.ParamModel):
         percentile amplitude of `calibration` (default 1.0), so the experts
         start rectified around different amplitude bands.
         """
-        if k_orders < 1 or n_experts < 1:
-            raise ValueError("k_orders and n_experts must be at least 1")
+        modelfile.check_sizes({"k_orders": k_orders, "n_experts": n_experts})
         rng = np.random.default_rng(seed)
         t_taps = window.n_taps
         m = n_experts
@@ -226,16 +222,11 @@ class AgmpnnModel(modelfile.ParamModel):
         return output, expert_out, weights, rect, powers
 
     def predict(self, x) -> ComplexSequence:
-        """The model output; the forward pass runs on one predict_blocks block
+        """The model output, by predict_rows: the forward pass runs on one block
         of rows at a time, which bounds its expert-major temporaries.  Every
         result of the pass is a function of its own row, so the blocking
         changes no output bit (see the module docstring)."""
-        seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
-        delayed = delayed_matrix(seq, self.window)
-        output = np.empty(delayed.shape[0], dtype=np.complex128)
-        for rows in predict_blocks(delayed.shape[0]):
-            output[rows] = self._forward_arrays(delayed[rows])[0]
-        return ComplexSequence(output, sample_rate_hint=seq.sample_rate_hint)
+        return predict_rows(x, self.window, lambda rows: self._forward_arrays(rows)[0])
 
     # ------------------------------------------------------------------
     # loss and gradient, the flat parameter vector protocol

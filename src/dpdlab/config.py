@@ -18,7 +18,7 @@ from .ila import (DEFAULT_BANDWIDTH_FRACTION, DEFAULT_COMPLEXITY_TAPS, DEFAULT_M
                   DEFAULT_TAPS_LIST, FAMILIES, DpdModelSpec)
 from .pa_sim import (PRESET_A_SAT, PRESET_DRIVE_DB, PRESET_FEEDBACK_SNR_DB, PRESET_K_PA,
                      PRESET_L_PA, PRESET_RHO, PRESET_SIGMA, PaConfig, coeffs_from_rule)
-from .signal import TapWindow, read_text
+from .signal import TapWindow, check_waveform_args, read_text
 from .training import TrainConfig
 
 
@@ -157,6 +157,16 @@ class RunConfig:
         if self.budget_lo > self.budget_hi:
             raise FormatError(f"[sweep] budget_lo ({self.budget_lo}) exceeds "
                               f"budget_hi ({self.budget_hi})")
+        # Build what each section describes once, so a value that every run
+        # would reject fails the load instead.
+        for section, build in (
+                ("pa", self.pa_config),
+                ("signal", lambda: check_waveform_args(self.n_samples, self.bandwidth_fraction)),
+                ("model", self.model_spec), ("train", self.train_config)):
+            try:
+                build()
+            except ValueError as exc:
+                raise FormatError(f"[{section}] {exc}") from None
 
     # ------------------------------------------------------------------
     # builders

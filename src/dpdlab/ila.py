@@ -261,8 +261,7 @@ def fit_predistorter(pa: PaConfig, drive: IlaDrive, spec: DpdModelSpec, cfg: Tra
     pass.  Each later pass `it` observes the PA driven by the last fit's
     predistortion of chi_fit, with noise seed drive.seed + it; the outcome
     carries the last pass's gain and delay."""
-    if n_iterations < 1:
-        raise ValueError("n_iterations must be at least 1")
+    modelfile.check_sizes({"n_iterations": n_iterations})
     observed = drive.first_pass
     for it in range(n_iterations):
         if it:

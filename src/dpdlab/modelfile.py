@@ -158,6 +158,15 @@ def _fill(rows, shape, n_values, index_offset, name, path):
     return arr
 
 
+def check_sizes(sizes: Mapping[str, int]) -> Mapping[str, int]:
+    """`sizes`, each of which (a tap count, an order count, a width, a batch)
+    must be at least 1: the one rule for every size."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    return sizes
+
+
 @dataclass(frozen=True)
 class Param:
     """One parameter array of a model family.
@@ -189,12 +198,9 @@ class ParamTable:
 
     def dims(self, obj) -> dict:
         """`n_taps` and the size fields of a model or a model spec, read off it
-        by attribute; each must be at least 1."""
-        dims = {"n_taps": obj.window.n_taps, **{name: getattr(obj, name) for name in self.sizes}}
-        for name, value in dims.items():
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-        return dims
+        by attribute, held to check_sizes."""
+        return check_sizes({"n_taps": obj.window.n_taps,
+                            **{name: getattr(obj, name) for name in self.sizes}})
 
     def count(self, dims: Mapping[str, int]) -> int:
         """Length of the flat parameter vector at these sizes: the real
@@ -217,16 +223,11 @@ class ParamTable:
                 raise ValueError("model parameters must be finite")
             arr.flags.writeable = False
 
-    def flatten(self, values: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Concatenate per-attribute arrays in table order; a complex array
-        contributes interleaved (re, im) pairs."""
-        return np.concatenate([
-            np.ascontiguousarray(values[p.attr]).view(np.float64).ravel() if p.is_complex
-            else np.asarray(values[p.attr], dtype=np.float64).ravel()
-            for p in self.params])
-
     def param_vector(self, model) -> np.ndarray:
-        return self.flatten({p.attr: getattr(model, p.attr) for p in self.params})
+        """The model's arrays concatenated in table order; a complex array
+        contributes interleaved (re, im) pairs."""
+        return np.concatenate([getattr(model, p.attr).reshape(-1).view(np.float64)
+                               for p in self.params])
 
     def size(self, model) -> int:
         """Length of the model's flat parameter vector, read off its arrays;
@@ -235,7 +236,7 @@ class ParamTable:
 
     def views(self, model, vec: np.ndarray) -> dict:
         """The arrays of a flat vector laid out like `model`'s parameters, as
-        views of it in table order: the inverse of flatten.  A family's
+        views of it in table order: the inverse of param_vector.  A family's
         loss_and_gradient writes each gradient into these views of one vector,
         and a caller that wants one gradient array per parameter reads them."""
         views = {}

@@ -15,12 +15,10 @@ import numpy as np
 
 from . import modelfile
 from .exceptions import ConditioningError
-from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix, predict_blocks
+from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix, predict_rows
 
 # Default ridge, relative to the mean diagonal of the normal matrix.
 RIDGE_DEFAULT_REL = 1e-10
-
-MODEL_KIND = "mpm"
 
 
 @dataclass(frozen=True)
@@ -32,8 +30,7 @@ class MpmSpec:
     amp_offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.k_orders < 1:
-            raise ValueError("k_orders must be at least 1")
+        modelfile.check_sizes({"k_orders": self.k_orders})
         if not np.isfinite(self.amp_offset):
             raise ValueError("amp_offset must be finite")
         object.__setattr__(self, "amp_offset", float(self.amp_offset))
@@ -246,7 +243,7 @@ class MpmCoefficients(modelfile.ParamModel):
     spec: MpmSpec
     coeff: np.ndarray
 
-    PARAMS = modelfile.ParamTable(MODEL_KIND, sizes=("k_orders",), params=(
+    PARAMS = modelfile.ParamTable("mpm", sizes=("k_orders",), params=(
         modelfile.Param("coeff", "coeff", lambda d: (d["n_taps"], d["k_orders"]),
                         is_complex=True, tap_axis=0),
     ))
@@ -260,17 +257,12 @@ class MpmCoefficients(modelfile.ParamModel):
         return self.spec.k_orders
 
     def predict(self, x) -> ComplexSequence:
-        """basis · coeff; the basis is built one predict_blocks block of rows at
-        a time, so no N × T·K basis is held.  Each output row is the gemv's
+        """basis · coeff, by predict_rows: the basis is built one block of rows
+        at a time, so no N × T·K basis is held.  Each output row is the gemv's
         product of its own basis row, the same in a block as in the whole
         basis, so the blocking changes no output bit."""
-        seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
-        delayed = delayed_matrix(seq, self.window)
         coeff = self.coeff.reshape(-1)
-        output = np.empty(delayed.shape[0], dtype=np.complex128)
-        for rows in predict_blocks(delayed.shape[0]):
-            output[rows] = basis_rows(delayed[rows], self.spec) @ coeff
-        return ComplexSequence(output, sample_rate_hint=seq.sample_rate_hint)
+        return predict_rows(x, self.window, lambda rows: basis_rows(rows, self.spec) @ coeff)
 
     def save(self, path) -> None:
         self.PARAMS.save(self, path, amp_offset=float(self.spec.amp_offset))

@@ -8,6 +8,7 @@ outside the memory-polynomial model class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,8 +49,19 @@ class PaConfig:
             raise ValueError("smooth_limit must be positive when set")
         if self.feedback_snr_db is not None and not float(self.feedback_snr_db) > 0.0:
             raise ValueError("feedback_snr_db must be positive when set")
+        try:
+            finite_gain = math.isfinite(self.drive_gain)
+        except OverflowError:
+            finite_gain = False
+        if not finite_gain:
+            raise ValueError(f"drive_db is {float(self.drive_db)}; its linear gain must be finite")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def drive_gain(self) -> float:
+        """The linear drive scale, 10 ** (drive_db / 20)."""
+        return 10.0 ** (float(self.drive_db) / 20.0)
 
     @property
     def memory_depth(self) -> int:
@@ -67,7 +79,15 @@ def coeffs_from_rule(rho: float, sigma: float, l_pa: int, k_pa: int,
         raise ValueError("need l_pa >= 0 and k_pa >= 1")
     l_idx = np.arange(l_pa + 1)[:, None].astype(float)
     k_idx = np.arange(k_pa)[None, :].astype(float)
-    coeffs = (rho ** l_idx) * (sigma ** k_idx) * np.exp(1j * phase_step * (l_idx + 2.0 * k_idx))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho_l, sigma_k = rho ** l_idx, sigma ** k_idx
+        coeffs = rho_l * sigma_k * np.exp(1j * phase_step * (l_idx + 2.0 * k_idx))
+    if not np.all(np.isfinite(coeffs)):
+        rules = [f"{name} = {value!r}" for name, value, powers
+                 in (("rho", rho, rho_l), ("sigma", sigma, sigma_k)) if not np.all(np.isfinite(powers))]
+        rules = rules or [f"rho = {rho!r}", f"sigma = {sigma!r}"]
+        verb = "makes" if len(rules) == 1 else "make"
+        raise ValueError(f"{' and '.join(rules)} {verb} a PA coefficient non-finite")
     coeffs[0, 0] = 1.0
     return coeffs
 
@@ -93,7 +113,7 @@ def pa_forward(cfg: PaConfig, x, noise_seed: Optional[int] = None) -> ComplexSeq
     the observation receiver, not the amplifier itself.
     """
     seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
-    u = seq.samples * 10.0 ** (cfg.drive_db / 20.0)
+    u = seq.samples * cfg.drive_gain
     if cfg.smooth_limit is not None:
         u = u / (1.0 + (np.abs(u) / cfg.smooth_limit) ** 6) ** (1.0 / 6.0)
     delayed = delayed_matrix(u, TapWindow(pre_taps=cfg.memory_depth))

@@ -137,6 +137,15 @@ def _lowpass_taps(bandwidth_fraction: float) -> np.ndarray:
     return h / np.sum(h)
 
 
+def check_waveform_args(n_samples: int, bandwidth_fraction: float) -> None:
+    """generate_waveform's rule for its size and band: at least 64 samples, a
+    bandwidth fraction in (0, 1]."""
+    if not 0.0 < bandwidth_fraction <= 1.0:
+        raise ValueError(f"bandwidth_fraction must be in (0, 1], got {bandwidth_fraction}")
+    if n_samples < 64:
+        raise ValueError(f"n_samples must be at least 64, got {n_samples}")
+
+
 def generate_waveform(seed: int, n_samples: int, bandwidth_fraction: float,
                       sample_rate_hint: float = 1.0) -> ComplexSequence:
     """Band-limited complex Gaussian noise at unit RMS.
@@ -158,10 +167,7 @@ def generate_waveform(seed: int, n_samples: int, bandwidth_fraction: float,
         Occupied fraction of the sampling bandwidth, in (0, 1].  The value 1
         skips filtering entirely (full-band white noise).
     """
-    if not 0.0 < bandwidth_fraction <= 1.0:
-        raise ValueError(f"bandwidth_fraction must be in (0, 1], got {bandwidth_fraction}")
-    if n_samples < 64:
-        raise ValueError(f"n_samples must be at least 64, got {n_samples}")
+    check_waveform_args(n_samples, bandwidth_fraction)
     rng = np.random.default_rng(seed)
     white = (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)) / np.sqrt(2.0)
     if bandwidth_fraction < 1.0:
@@ -314,17 +320,26 @@ def delayed_matrix(x, window: TapWindow) -> np.ndarray:
 
 
 # Rows per block of a model's predict pass over its tap matrix, which bounds
-# the pass's temporaries.  Each family's module says why its blocked output
-# keeps the unblocked output's bits.
+# the pass's temporaries.  Each family's module says how its blocked output
+# relates to the unblocked output's bits.
 PREDICT_BLOCK_ROWS = 1024
 
 
-def predict_blocks(n_rows: int) -> list[slice]:
-    """Slices of PREDICT_BLOCK_ROWS rows covering n_rows rows.  A last block
-    of one row joins the block before it: numpy takes a one-row matrix
-    product as a dot product, whose bits differ from a gemv's."""
+def predict_rows(x, window: TapWindow, rows) -> ComplexSequence:
+    """A model's output on x (a ComplexSequence or an array): `rows` maps a
+    block of rows of x's tap matrix (delayed_matrix, so a FramedSequence's held
+    matrix) to the complex output of those rows, and runs on PREDICT_BLOCK_ROWS
+    rows at a time.  A last block of one row joins the block before it: numpy
+    takes a one-row matrix product as a dot product, whose bits differ from a
+    gemv's.  The output keeps x's rate hint."""
+    seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
+    delayed = delayed_matrix(seq, window)
+    n_rows = delayed.shape[0]
+    output = np.empty(n_rows, dtype=np.complex128)
     stops = [*range(PREDICT_BLOCK_ROWS, n_rows - 1, PREDICT_BLOCK_ROWS), n_rows]
-    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+    for start, stop in zip([0, *stops], stops):
+        output[start:stop] = rows(delayed[start:stop])
+    return ComplexSequence(output, sample_rate_hint=seq.sample_rate_hint)
 
 
 def read_text(path) -> str:

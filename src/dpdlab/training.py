@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import TrainingDivergedError
+from .modelfile import check_sizes
 from .signal import ComplexSequence, FramedSequence, NMSE_FLOOR_DB, TapWindow, as_samples
 
 VAL_EVERY = 5
@@ -42,10 +43,8 @@ class TrainConfig:
             raise ValueError("betas must lie in [0, 1)")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.batch_size < 1 or self.segment_len < 1:
-            raise ValueError("batch_size and segment_len must be at least 1")
-        if self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("max_epochs and patience must be at least 1")
+        check_sizes({"batch_size": self.batch_size, "segment_len": self.segment_len,
+                     "max_epochs": self.max_epochs, "patience": self.patience})
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -101,8 +100,7 @@ class TrainHistory:
 
 def segment_ranges(n_samples: int, segment_len: int) -> list[tuple[int, int]]:
     """Contiguous equal-length segments; a short tail is dropped."""
-    if segment_len < 1:
-        raise ValueError("segment_len must be at least 1")
+    check_sizes({"segment_len": segment_len})
     n_full = n_samples // segment_len
     return [(i * segment_len, (i + 1) * segment_len) for i in range(n_full)]
 
@@ -130,7 +128,12 @@ def segment_pairs(psi, phi, window: TapWindow, segment_len: int) -> tuple[list, 
     phi_s = as_samples(phi)
     if psi_s.size != phi_s.size:
         raise ValueError("input and target lengths differ")
-    train_ranges, val_ranges = split_segments(segment_ranges(psi_s.size, segment_len))
+    ranges = segment_ranges(psi_s.size, segment_len)
+    if len(ranges) < 2:
+        made = f"{len(ranges)} segment{'' if len(ranges) == 1 else 's'}"
+        raise ValueError(f"{psi_s.size} samples make {made} of {segment_len}; "
+                         "need at least two (one training, one validation)")
+    train_ranges, val_ranges = split_segments(ranges)
     window.interior(segment_len)  # reject a too-short segment before framing any
 
     def pairs(ranges):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from dpdlab.signal import ComplexSequence, as_samples, delayed_matrix
+from dpdlab.signal import as_samples, delayed_matrix
 
 
 def tap_values(samples, n, pre_taps, post_taps):
@@ -226,14 +226,12 @@ def _rvftdnn_features(model, x):
     return delayed_matrix(x, model.window).view(np.float64)
 
 
-def rvftdnn_predict(model, x):
-    seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
-    feats = _rvftdnn_features(model, seq)
+def rvftdnn_rows(model, feats):
+    """The predict pass on the rows of a feature matrix, as complex outputs."""
     h1 = np.tanh(feats @ model.w1 + model.b1)
     h2 = np.tanh(h1 @ model.w2 + model.b2)
     out = h2 @ model.w3 + model.b3
-    return ComplexSequence(out[:, 0] + 1j * out[:, 1],
-                           sample_rate_hint=seq.sample_rate_hint)
+    return out[:, 0] + 1j * out[:, 1]
 
 
 def rvftdnn_backward(model, x, target):

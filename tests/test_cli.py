@@ -398,6 +398,33 @@ def test_report_names_the_line_of_a_non_numeric_nmse_cell(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {bad}:2: bad value for 'postinv_nmse_db': 'x'\n"
 
 
+@pytest.mark.parametrize("command", ["simulate-pa", "ila-run", "show-config"])
+@pytest.mark.parametrize("line, message", [
+    ("drive_db = 7000", "drive_db is 7000.0; its linear gain must be finite"),
+    ("rho = 1e200", "rho = 1e+200 makes a PA coefficient non-finite"),
+], ids=["drive", "rho"])
+def test_a_pa_value_out_of_range_is_a_one_line_error(tmp_path, capsys, command, line, message):
+    # The drive used to end in an OverflowError traceback, and rho in a NumPy
+    # overflow warning.
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(f"[pa]\n{line}\n")
+    wave = tmp_path / "w.iq"
+    assert dispatch(["gen-signal", "--seed", "1", "--n", "64", "--out", str(wave)]) == 0
+    capsys.readouterr()
+    io_flags = ["--in", str(wave), "--out", str(tmp_path / "y.iq")] if command == "simulate-pa" else []
+    assert dispatch([command, "--config", str(cfg_path), *io_flags]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {cfg_path}: [pa] {message}"]
+
+
+def test_ila_run_on_too_few_samples_names_the_segment_count(tmp_path, capsys):
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text("[signal]\nn_samples = 1000\n")
+    assert dispatch(["ila-run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: 1000 samples make 0 segments of 1024; need at least two "
+        "(one training, one validation)"]
+
+
 def test_show_config_round_trips(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("[model]\nkind = agmpnn\ntaps = 7\n[train]\nseed = 5\n")

@@ -182,6 +182,23 @@ def test_semantic_validation_errors():
         parse_config("[model]\ntaps = 2\npost_taps = 2\n")
 
 
+@pytest.mark.parametrize("section, line, message", [
+    ("train", "learning_rate = -1", "learning_rate must be positive"),
+    ("train", "beta1 = 1.5", "betas must lie in [0, 1)"),
+    ("model", "ridge = -1", "ridge must be finite and non-negative, got -1.0"),
+    ("pa", "l_pa = -1", "need l_pa >= 0 and k_pa >= 1"),
+    ("pa", "a_sat = 0", "smooth_limit must be positive when set"),
+    ("pa", "drive_db = 7000", "drive_db is 7000.0; its linear gain must be finite"),
+    ("pa", "rho = 1e200", "rho = 1e+200 makes a PA coefficient non-finite"),
+    ("signal", "n_samples = 10", "n_samples must be at least 64, got 10"),
+    ("signal", "bandwidth_fraction = 1.5", "bandwidth_fraction must be in (0, 1], got 1.5"),
+])
+def test_a_value_every_run_rejects_fails_the_load_naming_the_section(section, line, message):
+    with pytest.raises(FormatError) as err:
+        parse_config(f"[{section}]\n{line}\n", path="run.cfg")
+    assert str(err.value) == f"run.cfg: [{section}] {message}"
+
+
 # === round trip ===
 
 def test_render_parse_round_trip_defaults():

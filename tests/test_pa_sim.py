@@ -1,5 +1,7 @@
 """Simulated power amplifier: presets, distortion levels, memory, noise."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,29 @@ def test_pa_config_validation():
         coeffs_from_rule(0.2, -0.12, -1, 4)
     with pytest.raises(ValueError):
         coeffs_from_rule(0.2, -0.12, 3, 0)
+
+
+@pytest.mark.parametrize("drive_db", [7000.0, np.inf, np.nan])
+def test_pa_config_rejects_a_drive_whose_gain_is_not_finite(drive_db):
+    # 10 ** (7000 / 20) overflows a float: Python raises OverflowError.
+    with pytest.raises(ValueError, match=r"^drive_db is .*; its linear gain must be finite$"):
+        PaConfig(coeffs=np.array([[1.0 + 0j]]), drive_db=drive_db)
+    PaConfig(coeffs=np.array([[1.0 + 0j]]), drive_db=6000.0)  # gain 1e300
+
+
+@pytest.mark.parametrize("rho, sigma, message", [
+    (1e200, -0.12, "rho = 1e+200 makes a PA coefficient non-finite"),
+    (0.2, -1e200, "sigma = -1e+200 makes a PA coefficient non-finite"),
+    (np.nan, -0.12, "rho = nan makes a PA coefficient non-finite"),
+    # each power is finite, their product is not
+    (1e100, 1e3, "rho = 1e+100 and sigma = 1000.0 make a PA coefficient non-finite"),
+], ids=["rho", "sigma", "rho-nan", "product"])
+def test_coeffs_from_rule_rejects_non_finite_coefficients_naming_the_rule(rho, sigma, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            coeffs_from_rule(rho, sigma, 3, 4)
+    assert str(err.value) == message
 
 
 def test_output_preserves_rate_hint():

@@ -12,7 +12,7 @@ from dpdlab import (
     generate_waveform,
     rvftdnn_param_count,
 )
-from dpdlab.signal import FramedSequence
+from dpdlab.signal import PREDICT_BLOCK_ROWS, FramedSequence, delayed_matrix
 from dpdlab.training import train
 
 import reference_impls as ref
@@ -159,6 +159,18 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _blocked_reference(model, x):
+    """The reference forward pass run on predict's row blocks: PREDICT_BLOCK_ROWS
+    rows each, a last block of one row joining the block before it."""
+    feats = delayed_matrix(x, model.window).view(np.float64)
+    n = feats.shape[0]
+    starts = list(range(0, n, PREDICT_BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return np.concatenate([ref.rvftdnn_rows(model, feats[a:b])
+                           for a, b in zip(starts, starts[1:] + [n])])
+
+
 @pytest.mark.parametrize("window", WINDOWS, ids=lambda w: f"{w.pre_taps}-{w.post_taps}")
 @pytest.mark.parametrize("n1, n2", WIDTHS)
 def test_kernels_give_the_reference_bits(n1, n2, window):
@@ -166,11 +178,11 @@ def test_kernels_give_the_reference_bits(n1, n2, window):
     rng = np.random.default_rng(10 * n1 + n2)
     model = base.with_param_vector(base.param_vector()
                                    + 0.3 * rng.standard_normal(base.n_params()))
-    for n in (512, 1024, 1025):
+    for n in (512, 1024, 1025, 2049, 16390):
         x = generate_waveform(n, n, 0.5).samples
         y = x * (1.0 - 0.2 * np.abs(x) ** 2) + 0.01 * rng.standard_normal(n)
         for seq in (x, FramedSequence(x, window=window)):
-            assert _same_bits(model.predict(seq).samples, ref.rvftdnn_predict(model, seq).samples)
+            assert _same_bits(model.predict(seq).samples, _blocked_reference(model, seq))
             loss, flat = model.loss_and_gradient(seq, y)
             grads = model.PARAMS.views(model, flat)
             ref_loss, ref_grads = ref.rvftdnn_backward(model, seq, y)
@@ -178,8 +190,6 @@ def test_kernels_give_the_reference_bits(n1, n2, window):
             assert grads.keys() == ref_grads.keys()
             for name, grad in grads.items():
                 assert _same_bits(grad, ref_grads[name]), (n, type(seq).__name__, name)
-            flat = model.loss_and_gradient(seq, y)[1]
-            assert _same_bits(flat, model.PARAMS.flatten(ref_grads))
 
 
 # === architecture search ===

@@ -27,6 +27,7 @@ from dpdlab.mpm import MpmCoefficients, MpmSpec
 from dpdlab.training import (
     VAL_EVERY,
     best_fit,
+    segment_pairs,
     segment_ranges,
     split_segments,
     validation_nmse_db,
@@ -115,6 +116,15 @@ def test_split_segments_fallback_for_short_lists():
     assert (tr, va) == ([0], [1])
     with pytest.raises(ValueError):
         split_segments([0])
+
+
+@pytest.mark.parametrize("n, made", [(1000, "0 segments"), (2047, "1 segment")])
+def test_segment_pairs_names_the_counts_when_too_short(n, made):
+    x = np.ones(n, dtype=np.complex128)
+    with pytest.raises(ValueError) as err:
+        segment_pairs(x, x, TapWindow(pre_taps=3), 1024)
+    assert str(err.value) == (f"{n} samples make {made} of 1024; "
+                              "need at least two (one training, one validation)")
 
 
 # === validation metric ===
