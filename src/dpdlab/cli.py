@@ -351,11 +351,11 @@ def build_parser() -> _Parser:
     p.add_argument("--model", choices=ila.FAMILIES, required=True)
     p.add_argument("--taps", type=int, default=4, help="total tap count")
     p.add_argument("--post-taps", type=int, default=0, help="taps ahead of the current sample")
-    p.add_argument("--k", type=int, default=ila.DpdModelSpec.k_orders,
+    p.add_argument("--k", type=_positive_int, default=ila.DpdModelSpec.k_orders,
                    help="number of even-order terms")
-    p.add_argument("--experts", type=int, default=ila.DpdModelSpec.n_experts)
-    p.add_argument("--n1", type=int, default=ila.DpdModelSpec.n1)
-    p.add_argument("--n2", type=int, default=ila.DpdModelSpec.n2)
+    p.add_argument("--experts", type=_positive_int, default=ila.DpdModelSpec.n_experts)
+    p.add_argument("--n1", type=_positive_int, default=ila.DpdModelSpec.n1)
+    p.add_argument("--n2", type=_positive_int, default=ila.DpdModelSpec.n2)
     p.add_argument("--ridge", type=float, default=None, help="least-squares regularizer")
     p.add_argument("--cold-start", action="store_true",
                    help="skip the least-squares warm start (agmpnn only)")
@@ -388,11 +388,11 @@ def build_parser() -> _Parser:
     p = add("gradcheck", _cmd_gradcheck,
             "compare analytic and finite-difference gradients on a seeded model")
     p.add_argument("--model", choices=("agmpnn", "rvftdnn"), default="agmpnn")
-    p.add_argument("--taps", type=int, default=3)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--experts", type=int, default=2)
-    p.add_argument("--n1", type=int, default=4)
-    p.add_argument("--n2", type=int, default=3)
+    p.add_argument("--taps", type=_positive_int, default=3)
+    p.add_argument("--k", type=_positive_int, default=2)
+    p.add_argument("--experts", type=_positive_int, default=2)
+    p.add_argument("--n1", type=_positive_int, default=4)
+    p.add_argument("--n2", type=_positive_int, default=3)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n", type=int, default=256, help="check-waveform length")
     p.add_argument("--threshold", type=_threshold, default=GRADCHECK_THRESHOLD)

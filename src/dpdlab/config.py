@@ -154,6 +154,9 @@ class RunConfig:
                 raise FormatError(f"[sweep] families entry {fam!r} not one of {FAMILIES}")
         if self.taps < 1 or self.post_taps < 0 or self.post_taps >= self.taps:
             raise FormatError("[model] needs taps >= 1 and 0 <= post_taps < taps")
+        if self.a_sat is not None and not self.a_sat > 0.0:
+            # PaConfig's own message names its field, smooth_limit.
+            raise FormatError(f"[pa] a_sat must be positive when set, got {self.a_sat}")
         if self.budget_lo > self.budget_hi:
             raise FormatError(f"[sweep] budget_lo ({self.budget_lo}) exceeds "
                               f"budget_hi ({self.budget_hi})")

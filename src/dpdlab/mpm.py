@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modelfile
+from ._blas import qr_in_place
 from .exceptions import ConditioningError
 from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix, predict_rows
 
@@ -75,16 +76,22 @@ def build_basis(x, spec: MpmSpec) -> BasisMatrix:
 def basis_rows(delayed: np.ndarray, spec: MpmSpec) -> np.ndarray:
     """The basis rows of the rows of an (N, T) tap matrix, as an (N, T·K)
     array; each row depends only on its own tap row."""
+    data = np.empty((delayed.shape[0], spec.n_columns), dtype=np.complex128)
+    for k, power in enumerate(_order_powers(delayed, spec)):
+        data[:, k::spec.k_orders] = delayed * power
+    return data
+
+
+def _order_powers(delayed: np.ndarray, spec: MpmSpec):
+    """rect^(2k) of a tap matrix's rectified amplitudes for k = 0 … K-1, in
+    turn: order k's basis columns are the taps times the k-th."""
     rect = rectified_amplitude(delayed, spec.amp_offset)
     rect_sq = rect * rect
-    k_orders = spec.k_orders
-    data = np.empty((delayed.shape[0], spec.n_columns), dtype=np.complex128)
     power = np.ones_like(rect)
-    for k in range(k_orders):
+    for k in range(spec.k_orders):
         if k:
             power = power * rect_sq
-        data[:, k::k_orders] = delayed * power
-    return data
+        yield power
 
 
 def _dependent_columns(basis: BasisMatrix, rows: int) -> list[str]:
@@ -162,35 +169,37 @@ def ls_fit(basis: BasisMatrix, targets, ridge: float | None = None) -> "MpmCoeff
     return MpmCoefficients(spec=basis.spec, coeff=coeff.reshape(t_taps, basis.spec.k_orders))
 
 
-def order_blocked_qr(blocks, spec: MpmSpec, targets) -> tuple[np.ndarray, np.ndarray]:
+def order_blocked_qr(taps, spec: MpmSpec, targets) -> tuple[np.ndarray, np.ndarray]:
     """Factor basis = Q·R one order block at a time; returns R and Qᴴ·targets.
 
-    The basis of `spec` arrives as row blocks (one per training segment,
-    columns ordered as spec.column_labels()) whose rows, stacked, pair with
-    `targets`.  Each block is copied straight into the factor, so only one
-    of them need be alive at a time.
+    `taps` are (rows, T) tap matrices, one per training segment, whose rows,
+    stacked, pair with `targets`.  The basis of `spec` is built from them
+    straight into the factor, by basis_rows's power chain, so only one
+    segment's temporaries are alive at a time and every column is bit for
+    bit basis_rows's.
 
     R and Qᴴ·targets are in order-major column layout: order k's T taps are
     the block [k·T, (k+1)·T).  Each order block is orthogonalized against the
     blocks before it by classical Gram–Schmidt applied twice, then its
-    remainder is factored by np.linalg.qr.  A block's operations depend only
+    remainder is factored where it lies by _blas.qr_in_place (LAPACK's zgeqrf
+    and zungqr, bit for bit np.linalg.qr).  A block's operations depend only
     on the blocks before it, so R[:p, :p] and (Qᴴ·targets)[:p], p = T·K, are
     bit for bit the factor of the order-K basis alone, whatever the basis's
     top order.  R's columns have the basis columns' norms, to rounding, so
     ls_fit on them applies the same default ridge.
     """
     phi = as_samples(targets)
-    t_taps, k_orders, cols = spec.window.n_taps, spec.k_orders, spec.n_columns
+    t_taps, cols = spec.window.n_taps, spec.n_columns
     # Column-major, so every block and every prefix of blocks is a contiguous
     # matrix with the same leading dimension at any top order.
     q = np.empty((phi.size, cols), dtype=np.complex128, order="F")
     rows = 0
-    for data in blocks:
-        end = rows + data.shape[0]
+    for delayed in taps:
+        end = rows + delayed.shape[0]
         # Rows past the targets are only counted, for _check_system's message.
         if end <= phi.size:
-            for k in range(k_orders):
-                q[rows:end, k * t_taps:(k + 1) * t_taps] = data[:, k::k_orders]
+            for k, power in enumerate(_order_powers(delayed, spec)):
+                np.multiply(delayed, power, out=q[rows:end, k * t_taps:(k + 1) * t_taps])
         rows = end
     _check_system(rows, cols, phi.size)
     r = np.zeros((cols, cols), dtype=np.complex128)
@@ -204,8 +213,8 @@ def order_blocked_qr(blocks, spec: MpmSpec, targets) -> tuple[np.ndarray, np.nda
             proj = (rest.conj().T @ done).conj().T
             rest -= done @ proj
             r[:start, block] += proj
-        q[:, block], r[block, block] = np.linalg.qr(rest)
-        qh_phi[block] = q[:, block].conj().T @ phi
+        r[block, block] = qr_in_place(rest)
+        qh_phi[block] = rest.conj().T @ phi
     return r, qh_phi
 
 
@@ -214,17 +223,18 @@ def fit_orders(pairs, window: TapWindow, orders,
     """ls_fit at each order count in `orders`, on the interiors
     (TapWindow.interior) of the (input, target) segment pairs.
 
-    The basis is built once, at the largest order, one segment at a time, into
-    order_blocked_qr's factor.  Order K's system is the factor's leading T·K
-    block, its columns put back in (l, k) order: bit for bit the system of a
-    fit at order K alone.  With ridge 0 that block is held to the rank rule of
-    the tall basis it stands for, so the search refuses what ls_fit refuses.
+    The basis is built once, at the largest order: order_blocked_qr takes each
+    segment's interior tap rows (TapWindow.scored_rows, a FramedSequence's
+    held matrix uncopied) and builds it into its factor.  Order K's system is
+    the factor's leading T·K block, its columns put back in (l, k) order: bit
+    for bit the system of a fit at order K alone.  With ridge 0 that block is
+    held to the rank rule of the tall basis it stands for, so the search
+    refuses what ls_fit refuses.
     """
     top = MpmSpec(window=window, k_orders=max(orders))
-    interiors = [window.interior(len(psi)) for psi, _ in pairs]
-    target = np.concatenate([as_samples(phi)[rows] for (_, phi), rows in zip(pairs, interiors)])
-    blocks = (build_basis(psi, top).data[rows] for (psi, _), rows in zip(pairs, interiors))
-    r, qh_target = order_blocked_qr(blocks, top, target)
+    scored = [window.scored_rows(psi, phi) for psi, phi in pairs]
+    target = np.concatenate([phi for _, phi in scored])
+    r, qh_target = order_blocked_qr([rows for rows, _ in scored], top, target)
     fits = []
     for k in orders:
         cols = window.n_taps * k

@@ -50,11 +50,21 @@ class PaConfig:
         if self.feedback_snr_db is not None and not float(self.feedback_snr_db) > 0.0:
             raise ValueError("feedback_snr_db must be positive when set")
         try:
-            finite_gain = math.isfinite(self.drive_gain)
+            gain = self.drive_gain
         except OverflowError:
-            finite_gain = False
-        if not finite_gain:
-            raise ValueError(f"drive_db is {float(self.drive_db)}; its linear gain must be finite")
+            gain = math.inf
+        # The smooth limiter raises the driven amplitude to the sixth power:
+        # past a gain of about 2.4e51 (1027.5 dB) that overflows for every
+        # sample of at least unit size.
+        try:
+            sixth_power_finite = math.isfinite(gain ** 6)
+        except OverflowError:
+            sixth_power_finite = False
+        for broken, rule in ((not math.isfinite(gain), "must be finite"),
+                             (gain == 0.0, "must be nonzero"),
+                             (not sixth_power_finite, "must have a finite sixth power")):
+            if broken:
+                raise ValueError(f"drive_db is {float(self.drive_db)}; its linear gain {rule}")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -2,14 +2,16 @@
 
 The evaluators are plain per-sample loops, written directly from the model
 definitions, independent of the vectorized package implementations.  The last
-two sections keep the agmpnn and rvftdnn kernels as they were before their
-rewrites, as bitwise oracles for the kernels that replaced them.
+three sections keep the agmpnn and rvftdnn kernels and the MPM order-search
+factor as they were before their rewrites, as bitwise oracles for the code
+that replaced them.
 """
 
 import math
 
 import numpy as np
 
+from dpdlab.mpm import _check_system, build_basis
 from dpdlab.signal import as_samples, delayed_matrix
 
 
@@ -257,3 +259,44 @@ def rvftdnn_backward(model, x, target):
     g_w1 = feats.T @ d_h1
     g_b1 = d_h1.sum(axis=0)
     return loss, {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2, "w3": g_w3, "b3": g_b3}
+
+
+# mpm.order_blocked_qr as it stood before the in-place rewrite, kept
+# unchanged: basis row blocks gathered into the factor, np.linalg.qr per order
+# block.  order_blocked_basis_blocks gives it fit_orders's blocks as they were
+# built then.
+
+def order_blocked_basis_blocks(pairs, spec):
+    """The interior build_basis rows of each (input, target) segment pair."""
+    return [build_basis(psi, spec).data[spec.window.interior(len(psi))] for psi, _ in pairs]
+
+
+def order_blocked_qr(blocks, spec, targets):
+    phi = as_samples(targets)
+    t_taps, k_orders, cols = spec.window.n_taps, spec.k_orders, spec.n_columns
+    # Column-major, so every block and every prefix of blocks is a contiguous
+    # matrix with the same leading dimension at any top order.
+    q = np.empty((phi.size, cols), dtype=np.complex128, order="F")
+    rows = 0
+    for data in blocks:
+        end = rows + data.shape[0]
+        # Rows past the targets are only counted, for _check_system's message.
+        if end <= phi.size:
+            for k in range(k_orders):
+                q[rows:end, k * t_taps:(k + 1) * t_taps] = data[:, k::k_orders]
+        rows = end
+    _check_system(rows, cols, phi.size)
+    r = np.zeros((cols, cols), dtype=np.complex128)
+    qh_phi = np.empty(cols, dtype=np.complex128)
+    for start in range(0, cols, t_taps):
+        block = slice(start, start + t_taps)
+        done = q[:, :start]
+        rest = q[:, block]
+        # The second pass removes what rounding left of the first.
+        for _ in range(2 if start else 0):
+            proj = (rest.conj().T @ done).conj().T
+            rest -= done @ proj
+            r[:start, block] += proj
+        q[:, block], r[block, block] = np.linalg.qr(rest)
+        qh_phi[block] = q[:, block].conj().T @ phi
+    return r, qh_phi

@@ -62,6 +62,19 @@ def test_non_positive_iterations_is_a_usage_error(capsys):
         assert "--iterations" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    *[("gradcheck", flag) for flag in ("--taps", "--k", "--experts", "--n1", "--n2")],
+    *[("fit", flag) for flag in ("--k", "--experts", "--n1", "--n2")],
+])
+def test_non_positive_sizes_are_usage_errors_naming_the_flag(tmp_path, capsys, command, flag):
+    wave = str(tmp_path / "w.iq")
+    files = (["--model", "mpm", "--in", wave, "--target", wave, "--out", wave]
+             if command == "fit" else [])
+    for value in ("0", "-1"):
+        assert dispatch([command, *files, flag, value]) == 1
+        assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err
+
+
 def test_negative_seeds_are_usage_errors_naming_the_flag(tmp_path, capsys):
     wave = str(tmp_path / "w.iq")
     for argv, flag in (

@@ -187,8 +187,10 @@ def test_semantic_validation_errors():
     ("train", "beta1 = 1.5", "betas must lie in [0, 1)"),
     ("model", "ridge = -1", "ridge must be finite and non-negative, got -1.0"),
     ("pa", "l_pa = -1", "need l_pa >= 0 and k_pa >= 1"),
-    ("pa", "a_sat = 0", "smooth_limit must be positive when set"),
+    ("pa", "a_sat = 0", "a_sat must be positive when set, got 0.0"),
     ("pa", "drive_db = 7000", "drive_db is 7000.0; its linear gain must be finite"),
+    ("pa", "drive_db = 6000", "drive_db is 6000.0; its linear gain must have a finite sixth power"),
+    ("pa", "drive_db = -7000", "drive_db is -7000.0; its linear gain must be nonzero"),
     ("pa", "rho = 1e200", "rho = 1e+200 makes a PA coefficient non-finite"),
     ("signal", "n_samples = 10", "n_samples must be at least 64, got 10"),
     ("signal", "bandwidth_fraction = 1.5", "bandwidth_fraction must be in (0, 1], got 1.5"),

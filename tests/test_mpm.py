@@ -14,9 +14,12 @@ from dpdlab import (
     generate_waveform,
     ls_fit,
     nmse_db,
+    pa_forward,
+    preset,
 )
+from dpdlab import _blas
 from dpdlab.mpm import BasisMatrix, _dependent_columns, order_blocked_qr, rectified_amplitude
-from dpdlab.signal import PREDICT_BLOCK_ROWS
+from dpdlab.signal import PREDICT_BLOCK_ROWS, FramedSequence, delayed_matrix
 
 import reference_impls as ref
 
@@ -239,7 +242,8 @@ def test_order_blocked_qr_factors_the_stacked_segment_blocks():
     spec = _spec(pre=2, k=3)
     x = generate_waveform(4, 256, 0.25)
     data = build_basis(x, spec).data
-    blocks = [data[:100], data[100:180], data[180:]]
+    taps = delayed_matrix(x, spec.window)
+    blocks = [taps[:100], taps[100:180], taps[180:]]
     r, qh_phi = order_blocked_qr(iter(blocks), spec, x.samples)
     order_major = np.concatenate([data[:, k::3] for k in range(3)], axis=1)
     assert np.array_equal(r, np.triu(r))
@@ -252,13 +256,45 @@ def test_order_blocked_qr_factors_the_stacked_segment_blocks():
 
 def test_order_blocked_qr_checks_rows_against_targets_and_columns():
     spec = _spec(pre=2, k=2)
-    data = build_basis(generate_waveform(4, 64, 0.25), spec).data
+    taps = delayed_matrix(generate_waveform(4, 64, 0.25), spec.window)
     for n_targets in (29, 31):
         with pytest.raises(ValueError,
                            match=rf"^target length {n_targets} does not match 30 basis rows$"):
-            order_blocked_qr(iter([data[:20], data[20:30]]), spec, np.ones(n_targets))
+            order_blocked_qr(iter([taps[:20], taps[20:30]]), spec, np.ones(n_targets))
     with pytest.raises(ValueError, match=r"^need at least 6 rows to fit 6 columns, have 5$"):
-        order_blocked_qr(iter([data[:5]]), spec, np.ones(5))
+        order_blocked_qr(iter([taps[:5]]), spec, np.ones(5))
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["lapack", "np-linalg-qr"])
+@pytest.mark.parametrize("window, amp_offset", [
+    (TapWindow(pre_taps=0), 0.0),
+    (TapWindow(pre_taps=3), 0.0),
+    (TapWindow(pre_taps=6), -0.3),
+    (TapWindow(pre_taps=9), 0.0),
+    (TapWindow(pre_taps=12), 0.0),
+    (TapWindow(pre_taps=4, post_taps=2), 0.0),
+    # Wider than LAPACK's 32-column block.
+    (TapWindow(pre_taps=39), 0.0),
+])
+def test_order_blocked_qr_equals_the_copying_factor_bit_for_bit(
+        monkeypatch, direct, window, amp_offset):
+    # The in-place factor of fit_orders's uneven training segments equals the
+    # one that gathered build_basis blocks and ran np.linalg.qr, on LAPACK's
+    # routines and on the np.linalg.qr fallback alike.
+    if not direct:
+        monkeypatch.setattr(_blas, "lapack_qr", lambda: None)
+    spec = MpmSpec(window=window, k_orders=8, amp_offset=amp_offset)
+    chi = generate_waveform(17, 2000, 0.4).samples
+    psi = pa_forward(preset("high"), chi).samples
+    pairs = [(FramedSequence(psi[a:b], window=window), ComplexSequence(chi[a:b]))
+             for a, b in ((0, 700), (700, 1213), (1213, 2000))]
+    scored = [window.scored_rows(x, phi) for x, phi in pairs]
+    target = np.concatenate([phi for _, phi in scored])
+    r, qh_phi = order_blocked_qr([rows for rows, _ in scored], spec, target)
+    r_ref, qh_phi_ref = ref.order_blocked_qr(ref.order_blocked_basis_blocks(pairs, spec),
+                                             spec, target)
+    assert np.array_equal(r, r_ref)
+    assert np.array_equal(qh_phi, qh_phi_ref)
 
 
 def test_default_ridge_handles_singular_system():

@@ -196,7 +196,24 @@ def test_pa_config_rejects_a_drive_whose_gain_is_not_finite(drive_db):
     # 10 ** (7000 / 20) overflows a float: Python raises OverflowError.
     with pytest.raises(ValueError, match=r"^drive_db is .*; its linear gain must be finite$"):
         PaConfig(coeffs=np.array([[1.0 + 0j]]), drive_db=drive_db)
-    PaConfig(coeffs=np.array([[1.0 + 0j]]), drive_db=6000.0)  # gain 1e300
+    PaConfig(coeffs=np.array([[1.0 + 0j]]), drive_db=1027.0)  # gain 2.2e51
+
+
+@pytest.mark.parametrize("drive_db, rule", [
+    # Gain 1e300: the limiter's (|u|/A)**6 overflowed and zeroed every sample.
+    (6000.0, "must have a finite sixth power"),
+    (1028.0, "must have a finite sixth power"),
+    # 10 ** (-7000 / 20) underflows to 0.0: the PA output was all zero.
+    (-7000.0, "must be nonzero"),
+    (-np.inf, "must be nonzero"),
+])
+def test_pa_config_rejects_a_drive_that_over_or_underflows(drive_db, rule):
+    with pytest.raises(ValueError, match=rf"^drive_db is {drive_db}; its linear gain {rule}$"):
+        PaConfig(coeffs=np.array([[1.0 + 0j]]), drive_db=drive_db)
+    # A tiny gain that is not zero still drives the amplifier.
+    y = pa_forward(PaConfig(coeffs=np.array([[1.0 + 0j]]), drive_db=-6000.0, smooth_limit=1.0),
+                   np.ones(8, dtype=np.complex128))
+    assert np.all(y.samples == 1e-300)
 
 
 @pytest.mark.parametrize("rho, sigma, message", [
