@@ -9,9 +9,11 @@ Importing dpdlab sets NumPy's bundled OpenBLAS to one thread for the whole
 process, so its results do not depend on the machine's core count.
 """
 
-from ._blas import pin_one_thread
+from types import ModuleType as _ModuleType
 
-pin_one_thread()
+from ._blas import pin_one_thread as _pin_one_thread
+
+_pin_one_thread()
 
 from .exceptions import ConditioningError, DpdlabError, FormatError, TrainingDivergedError
 from .signal import (
@@ -37,47 +39,6 @@ from .ila import DpdModelSpec, IlaReport, run_ila, sweep_complexity, sweep_taps
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConditioningError",
-    "DpdlabError",
-    "FormatError",
-    "TrainingDivergedError",
-    "AlignmentResult",
-    "ComplexSequence",
-    "TapWindow",
-    "align",
-    "delayed_matrix",
-    "deserialize_iq",
-    "generate_waveform",
-    "nmse_db",
-    "read_iq_csv",
-    "serialize_iq",
-    "window_at",
-    "write_iq_csv",
-    "PaConfig",
-    "pa_forward",
-    "preset",
-    "BasisMatrix",
-    "MpmCoefficients",
-    "MpmSpec",
-    "build_basis",
-    "ls_fit",
-    "AgmpnnModel",
-    "count_params_actual",
-    "count_params_formula",
-    "RvftdnnModel",
-    "architecture_search",
-    "rvftdnn_param_count",
-    "AdamState",
-    "TrainConfig",
-    "TrainHistory",
-    "adam_step",
-    "finite_diff_check",
-    "train",
-    "DpdModelSpec",
-    "IlaReport",
-    "run_ila",
-    "sweep_complexity",
-    "sweep_taps",
-    "__version__",
-]
+# The public names are the ones imported above, and the version.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)] + ["__version__"]

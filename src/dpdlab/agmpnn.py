@@ -47,6 +47,7 @@ import numpy as np
 
 from . import modelfile
 from .mpm import MpmCoefficients
+from .rules import check_all
 from .signal import ComplexSequence, TapWindow, as_samples, predict_rows
 
 # Attention score bias applied to expert 1 when warm starting, large enough
@@ -62,7 +63,7 @@ def count_params_formula(n_taps: int, k_orders: int, n_experts: int) -> int:
     enumerated trainable count, which count_params_actual reports.
     """
     l, k, m = int(n_taps), int(k_orders), int(n_experts)
-    modelfile.check_sizes({"n_taps": l, "k_orders": k, "n_experts": m})
+    check_all(n_taps=l, k_orders=k, n_experts=m)
     return 4 * l * k * m + l * m + 4 * l + 2 * m + 2
 
 
@@ -145,7 +146,7 @@ class AgmpnnModel(modelfile.ParamModel):
         percentile amplitude of `calibration` (default 1.0), so the experts
         start rectified around different amplitude bands.
         """
-        modelfile.check_sizes({"k_orders": k_orders, "n_experts": n_experts})
+        check_all(k_orders=k_orders, n_experts=n_experts)
         rng = np.random.default_rng(seed)
         t_taps = window.n_taps
         m = n_experts

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -20,10 +21,11 @@ from .config import RunConfig, load_config, render_config
 from .exceptions import DpdlabError, FormatError
 from .mpm import MpmSpec, build_basis, ls_fit
 from .pa_sim import PRESET_DRIVE_DB, pa_forward, preset
+from .rules import RULES
 from .rvftdnn import RvftdnnModel
 from .signal import (ComplexSequence, TapWindow, deserialize_iq, generate_waveform, nmse_db,
                      read_iq_csv, read_text, serialize_iq, write_iq_csv)
-from .training import TrainConfig, finite_diff_check
+from .training import finite_diff_check
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -39,32 +41,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _int_from(lowest: int):
-    """argparse type of an integer of at least `lowest`."""
-    def read(text: str) -> int:
+def _flag(name: str):
+    """argparse type of a flag whose value keeps the rule of `name`."""
+    def read(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < lowest:
-            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
-        return value
+            return RULES[name].parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    read.rule = name
     return read
 
 
-_positive_int = _int_from(1)
-_seed = _int_from(0)
-
-
-def _threshold(text: str) -> float:
-    """argparse type of a finite, non-negative threshold."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
-    return value
+# `fit`'s flags over the --config file's [model] values, by RunConfig field;
+# --cold-start sets warm_start to false.
+_FIT_MODEL_FLAGS = {"taps": "--taps", "post_taps": "--post-taps", "k_orders": "--k",
+                    "n_experts": "--experts", "n1": "--n1", "n2": "--n2", "ridge": "--ridge",
+                    "warm_start": "--cold-start"}
 
 
 # ----------------------------------------------------------------------
@@ -128,32 +120,37 @@ def _cmd_simulate_pa(args) -> int:
     return 0
 
 
+def _fit_config(args) -> RunConfig:
+    """The run config with `fit`'s model flags over its [model] values.  The
+    file loaded cleanly, so a value every run would reject comes from the
+    flags: a usage error naming them."""
+    cfg = _load_run_config(args)
+    given = {name: getattr(args, name) for name in _FIT_MODEL_FLAGS if hasattr(args, name)}
+    try:
+        return dataclasses.replace(cfg, kind=args.model, **given)
+    except FormatError as exc:
+        flags = " ".join(_FIT_MODEL_FLAGS[name] for name in given)
+        raise _UsageError(f"dpdlab fit: {flags}: {exc}") from None
+
+
 def _cmd_fit(args) -> int:
-    if args.post_taps < 0:
-        raise _UsageError(f"dpdlab fit: --post-taps must be non-negative, got {args.post_taps}")
-    if args.taps <= args.post_taps:
-        raise _UsageError(
-            f"dpdlab fit: --taps ({args.taps}) must exceed --post-taps ({args.post_taps})")
+    cfg = _fit_config(args)
     psi = _read_waveform(args.infile)
     phi = _read_waveform(args.target)
     if len(psi) != len(phi):
         raise DpdlabError(f"input has {len(psi)} samples but target has {len(phi)}")
-    run_cfg = _load_run_config(args)
-    window = TapWindow(pre_taps=args.taps - 1 - args.post_taps, post_taps=args.post_taps)
-    if args.model == "mpm":
+    spec = cfg.model_spec()
+    if spec.kind == "mpm":
         # Exact least squares over every sample, so `eval` on the same pair
         # reproduces the fit residual.
-        basis = build_basis(psi, MpmSpec(window=window, k_orders=args.k))
-        coeffs = ls_fit(basis, phi.samples, ridge=args.ridge)
+        basis = build_basis(psi, MpmSpec(window=spec.window, k_orders=spec.k_orders))
+        coeffs = ls_fit(basis, phi.samples, ridge=spec.ridge)
         coeffs.save(args.out)
         resid = nmse_db(basis.data @ coeffs.coeff.reshape(-1), phi.samples)
         print(f"fit residual {resid:.6f} dB -> {args.out}", file=sys.stderr)
         return 0
-    spec = ila.DpdModelSpec(
-        kind=args.model, window=window, k_orders=args.k, n_experts=args.experts,
-        n1=args.n1, n2=args.n2, ridge=args.ridge, warm_start=not args.cold_start)
     outcome = ila.fit_model_on_data(psi.samples, phi.samples, spec,
-                                    run_cfg.train_config(), seed=args.seed)
+                                    cfg.train_config(), seed=args.seed)
     outcome.model.save(args.out)
     print(f"held-out NMSE {outcome.postinv_nmse_db:.6f} dB -> {args.out}", file=sys.stderr)
     return 0
@@ -215,7 +212,7 @@ def _cmd_sweep_complexity(args) -> int:
 def _cmd_gradcheck(args) -> int:
     window = TapWindow(pre_taps=args.taps - 1)
     if args.model == "agmpnn":
-        model = AgmpnnModel.init(window, args.k, args.experts, seed=args.seed)
+        model = AgmpnnModel.init(window, args.k_orders, args.n_experts, seed=args.seed)
     else:
         model = RvftdnnModel.init(window, args.n1, args.n2, seed=args.seed)
     psi = generate_waveform(args.seed, args.n, 0.5)
@@ -248,17 +245,13 @@ def _read_report(path) -> list[dict]:
             raise FormatError(f"{where}: row has {len(fields)} fields, expected {len(header)}")
         row = dict(zip(header, fields))
         for key in _REPORT_NMSE_FIELDS:
-            if row[key] and not _finite_number(row[key]):
-                raise FormatError(f"{where}: bad value for {key!r}: {row[key]!r}")
+            try:
+                if row[key]:
+                    RULES[key].parse(row[key])
+            except ValueError as exc:
+                raise FormatError(f"{where}: bad value for {key!r}: {exc}") from None
         rows.append(row)
     return rows
-
-
-def _finite_number(text: str) -> bool:
-    try:
-        return bool(np.isfinite(float(text)))
-    except ValueError:
-        return False
 
 
 def _groups(rows) -> list:
@@ -332,11 +325,12 @@ def build_parser() -> _Parser:
         return p
 
     p = add("gen-signal", _cmd_gen_signal, "generate a band-limited unit-RMS test waveform")
-    p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--n", type=int, required=True, help="number of samples")
-    p.add_argument("--bandwidth", type=float, default=ila.DEFAULT_BANDWIDTH_FRACTION,
-                   help="occupied fraction of fs")
-    p.add_argument("--sample-rate", type=float, default=1.0, help="informational rate hint")
+    p.add_argument("--seed", type=_flag("seed"), required=True)
+    p.add_argument("--n", type=_flag("n_samples"), required=True, help="number of samples")
+    p.add_argument("--bandwidth", type=_flag("bandwidth_fraction"),
+                   default=ila.DEFAULT_BANDWIDTH_FRACTION, help="occupied fraction of fs")
+    p.add_argument("--sample-rate", type=_flag("sample_rate_hint"), default=1.0,
+                   help="informational rate hint")
     p.add_argument("--out", required=True, help="output waveform (.iq binary or .csv)")
 
     p = add("simulate-pa", _cmd_simulate_pa, "run a waveform through the simulated amplifier")
@@ -344,22 +338,22 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output waveform")
     p.add_argument("--preset", choices=tuple(PRESET_DRIVE_DB), default="high")
     _add_config_flag(p)
-    p.add_argument("--noise-seed", type=_seed, default=None,
+    p.add_argument("--noise-seed", type=_flag("seed"), default=None,
                    help="enable feedback noise with this seed")
 
     p = add("fit", _cmd_fit, "fit a postinverse model on an (input, target) waveform pair")
     p.add_argument("--model", choices=ila.FAMILIES, required=True)
-    p.add_argument("--taps", type=int, default=4, help="total tap count")
-    p.add_argument("--post-taps", type=int, default=0, help="taps ahead of the current sample")
-    p.add_argument("--k", type=_positive_int, default=ila.DpdModelSpec.k_orders,
-                   help="number of even-order terms")
-    p.add_argument("--experts", type=_positive_int, default=ila.DpdModelSpec.n_experts)
-    p.add_argument("--n1", type=_positive_int, default=ila.DpdModelSpec.n1)
-    p.add_argument("--n2", type=_positive_int, default=ila.DpdModelSpec.n2)
-    p.add_argument("--ridge", type=float, default=None, help="least-squares regularizer")
-    p.add_argument("--cold-start", action="store_true",
-                   help="skip the least-squares warm start (agmpnn only)")
-    p.add_argument("--seed", type=_seed, default=0, help="initialization seed")
+    for name, help_text in (("taps", "total tap count"),
+                            ("post_taps", "taps ahead of the current sample"),
+                            ("k_orders", "number of even-order terms"),
+                            ("n_experts", "number of experts"), ("n1", "first hidden width"),
+                            ("n2", "second hidden width"), ("ridge", "least-squares regularizer")):
+        p.add_argument(_FIT_MODEL_FLAGS[name], dest=name, type=_flag(name),
+                       default=argparse.SUPPRESS, help=f"{help_text} (default: [model] {name})")
+    p.add_argument("--cold-start", dest="warm_start", action="store_false",
+                   default=argparse.SUPPRESS, help="skip the least-squares warm start "
+                   "(agmpnn only; default: [model] warm_start)")
+    p.add_argument("--seed", type=_flag("seed"), default=0, help="initialization seed")
     p.add_argument("--in", dest="infile", required=True, help="model input waveform")
     p.add_argument("--target", required=True, help="desired output waveform")
     p.add_argument("--out", required=True, help="model file to write")
@@ -372,7 +366,7 @@ def build_parser() -> _Parser:
 
     p = add("ila-run", _cmd_ila_run, "one indirect-learning cell: fit, deploy, evaluate")
     _add_config_flag(p)
-    p.add_argument("--iterations", type=_positive_int, default=1,
+    p.add_argument("--iterations", type=_flag("n_iterations"), default=1,
                    help="inverse-learning passes")
     p.add_argument("--out", default=None, help="write the one-row report CSV here")
 
@@ -388,14 +382,13 @@ def build_parser() -> _Parser:
     p = add("gradcheck", _cmd_gradcheck,
             "compare analytic and finite-difference gradients on a seeded model")
     p.add_argument("--model", choices=("agmpnn", "rvftdnn"), default="agmpnn")
-    p.add_argument("--taps", type=_positive_int, default=3)
-    p.add_argument("--k", type=_positive_int, default=2)
-    p.add_argument("--experts", type=_positive_int, default=2)
-    p.add_argument("--n1", type=_positive_int, default=4)
-    p.add_argument("--n2", type=_positive_int, default=3)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--n", type=int, default=256, help="check-waveform length")
-    p.add_argument("--threshold", type=_threshold, default=GRADCHECK_THRESHOLD)
+    for flag, name, default in (("--taps", "taps", 3), ("--k", "k_orders", 2),
+                                ("--experts", "n_experts", 2), ("--n1", "n1", 4),
+                                ("--n2", "n2", 3)):
+        p.add_argument(flag, dest=name, type=_flag(name), default=default)
+    p.add_argument("--seed", type=_flag("seed"), default=0)
+    p.add_argument("--n", type=_flag("n_samples"), default=256, help="check-waveform length")
+    p.add_argument("--threshold", type=_flag("threshold"), default=GRADCHECK_THRESHOLD)
 
     p = add("report", _cmd_report, "summarize a sweep CSV; optionally mirror to gnuplot .dat")
     p.add_argument("--in", dest="infile", required=True, help="sweep report CSV")

@@ -1,62 +1,32 @@
 """Structured run-configuration text: `[section]` headers, `key = value` lines.
 
 Lines may carry `#` comments.  Every key is type-checked against a fixed
-schema; unknown sections or keys are rejected by name with a line number.
+schema, a number by its rule (rules.RULES); unknown sections or keys are
+rejected by name with a line number.
 Omitted keys fall back to defaults chosen so that an empty config describes a
 complete, runnable experiment.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .exceptions import FormatError
 from .ila import (DEFAULT_BANDWIDTH_FRACTION, DEFAULT_COMPLEXITY_TAPS, DEFAULT_MPM_K_GRID,
                   DEFAULT_N_SAMPLES, DEFAULT_NN_GRID, DEFAULT_PARAM_TARGETS, DEFAULT_SEEDS,
-                  DEFAULT_TAPS_LIST, FAMILIES, DpdModelSpec)
+                  DEFAULT_TAPS_LIST, FAMILIES, DpdModelSpec, check_budget, check_families)
 from .pa_sim import (PRESET_A_SAT, PRESET_DRIVE_DB, PRESET_FEEDBACK_SNR_DB, PRESET_K_PA,
-                     PRESET_L_PA, PRESET_RHO, PRESET_SIGMA, PaConfig, coeffs_from_rule)
-from .signal import TapWindow, check_waveform_args, read_text
+                     PRESET_L_PA, PRESET_RHO, PRESET_SIGMA, PaConfig, coeffs_from_rule, preset)
+from .rules import RULES, check_all
+from .signal import TapWindow, read_text
 from .training import TrainConfig
 
 
 # ----------------------------------------------------------------------
-# value converters (raise ValueError with a short reason)
+# value readers (raise ValueError with a short reason); a numeric key's
+# reader is its key's rule (rules.RULES), derived by _reader
 # ----------------------------------------------------------------------
-
-
-def _int(value: str) -> int:
-    return int(value, 10)
-
-
-def _at_least(lowest: int):
-    """Reader of an integer of at least `lowest`: 1 for a tap count, an order,
-    a width or a size, 0 for a seed."""
-    def read(value: str) -> int:
-        number = _int(value)
-        if number < lowest:
-            raise ValueError(f"expected an integer of at least {lowest}, got {value!r}")
-        return number
-    return read
-
-
-_count = _at_least(1)
-_seed = _at_least(0)
-
-
-def _float(value: str) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return number
-
-
-def _opt_float(value: str) -> Optional[float]:
-    if value.lower() == "none":
-        return None
-    return _float(value)
 
 
 def _bool(value: str) -> bool:
@@ -84,14 +54,16 @@ def _list_of(item):
     return read
 
 
-_count_list = _list_of(_count)
-_word_list = _list_of(str)
+def _optional(read):
+    """Reader of `none` (None) or of what `read` reads."""
+    return lambda value: None if value.lower() == "none" else read(value)
 
 
-def _field(section: str, reader, default, key: Optional[str] = None):
-    """A RunConfig field: its `[section]`, the reader of its value text, its
-    default, and its key in that section when the key differs from the name."""
-    return field(default=default, metadata={"section": section, "reader": reader, "key": key})
+def _field(section: str, default, key: Optional[str] = None, reader=None):
+    """A RunConfig field: its `[section]`, its default, its key in that section
+    when the key differs from the name, and the reader of its value text when
+    the value is not a number (a number's reader is its key's rule)."""
+    return field(default=default, metadata={"section": section, "key": key, "reader": reader})
 
 
 @dataclass
@@ -100,71 +72,59 @@ class RunConfig:
     key, and its default is read from the object that owns the value."""
 
     # [pa] — memory-polynomial coefficient rule plus operating point
-    rho: float = _field("pa", _float, PRESET_RHO)
-    sigma: float = _field("pa", _float, PRESET_SIGMA)
-    l_pa: int = _field("pa", _int, PRESET_L_PA)
-    k_pa: int = _field("pa", _int, PRESET_K_PA)
-    drive_db: float = _field("pa", _float, PRESET_DRIVE_DB["high"])
-    a_sat: Optional[float] = _field("pa", _opt_float, PRESET_A_SAT)
-    feedback_snr_db: Optional[float] = _field("pa", _opt_float, PRESET_FEEDBACK_SNR_DB)
+    rho: float = _field("pa", PRESET_RHO)
+    sigma: float = _field("pa", PRESET_SIGMA)
+    l_pa: int = _field("pa", PRESET_L_PA)
+    k_pa: int = _field("pa", PRESET_K_PA)
+    drive_db: float = _field("pa", PRESET_DRIVE_DB["high"])
+    a_sat: Optional[float] = _field("pa", PRESET_A_SAT)
+    feedback_snr_db: Optional[float] = _field("pa", PRESET_FEEDBACK_SNR_DB)
     # [signal]
-    seed: int = _field("signal", _seed, 1)
-    n_samples: int = _field("signal", _int, DEFAULT_N_SAMPLES)
-    bandwidth_fraction: float = _field("signal", _float, DEFAULT_BANDWIDTH_FRACTION)
+    seed: int = _field("signal", 1)
+    n_samples: int = _field("signal", DEFAULT_N_SAMPLES)
+    bandwidth_fraction: float = _field("signal", DEFAULT_BANDWIDTH_FRACTION)
     # [model]
-    kind: str = _field("model", _word, "mpm")
-    taps: int = _field("model", _count, 4)
-    post_taps: int = _field("model", _int, TapWindow.post_taps)
-    k_orders: int = _field("model", _count, DpdModelSpec.k_orders)
-    n_experts: int = _field("model", _count, DpdModelSpec.n_experts)
-    n1: int = _field("model", _count, DpdModelSpec.n1)
-    n2: int = _field("model", _count, DpdModelSpec.n2)
-    ridge: Optional[float] = _field("model", _opt_float, DpdModelSpec.ridge)
-    warm_start: bool = _field("model", _bool, DpdModelSpec.warm_start)
+    kind: str = _field("model", "mpm", reader=_word)
+    taps: int = _field("model", 4)
+    post_taps: int = _field("model", TapWindow.post_taps)
+    k_orders: int = _field("model", DpdModelSpec.k_orders)
+    n_experts: int = _field("model", DpdModelSpec.n_experts)
+    n1: int = _field("model", DpdModelSpec.n1)
+    n2: int = _field("model", DpdModelSpec.n2)
+    ridge: Optional[float] = _field("model", DpdModelSpec.ridge)
+    warm_start: bool = _field("model", DpdModelSpec.warm_start, reader=_bool)
     # [train] — keys are TrainConfig's field names
-    learning_rate: float = _field("train", _float, TrainConfig.learning_rate)
-    beta1: float = _field("train", _float, TrainConfig.beta1)
-    beta2: float = _field("train", _float, TrainConfig.beta2)
-    epsilon: float = _field("train", _float, TrainConfig.epsilon)
-    batch_size: int = _field("train", _count, TrainConfig.batch_size)
-    segment_len: int = _field("train", _count, TrainConfig.segment_len)
-    max_epochs: int = _field("train", _count, TrainConfig.max_epochs)
-    patience: int = _field("train", _count, TrainConfig.patience)
-    train_seed: int = _field("train", _seed, TrainConfig.seed, key="seed")
+    learning_rate: float = _field("train", TrainConfig.learning_rate)
+    beta1: float = _field("train", TrainConfig.beta1)
+    beta2: float = _field("train", TrainConfig.beta2)
+    epsilon: float = _field("train", TrainConfig.epsilon)
+    batch_size: int = _field("train", TrainConfig.batch_size)
+    segment_len: int = _field("train", TrainConfig.segment_len)
+    max_epochs: int = _field("train", TrainConfig.max_epochs)
+    patience: int = _field("train", TrainConfig.patience)
+    train_seed: int = _field("train", TrainConfig.seed, key="seed")
     # [sweep]
-    families: tuple = _field("sweep", _word_list, FAMILIES)
-    preset: str = _field("sweep", _word, "high")
-    taps_list: tuple = _field("sweep", _count_list, DEFAULT_TAPS_LIST)
-    param_targets: tuple = _field("sweep", _count_list, DEFAULT_PARAM_TARGETS)
-    seeds: tuple = _field("sweep", _list_of(_seed), DEFAULT_SEEDS)
-    budget_lo: int = _field("sweep", _int, DpdModelSpec.budget[0])
-    budget_hi: int = _field("sweep", _int, DpdModelSpec.budget[1])
-    nn_grid: tuple = _field("sweep", _count_list, DEFAULT_NN_GRID)
-    mpm_k_grid: tuple = _field("sweep", _count_list, DEFAULT_MPM_K_GRID)
-    sweep_taps: int = _field("sweep", _count, DEFAULT_COMPLEXITY_TAPS, key="taps")
+    families: tuple = _field("sweep", FAMILIES, reader=_list_of(str))
+    preset: str = _field("sweep", "high", reader=_word)
+    taps_list: tuple = _field("sweep", DEFAULT_TAPS_LIST)
+    param_targets: tuple = _field("sweep", DEFAULT_PARAM_TARGETS)
+    seeds: tuple = _field("sweep", DEFAULT_SEEDS)
+    budget_lo: int = _field("sweep", DpdModelSpec.budget[0])
+    budget_hi: int = _field("sweep", DpdModelSpec.budget[1])
+    nn_grid: tuple = _field("sweep", DEFAULT_NN_GRID)
+    mpm_k_grid: tuple = _field("sweep", DEFAULT_MPM_K_GRID)
+    sweep_taps: int = _field("sweep", DEFAULT_COMPLEXITY_TAPS, key="taps")
 
     def __post_init__(self) -> None:
-        if self.kind not in FAMILIES:
-            raise FormatError(f"[model] kind must be one of {FAMILIES}, got {self.kind!r}")
-        if self.preset not in PRESET_DRIVE_DB:
-            raise FormatError(
-                f"[sweep] preset must be one of {tuple(PRESET_DRIVE_DB)}, got {self.preset!r}")
-        for fam in self.families:
-            if fam not in FAMILIES:
-                raise FormatError(f"[sweep] families entry {fam!r} not one of {FAMILIES}")
-        if self.taps < 1 or self.post_taps < 0 or self.post_taps >= self.taps:
-            raise FormatError("[model] needs taps >= 1 and 0 <= post_taps < taps")
-        if self.a_sat is not None and not self.a_sat > 0.0:
-            # PaConfig's own message names its field, smooth_limit.
-            raise FormatError(f"[pa] a_sat must be positive when set, got {self.a_sat}")
-        if self.budget_lo > self.budget_hi:
-            raise FormatError(f"[sweep] budget_lo ({self.budget_lo}) exceeds "
-                              f"budget_hi ({self.budget_hi})")
         # Build what each section describes once, so a value that every run
-        # would reject fails the load instead.
+        # would reject fails the load instead.  A number read from a file
+        # already kept its rule; these checks hold a RunConfig made in code.
         for section, build in (
                 ("pa", self.pa_config),
-                ("signal", lambda: check_waveform_args(self.n_samples, self.bandwidth_fraction)),
+                ("signal", lambda: check_all(n_samples=self.n_samples,
+                                             bandwidth_fraction=self.bandwidth_fraction)),
+                ("sweep", lambda: (self.pa_for_preset(self.preset), check_families(self.families),
+                                   check_budget((self.budget_lo, self.budget_hi)))),
                 ("model", self.model_spec), ("train", self.train_config)):
             try:
                 build()
@@ -184,9 +144,7 @@ class RunConfig:
         )
 
     def pa_for_preset(self, level: str) -> PaConfig:
-        if level not in PRESET_DRIVE_DB:
-            raise ValueError(f"unknown preset level {level!r}")
-        return self.pa_config(drive_db=PRESET_DRIVE_DB[level])
+        return self.pa_config(drive_db=preset(level).drive_db)
 
     def preset_label(self) -> str:
         return next((level for level, db in PRESET_DRIVE_DB.items() if db == self.drive_db),
@@ -214,7 +172,19 @@ def _schema() -> dict:
     return schema
 
 
+def _reader(f):
+    """A field's value reader: its own, or else its key's rule, which reads
+    each entry of a tuple and takes `none` for an Optional."""
+    if f.metadata["reader"]:
+        return f.metadata["reader"]
+    read = RULES[f.metadata["key"] or f.name].parse
+    if f.type == "tuple":
+        return _list_of(read)
+    return _optional(read) if f.type.startswith("Optional") else read
+
+
 _SCHEMA = _schema()
+_READERS = {f.name: _reader(f) for f in fields(RunConfig)}
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
@@ -246,7 +216,7 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
                 f"{path}:{lineno}: unknown key {key!r} in [{section}] (known: {known})")
         f = schema[key]
         try:
-            values[f.name] = f.metadata["reader"](value)
+            values[f.name] = _READERS[f.name](value)
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     try:

@@ -21,6 +21,7 @@ from .agmpnn import AgmpnnModel, count_params_formula
 from .exceptions import FormatError
 from .mpm import MpmCoefficients, fit_orders
 from .pa_sim import PaConfig, pa_forward
+from .rules import check, check_all
 from .rvftdnn import DEFAULT_BUDGET, RvftdnnModel, architecture_search, rvftdnn_param_count
 from .signal import ComplexSequence, TapWindow, align, as_samples, generate_waveform, nmse_db
 from .training import TrainConfig, best_fit, segment_pairs, train, validation_nmse_db
@@ -51,24 +52,17 @@ REPORT_COLUMNS = ("family", "preset", "taps", "k_orders", "m_experts", "params_f
 REPORT_HEADER = ",".join(REPORT_COLUMNS)
 
 
-def _check_families(families) -> None:
+def check_families(families) -> None:
     for kind in families:
         if kind not in FAMILIES:
             raise ValueError(f"unknown model kind {kind!r}; expected one of {FAMILIES}")
 
 
-def _check_at_least(name: str, values, lowest: int) -> None:
-    """The config reader's rule for counts (lowest 1) and seeds (lowest 0),
-    applied to the API argument `name`: each of `values` is an integer of at
-    least `lowest`."""
-    for value in values:
-        if not isinstance(value, (int, np.integer)) or value < lowest:
-            raise ValueError(f"{name}: expected an integer of at least {lowest}, got {value!r}")
-
-
-def _check_budget(budget) -> None:
+def check_budget(budget) -> None:
+    """A (budget_lo, budget_hi) parameter budget: integers, lo at most hi."""
+    check_all(budget_lo=budget[0], budget_hi=budget[1])
     if budget[0] > budget[1]:
-        raise ValueError(f"budget lower bound {budget[0]} exceeds upper bound {budget[1]}")
+        raise ValueError(f"budget_lo ({budget[0]}) exceeds budget_hi ({budget[1]})")
 
 
 @dataclass(frozen=True)
@@ -89,13 +83,13 @@ class DpdModelSpec:
     budget: tuple = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
-        _check_families((self.kind,))
+        check_families((self.kind,))
         if self.kind == "agmpnn" and self.search_grid is not None:
             raise ValueError("an agmpnn spec takes no search_grid: it fits its own "
                              "(k_orders, n_experts)")
-        _check_budget(self.budget)
-        if self.ridge is not None and not 0 <= self.ridge < np.inf:
-            raise ValueError(f"ridge must be finite and non-negative, got {self.ridge}")
+        check_budget(self.budget)
+        if self.ridge is not None:
+            check("ridge", self.ridge)
 
     def n_params(self) -> int:
         """Trainable parameter count, from the family's parameter table."""
@@ -247,7 +241,7 @@ def drive_ila(pa: PaConfig, seed: int, n_samples: int = DEFAULT_N_SAMPLES,
     """Drive stage of a cell, a pure function of its arguments: the fitting and
     evaluation (seed + EVAL_SEED_OFFSET) waveforms, the first fitting pass and
     the no-DPD baseline.  Feedback noise applies only to the fitting pass."""
-    _check_at_least("seed", (seed,), 0)
+    check("seed", seed)
     chi_fit = generate_waveform(seed, n_samples, bandwidth_fraction)
     chi_eval = generate_waveform(seed + EVAL_SEED_OFFSET, n_samples, bandwidth_fraction)
     no_dpd, _ = linearization_nmse_db(pa, None, chi_eval)
@@ -261,7 +255,7 @@ def fit_predistorter(pa: PaConfig, drive: IlaDrive, spec: DpdModelSpec, cfg: Tra
     pass.  Each later pass `it` observes the PA driven by the last fit's
     predistortion of chi_fit, with noise seed drive.seed + it; the outcome
     carries the last pass's gain and delay."""
-    modelfile.check_sizes({"n_iterations": n_iterations})
+    check("n_iterations", n_iterations)
     observed = drive.first_pass
     for it in range(n_iterations):
         if it:
@@ -315,8 +309,9 @@ def _sweep(cells, seeds, n_samples: int, bandwidth_fraction: float,
     """One report row per (family, taps, preset, pa, spec) cell and seed, in
     that order; a cell without a spec gets blank (infeasible) rows.  Cells of
     one (preset, seed) share its drive stage, computed once per call."""
-    _check_families(family for family, *_ in cells)
-    _check_at_least("seeds", seeds, 0)
+    check_families(family for family, *_ in cells)
+    for seed in seeds:
+        check("seeds", seed)
     drives = {}
     rows = []
     for family, taps, preset_label, pa, spec in cells:
@@ -357,8 +352,9 @@ def sweep_taps(pa: PaConfig, preset_label: str, taps_list=DEFAULT_TAPS_LIST,
     """Tap-count sweep: AGMPNN fixed at (K=3, M=3), RVFTDNN architecture-searched
     within the budget, MPM at its best order within budget.  A family with no
     configuration inside the budget gets a blank (infeasible) row."""
-    _check_budget(budget)
-    _check_at_least("taps_list", taps_list, 1)
+    check_budget(budget)
+    for taps in taps_list:
+        check("taps_list", taps)
     cells = [(family, taps, preset_label, pa,
               _tap_sweep_spec(family, TapWindow(pre_taps=taps - 1), budget, nn_grid, mpm_k_grid))
              for family in families for taps in taps_list]
@@ -395,8 +391,9 @@ def sweep_complexity(pa_by_preset: dict, taps: int = DEFAULT_COMPLEXITY_TAPS,
     """Complexity sweep at fixed taps: per family, pick the configuration whose
     trainable parameter count comes closest to each target; a cell further than
     25% from its target is marked infeasible (blank metrics)."""
-    _check_at_least("taps", (taps,), 1)
-    _check_at_least("param_targets", param_targets, 1)
+    check("taps", taps)
+    for target in param_targets:
+        check("param_targets", target)
     window = TapWindow(pre_taps=taps - 1)
     cells = []
     for family in families:

@@ -25,6 +25,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .exceptions import FormatError
+from .rules import RULES, check_all
 from .signal import TapWindow, read_text
 
 MODEL_FORMAT = "DPDMODEL1"
@@ -105,28 +106,15 @@ def read_model(path):
     return kind, scalars, sections
 
 
-def header_int(scalars: dict, key: str, path="model", minimum: int | None = None) -> int:
+def header_value(scalars: dict, key: str, path="model"):
+    """Header field `key`, read by its rule (rules.RULES); FormatError naming
+    `path` and the field when it is missing or breaks the rule."""
+    if key not in scalars:
+        raise FormatError(f"{path}: missing header field {key!r}")
     try:
-        value = int(scalars[key])
-    except KeyError:
-        raise FormatError(f"{path}: missing header field {key!r}") from None
-    except ValueError:
-        raise FormatError(f"{path}: header field {key!r} is not an integer") from None
-    if minimum is not None and value < minimum:
-        raise FormatError(f"{path}: header field {key!r} is {value}; it must be at least {minimum}")
-    return value
-
-
-def header_float(scalars: dict, key: str, path="model") -> float:
-    try:
-        value = float(scalars[key])
-    except KeyError:
-        raise FormatError(f"{path}: missing header field {key!r}") from None
-    except ValueError:
-        raise FormatError(f"{path}: header field {key!r} is not a number") from None
-    if not math.isfinite(value):
-        raise FormatError(f"{path}: header field {key!r} is {value}; it must be finite")
-    return value
+        return RULES[key].parse(scalars[key])
+    except ValueError as exc:
+        raise FormatError(f"{path}: header field {key!r}: {exc}") from None
 
 
 def _fill(rows, shape, n_values, index_offset, name, path):
@@ -156,15 +144,6 @@ def _fill(rows, shape, n_values, index_offset, name, path):
     if not np.all(np.isfinite(arr)):
         raise FormatError(f"{path}: section [{name}] has a non-finite value")
     return arr
-
-
-def check_sizes(sizes: Mapping[str, int]) -> Mapping[str, int]:
-    """`sizes`, each of which (a tap count, an order count, a width, a batch)
-    must be at least 1: the one rule for every size."""
-    for name, value in sizes.items():
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    return sizes
 
 
 @dataclass(frozen=True)
@@ -198,9 +177,9 @@ class ParamTable:
 
     def dims(self, obj) -> dict:
         """`n_taps` and the size fields of a model or a model spec, read off it
-        by attribute, held to check_sizes."""
-        return check_sizes({"n_taps": obj.window.n_taps,
-                            **{name: getattr(obj, name) for name in self.sizes}})
+        by attribute, each held to its rule."""
+        return check_all(n_taps=obj.window.n_taps,
+                         **{name: getattr(obj, name) for name in self.sizes})
 
     def count(self, dims: Mapping[str, int]) -> int:
         """Length of the flat parameter vector at these sizes: the real
@@ -283,16 +262,16 @@ class ParamTable:
         """Turn `parsed`, the (kind, header, sections) that read_model returned
         for the file at `path`, into (window, sizes, header, arrays).
 
-        Tap counts below 0, size fields below 1 and sections with fewer rows
+        Header fields that break their rules and sections with fewer rows
         than entries raise FormatError naming `path` before any array is
         allocated.
         """
         kind, scalars, sections = parsed
         if kind != self.kind:
             raise FormatError(f"{path}: expected kind {self.kind!r}, found {kind!r}")
-        window = TapWindow(pre_taps=header_int(scalars, "pre_taps", path, minimum=0),
-                           post_taps=header_int(scalars, "post_taps", path, minimum=0))
-        sizes = {name: header_int(scalars, name, path, minimum=1) for name in self.sizes}
+        window = TapWindow(pre_taps=header_value(scalars, "pre_taps", path),
+                           post_taps=header_value(scalars, "post_taps", path))
+        sizes = {name: header_value(scalars, name, path) for name in self.sizes}
         dims = {"n_taps": window.n_taps, **sizes}
         arrays = {}
         for p in self.params:

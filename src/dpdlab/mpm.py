@@ -16,6 +16,7 @@ import numpy as np
 from . import modelfile
 from ._blas import qr_in_place
 from .exceptions import ConditioningError
+from .rules import check, check_all
 from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix, predict_rows
 
 # Default ridge, relative to the mean diagonal of the normal matrix.
@@ -31,9 +32,7 @@ class MpmSpec:
     amp_offset: float = 0.0
 
     def __post_init__(self) -> None:
-        modelfile.check_sizes({"k_orders": self.k_orders})
-        if not np.isfinite(self.amp_offset):
-            raise ValueError("amp_offset must be finite")
+        check_all(k_orders=self.k_orders, amp_offset=self.amp_offset)
         object.__setattr__(self, "amp_offset", float(self.amp_offset))
 
     @property
@@ -156,8 +155,8 @@ def ls_fit(basis: BasisMatrix, targets, ridge: float | None = None) -> "MpmCoeff
     _check_system(rows, cols, phi.size)
     if ridge is None:
         ridge = RIDGE_DEFAULT_REL * float(np.mean(np.sum(np.abs(data) ** 2, axis=0)))
-    elif not 0 <= ridge < np.inf:
-        raise ValueError(f"ridge must be finite and non-negative, got {ridge}")
+    else:
+        check("ridge", ridge)
     if ridge > 0:
         aug = np.vstack([data, np.sqrt(ridge) * np.eye(cols, dtype=np.complex128)])
         rhs = np.concatenate([phi, np.zeros(cols, dtype=np.complex128)])
@@ -282,5 +281,5 @@ class MpmCoefficients(modelfile.ParamModel):
         """The model in the file at `path`, already parsed by read_model."""
         window, sizes, scalars, arrays = cls.PARAMS.load(path, parsed)
         spec = MpmSpec(window=window, k_orders=sizes["k_orders"],
-                       amp_offset=modelfile.header_float(scalars, "amp_offset", path))
+                       amp_offset=modelfile.header_value(scalars, "amp_offset", path))
         return cls(spec=spec, **arrays)

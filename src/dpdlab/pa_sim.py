@@ -8,12 +8,12 @@ outside the memory-polynomial model class.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .rules import check, check_all
 from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix
 
 # Frozen preset constants: coefficient decay across delay (rho) and order
@@ -45,26 +45,11 @@ class PaConfig:
             raise ValueError("coeffs must be finite")
         if coeffs[0, 0] == 0:
             raise ValueError("coeffs[0, 0] must be nonzero (dominant linear term)")
-        if self.smooth_limit is not None and not float(self.smooth_limit) > 0.0:
-            raise ValueError("smooth_limit must be positive when set")
-        if self.feedback_snr_db is not None and not float(self.feedback_snr_db) > 0.0:
-            raise ValueError("feedback_snr_db must be positive when set")
-        try:
-            gain = self.drive_gain
-        except OverflowError:
-            gain = math.inf
-        # The smooth limiter raises the driven amplitude to the sixth power:
-        # past a gain of about 2.4e51 (1027.5 dB) that overflows for every
-        # sample of at least unit size.
-        try:
-            sixth_power_finite = math.isfinite(gain ** 6)
-        except OverflowError:
-            sixth_power_finite = False
-        for broken, rule in ((not math.isfinite(gain), "must be finite"),
-                             (gain == 0.0, "must be nonzero"),
-                             (not sixth_power_finite, "must have a finite sixth power")):
-            if broken:
-                raise ValueError(f"drive_db is {float(self.drive_db)}; its linear gain {rule}")
+        check("drive_db", self.drive_db)
+        if self.smooth_limit is not None:
+            check("smooth_limit", self.smooth_limit, rule="a_sat")
+        if self.feedback_snr_db is not None:
+            check("feedback_snr_db", self.feedback_snr_db)
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -85,8 +70,7 @@ class PaConfig:
 def coeffs_from_rule(rho: float, sigma: float, l_pa: int, k_pa: int,
                      phase_step: float = PRESET_PHASE_STEP) -> np.ndarray:
     """coeffs[l, k] = rho^l * sigma^k * exp(i*phase_step*(l + 2k)), with [0, 0] = 1."""
-    if l_pa < 0 or k_pa < 1:
-        raise ValueError("need l_pa >= 0 and k_pa >= 1")
+    check_all(rho=rho, sigma=sigma, l_pa=l_pa, k_pa=k_pa)
     l_idx = np.arange(l_pa + 1)[:, None].astype(float)
     k_idx = np.arange(k_pa)[None, :].astype(float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -123,17 +107,27 @@ def pa_forward(cfg: PaConfig, x, noise_seed: Optional[int] = None) -> ComplexSeq
     the observation receiver, not the amplifier itself.
     """
     seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
-    u = seq.samples * cfg.drive_gain
-    if cfg.smooth_limit is not None:
-        u = u / (1.0 + (np.abs(u) / cfg.smooth_limit) ** 6) ** (1.0 / 6.0)
-    delayed = delayed_matrix(u, TapWindow(pre_taps=cfg.memory_depth))
-    amp_sq = np.abs(delayed) ** 2
-    y = np.zeros(len(seq), dtype=np.complex128)
-    power = np.ones_like(amp_sq)
-    for k in range(cfg.n_orders):
-        if k:
-            power = power * amp_sq
-        y += (delayed * power) @ cfg.coeffs[:, k]
+    # Within drive_db's range, a high order without the limiter can still
+    # overflow the polynomial, or what the noise and the alignment square:
+    # the output's energy, times the energy of a unit-RMS reference of the
+    # same length.  That fails naming the three causes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = seq.samples * cfg.drive_gain
+        if cfg.smooth_limit is not None:
+            u = u / (1.0 + (np.abs(u) / cfg.smooth_limit) ** 6) ** (1.0 / 6.0)
+        delayed = delayed_matrix(u, TapWindow(pre_taps=cfg.memory_depth))
+        amp_sq = np.abs(delayed) ** 2
+        y = np.zeros(len(seq), dtype=np.complex128)
+        power = np.ones_like(amp_sq)
+        for k in range(cfg.n_orders):
+            if k:
+                power = power * amp_sq
+            y += (delayed * power) @ cfg.coeffs[:, k]
+        squared = np.vdot(y, y).real * y.size
+    if not np.isfinite(squared):
+        a_sat = "none" if cfg.smooth_limit is None else cfg.smooth_limit
+        raise ValueError(f"the PA output overflows at drive_db = {cfg.drive_db} with "
+                         f"a_sat = {a_sat} and k_pa = {cfg.n_orders}")
     if cfg.feedback_snr_db is not None and noise_seed is not None:
         rng = np.random.default_rng(noise_seed)
         out_power = float(np.mean(np.abs(y) ** 2))

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modelfile
+from .rules import check_all
 from .signal import ComplexSequence, TapWindow, predict_rows
 from .training import best_fit, train
 
@@ -79,7 +80,7 @@ class RvftdnnModel(modelfile.ParamModel):
     @classmethod
     def init(cls, window: TapWindow, n1: int, n2: int, seed: int = 0) -> "RvftdnnModel":
         """Seeded init: zero biases, weights scaled by 1/sqrt(fan_in)."""
-        modelfile.check_sizes({"n1": n1, "n2": n2})
+        check_all(n1=n1, n2=n2)
         rng = np.random.default_rng(seed)
         t2 = 2 * window.n_taps
         return cls(
@@ -169,7 +170,7 @@ def _column_sums(d: np.ndarray, out: np.ndarray) -> None:
 def rvftdnn_param_count(n_taps: int, n1: int, n2: int) -> int:
     """Trainable parameter count of a (T taps, n1, n2) network, from its
     parameter table."""
-    return RvftdnnModel.PARAMS.count(modelfile.check_sizes({"n_taps": n_taps, "n1": n1, "n2": n2}))
+    return RvftdnnModel.PARAMS.count(check_all(n_taps=n_taps, n1=n1, n2=n2))
 
 
 def architecture_search(window: TapWindow, psi, phi, cfg, grid,

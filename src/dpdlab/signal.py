@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import FormatError
+from .rules import RULES, check, check_all
 
 NMSE_FLOOR_DB = -300.0
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
@@ -54,9 +55,7 @@ class ComplexSequence:
             raise ValueError("sequence must contain at least one sample")
         if not np.all(np.isfinite(samples)):
             raise ValueError("sequence samples must be finite")
-        rate = float(self.sample_rate_hint)
-        if not 0.0 < rate < np.inf:
-            raise ValueError(f"sample_rate_hint is {rate}; it must be positive and finite")
+        rate = check("sample_rate_hint", float(self.sample_rate_hint))
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hint", rate)
@@ -84,8 +83,7 @@ class TapWindow:
     post_taps: int = 0
 
     def __post_init__(self) -> None:
-        if self.pre_taps < 0 or self.post_taps < 0:
-            raise ValueError("tap counts must be non-negative")
+        check_all(pre_taps=self.pre_taps, post_taps=self.post_taps)
 
     @property
     def n_taps(self) -> int:
@@ -137,15 +135,6 @@ def _lowpass_taps(bandwidth_fraction: float) -> np.ndarray:
     return h / np.sum(h)
 
 
-def check_waveform_args(n_samples: int, bandwidth_fraction: float) -> None:
-    """generate_waveform's rule for its size and band: at least 64 samples, a
-    bandwidth fraction in (0, 1]."""
-    if not 0.0 < bandwidth_fraction <= 1.0:
-        raise ValueError(f"bandwidth_fraction must be in (0, 1], got {bandwidth_fraction}")
-    if n_samples < 64:
-        raise ValueError(f"n_samples must be at least 64, got {n_samples}")
-
-
 def generate_waveform(seed: int, n_samples: int, bandwidth_fraction: float,
                       sample_rate_hint: float = 1.0) -> ComplexSequence:
     """Band-limited complex Gaussian noise at unit RMS.
@@ -167,7 +156,7 @@ def generate_waveform(seed: int, n_samples: int, bandwidth_fraction: float,
         Occupied fraction of the sampling bandwidth, in (0, 1].  The value 1
         skips filtering entirely (full-band white noise).
     """
-    check_waveform_args(n_samples, bandwidth_fraction)
+    check_all(bandwidth_fraction=bandwidth_fraction, n_samples=n_samples)
     rng = np.random.default_rng(seed)
     white = (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)) / np.sqrt(2.0)
     if bandwidth_fraction < 1.0:
@@ -370,11 +359,10 @@ def deserialize_iq(path) -> ComplexSequence:
     magic, count, rate = _IQ_HEADER.unpack_from(blob)
     if magic != IQ_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
-    if count < 1:
-        raise FormatError(f"{path}: header field 'count' is {count}; it must be at least 1")
-    if not (np.isfinite(rate) and rate > 0.0):
-        raise FormatError(f"{path}: header field 'sample_rate_hint' is {rate}; "
-                          "it must be positive and finite")
+    for key, value in (("count", count), ("sample_rate_hint", rate)):
+        problem = RULES[key].problem(value)
+        if problem:
+            raise FormatError(f"{path}: header field {key!r}: {problem}")
     if len(blob) != _IQ_HEADER.size + 16 * count:
         raise FormatError(
             f"{path}: payload holds {(len(blob) - _IQ_HEADER.size) // 16} samples, header says {count}")

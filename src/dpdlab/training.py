@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import TrainingDivergedError
-from .modelfile import check_sizes
+from .rules import check, check_all
 from .signal import ComplexSequence, FramedSequence, NMSE_FLOOR_DB, TapWindow, as_samples
 
 VAL_EVERY = 5
@@ -26,6 +26,8 @@ VAL_EVERY = 5
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Adam and training-loop settings; each keeps the rule of its name."""
+
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -37,16 +39,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        check_sizes({"batch_size": self.batch_size, "segment_len": self.segment_len,
-                     "max_epochs": self.max_epochs, "patience": self.patience})
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_all(**vars(self))
 
 
 @dataclass
@@ -100,7 +93,7 @@ class TrainHistory:
 
 def segment_ranges(n_samples: int, segment_len: int) -> list[tuple[int, int]]:
     """Contiguous equal-length segments; a short tail is dropped."""
-    check_sizes({"segment_len": segment_len})
+    check("segment_len", segment_len)
     n_full = n_samples // segment_len
     return [(i * segment_len, (i + 1) * segment_len) for i in range(n_full)]
 

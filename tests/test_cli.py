@@ -42,7 +42,8 @@ def test_help_exits_zero(capsys):
 
 def test_runtime_failure_exits_two(tmp_path, capsys):
     out = tmp_path / "w.iq"
-    assert dispatch(["gen-signal", "--seed", "1", "--n", "10", "--out", str(out)]) == 2
+    assert dispatch(["gen-signal", "--seed", "1", "--n", "64",
+                     "--out", str(tmp_path / "no-such-dir" / "w.iq")]) == 2
     assert "error" in capsys.readouterr().err
     assert dispatch(["eval", "--model-file", str(tmp_path / "missing.model"),
                      "--in", str(out), "--target", str(out)]) == 2
@@ -175,8 +176,9 @@ def test_fit_rejects_a_non_finite_ridge(tmp_path, capsys):
                          ("rvftdnn", "nan"), ("agmpnn --cold-start", "nan")):
         capsys.readouterr()
         assert dispatch(["fit", "--model", *model.split(), "--ridge", ridge,
-                         "--in", chi, "--target", chi, "--out", str(out)]) == 2
-        assert (f"ridge must be finite and non-negative, got {float(ridge)}"
+                         "--in", chi, "--target", chi, "--out", str(out)]) == 1
+        rule = "at least 0" if np.isfinite(float(ridge)) else "finite"
+        assert (f"argument --ridge: must be {rule}, got {float(ridge)}"
                 in capsys.readouterr().err)
     assert not out.exists()
 
@@ -248,9 +250,9 @@ def test_eval_against_a_target_whose_energy_overflows_prints_a_finite_nmse(tmp_p
 def test_gen_signal_rejects_a_rate_that_the_reader_would_refuse(tmp_path, capsys):
     out = tmp_path / "x.iq"
     assert dispatch(["gen-signal", "--seed", "1", "--n", "64", "--sample-rate", "inf",
-                     "--out", str(out)]) == 2
+                     "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: sample_rate_hint is inf; it must be positive and finite"]
+        "error: dpdlab gen-signal: argument --sample-rate: must be finite, got inf"]
     assert not out.exists()
 
 
@@ -266,6 +268,32 @@ def test_fit_neural_model_with_config(tmp_path):
                      "--in", str(psi_path), "--target", str(chi_path),
                      "--out", str(model_path), "--config", str(cfg_path)]) == 0
     assert isinstance(load_model(model_path), AgmpnnModel)
+
+
+def test_fit_takes_model_values_from_the_config_unless_a_flag_overrides_them(tmp_path):
+    # `fit --config` used to ignore [model] and write a 4-tap K = 3 model.
+    chi_path = tmp_path / "chi.iq"
+    psi_path = tmp_path / "psi.iq"
+    cfg_path = tmp_path / "m.cfg"
+    cfg_path.write_text("[model]\ntaps = 7\nk_orders = 2\npost_taps = 1\n")
+    dispatch(["gen-signal", "--seed", "9", "--n", "4096", "--out", str(chi_path)])
+    dispatch(["simulate-pa", "--in", str(chi_path), "--out", str(psi_path), "--preset", "low"])
+    files = ["--in", str(psi_path), "--target", str(chi_path), "--config", str(cfg_path)]
+    for flags, window, k_orders in (([], TapWindow(pre_taps=5, post_taps=1), 2),
+                                    (["--k", "3", "--taps", "5"], TapWindow(3, 1), 3)):
+        out = tmp_path / "m.model"
+        assert dispatch(["fit", "--model", "mpm", *flags, *files, "--out", str(out)]) == 0
+        model = load_model(out)
+        assert (model.window, model.spec.k_orders) == (window, k_orders)
+
+
+def test_a_fit_flag_that_breaks_the_config_window_is_a_usage_error_naming_it(tmp_path, capsys):
+    cfg_path = tmp_path / "m.cfg"
+    cfg_path.write_text("[model]\ntaps = 3\n")
+    assert dispatch(["fit", "--model", "mpm", "--post-taps", "3", "--config", str(cfg_path),
+                     "--in", "missing.iq", "--target", "missing.iq", "--out", "m.model"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: dpdlab fit: --post-taps: [model] pre_taps must be at least 0, got -1"]
 
 
 def test_commands_do_not_modify_inputs(tmp_path):
@@ -408,17 +436,18 @@ def test_report_names_the_line_of_a_non_numeric_nmse_cell(tmp_path, capsys):
     bad = tmp_path / "sweep.csv"
     bad.write_text(f"{REPORT_HEADER}\nmpm,high,4,1,,8,8,1,x,-19.0,-15.0\n")
     assert dispatch(["report", "--in", str(bad)]) == 2
-    assert capsys.readouterr().err == f"error: {bad}:2: bad value for 'postinv_nmse_db': 'x'\n"
+    assert capsys.readouterr().err == (
+        f"error: {bad}:2: bad value for 'postinv_nmse_db': expected a number, got 'x'\n")
 
 
 @pytest.mark.parametrize("command", ["simulate-pa", "ila-run", "show-config"])
 @pytest.mark.parametrize("line, message", [
-    ("drive_db = 7000", "drive_db is 7000.0; its linear gain must be finite"),
-    ("rho = 1e200", "rho = 1e+200 makes a PA coefficient non-finite"),
+    ("drive_db = 7000", ":2: bad value for 'drive_db': must be at most 300, got 7000.0"),
+    ("rho = 1e200", ": [pa] rho = 1e+200 makes a PA coefficient non-finite"),
 ], ids=["drive", "rho"])
 def test_a_pa_value_out_of_range_is_a_one_line_error(tmp_path, capsys, command, line, message):
     # The drive used to end in an OverflowError traceback, and rho in a NumPy
-    # overflow warning.
+    # overflow warning.  `message` follows the config file's path.
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(f"[pa]\n{line}\n")
     wave = tmp_path / "w.iq"
@@ -426,7 +455,27 @@ def test_a_pa_value_out_of_range_is_a_one_line_error(tmp_path, capsys, command, 
     capsys.readouterr()
     io_flags = ["--in", str(wave), "--out", str(tmp_path / "y.iq")] if command == "simulate-pa" else []
     assert dispatch([command, "--config", str(cfg_path), *io_flags]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {cfg_path}: [pa] {message}"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {cfg_path}{message}"]
+
+
+@pytest.mark.parametrize("lines", [
+    # Every driven sample was subnormal: the row read deployed +14.96 dB.
+    "drive_db = -3300",
+    # The polynomial overflowed and the run ended in `sequence samples must be finite`.
+    "drive_db = 500\na_sat = none",
+    # The limiter's sixth power overflowed for the loudest samples.
+    "drive_db = 1000",
+    # Inside the drive's range, the order-8 polynomial still overflows.
+    "drive_db = 300\na_sat = none\nk_pa = 8",
+], ids=["subnormal", "no-limiter", "limiter", "order-8"])
+def test_a_drive_the_pa_cannot_take_is_a_one_line_error_naming_it(tmp_path, capsys, lines):
+    # Each used to warn or print a meaningless row; a RuntimeWarning fails
+    # this test (filterwarnings = error).
+    cfg_path = tmp_path / "c.cfg"
+    cfg_path.write_text(f"[pa]\n{lines}\n[signal]\nn_samples = 4096\n")
+    assert dispatch(["ila-run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "drive_db" in err[0]
 
 
 def test_ila_run_on_too_few_samples_names_the_segment_count(tmp_path, capsys):

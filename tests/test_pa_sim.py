@@ -194,32 +194,51 @@ def test_pa_config_validation():
 @pytest.mark.parametrize("drive_db", [7000.0, np.inf, np.nan])
 def test_pa_config_rejects_a_drive_whose_gain_is_not_finite(drive_db):
     # 10 ** (7000 / 20) overflows a float: Python raises OverflowError.
-    with pytest.raises(ValueError, match=r"^drive_db is .*; its linear gain must be finite$"):
+    rule = "at most 300" if np.isfinite(drive_db) else "finite"
+    with pytest.raises(ValueError, match=rf"^drive_db must be {rule}, got {drive_db}$"):
         PaConfig(coeffs=np.array([[1.0 + 0j]]), drive_db=drive_db)
-    PaConfig(coeffs=np.array([[1.0 + 0j]]), drive_db=1027.0)  # gain 2.2e51
+    PaConfig(coeffs=np.array([[1.0 + 0j]]), drive_db=300.0)  # the top of the range
 
 
 @pytest.mark.parametrize("drive_db, rule", [
     # Gain 1e300: the limiter's (|u|/A)**6 overflowed and zeroed every sample.
-    (6000.0, "must have a finite sixth power"),
-    (1028.0, "must have a finite sixth power"),
-    # 10 ** (-7000 / 20) underflows to 0.0: the PA output was all zero.
-    (-7000.0, "must be nonzero"),
-    (-np.inf, "must be nonzero"),
+    (6000.0, "at most 300"),
+    (1028.0, "at most 300"),
+    # From about 1000 dB the sixth power overflowed for the loudest samples;
+    # without the limiter the polynomial overflowed from about 500 dB.
+    (1000.0, "at most 300"),
+    (500.0, "at most 300"),
+    # 10 ** (-7000 / 20) underflows to 0.0; below about -3200 dB every driven
+    # sample was subnormal.
+    (-7000.0, "at least -300"),
+    (-3300.0, "at least -300"),
+    (-np.inf, "finite"),
 ])
-def test_pa_config_rejects_a_drive_that_over_or_underflows(drive_db, rule):
-    with pytest.raises(ValueError, match=rf"^drive_db is {drive_db}; its linear gain {rule}$"):
+def test_pa_config_refuses_a_drive_outside_its_range(drive_db, rule):
+    with pytest.raises(ValueError, match=rf"^drive_db must be {rule}, got {drive_db}$"):
         PaConfig(coeffs=np.array([[1.0 + 0j]]), drive_db=drive_db)
-    # A tiny gain that is not zero still drives the amplifier.
-    y = pa_forward(PaConfig(coeffs=np.array([[1.0 + 0j]]), drive_db=-6000.0, smooth_limit=1.0),
+    # The bottom of the range drives the amplifier with normal samples.
+    y = pa_forward(PaConfig(coeffs=np.array([[1.0 + 0j]]), drive_db=-300.0, smooth_limit=1.0),
                    np.ones(8, dtype=np.complex128))
-    assert np.all(y.samples == 1e-300)
+    assert np.all(y.samples == 1e-15)
+
+
+@pytest.mark.parametrize("k_pa", [6, 8])
+def test_pa_output_that_overflows_in_range_names_the_drive_the_limiter_and_the_order(k_pa):
+    # At 300 dB without the limiter, a high order still overflows the
+    # polynomial: that used to warn twice and end in `sequence samples must be
+    # finite`, naming none of the three.
+    cfg = PaConfig(coeffs=coeffs_from_rule(PRESET_RHO, PRESET_SIGMA, PRESET_L_PA, k_pa),
+                   drive_db=300.0, feedback_snr_db=PRESET_FEEDBACK_SNR_DB)
+    with pytest.raises(ValueError, match=rf"^the PA output overflows at drive_db = 300.0 with "
+                                         rf"a_sat = none and k_pa = {k_pa}$"):
+        pa_forward(cfg, generate_waveform(1, 4096, 0.25), noise_seed=1)
 
 
 @pytest.mark.parametrize("rho, sigma, message", [
     (1e200, -0.12, "rho = 1e+200 makes a PA coefficient non-finite"),
     (0.2, -1e200, "sigma = -1e+200 makes a PA coefficient non-finite"),
-    (np.nan, -0.12, "rho = nan makes a PA coefficient non-finite"),
+    (np.nan, -0.12, "rho must be finite, got nan"),
     # each power is finite, their product is not
     (1e100, 1e3, "rho = 1e+100 and sigma = 1000.0 make a PA coefficient non-finite"),
 ], ids=["rho", "sigma", "rho-nan", "product"])

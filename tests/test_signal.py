@@ -151,8 +151,8 @@ def test_complex_sequence_validation():
 @pytest.mark.parametrize("rate", [0.0, -2.0, float("nan"), float("inf")])
 def test_sample_rate_hint_must_be_positive_and_finite(rate):
     # The binary reader's rule: a written waveform must read back.
-    with pytest.raises(ValueError, match=f"sample_rate_hint is {rate}; it must be positive "
-                                         "and finite"):
+    rule = "above 0" if np.isfinite(rate) else "finite"
+    with pytest.raises(ValueError, match=f"^sample_rate_hint must be {rule}, got {rate}$"):
         ComplexSequence(np.array([1.0]), sample_rate_hint=rate)
 
 
@@ -378,11 +378,11 @@ def test_iq_binary_rejects_corruption(tmp_path):
 
 
 @pytest.mark.parametrize("count, rate, payload, field", [
-    (0, 1.0, (), "'count' is 0"),
-    (1, 0.0, (1.0,), "'sample_rate_hint' is 0.0"),
-    (1, -2.0, (1.0,), "'sample_rate_hint' is -2.0"),
-    (1, float("nan"), (1.0,), "'sample_rate_hint' is nan"),
-    (1, float("inf"), (1.0,), "'sample_rate_hint' is inf"),
+    (0, 1.0, (), "header field 'count': must be at least 1, got 0"),
+    (1, 0.0, (1.0,), "header field 'sample_rate_hint': must be above 0, got 0.0"),
+    (1, -2.0, (1.0,), "header field 'sample_rate_hint': must be above 0, got -2.0"),
+    (1, float("nan"), (1.0,), "header field 'sample_rate_hint': must be finite, got nan"),
+    (1, float("inf"), (1.0,), "header field 'sample_rate_hint': must be finite, got inf"),
     (2, 1.0, (1.0, complex(float("nan"), 0.0)), "payload holds a non-finite sample"),
     (1, 1.0, (complex(0.0, float("-inf")),), "payload holds a non-finite sample"),
 ], ids=["no-samples", "zero-rate", "negative-rate", "nan-rate", "inf-rate", "nan-sample",

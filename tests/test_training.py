@@ -89,7 +89,7 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(patience=0)
-    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
         TrainConfig(seed=-1)
 
 
