@@ -9,7 +9,8 @@ outputs.  Because the offsets are shared between basis and attention, their
 gradient accumulates both paths.
 
 Forward and backward passes are exact analytic computations in numpy; the
-rectifier kink uses the zero subgradient.
+rectifier kink uses the zero subgradient.  The experts' even powers come from
+signal.even_powers, the one even-power chain of the PA, the MPM and the experts.
 
 The kernels are expert-major: scores, softmax weights, mixing, error
 sensitivities and offset sums are (M, N) arrays, one row per expert, and the
@@ -46,9 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modelfile
-from .mpm import MpmCoefficients
+from .mpm import MpmCoefficients, rectified_amplitude
 from .rules import check_all
-from .signal import ComplexSequence, TapWindow, as_samples, predict_rows
+from .signal import ComplexSequence, TapWindow, as_samples, even_powers, predict_rows
 
 # Attention score bias applied to expert 1 when warm starting, large enough
 # that the initial model reproduces the warm-start predictor to well below
@@ -205,14 +206,8 @@ class AgmpnnModel(modelfile.ParamModel):
         [rect^2, ..., rect^(2K-2)].
         """
         n = delayed.shape[0]
-        rect = np.abs(delayed) + self.amp_offsets[:, None, None]
-        np.maximum(rect, 0.0, out=rect)
-        powers = []
-        if self.k_orders > 1:
-            rect_sq = rect * rect
-            powers.append(rect_sq)
-            for _ in range(2, self.k_orders):
-                powers.append(powers[-1] * rect_sq)
+        rect = rectified_amplitude(delayed, self.amp_offsets[:, None, None])
+        powers = list(even_powers(rect, self.k_orders - 1))
         tiles = self._coeff_tiles(n)
         poly = _tile_sum(powers, tiles[1:], start=tiles[0]) if powers else tiles[0]
         expert_out = np.einsum("nt,mnt->mn", delayed, poly)

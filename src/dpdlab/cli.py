@@ -141,12 +141,12 @@ def _cmd_fit(args) -> int:
         raise DpdlabError(f"input has {len(psi)} samples but target has {len(phi)}")
     spec = cfg.model_spec()
     if spec.kind == "mpm":
-        # Exact least squares over every sample, so `eval` on the same pair
-        # reproduces the fit residual.
-        basis = build_basis(psi, MpmSpec(window=spec.window, k_orders=spec.k_orders))
-        coeffs = ls_fit(basis, phi.samples, ridge=spec.ridge)
+        # Exact least squares over every sample; the residual is the number
+        # `eval` prints for the saved model on the same pair.
+        coeffs = ls_fit(build_basis(psi, MpmSpec(window=spec.window, k_orders=spec.k_orders)),
+                        phi.samples, ridge=spec.ridge)
         coeffs.save(args.out)
-        resid = nmse_db(basis.data @ coeffs.coeff.reshape(-1), phi.samples)
+        resid = nmse_db(coeffs.predict(psi), phi)
         print(f"fit residual {resid:.6f} dB -> {args.out}", file=sys.stderr)
         return 0
     outcome = ila.fit_model_on_data(psi.samples, phi.samples, spec,

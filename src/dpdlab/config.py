@@ -18,7 +18,7 @@ from .ila import (DEFAULT_BANDWIDTH_FRACTION, DEFAULT_COMPLEXITY_TAPS, DEFAULT_M
                   DEFAULT_TAPS_LIST, FAMILIES, DpdModelSpec, check_budget, check_families)
 from .pa_sim import (PRESET_A_SAT, PRESET_DRIVE_DB, PRESET_FEEDBACK_SNR_DB, PRESET_K_PA,
                      PRESET_L_PA, PRESET_RHO, PRESET_SIGMA, PaConfig, coeffs_from_rule, preset)
-from .rules import RULES, check_all
+from .rules import RULES
 from .signal import TapWindow, read_text
 from .training import TrainConfig
 
@@ -116,16 +116,24 @@ class RunConfig:
     sweep_taps: int = _field("sweep", DEFAULT_COMPLEXITY_TAPS, key="taps")
 
     def __post_init__(self) -> None:
+        # A number read from a file already kept its key's rule; this holds a
+        # RunConfig made in code to the same rules.
+        for section, schema in _SCHEMA.items():
+            for key, f in schema.items():
+                value = getattr(self, f.name)
+                if f.metadata["reader"] or (value is None and f.type.startswith("Optional")):
+                    continue
+                for entry in value if f.type == "tuple" else (value,):
+                    problem = RULES[key].problem(entry)
+                    if problem:
+                        raise FormatError(f"[{section}] {key} {problem}")
         # Build what each section describes once, so a value that every run
-        # would reject fails the load instead.  A number read from a file
-        # already kept its rule; these checks hold a RunConfig made in code.
+        # would reject fails the load instead.
         for section, build in (
                 ("pa", self.pa_config),
-                ("signal", lambda: check_all(n_samples=self.n_samples,
-                                             bandwidth_fraction=self.bandwidth_fraction)),
                 ("sweep", lambda: (self.pa_for_preset(self.preset), check_families(self.families),
                                    check_budget((self.budget_lo, self.budget_hi)))),
-                ("model", self.model_spec), ("train", self.train_config)):
+                ("model", self.model_spec)):
             try:
                 build()
             except ValueError as exc:
@@ -151,6 +159,8 @@ class RunConfig:
                     "custom")
 
     def window(self) -> TapWindow:
+        if self.post_taps >= self.taps:
+            raise ValueError(f"post_taps must be below taps ({self.taps}), got {self.post_taps}")
         return TapWindow(pre_taps=self.taps - 1 - self.post_taps, post_taps=self.post_taps)
 
     def model_spec(self) -> DpdModelSpec:

@@ -4,7 +4,8 @@ The basis generalizes the classical memory polynomial by a real amplitude
 offset b: column (l, k) evaluates x[n-l] * max(0, |x[n-l]| + b)^(2k).  With
 b = 0 the rectifier is the identity on the nonnegative amplitude and the basis
 reduces to the classical x[n-l] * |x[n-l]|^(2k), computed through the very same
-floating-point expressions.
+floating-point expressions.  The powers rect^(2k) come from signal.even_powers,
+the one even-power chain of the PA, the MPM basis and the agmpnn experts.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from . import modelfile
 from ._blas import qr_in_place
 from .exceptions import ConditioningError
 from .rules import check, check_all
-from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix, predict_rows
+from .signal import (ComplexSequence, TapWindow, as_samples, delayed_matrix, even_powers,
+                     predict_rows)
 
 # Default ridge, relative to the mean diagonal of the normal matrix.
 RIDGE_DEFAULT_REL = 1e-10
@@ -58,8 +60,8 @@ class BasisMatrix:
         object.__setattr__(self, "data", data)
 
 
-def rectified_amplitude(delayed: np.ndarray, amp_offset: float) -> np.ndarray:
-    """max(0, |tap| + b); the clamp can engage only for b < 0."""
+def rectified_amplitude(delayed: np.ndarray, amp_offset) -> np.ndarray:
+    """max(0, |tap| + b), b an offset or an array of them; the clamp engages only for b < 0."""
     return np.maximum(np.abs(delayed) + amp_offset, 0.0)
 
 
@@ -76,21 +78,18 @@ def basis_rows(delayed: np.ndarray, spec: MpmSpec) -> np.ndarray:
     """The basis rows of the rows of an (N, T) tap matrix, as an (N, T·K)
     array; each row depends only on its own tap row."""
     data = np.empty((delayed.shape[0], spec.n_columns), dtype=np.complex128)
-    for k, power in enumerate(_order_powers(delayed, spec)):
-        data[:, k::spec.k_orders] = delayed * power
+    _write_basis(delayed, spec, lambda k: data[:, k::spec.k_orders])
     return data
 
 
-def _order_powers(delayed: np.ndarray, spec: MpmSpec):
-    """rect^(2k) of a tap matrix's rectified amplitudes for k = 0 … K-1, in
-    turn: order k's basis columns are the taps times the k-th."""
+def _write_basis(delayed: np.ndarray, spec: MpmSpec, columns) -> None:
+    """Write order k's basis columns of an (N, T) tap matrix, the taps times
+    rect^(2k), into the (N, T) view columns(k), for k = 0 … K-1.  Order 0's are
+    the taps themselves, as the product by an exact 1 would be."""
+    np.copyto(columns(0), delayed)
     rect = rectified_amplitude(delayed, spec.amp_offset)
-    rect_sq = rect * rect
-    power = np.ones_like(rect)
-    for k in range(spec.k_orders):
-        if k:
-            power = power * rect_sq
-        yield power
+    for k, power in enumerate(even_powers(rect, spec.k_orders - 1), start=1):
+        np.multiply(delayed, power, out=columns(k))
 
 
 def _dependent_columns(basis: BasisMatrix, rows: int) -> list[str]:
@@ -173,8 +172,8 @@ def order_blocked_qr(taps, spec: MpmSpec, targets) -> tuple[np.ndarray, np.ndarr
 
     `taps` are (rows, T) tap matrices, one per training segment, whose rows,
     stacked, pair with `targets`.  The basis of `spec` is built from them
-    straight into the factor, by basis_rows's power chain, so only one
-    segment's temporaries are alive at a time and every column is bit for
+    straight into the factor by basis_rows's writer, _write_basis, so only
+    one segment's temporaries are alive at a time and every column is bit for
     bit basis_rows's.
 
     R and Qᴴ·targets are in order-major column layout: order k's T taps are
@@ -197,8 +196,7 @@ def order_blocked_qr(taps, spec: MpmSpec, targets) -> tuple[np.ndarray, np.ndarr
         end = rows + delayed.shape[0]
         # Rows past the targets are only counted, for _check_system's message.
         if end <= phi.size:
-            for k, power in enumerate(_order_powers(delayed, spec)):
-                np.multiply(delayed, power, out=q[rows:end, k * t_taps:(k + 1) * t_taps])
+            _write_basis(delayed, spec, lambda k: q[rows:end, k * t_taps:(k + 1) * t_taps])
         rows = end
     _check_system(rows, cols, phi.size)
     r = np.zeros((cols, cols), dtype=np.complex128)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .rules import check, check_all
-from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix
+from .signal import ComplexSequence, TapWindow, as_samples, delayed_matrix, even_powers
 
 # Frozen preset constants: coefficient decay across delay (rho) and order
 # (sigma), phase twist per (l + 2k), soft-saturation ceiling, feedback SNR.
@@ -67,15 +67,14 @@ class PaConfig:
         return int(self.coeffs.shape[1])
 
 
-def coeffs_from_rule(rho: float, sigma: float, l_pa: int, k_pa: int,
-                     phase_step: float = PRESET_PHASE_STEP) -> np.ndarray:
-    """coeffs[l, k] = rho^l * sigma^k * exp(i*phase_step*(l + 2k)), with [0, 0] = 1."""
+def coeffs_from_rule(rho: float, sigma: float, l_pa: int, k_pa: int) -> np.ndarray:
+    """coeffs[l, k] = rho^l * sigma^k * exp(i*PRESET_PHASE_STEP*(l + 2k)), with [0, 0] = 1."""
     check_all(rho=rho, sigma=sigma, l_pa=l_pa, k_pa=k_pa)
     l_idx = np.arange(l_pa + 1)[:, None].astype(float)
     k_idx = np.arange(k_pa)[None, :].astype(float)
     with np.errstate(over="ignore", invalid="ignore"):
         rho_l, sigma_k = rho ** l_idx, sigma ** k_idx
-        coeffs = rho_l * sigma_k * np.exp(1j * phase_step * (l_idx + 2.0 * k_idx))
+        coeffs = rho_l * sigma_k * np.exp(1j * PRESET_PHASE_STEP * (l_idx + 2.0 * k_idx))
     if not np.all(np.isfinite(coeffs)):
         rules = [f"{name} = {value!r}" for name, value, powers
                  in (("rho", rho, rho_l), ("sigma", sigma, sigma_k)) if not np.all(np.isfinite(powers))]
@@ -116,12 +115,8 @@ def pa_forward(cfg: PaConfig, x, noise_seed: Optional[int] = None) -> ComplexSeq
         if cfg.smooth_limit is not None:
             u = u / (1.0 + (np.abs(u) / cfg.smooth_limit) ** 6) ** (1.0 / 6.0)
         delayed = delayed_matrix(u, TapWindow(pre_taps=cfg.memory_depth))
-        amp_sq = np.abs(delayed) ** 2
-        y = np.zeros(len(seq), dtype=np.complex128)
-        power = np.ones_like(amp_sq)
-        for k in range(cfg.n_orders):
-            if k:
-                power = power * amp_sq
+        y = delayed @ cfg.coeffs[:, 0]
+        for k, power in enumerate(even_powers(np.abs(delayed), cfg.n_orders - 1), start=1):
             y += (delayed * power) @ cfg.coeffs[:, k]
         squared = np.vdot(y, y).real * y.size
     if not np.isfinite(squared):

@@ -1,8 +1,8 @@
 """Complex baseband signal toolbox.
 
 Waveform generation, tap-window extraction, integer-delay/complex-gain
-alignment, the NMSE metric, and IQ sample file I/O (binary "DPDIQ1" and
-two-column CSV).
+alignment, the NMSE metric, the memory polynomial's even-power chain, and IQ
+sample file I/O (binary "DPDIQ1" and two-column CSV).
 """
 
 from __future__ import annotations
@@ -219,12 +219,25 @@ def _scaled(z: np.ndarray, exp: int) -> np.ndarray:
     return np.ldexp(z.view(np.float64), -exp).view(np.complex128)
 
 
+def even_powers(amp: np.ndarray, n: int):
+    """amp^2, amp^4, ..., amp^(2n) in turn, each the previous power times amp^2:
+    the even powers of a memory polynomial's orders 1 ... n, for the PA, the
+    MPM basis and the agmpnn experts alike."""
+    if n:
+        square = power = amp * amp
+        yield power
+        for _ in range(n - 1):
+            power = power * square
+            yield power
+
+
 def align(reference, measured, max_lag: int) -> AlignmentResult:
     """Find the integer delay and complex gain fitting `measured` onto `reference`.
 
     Searches lags d in [-max_lag, max_lag] for the one maximizing the
-    normalized cross-correlation, then solves the scalar least-squares gain
-    such that measured[n] ~= gain * reference[n - d] over the overlap.
+    normalized cross-correlation |c| * (|c| / E_r), which does not overflow
+    where |c|^2 would, then solves the scalar least-squares gain such that
+    measured[n] ~= gain * reference[n - d] over the overlap.
     """
     ref = as_samples(reference)
     mea = as_samples(measured)
@@ -248,7 +261,8 @@ def align(reference, measured, max_lag: int) -> AlignmentResult:
         if r_energy == 0.0:
             continue
         corr = np.vdot(r_seg, m_seg)  # sum conj(ref) * measured
-        score = float(abs(corr) ** 2) / r_energy
+        magnitude = float(abs(corr))
+        score = magnitude * (magnitude / r_energy)
         if score > best_score:
             best_score = score
             best_lag = lag

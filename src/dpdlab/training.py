@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import TrainingDivergedError
 from .rules import check, check_all
-from .signal import ComplexSequence, FramedSequence, NMSE_FLOOR_DB, TapWindow, as_samples
+from .signal import ComplexSequence, FramedSequence, TapWindow, as_samples, nmse_db
 
 VAL_EVERY = 5
 
@@ -137,21 +137,14 @@ def segment_pairs(psi, phi, window: TapWindow, segment_len: int) -> tuple[list, 
 
 
 def validation_nmse_db(model, pairs, window) -> float:
-    """NMSE over the concatenated interiors (TapWindow.interior) of the given
-    segment pairs."""
-    num = 0.0
-    den = 0.0
+    """nmse_db of the model's output over the concatenated interiors
+    (TapWindow.interior) of the given segment pairs."""
+    pred, ref = [], []
     for seg_psi, seg_phi in pairs:
         rows = window.interior(len(seg_psi))
-        pred = model.predict(seg_psi).samples[rows]
-        ref = seg_phi.samples[rows]
-        num += float(np.sum(np.abs(pred - ref) ** 2))
-        den += float(np.sum(np.abs(ref) ** 2))
-    if den == 0.0:
-        raise ValueError("validation target has zero energy")
-    if num == 0.0:
-        return NMSE_FLOOR_DB
-    return max(10.0 * float(np.log10(num / den)), NMSE_FLOOR_DB)
+        pred.append(model.predict(seg_psi).samples[rows])
+        ref.append(seg_phi.samples[rows])
+    return nmse_db(np.concatenate(pred), np.concatenate(ref))
 
 
 def best_fit(fits):
@@ -160,13 +153,6 @@ def best_fit(fits):
     smaller sizes in the order of the family's PARAMS.sizes."""
     return min(fits, key=lambda fit: (fit[1], fit[0].n_params(),
                                       tuple(getattr(fit[0], s) for s in fit[0].PARAMS.sizes)))
-
-
-def _segment_loss(model, pair, window) -> float:
-    seg_psi, seg_phi = pair
-    rows = window.interior(len(seg_psi))
-    pred = model.predict(seg_psi).samples[rows]
-    return float(np.mean(np.abs(pred - seg_phi.samples[rows]) ** 2))
 
 
 def train(model, psi, phi, cfg: TrainConfig):
@@ -185,7 +171,7 @@ def train(model, psi, phi, cfg: TrainConfig):
     work = model
 
     history = TrainHistory()
-    initial_loss = float(np.mean([_segment_loss(work, p, window) for p in train_pairs]))
+    initial_loss = float(np.mean([work.loss_and_gradient(*pair)[0] for pair in train_pairs]))
     best_val = validation_nmse_db(work, val_pairs, window)
     history.epochs.append(0)
     history.train_loss.append(initial_loss)

@@ -2,9 +2,9 @@
 
 The evaluators are plain per-sample loops, written directly from the model
 definitions, independent of the vectorized package implementations.  The last
-three sections keep the agmpnn and rvftdnn kernels and the MPM order-search
-factor as they were before their rewrites, as bitwise oracles for the code
-that replaced them.
+four sections keep the agmpnn and rvftdnn kernels, the MPM order-search
+factor and the PA polynomial as they were before their rewrites, as bitwise
+oracles for the code that replaced them.
 """
 
 import math
@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from dpdlab.mpm import _check_system, build_basis
-from dpdlab.signal import as_samples, delayed_matrix
+from dpdlab.signal import TapWindow, as_samples, delayed_matrix
 
 
 def tap_values(samples, n, pre_taps, post_taps):
@@ -300,3 +300,23 @@ def order_blocked_qr(blocks, spec, targets):
         q[:, block], r[block, block] = np.linalg.qr(rest)
         qh_phi[block] = q[:, block].conj().T @ phi
     return r, qh_phi
+
+
+# pa_sim.pa_forward's drive, limiter and polynomial as they stood before the
+# polynomial took its powers from signal.even_powers, kept unchanged: every
+# order, 0 included, multiplies the taps by a power chain started from ones.
+
+def pa_forward_polynomial(cfg, x):
+    """The noiseless PA output on x."""
+    u = as_samples(x) * cfg.drive_gain
+    if cfg.smooth_limit is not None:
+        u = u / (1.0 + (np.abs(u) / cfg.smooth_limit) ** 6) ** (1.0 / 6.0)
+    delayed = delayed_matrix(u, TapWindow(pre_taps=cfg.memory_depth))
+    amp_sq = np.abs(delayed) ** 2
+    y = np.zeros(u.size, dtype=np.complex128)
+    power = np.ones_like(amp_sq)
+    for k in range(cfg.n_orders):
+        if k:
+            power = power * amp_sq
+        y += (delayed * power) @ cfg.coeffs[:, k]
+    return y

@@ -293,7 +293,7 @@ def test_a_fit_flag_that_breaks_the_config_window_is_a_usage_error_naming_it(tmp
     assert dispatch(["fit", "--model", "mpm", "--post-taps", "3", "--config", str(cfg_path),
                      "--in", "missing.iq", "--target", "missing.iq", "--out", "m.model"]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: dpdlab fit: --post-taps: [model] pre_taps must be at least 0, got -1"]
+        "error: dpdlab fit: --post-taps: [model] post_taps must be below taps (3), got 3"]
 
 
 def test_commands_do_not_modify_inputs(tmp_path):

@@ -206,7 +206,7 @@ def test_a_value_every_run_rejects_fails_the_load_naming_the_section(section, li
     ("pa", "rho = 1e200", "rho = 1e+200 makes a PA coefficient non-finite"),
     ("model", "kind = volterra",
      "unknown model kind 'volterra'; expected one of ('mpm', 'agmpnn', 'rvftdnn')"),
-    ("model", "taps = 2\npost_taps = 2", "pre_taps must be at least 0, got -1"),
+    ("model", "taps = 2\npost_taps = 2", "post_taps must be below taps (2), got 2"),
 ], ids=["rho", "kind", "post_taps"])
 def test_a_value_only_its_section_rejects_fails_the_load_naming_the_section(section, lines,
                                                                              message):
@@ -214,6 +214,21 @@ def test_a_value_only_its_section_rejects_fails_the_load_naming_the_section(sect
     with pytest.raises(FormatError) as err:
         parse_config(f"[{section}]\n{lines}\n", path="run.cfg")
     assert str(err.value) == f"run.cfg: [{section}] {message}"
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"seed": -1}, "[signal] seed must be at least 0, got -1"),
+    ({"k_orders": 0}, "[model] k_orders must be at least 1, got 0"),
+    ({"taps_list": (4, 0)}, "[sweep] taps_list must be at least 1, got 0"),
+    ({"a_sat": 0.0}, "[pa] a_sat must be above 0, got 0.0"),
+    ({"train_seed": -1}, "[train] seed must be at least 0, got -1"),
+    ({"sweep_taps": 0}, "[sweep] taps must be at least 1, got 0"),
+    ({"taps": 3, "post_taps": 3}, "[model] post_taps must be below taps (3), got 3"),
+], ids=["seed", "k_orders", "taps_list", "a_sat", "train_seed", "sweep_taps", "post_taps"])
+def test_a_run_config_made_in_code_holds_each_number_to_its_key_rule(values, message):
+    with pytest.raises(FormatError) as err:
+        RunConfig(**values)
+    assert str(err.value) == message
 
 
 # === round trip ===

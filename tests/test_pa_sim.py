@@ -20,6 +20,8 @@ from dpdlab.pa_sim import (
 from dpdlab import ila, mpm
 from dpdlab.signal import TapWindow
 
+import reference_impls as ref
+
 
 def _identity_pa():
     return PaConfig(coeffs=np.array([[1.0 + 0.0j]]))
@@ -254,3 +256,13 @@ def test_output_preserves_rate_hint():
     x = ComplexSequence(np.ones(64, dtype=np.complex128), sample_rate_hint=30.72e6)
     y = pa_forward(_identity_pa(), x)
     assert y.sample_rate_hint == 30.72e6
+
+
+@pytest.mark.parametrize("k_pa", [1, 4, 8])
+@pytest.mark.parametrize("a_sat", [None, PRESET_A_SAT])
+def test_pa_forward_is_the_polynomial_it_replaced_bit_for_bit(k_pa, a_sat):
+    # k_pa = 1 runs the empty power chain: order 0 alone.
+    cfg = PaConfig(coeffs=coeffs_from_rule(PRESET_RHO, PRESET_SIGMA, PRESET_L_PA, k_pa),
+                   drive_db=PRESET_DRIVE_DB["high"], smooth_limit=a_sat)
+    x = generate_waveform(3, 4096, 0.25)
+    assert pa_forward(cfg, x).samples.tobytes() == ref.pa_forward_polynomial(cfg, x).tobytes()

@@ -268,6 +268,19 @@ def test_align_pure_complex_gain():
     assert abs(res.gain - 2j) < 1e-12
 
 
+@pytest.mark.parametrize("ref_scale, measured_scale", [(1e80, 1e80), (1.0, 1e150)])
+def test_align_finds_the_same_lag_and_gain_where_the_squared_correlation_overflows(
+        ref_scale, measured_scale):
+    # |corr|^2 overflows float64 at both scales, so a lag's score must not square it.
+    x = generate_waveform(5, 4096, 0.25).samples
+    shifted = np.concatenate([np.zeros(3), x[:-3]])
+    gain = 3.0 - 4.0j
+    res = align(ref_scale * x, measured_scale * gain * shifted, max_lag=8)
+    assert res.delay == align(x, gain * shifted, max_lag=8).delay == 3
+    expected = gain * measured_scale / ref_scale
+    assert abs(res.gain - expected) <= 1e-12 * abs(expected)
+
+
 def test_align_rejects_degenerate_inputs():
     x = generate_waveform(7, 64, 0.5)
     with pytest.raises(ValueError):

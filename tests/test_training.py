@@ -159,6 +159,16 @@ def test_validation_nmse_pools_energy_across_segments():
     assert abs(got - 10.0 * np.log10(num / den)) < 1e-12
 
 
+def test_validation_nmse_stays_finite_for_outputs_far_above_their_targets():
+    # Squaring each error itself overflowed; nmse_db rescales instead.
+    from dpdlab import ComplexSequence
+
+    x = generate_waveform(1, 64, 0.5)
+    got = validation_nmse_db(_identity_model(), [(ComplexSequence(1e200 * x.samples), x)],
+                             TapWindow(pre_taps=0))
+    assert abs(got - 4000.0) < 1e-9
+
+
 def test_validation_nmse_skips_window_edges():
     x = generate_waveform(1, 64, 0.5)
     bad_edge = x.samples.copy()
@@ -404,6 +414,22 @@ def test_train_history_structure():
     assert 0 <= history.best_epoch <= stopped
     if stopped < cfg.max_epochs:
         assert stopped == history.best_epoch + cfg.patience
+
+
+@pytest.mark.parametrize("family", ["agmpnn", "rvftdnn"])
+def test_epoch_zero_train_loss_is_the_mean_loss_of_the_training_segments(family):
+    x = generate_waveform(8, 2048, 0.25)
+    target = x.samples * (1.0 - 0.1 * np.abs(x.samples) ** 2)
+    window = TapWindow(pre_taps=1)
+    if family == "agmpnn":
+        model = AgmpnnModel.init(window, 2, 2, seed=4)
+    else:
+        model = RvftdnnModel.init(window, 3, 2, seed=4)
+    cfg = TrainConfig(segment_len=256, max_epochs=1)
+    _, history = train(model, x, target, cfg)
+    train_pairs, _ = segment_pairs(x, target, window, cfg.segment_len)
+    losses = [model.loss_and_gradient(psi, phi)[0] for psi, phi in train_pairs]
+    assert history.train_loss[0] == float(np.mean(losses))
 
 
 def test_history_csv_format():
