@@ -288,7 +288,7 @@ class AgmpnnModel(modelfile.ParamModel):
     @classmethod
     def from_parsed(cls, path, parsed) -> "AgmpnnModel":
         """The model in the file at `path`, already parsed by read_model."""
-        window, sizes, _, arrays = cls.PARAMS.load(path, parsed)
+        window, sizes, arrays = cls.PARAMS.load(path, parsed)
         return cls(window=window, **sizes, **arrays)
 
 

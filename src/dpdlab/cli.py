@@ -225,12 +225,9 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
-# Report cells read as numbers; a blank cell is an infeasible one.
-_REPORT_NMSE_FIELDS = ("postinv_nmse_db", "lin_nmse_db", "no_dpd_nmse_db")
-
-
 def _read_report(path) -> list[dict]:
-    """A sweep report's rows, each checked for its field count and NMSE cells."""
+    """A sweep report's rows, each checked for its field count and each
+    numeric cell for its column's rule; a blank cell is an infeasible one."""
     header = list(ila.REPORT_COLUMNS)
     reader = csv.reader(read_text(path).splitlines())
     fieldnames = next(reader, None)
@@ -244,9 +241,9 @@ def _read_report(path) -> list[dict]:
         if len(fields) != len(header):
             raise FormatError(f"{where}: row has {len(fields)} fields, expected {len(header)}")
         row = dict(zip(header, fields))
-        for key in _REPORT_NMSE_FIELDS:
+        for key in header:
             try:
-                if row[key]:
+                if row[key] and key in RULES:
                     RULES[key].parse(row[key])
             except ValueError as exc:
                 raise FormatError(f"{where}: bad value for {key!r}: {exc}") from None

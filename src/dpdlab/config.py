@@ -116,17 +116,17 @@ class RunConfig:
     sweep_taps: int = _field("sweep", DEFAULT_COMPLEXITY_TAPS, key="taps")
 
     def __post_init__(self) -> None:
-        # A number read from a file already kept its key's rule; this holds a
-        # RunConfig made in code to the same rules.
+        # A RunConfig holds only what its file text can say: each value is
+        # rendered and read back by its key's reader, as parse_config would.
         for section, schema in _SCHEMA.items():
             for key, f in schema.items():
                 value = getattr(self, f.name)
-                if f.metadata["reader"] or (value is None and f.type.startswith("Optional")):
-                    continue
-                for entry in value if f.type == "tuple" else (value,):
-                    problem = RULES[key].problem(entry)
-                    if problem:
-                        raise FormatError(f"[{section}] {key} {problem}")
+                try:
+                    read = _READERS[f.name](_value_text(_render_value(value)))
+                except ValueError as exc:
+                    raise FormatError(f"[{section}] {key} {exc}") from None
+                if read != value:
+                    raise FormatError(f"[{section}] {key} = {value!r} reads back as {read!r}")
         # Build what each section describes once, so a value that every run
         # would reject fails the load instead.
         for section, build in (
@@ -202,7 +202,7 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
     values = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _value_text(raw)
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -239,15 +239,21 @@ def load_config(path) -> RunConfig:
     return parse_config(read_text(path), path=str(path))
 
 
+def _value_text(text: str) -> str:
+    """What parse_config keeps of `text`: its first line, cut at any `#` and
+    stripped."""
+    return (text.splitlines() or [""])[0].split("#", 1)[0].strip()
+
+
 def _render_value(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return ", ".join(str(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # a NumPy float64 too, written as a Python float
+        return repr(float(value))
     return str(value)
 
 

@@ -36,36 +36,6 @@ def _fmt(value: float) -> str:
     return f"{float(value):.17e}"
 
 
-def write_model(path, kind: str, scalars: dict, arrays: dict,
-                index_offsets: dict | None = None) -> None:
-    """Write a model file.
-
-    `scalars` become header lines; `arrays` maps section name to ndarray.
-    `index_offsets` optionally shifts the written indices per array (used to
-    record tap delays rather than raw column positions).
-    """
-    index_offsets = index_offsets or {}
-    lines = [f"format = {MODEL_FORMAT}", f"version = {SCHEMA_VERSION}", f"kind = {kind}"]
-    for key, value in scalars.items():
-        if isinstance(value, float):
-            lines.append(f"{key} = {_fmt(value)}")
-        else:
-            lines.append(f"{key} = {value}")
-    for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        offsets = index_offsets.get(name, (0,) * arr.ndim)
-        lines.append("")
-        lines.append(f"[{name}]")
-        for idx in np.ndindex(arr.shape):
-            shifted = " ".join(str(i + o) for i, o in zip(idx, offsets))
-            if np.iscomplexobj(arr):
-                z = arr[idx]
-                lines.append(f"{shifted} {_fmt(z.real)} {_fmt(z.imag)}")
-            else:
-                lines.append(f"{shifted} {_fmt(arr[idx])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def read_model(path):
     """Parse a model file into (kind, header dict, section rows).
 
@@ -168,12 +138,14 @@ class Param:
 
 @dataclass(frozen=True)
 class ParamTable:
-    """A model family's parameters: its file kind, the header size fields read
-    off the model by attribute, and its arrays in flat-vector and file order."""
+    """A model family's parameters: its file kind, the header size fields and
+    then the header scalars, each read off the model by attribute, and its
+    arrays in flat-vector and file order."""
 
     kind: str
     sizes: tuple
     params: tuple
+    scalars: tuple = ()
 
     def dims(self, obj) -> dict:
         """`n_taps` and the size fields of a model or a model spec, read off it
@@ -248,31 +220,41 @@ class ParamTable:
         vars(rebuilt).update(self.views(model, vec))
         return rebuilt
 
-    def save(self, model, path, **extra_scalars) -> None:
-        """Write the header (taps, size fields, then `extra_scalars`) and one
-        section per table entry."""
+    def save(self, model, path) -> None:
+        """Write the header (taps, size fields, then scalars) and one section
+        per table entry, each row an entry's indices (a tap axis's as the tap
+        delay) and its value (re and im for a complex array)."""
         window = model.window
-        scalars = {"pre_taps": window.pre_taps, "post_taps": window.post_taps,
-                   **{name: getattr(model, name) for name in self.sizes}, **extra_scalars}
-        arrays = {p.section: getattr(model, p.attr) for p in self.params}
-        offsets = {p.section: p.index_offsets(arrays[p.section].ndim, window) for p in self.params}
-        write_model(path, self.kind, scalars, arrays, offsets)
+        lines = [f"format = {MODEL_FORMAT}", f"version = {SCHEMA_VERSION}", f"kind = {self.kind}",
+                 f"pre_taps = {window.pre_taps}", f"post_taps = {window.post_taps}"]
+        lines += [f"{name} = {getattr(model, name)}" for name in self.sizes]
+        lines += [f"{name} = {_fmt(getattr(model, name))}" for name in self.scalars]
+        for p in self.params:
+            arr = getattr(model, p.attr)
+            offsets = p.index_offsets(arr.ndim, window)
+            values = arr.view(np.float64).reshape(arr.shape + (-1,))  # (re, im) or (value,)
+            lines += ["", f"[{p.section}]"]
+            lines += [" ".join([*(str(i + o) for i, o in zip(idx, offsets)), *map(_fmt, values[idx])])
+                      for idx in np.ndindex(arr.shape)]
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def load(self, path, parsed):
         """Turn `parsed`, the (kind, header, sections) that read_model returned
-        for the file at `path`, into (window, sizes, header, arrays).
+        for the file at `path`, into (window, fields, arrays): `fields` holds
+        the table's size fields and scalars, each read by its rule, and no
+        other header line.
 
         Header fields that break their rules and sections with fewer rows
         than entries raise FormatError naming `path` before any array is
         allocated.
         """
-        kind, scalars, sections = parsed
+        kind, header, sections = parsed
         if kind != self.kind:
             raise FormatError(f"{path}: expected kind {self.kind!r}, found {kind!r}")
-        window = TapWindow(pre_taps=header_value(scalars, "pre_taps", path),
-                           post_taps=header_value(scalars, "post_taps", path))
-        sizes = {name: header_value(scalars, name, path) for name in self.sizes}
-        dims = {"n_taps": window.n_taps, **sizes}
+        window = TapWindow(pre_taps=header_value(header, "pre_taps", path),
+                           post_taps=header_value(header, "post_taps", path))
+        fields = {name: header_value(header, name, path) for name in self.sizes + self.scalars}
+        dims = {"n_taps": window.n_taps, **fields}
         arrays = {}
         for p in self.params:
             if p.section not in sections:
@@ -281,7 +263,7 @@ class ParamTable:
             values = _fill(sections[p.section], shape, 2 if p.is_complex else 1,
                            p.index_offsets(len(shape), window), p.section, path)
             arrays[p.attr] = values[..., 0] + 1j * values[..., 1] if p.is_complex else values[..., 0]
-        return window, sizes, scalars, arrays
+        return window, fields, arrays
 
 
 class ParamModel:

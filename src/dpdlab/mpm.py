@@ -250,7 +250,7 @@ class MpmCoefficients(modelfile.ParamModel):
     spec: MpmSpec
     coeff: np.ndarray
 
-    PARAMS = modelfile.ParamTable("mpm", sizes=("k_orders",), params=(
+    PARAMS = modelfile.ParamTable("mpm", sizes=("k_orders",), scalars=("amp_offset",), params=(
         modelfile.Param("coeff", "coeff", lambda d: (d["n_taps"], d["k_orders"]),
                         is_complex=True, tap_axis=0),
     ))
@@ -263,6 +263,10 @@ class MpmCoefficients(modelfile.ParamModel):
     def k_orders(self) -> int:
         return self.spec.k_orders
 
+    @property
+    def amp_offset(self) -> float:
+        return self.spec.amp_offset
+
     def predict(self, x) -> ComplexSequence:
         """basis · coeff, by predict_rows: the basis is built one block of rows
         at a time, so no N × T·K basis is held.  Each output row is the gemv's
@@ -271,13 +275,8 @@ class MpmCoefficients(modelfile.ParamModel):
         coeff = self.coeff.reshape(-1)
         return predict_rows(x, self.window, lambda rows: basis_rows(rows, self.spec) @ coeff)
 
-    def save(self, path) -> None:
-        self.PARAMS.save(self, path, amp_offset=float(self.spec.amp_offset))
-
     @classmethod
     def from_parsed(cls, path, parsed) -> "MpmCoefficients":
         """The model in the file at `path`, already parsed by read_model."""
-        window, sizes, scalars, arrays = cls.PARAMS.load(path, parsed)
-        spec = MpmSpec(window=window, k_orders=sizes["k_orders"],
-                       amp_offset=modelfile.header_value(scalars, "amp_offset", path))
-        return cls(spec=spec, **arrays)
+        window, fields, arrays = cls.PARAMS.load(path, parsed)
+        return cls(spec=MpmSpec(window=window, **fields), **arrays)

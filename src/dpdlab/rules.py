@@ -11,6 +11,7 @@ got 0`.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -30,13 +31,11 @@ class Rule:
 
     def problem(self, value) -> Optional[str]:
         """What is wrong with `value`, as `must be ..., got <value>`; None when
-        it keeps the rule."""
-        if self.kind is int:
-            try:
-                operator.index(value)
-            except TypeError:
-                return f"must be an integer, got {value}"
-        elif not math.isfinite(value):
+        it keeps the rule.  A bool is neither an integer nor a number here."""
+        expected = numbers.Integral if self.kind is int else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, expected):
+            return f"must be {'an integer' if self.kind is int else 'a number'}, got {value}"
+        if self.kind is float and not math.isfinite(value):
             return f"must be finite, got {value}"
         for bound, broken, words in ((self.at_least, operator.lt, "at least"),
                                      (self.above, operator.le, "above"),
@@ -86,6 +85,7 @@ RULES = {
     "seeds": _NATURAL, "budget_lo": Rule(int), "budget_hi": Rule(int),
     # runs and their reports
     "n_iterations": _COUNT, "threshold": Rule(float, at_least=0),
+    **dict.fromkeys(("m_experts", "params_formula", "params_actual"), _COUNT),
     **dict.fromkeys(("postinv_nmse_db", "lin_nmse_db", "no_dpd_nmse_db"), _FINITE),
 }
 

@@ -148,7 +148,7 @@ class RvftdnnModel(modelfile.ParamModel):
     @classmethod
     def from_parsed(cls, path, parsed) -> "RvftdnnModel":
         """The model in the file at `path`, already parsed by read_model."""
-        window, _, _, arrays = cls.PARAMS.load(path, parsed)
+        window, _, arrays = cls.PARAMS.load(path, parsed)
         return cls(window=window, **arrays)
 
 

@@ -180,11 +180,17 @@ def nmse_db(estimate, reference) -> float:
     that brings its largest real or imaginary part into [0.5, 1), the error by
     the one that does so for the larger of the two sequences.  The exponent
     difference is added back to the logarithm, so the result is finite
-    whatever the scale.  Raises ValueError on length mismatch or a
-    zero-energy reference.
+    whatever the scale.  Raises ValueError naming the sequence that is empty
+    or holds a non-finite sample, and on length mismatch or a zero-energy
+    reference.
     """
     est = as_samples(estimate)
     ref = as_samples(reference)
+    for name, seq in (("estimate", est), ("reference", ref)):
+        if not seq.size:
+            raise ValueError(f"{name} sequence is empty")
+        if not np.isfinite(seq).all():
+            raise ValueError(f"{name} sequence holds a non-finite sample")
     if est.size != ref.size:
         raise ValueError(f"length mismatch: estimate has {est.size} samples, reference {ref.size}")
     octaves = 0
@@ -396,7 +402,7 @@ def write_iq_csv(x: ComplexSequence, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_iq_csv(path, sample_rate_hint: float = 1.0) -> ComplexSequence:
+def read_iq_csv(path) -> ComplexSequence:
     """Read a two-column re,im CSV; a leading 're,im' header row is optional."""
     values = []
     for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
@@ -417,4 +423,4 @@ def read_iq_csv(path, sample_rate_hint: float = 1.0) -> ComplexSequence:
         values.append(value)
     if not values:
         raise FormatError(f"{path}: no samples found")
-    return ComplexSequence(np.array(values), sample_rate_hint=sample_rate_hint)
+    return ComplexSequence(np.array(values))

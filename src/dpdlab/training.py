@@ -215,7 +215,11 @@ def train(model, psi, phi, cfg: TrainConfig):
     return work.with_param_vector(best_params), history
 
 
-def finite_diff_check(model, psi, phi, step: float = 1e-6) -> float:
+# The central-difference step of finite_diff_check, on every parameter.
+FINITE_DIFF_STEP = 1e-6
+
+
+def finite_diff_check(model, psi, phi) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
     The relative error divides by max(|analytic|, |numeric|, 1e-7).  A
@@ -229,11 +233,11 @@ def finite_diff_check(model, psi, phi, step: float = 1e-6) -> float:
     numeric = np.empty(params.size)
     for i in range(params.size):
         bumped = params.copy()
-        bumped[i] = params[i] + step
+        bumped[i] = params[i] + FINITE_DIFF_STEP
         loss_plus = model.with_param_vector(bumped).loss_and_gradient(psi, phi)[0]
-        bumped[i] = params[i] - step
+        bumped[i] = params[i] - FINITE_DIFF_STEP
         loss_minus = model.with_param_vector(bumped).loss_and_gradient(psi, phi)[0]
-        numeric[i] = (loss_plus - loss_minus) / (2.0 * step)
+        numeric[i] = (loss_plus - loss_minus) / (2.0 * FINITE_DIFF_STEP)
     if not (np.all(np.isfinite(numeric)) and np.all(np.isfinite(analytic))):
         return float("nan")
     denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-7)

@@ -2,7 +2,9 @@
 order search reaches that library's QR routines."""
 
 import ctypes
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +71,78 @@ def test_qr_in_place_is_np_linalg_qr_bit_for_bit(rows, cols):
     q, r = np.linalg.qr(a)
     assert np.array_equal(qr_in_place(a), r)
     assert np.array_equal(a, q)
+
+
+_CORENAMES = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+              "openblas_get_corename64_", "openblas_get_corename")
+
+# A fresh interpreter that, in the "hidden" variant, hides NumPy's bundled
+# OpenBLAS from dpdlab (every glob for it finds nothing) before importing
+# dpdlab, prints the core name OpenBLAS picked and whether the QR routines
+# were found, then runs the golden tests it is given.
+_CHILD = """
+import ctypes, json, pathlib, sys
+if sys.argv[1] == "hidden":
+    glob = pathlib.Path.glob
+    pathlib.Path.glob = lambda self, pattern, *args, **kwargs: (
+        iter(()) if "openblas" in pattern else glob(self, pattern, *args, **kwargs))
+import pytest
+from dpdlab import _blas
+names = sys.argv[2].split(",")
+cores = [getattr(lib, next(n for n in names if hasattr(lib, n)))
+         for lib in _blas.bundled_openblas()]
+for get in cores:
+    get.argtypes, get.restype = [], ctypes.c_char_p
+print(json.dumps({"cores": [get().decode() for get in cores],
+                  "lapack_qr": _blas.lapack_qr() is not None}), flush=True)
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[3:]]))
+"""
+
+# The golden tests each variant runs, by test file and name.  A trained
+# model's parameter bytes (GOLDEN_TRAIN's digests) change with the CPU
+# kernels of OpenBLAS and of NumPy alike, so only the variant that keeps the
+# native kernels runs them; the sweep CSVs and the model text hold on both.
+_GOLDEN_SWEEP_AND_TEXT = ("test_ila.py::test_sweep_csv_matches_golden_bytes",
+                          "test_ila.py::test_saved_model_text_matches_golden")
+_GOLDEN_TESTS = {"prescott": _GOLDEN_SWEEP_AND_TEXT,
+                 "hidden": (*_GOLDEN_SWEEP_AND_TEXT,
+                            "test_training.py::test_short_train_matches_golden_bytes")}
+
+
+def _corename() -> str:
+    """The core name of the OpenBLAS NumPy bundles, as this process loaded it."""
+    lib = bundled_openblas()[0]
+    get = getattr(lib, next(name for name in _CORENAMES if hasattr(lib, name)))
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
+
+
+@pytest.mark.parametrize("variant", sorted(_GOLDEN_TESTS))
+def test_the_goldens_hold_on_other_cpu_kernels_and_without_the_bundled_openblas(variant):
+    # "prescott" runs OpenBLAS's SSE3 kernels and NumPy's loops without AVX2
+    # or AVX-512; "hidden" leaves dpdlab to np.linalg.qr and NumPy's own
+    # thread count.
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("the CPU kernels named here are x86-64 ones")
+    if not any(hasattr(lib, name) for lib in bundled_openblas() for name in _CORENAMES):
+        pytest.skip("this NumPy bundles no OpenBLAS")
+    tests = Path(__file__).resolve().parent
+    src = str(Path(dpdlab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    if variant == "prescott":
+        env |= {"OPENBLAS_CORETYPE": "Prescott",
+                "NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3 AVX512_ICL AVX512_SPR"}
+    else:
+        env |= {"OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _CHILD, variant, ",".join(_CORENAMES),
+                          *(str(tests / name) for name in _GOLDEN_TESTS[variant])],
+                         capture_output=True, text=True, env=env, cwd=tests.parent)
+    assert out.returncode == 0, out.stdout + out.stderr
+    probe, *report = out.stdout.splitlines()
+    probe = json.loads(probe)
+    if variant == "prescott":
+        assert probe["cores"] and _corename() not in probe["cores"]
+    else:
+        assert probe == {"cores": [], "lapack_qr": False}
+    assert report[-1].startswith(f"{3 * len(_GOLDEN_TESTS[variant])} passed"), out.stdout

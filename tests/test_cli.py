@@ -440,6 +440,17 @@ def test_report_names_the_line_of_a_non_numeric_nmse_cell(tmp_path, capsys):
         f"error: {bad}:2: bad value for 'postinv_nmse_db': expected a number, got 'x'\n")
 
 
+def test_report_names_the_first_bad_numeric_cell_of_a_row(tmp_path, capsys):
+    # Count and seed cells are read by their rules too, not copied to the mirror.
+    bad = tmp_path / "sweep.csv"
+    bad.write_text(f"{REPORT_HEADER}\nmpm,high,4,1,,8,8,1,-20.0,-19.0,-15.0\n"
+                   "mpm,high,x,1,,8,-5,one,-20.0,-19.0,-15.0\n")
+    assert dispatch(["report", "--in", str(bad), "--dat", str(tmp_path / "s.dat")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}:3: bad value for 'taps': expected an integer, got 'x'\n")
+    assert not (tmp_path / "s.dat").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate-pa", "ila-run", "show-config"])
 @pytest.mark.parametrize("line, message", [
     ("drive_db = 7000", ":2: bad value for 'drive_db': must be at most 300, got 7000.0"),

@@ -224,7 +224,18 @@ def test_a_value_only_its_section_rejects_fails_the_load_naming_the_section(sect
     ({"train_seed": -1}, "[train] seed must be at least 0, got -1"),
     ({"sweep_taps": 0}, "[sweep] taps must be at least 1, got 0"),
     ({"taps": 3, "post_taps": 3}, "[model] post_taps must be below taps (3), got 3"),
-], ids=["seed", "k_orders", "taps_list", "a_sat", "train_seed", "sweep_taps", "post_taps"])
+    # A value its file text cannot say: each is read back from its rendering.
+    ({"rho": None}, "[pa] rho expected a number, got 'none'"),
+    ({"seeds": 5}, "[sweep] seeds = 5 reads back as (5,)"),
+    ({"warm_start": "no"}, "[model] warm_start = 'no' reads back as False"),
+    ({"families": "mpm"}, "[sweep] families = 'mpm' reads back as ('mpm',)"),
+    ({"kind": None}, "[model] kind = None reads back as 'none'"),
+    ({"taps": True}, "[model] taps expected an integer, got 'true'"),
+    ({"kind": "mpm # x"}, "[model] kind = 'mpm # x' reads back as 'mpm'"),
+    ({"seeds": [1, 2]}, "[sweep] seeds = [1, 2] reads back as (1, 2)"),
+], ids=["seed", "k_orders", "taps_list", "a_sat", "train_seed", "sweep_taps", "post_taps",
+        "rho-none", "seeds-int", "warm_start-word", "families-str", "kind-none", "taps-bool",
+        "kind-comment", "seeds-list"])
 def test_a_run_config_made_in_code_holds_each_number_to_its_key_rule(values, message):
     with pytest.raises(FormatError) as err:
         RunConfig(**values)
@@ -243,6 +254,12 @@ CUSTOMIZED = (
     "[model]\nkind = agmpnn\ntaps = 7\npost_taps = 1\nridge = 2.5e-9\nwarm_start = false\n"
     "[train]\nlearning_rate = 0.005\nseed = 11\n"
     "[sweep]\ntaps = 9\nseeds = 2, 4\n")
+
+
+def test_render_parse_round_trip_of_a_numpy_float():
+    cfg = RunConfig(rho=np.float64(0.35), drive_db=np.float64(-1.5))
+    assert "rho = 0.35\n" in render_config(cfg)
+    assert parse_config(render_config(cfg)) == cfg
 
 
 def test_render_parse_round_trip_customized():

@@ -940,6 +940,16 @@ def test_load_model_rejects_non_finite_amp_offset(tmp_path, value):
     assert "'amp_offset'" in str(caught.value)
 
 
+def test_load_model_names_a_missing_amp_offset(tmp_path):
+    path = tmp_path / "bad.model"
+    _tiny_model("mpm").save(path)
+    path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                            if not line.startswith("amp_offset =")))
+    with pytest.raises(FormatError) as caught:
+        load_model(path)
+    assert str(caught.value) == f"{path}: missing header field 'amp_offset'"
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_load_model_rejects_non_finite_values(tmp_path, family):
     path = tmp_path / "bad.model"

@@ -15,7 +15,7 @@ from dpdlab.cli import build_parser, dispatch
 from dpdlab.config import _SCHEMA, RunConfig
 from dpdlab.mpm import MpmCoefficients, MpmSpec, build_basis, ls_fit
 from dpdlab.pa_sim import PaConfig, coeffs_from_rule, preset
-from dpdlab.rules import RULES
+from dpdlab.rules import RULES, check
 from dpdlab.rvftdnn import RvftdnnModel, rvftdnn_param_count
 from dpdlab.signal import _IQ_HEADER, IQ_MAGIC, ComplexSequence, TapWindow, generate_waveform
 from dpdlab.training import TrainConfig, segment_ranges
@@ -26,7 +26,7 @@ PAST = {
     **{name: ("0", "must be at least 1, got 0") for name in (
         "taps", "n_taps", "k_orders", "n_experts", "n1", "n2", "k_pa", "count", "batch_size",
         "segment_len", "max_epochs", "patience", "taps_list", "param_targets", "nn_grid",
-        "mpm_k_grid", "n_iterations")},
+        "mpm_k_grid", "n_iterations", "m_experts", "params_formula", "params_actual")},
     **{name: ("-1", "must be at least 0, got -1") for name in (
         "seed", "seeds", "pre_taps", "post_taps", "l_pa")},
     **{name: ("0", "must be above 0, got 0.0") for name in (
@@ -102,9 +102,13 @@ def _models():
 
 def _header_fields():
     for family, model in _models().items():
-        for key in ("pre_taps", "post_taps", *model.PARAMS.sizes,
-                    *(("amp_offset",) if family == "mpm" else ())):
+        for key in ("pre_taps", "post_taps", *model.PARAMS.sizes, *model.PARAMS.scalars):
             yield family, key
+
+
+def test_only_mpm_declares_a_header_scalar():
+    assert {family: model.PARAMS.scalars for family, model in _models().items()} == {
+        "mpm": ("amp_offset",), "agmpnn": (), "rvftdnn": ()}
 
 
 def test_every_numeric_model_header_field_reads_its_value_by_its_rule(tmp_path):
@@ -204,13 +208,18 @@ def test_a_waveform_header_value_past_its_rule_fails_naming_the_file_and_field(t
         f"error: {path}: header field {key!r}: {message}"]
 
 
-@pytest.mark.parametrize("key", ila.REPORT_COLUMNS[-3:])
+# A well-formed report row, by column; m_experts is blank, as for an MPM row.
+_REPORT_ROW = dict(zip(ila.REPORT_COLUMNS,
+                       ["mpm", "high", "4", "1", "", "8", "8", "1", "-15.0", "-15.0", "-15.0"]))
+
+
+@pytest.mark.parametrize("key", [column for column in ila.REPORT_COLUMNS if column in RULES])
 def test_a_report_cell_past_its_rule_fails_naming_the_file_line_and_column(tmp_path, capsys,
                                                                            key):
     text, message = PAST[key]
-    cells = dict.fromkeys(ila.REPORT_COLUMNS[-3:], "-15.0") | {key: text}
+    cells = _REPORT_ROW | {key: text}
     path = tmp_path / "sweep.csv"
-    path.write_text(f"{ila.REPORT_HEADER}\nmpm,high,4,1,,8,8,1,{','.join(cells.values())}\n")
+    path.write_text(f"{ila.REPORT_HEADER}\n{','.join(cells.values())}\n")
     assert dispatch(["report", "--in", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: {path}:2: bad value for {key!r}: {message}"]
@@ -271,7 +280,25 @@ def test_the_api_table_covers_every_rule_an_api_argument_keeps():
     # argument; the grids' entries are checked as the sizes they become.
     assert {name for name, _, _ in API} == set(RULES) - {
         "count", "threshold", "postinv_nmse_db", "lin_nmse_db", "no_dpd_nmse_db",
+        "m_experts", "params_formula", "params_actual",
         "nn_grid", "mpm_k_grid", "budget_lo", "budget_hi"}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check("ridge", "x"), "ridge must be a number, got x"),
+    (lambda: check("rho", 1 + 2j), "rho must be a number, got (1+2j)"),
+    (lambda: PaConfig(coeffs=_ONE, drive_db=True), "drive_db must be a number, got True"),
+    (lambda: MpmSpec(window=_WINDOW, k_orders=1, amp_offset=False),
+     "amp_offset must be a number, got False"),
+    (lambda: RvftdnnModel.init(_WINDOW, True, 2), "n1 must be an integer, got True"),
+    (lambda: TapWindow(pre_taps=True), "pre_taps must be an integer, got True"),
+    (lambda: TrainConfig(batch_size=True), "batch_size must be an integer, got True"),
+], ids=["str", "complex", "bool-float", "bool-offset", "bool-n1", "bool-pre_taps",
+        "bool-batch_size"])
+def test_a_non_number_or_a_bool_is_refused_naming_the_argument(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("budget", [(1.5, 600), (100, 1.5)])

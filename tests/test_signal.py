@@ -239,6 +239,18 @@ def test_nmse_rejects_bad_inputs():
         nmse_db(np.ones(4), np.zeros(4))
 
 
+@pytest.mark.parametrize("estimate, reference, message", [
+    ([], [], "estimate sequence is empty"),
+    ([1.0], [], "reference sequence is empty"),
+    ([np.nan], [1.0], "estimate sequence holds a non-finite sample"),
+    ([1.0], [np.inf], "reference sequence holds a non-finite sample"),
+    ([1.0, complex(0, -np.inf)], [1.0, 2.0], "estimate sequence holds a non-finite sample"),
+], ids=["empty", "empty-reference", "nan", "inf", "complex-inf"])
+def test_nmse_names_an_empty_or_non_finite_sequence(estimate, reference, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        nmse_db(estimate, reference)
+
+
 # === alignment ===
 
 def test_align_identity():
