@@ -37,15 +37,17 @@ def _fmt(value: float) -> str:
 
 
 def read_model(path):
-    """Parse a model file into (kind, header dict, section rows).
+    """Parse a model file into (kind, header dict, section rows, line numbers).
 
-    Header values stay strings; section rows are token lists.  Raises
-    FormatError on a bad magic line, an unsupported version or malformed
-    structure.
+    Header values stay strings; section rows are token lists; the line
+    numbers map each header key and each `[section]` to its line.  Raises
+    FormatError on a bad magic line, an unsupported version, a repeated
+    header key or section, or malformed structure.
     """
     text = read_text(path)
     scalars: dict[str, str] = {}
     sections: dict[str, list[list[str]]] = {}
+    lines: dict[str, int] = {}
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -55,13 +57,16 @@ def read_model(path):
             current = line[1:-1].strip()
             if not current:
                 raise FormatError(f"{path}:{line_no}: empty section name")
+            _first_on(lines, f"[{current}]", line_no, path)
             sections[current] = []
             continue
         if current is None:
             if "=" not in line:
                 raise FormatError(f"{path}:{line_no}: expected 'key = value' before sections")
             key, _, value = line.partition("=")
-            scalars[key.strip()] = value.strip()
+            key = key.strip()
+            _first_on(lines, key, line_no, path)
+            scalars[key] = value.strip()
         else:
             sections[current].append(line.split())
     if scalars.get("format") != MODEL_FORMAT:
@@ -73,7 +78,16 @@ def read_model(path):
     kind = scalars.get("kind")
     if not kind:
         raise FormatError(f"{path}: missing model kind")
-    return kind, scalars, sections
+    return kind, scalars, sections, lines
+
+
+def _first_on(lines: dict, name: str, line_no: int, path) -> None:
+    """Record that header key or `[section]` `name` is on line `line_no`;
+    FormatError naming both lines when an earlier line holds it."""
+    if name in lines:
+        raise FormatError(
+            f"{path}:{line_no}: repeated field {name!r}, first on line {lines[name]}")
+    lines[name] = line_no
 
 
 def header_value(scalars: dict, key: str, path="model"):
@@ -239,18 +253,23 @@ class ParamTable:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def load(self, path, parsed):
-        """Turn `parsed`, the (kind, header, sections) that read_model returned
-        for the file at `path`, into (window, fields, arrays): `fields` holds
-        the table's size fields and scalars, each read by its rule, and no
-        other header line.
+        """Turn `parsed`, the (kind, header, sections, lines) that read_model
+        returned for the file at `path`, into (window, fields, arrays):
+        `fields` holds the table's size fields and scalars, each read by its
+        rule.
 
-        Header fields that break their rules and sections with fewer rows
-        than entries raise FormatError naming `path` before any array is
-        allocated.
+        A header key or a section the table does not declare, header fields
+        that break their rules and sections with fewer rows than entries
+        raise FormatError naming `path` before any array is allocated.
         """
-        kind, header, sections = parsed
+        kind, header, sections, lines = parsed
         if kind != self.kind:
             raise FormatError(f"{path}: expected kind {self.kind!r}, found {kind!r}")
+        declared = {"format", "version", "kind", "pre_taps", "post_taps",
+                    *self.sizes, *self.scalars, *(f"[{p.section}]" for p in self.params)}
+        for name, line_no in lines.items():
+            if name not in declared:
+                raise FormatError(f"{path}:{line_no}: unknown {kind} model field {name!r}")
         window = TapWindow(pre_taps=header_value(header, "pre_taps", path),
                            post_taps=header_value(header, "post_taps", path))
         fields = {name: header_value(header, name, path) for name in self.sizes + self.scalars}

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from . import modelfile
-from ._blas import qr_in_place
 from .exceptions import ConditioningError
 from .rules import check, check_all
 from .signal import (ComplexSequence, TapWindow, as_samples, delayed_matrix, even_powers,
@@ -179,8 +179,8 @@ def order_blocked_qr(taps, spec: MpmSpec, targets) -> tuple[np.ndarray, np.ndarr
     R and Qᴴ·targets are in order-major column layout: order k's T taps are
     the block [k·T, (k+1)·T).  Each order block is orthogonalized against the
     blocks before it by classical Gram–Schmidt applied twice, then its
-    remainder is factored where it lies by _blas.qr_in_place (LAPACK's zgeqrf
-    and zungqr, bit for bit np.linalg.qr).  A block's operations depend only
+    remainder is factored where it lies by qr_in_place (LAPACK's zgeqrf and
+    zungqr, bit for bit np.linalg.qr).  A block's operations depend only
     on the blocks before it, so R[:p, :p] and (Qᴴ·targets)[:p], p = T·K, are
     bit for bit the factor of the order-K basis alone, whatever the basis's
     top order.  R's columns have the basis columns' norms, to rounding, so
@@ -213,6 +213,44 @@ def order_blocked_qr(taps, spec: MpmSpec, targets) -> tuple[np.ndarray, np.ndarr
         r[block, block] = qr_in_place(rest)
         qh_phi[block] = rest.conj().T @ phi
     return r, qh_phi
+
+
+def qr_in_place(a: np.ndarray) -> np.ndarray:
+    """Overwrite the (m, n) matrix `a`, m ≥ n, with the Q of its reduced QR
+    factorization and return its (n, n) R, bit for bit np.linalg.qr(a).
+
+    `a` must be writeable, complex128 and F-contiguous.  LAPACK's zgeqrf runs
+    on `a`'s own memory, R is read off the upper triangle, and zungqr then
+    forms Q there.  Both are called through NumPy's own LAPACK binding,
+    numpy.linalg.lapack_lite, which links the LAPACK np.linalg.qr runs.
+    """
+    m, n = a.shape
+    if (a.dtype != np.complex128 or not a.flags.f_contiguous or not a.flags.writeable
+            or m < n):
+        raise ValueError("qr_in_place needs a writeable, F-contiguous complex128 "
+                         f"matrix with at least as many rows as columns, got {a.shape}")
+    # lapack_lite takes C-contiguous arrays; a.T is a's memory as one, which
+    # LAPACK reads as the F-contiguous (m, n) matrix, column by column.
+    a_t, tau, lda = a.T, np.empty(n, dtype=np.complex128), max(1, m)
+    _lapack_with_workspace(lapack_lite.zgeqrf, n, m, n, a_t, lda, tau)
+    r = np.triu(a[:n])
+    _lapack_with_workspace(lapack_lite.zungqr, n, m, n, n, a_t, lda, tau)
+    return r
+
+
+def _lapack_with_workspace(routine, n: int, *args) -> None:
+    """Call a lapack_lite routine whose last arguments are WORK, LWORK and INFO.
+
+    As np.linalg.qr does, the workspace size is asked for first (LWORK = -1)
+    and the call then gets max(1, n, that size) elements.
+    """
+    query = np.zeros(1, dtype=np.complex128)
+    info = routine(*args, query, -1, 0)["info"]
+    if info == 0:
+        work = np.empty(max(1, n, int(query[0].real)), dtype=np.complex128)
+        info = routine(*args, work, work.size, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} returned INFO = {info}")
 
 
 def fit_orders(pairs, window: TapWindow, orders,

@@ -244,6 +244,11 @@ def align(reference, measured, max_lag: int) -> AlignmentResult:
     normalized cross-correlation |c| * (|c| / E_r), which does not overflow
     where |c|^2 would, then solves the scalar least-squares gain such that
     measured[n] ~= gain * reference[n - d] over the overlap.
+
+    Where either sequence's energy overflows float64 or falls below its
+    normal range, the search runs on copies scaled by powers of two, as in
+    nmse_db (each correlation is bounded by the energies), and the gain is
+    scaled back; a gain that then leaves float64's range raises ValueError.
     """
     ref = as_samples(reference)
     mea = as_samples(measured)
@@ -253,6 +258,21 @@ def align(reference, measured, max_lag: int) -> AlignmentResult:
         raise ValueError("sequences must be longer than 2*max_lag")
     if not np.any(ref) or not np.any(mea):
         raise ValueError("alignment requires nonzero-energy inputs")
+    with np.errstate(over="ignore"):
+        in_range = all(_SMALLEST_NORMAL <= _energy(z) < np.inf for z in (ref, mea))
+    if in_range:
+        return _best_alignment(ref, mea, max_lag)
+    ref_exp, mea_exp = _exponent(ref), _exponent(mea)
+    found = _best_alignment(_scaled(ref, ref_exp), _scaled(mea, mea_exp), max_lag)
+    with np.errstate(over="ignore", under="ignore"):
+        gain = complex(*np.ldexp([found.gain.real, found.gain.imag], mea_exp - ref_exp))
+    if gain == 0 or not cmath.isfinite(gain):
+        raise ValueError("alignment failed: the gain lies outside float64's range")
+    return AlignmentResult(delay=found.delay, gain=gain)
+
+
+def _best_alignment(ref: np.ndarray, mea: np.ndarray, max_lag: int) -> AlignmentResult:
+    """align's lag search on sequences whose energies lie in float64's normal range."""
     best_score = -1.0
     best_lag = 0
     best_gain = 0j
@@ -352,9 +372,10 @@ def predict_rows(x, window: TapWindow, rows) -> ComplexSequence:
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file; any other bytes raise FormatError naming it."""
+    """The text of a UTF-8 file, a leading byte-order mark dropped; any other
+    bytes raise FormatError naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not a UTF-8 text file") from None
 
@@ -403,14 +424,14 @@ def write_iq_csv(x: ComplexSequence, path) -> None:
 
 
 def read_iq_csv(path) -> ComplexSequence:
-    """Read a two-column re,im CSV; a leading 're,im' header row is optional."""
+    """Read a two-column re,im CSV; blank lines are skipped, and a 're,im'
+    header on the first other line is optional."""
+    lines = [(line_no, raw.strip())
+             for line_no, raw in enumerate(read_text(path).split("\n"), start=1) if raw.strip()]
+    if lines and lines[0][1].lower().replace(" ", "") == "re,im":
+        del lines[0]
     values = []
-    for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line_no == 1 and line.lower().replace(" ", "") == "re,im":
-            continue
+    for line_no, line in lines:
         parts = line.split(",")
         if len(parts) != 2:
             raise FormatError(f"{path}:{line_no}: expected two columns, found {len(parts)}")

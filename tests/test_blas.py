@@ -1,5 +1,5 @@
 """Importing dpdlab holds NumPy's bundled OpenBLAS to one thread, and the
-order search reaches that library's QR routines."""
+order search's in-place QR is np.linalg.qr's, with that OpenBLAS or without."""
 
 import ctypes
 import json
@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import dpdlab
-from dpdlab._blas import bundled_openblas, lapack_qr, qr_in_place
+from dpdlab._blas import bundled_openblas
+from dpdlab.mpm import qr_in_place
 
 _GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
             "openblas_get_num_threads64_", "openblas_get_num_threads")
@@ -35,19 +36,6 @@ def test_import_leaves_numpys_openblas_at_one_thread():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": path})
     assert out.stdout.split() == ["1"] * len(bundled_openblas())
-
-
-def test_the_bundled_openblas_qr_routines_are_found():
-    # A NumPy whose OpenBLAS renames zgeqrf or zungqr, or changes their
-    # integer width, fails here rather than quietly taking the copying
-    # np.linalg.qr path.
-    if not bundled_openblas():
-        pytest.skip("this NumPy bundles no OpenBLAS")
-    routines = lapack_qr()
-    assert routines is not None
-    assert [routine.__name__ for routine in routines] == ["scipy_zgeqrf_64_", "scipy_zungqr_64_"]
-    for routine in routines:
-        assert ctypes.sizeof(routine.argtypes[0]._type_) == 8
 
 
 def test_qr_in_place_refuses_a_matrix_it_cannot_factor_where_it_lies():
@@ -78,8 +66,8 @@ _CORENAMES = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
 
 # A fresh interpreter that, in the "hidden" variant, hides NumPy's bundled
 # OpenBLAS from dpdlab (every glob for it finds nothing) before importing
-# dpdlab, prints the core name OpenBLAS picked and whether the QR routines
-# were found, then runs the golden tests it is given.
+# dpdlab, prints the core names OpenBLAS picked, then runs the tests it is
+# given.
 _CHILD = """
 import ctypes, json, pathlib, sys
 if sys.argv[1] == "hidden":
@@ -93,20 +81,25 @@ cores = [getattr(lib, next(n for n in names if hasattr(lib, n)))
          for lib in _blas.bundled_openblas()]
 for get in cores:
     get.argtypes, get.restype = [], ctypes.c_char_p
-print(json.dumps({"cores": [get().decode() for get in cores],
-                  "lapack_qr": _blas.lapack_qr() is not None}), flush=True)
+print(json.dumps({"cores": [get().decode() for get in cores]}), flush=True)
 sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[3:]]))
 """
 
-# The golden tests each variant runs, by test file and name.  A trained
-# model's parameter bytes (GOLDEN_TRAIN's digests) change with the CPU
-# kernels of OpenBLAS and of NumPy alike, so only the variant that keeps the
-# native kernels runs them; the sweep CSVs and the model text hold on both.
-_GOLDEN_SWEEP_AND_TEXT = ("test_ila.py::test_sweep_csv_matches_golden_bytes",
-                          "test_ila.py::test_saved_model_text_matches_golden")
-_GOLDEN_TESTS = {"prescott": _GOLDEN_SWEEP_AND_TEXT,
-                 "hidden": (*_GOLDEN_SWEEP_AND_TEXT,
-                            "test_training.py::test_short_train_matches_golden_bytes")}
+# The tests each variant runs, by test file and name, with their case
+# counts.  A trained model's parameter bytes (GOLDEN_TRAIN's digests) change
+# with the CPU kernels of OpenBLAS and of NumPy alike, so only the variant
+# that keeps the native kernels runs them; the sweep CSVs and the model text
+# hold on both.  The variant without the bundled OpenBLAS also runs the QR's
+# bit-for-bit tests: the in-place factor needs no bundled library.
+_GOLDEN_SWEEP_AND_TEXT = (("test_ila.py::test_sweep_csv_matches_golden_bytes", 3),
+                          ("test_ila.py::test_saved_model_text_matches_golden", 3))
+_GOLDEN_TESTS = {
+    "prescott": _GOLDEN_SWEEP_AND_TEXT,
+    "hidden": (*_GOLDEN_SWEEP_AND_TEXT,
+               ("test_training.py::test_short_train_matches_golden_bytes", 3),
+               ("test_blas.py::test_qr_in_place_is_np_linalg_qr_bit_for_bit", 3),
+               ("test_mpm.py::test_order_blocked_qr_equals_the_copying_factor_bit_for_bit", 7)),
+}
 
 
 def _corename() -> str:
@@ -120,8 +113,8 @@ def _corename() -> str:
 @pytest.mark.parametrize("variant", sorted(_GOLDEN_TESTS))
 def test_the_goldens_hold_on_other_cpu_kernels_and_without_the_bundled_openblas(variant):
     # "prescott" runs OpenBLAS's SSE3 kernels and NumPy's loops without AVX2
-    # or AVX-512; "hidden" leaves dpdlab to np.linalg.qr and NumPy's own
-    # thread count.
+    # or AVX-512; "hidden" leaves dpdlab without the bundled OpenBLAS, so at
+    # NumPy's own thread count.
     if platform.machine().lower() not in ("x86_64", "amd64"):
         pytest.skip("the CPU kernels named here are x86-64 ones")
     if not any(hasattr(lib, name) for lib in bundled_openblas() for name in _CORENAMES):
@@ -136,7 +129,7 @@ def test_the_goldens_hold_on_other_cpu_kernels_and_without_the_bundled_openblas(
     else:
         env |= {"OPENBLAS_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", _CHILD, variant, ",".join(_CORENAMES),
-                          *(str(tests / name) for name in _GOLDEN_TESTS[variant])],
+                          *(str(tests / name) for name, _ in _GOLDEN_TESTS[variant])],
                          capture_output=True, text=True, env=env, cwd=tests.parent)
     assert out.returncode == 0, out.stdout + out.stderr
     probe, *report = out.stdout.splitlines()
@@ -144,5 +137,6 @@ def test_the_goldens_hold_on_other_cpu_kernels_and_without_the_bundled_openblas(
     if variant == "prescott":
         assert probe["cores"] and _corename() not in probe["cores"]
     else:
-        assert probe == {"cores": [], "lapack_qr": False}
-    assert report[-1].startswith(f"{3 * len(_GOLDEN_TESTS[variant])} passed"), out.stdout
+        assert probe == {"cores": []}
+    n_cases = sum(count for _, count in _GOLDEN_TESTS[variant])
+    assert report[-1].startswith(f"{n_cases} passed"), out.stdout

@@ -17,7 +17,6 @@ from dpdlab import (
     pa_forward,
     preset,
 )
-from dpdlab import _blas
 from dpdlab.mpm import BasisMatrix, _dependent_columns, order_blocked_qr, rectified_amplitude
 from dpdlab.signal import PREDICT_BLOCK_ROWS, FramedSequence, delayed_matrix
 
@@ -265,7 +264,8 @@ def test_order_blocked_qr_checks_rows_against_targets_and_columns():
         order_blocked_qr(iter([taps[:5]]), spec, np.ones(5))
 
 
-@pytest.mark.parametrize("direct", [True, False], ids=["lapack", "np-linalg-qr"])
+# The id names the factor's one QR path, LAPACK's zgeqrf and zungqr.
+@pytest.mark.parametrize("qr", ["lapack"])
 @pytest.mark.parametrize("window, amp_offset", [
     (TapWindow(pre_taps=0), 0.0),
     (TapWindow(pre_taps=3), 0.0),
@@ -276,13 +276,9 @@ def test_order_blocked_qr_checks_rows_against_targets_and_columns():
     # Wider than LAPACK's 32-column block.
     (TapWindow(pre_taps=39), 0.0),
 ])
-def test_order_blocked_qr_equals_the_copying_factor_bit_for_bit(
-        monkeypatch, direct, window, amp_offset):
+def test_order_blocked_qr_equals_the_copying_factor_bit_for_bit(qr, window, amp_offset):
     # The in-place factor of fit_orders's uneven training segments equals the
-    # one that gathered build_basis blocks and ran np.linalg.qr, on LAPACK's
-    # routines and on the np.linalg.qr fallback alike.
-    if not direct:
-        monkeypatch.setattr(_blas, "lapack_qr", lambda: None)
+    # one that gathered build_basis blocks and ran np.linalg.qr.
     spec = MpmSpec(window=window, k_orders=8, amp_offset=amp_offset)
     chi = generate_waveform(17, 2000, 0.4).samples
     psi = pa_forward(preset("high"), chi).samples

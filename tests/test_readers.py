@@ -1,5 +1,7 @@
 """Readers of outside files raise FormatError and no other exception, whatever
-the bytes: run configs, IQ CSV and binary waveforms and model files."""
+the bytes: run configs, IQ CSV and binary waveforms and model files.  Every
+text reader skips a UTF-8 byte-order mark, and a model file's repeated or
+undeclared field fails naming its line."""
 
 import tempfile
 from pathlib import Path
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 
 from dpdlab import FormatError, TapWindow, deserialize_iq, read_iq_csv
 from dpdlab.agmpnn import AgmpnnModel
+from dpdlab.cli import _read_report
 from dpdlab.config import RunConfig, load_config, parse_config, render_config
-from dpdlab.ila import load_model
+from dpdlab.ila import REPORT_HEADER, load_model
 from dpdlab.mpm import MpmCoefficients, MpmSpec
 from dpdlab.rvftdnn import RvftdnnModel
 from dpdlab.signal import _IQ_HEADER, IQ_MAGIC
@@ -158,3 +161,41 @@ def test_load_model_raises_only_format_error(tmp_path, text):
         load_model(path)
     except FormatError:
         pass
+
+
+@pytest.mark.parametrize("edit, line, problem", [
+    (lambda text: text.replace("kind = mpm\n", "kind = mpm\nkind = mpm\n"), 4,
+     "repeated field 'kind', first on line 3"),
+    (lambda text: text + "\n[coeff]\n0 0 1 0\n", 17, "repeated field '[coeff]', first on line 9"),
+    (lambda text: text.replace("kind = mpm\n", "kind = mpm\nbogus = 7\n"), 4,
+     "unknown mpm model field 'bogus'"),
+    (lambda text: text + "\n[bogus]\n0 1\n", 17, "unknown mpm model field '[bogus]'"),
+], ids=["repeated-key", "repeated-section", "unknown-key", "unknown-section"])
+def test_model_file_refuses_repeated_and_undeclared_fields_naming_the_line(
+        tmp_path, edit, line, problem):
+    path = tmp_path / "fit.model"
+    path.write_text(edit(MODEL_TEXTS[0]), encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}:{line}: {problem}"
+
+
+# === every text format ===
+
+_BOM_READERS = {
+    "iq-csv": ("wave.csv", "re,im\n1.0,0.5\n-2,0\n", lambda p: read_iq_csv(p).samples.tolist()),
+    "config": ("run.cfg", "[pa]\ndrive_db = 3\n", load_config),
+    "model": ("fit.model", MODEL_TEXTS[0], lambda p: load_model(p).param_vector().tolist()),
+    "report": ("sweep.csv", f"{REPORT_HEADER}\nmpm,high,4,1,,8,8,1,-20.0,-19.0,-15.0\n",
+               _read_report),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_BOM_READERS))
+def test_every_text_reader_skips_a_utf8_byte_order_mark(tmp_path, reader):
+    name, text, read = _BOM_READERS[reader]
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read(marked) == read(plain)

@@ -293,6 +293,19 @@ def test_align_finds_the_same_lag_and_gain_where_the_squared_correlation_overflo
     assert abs(res.gain - expected) <= 1e-12 * abs(expected)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_align_finds_the_lag_and_gain_where_the_energies_leave_the_normal_range(scale):
+    # At 1e160 every energy overflows float64; at 1e-170 it falls below the
+    # normal range.  The search then runs on copies scaled by powers of two.
+    x = generate_waveform(5, 1024, 0.25).samples
+    shifted = np.concatenate([np.zeros(2), x[:-2]])
+    gain = 0.5 - 0.25j
+    assert align(x, gain * shifted, max_lag=8).delay == 2
+    res = align(scale * x, scale * gain * shifted, max_lag=8)
+    assert res.delay == 2
+    assert abs(res.gain - gain) <= 1e-12 * abs(gain)
+
+
 def test_align_rejects_degenerate_inputs():
     x = generate_waveform(7, 64, 0.5)
     with pytest.raises(ValueError):
@@ -438,6 +451,15 @@ def test_iq_csv_rejects_malformed(tmp_path):
         read_iq_csv(path)
     path.write_text("re,im\nhello,world\n")
     with pytest.raises(FormatError):
+        read_iq_csv(path)
+
+
+def test_iq_csv_header_may_follow_blank_lines(tmp_path):
+    path = tmp_path / "wave.csv"
+    path.write_text("\n  \nre,im\n1.0,2.0\n\n-0.5,0.25\n")
+    assert np.array_equal(read_iq_csv(path).samples, [1.0 + 2.0j, -0.5 + 0.25j])
+    path.write_text("\n1.0,2.0\nre,im\n")
+    with pytest.raises(FormatError, match=r":3: could not parse 're,im'$"):
         read_iq_csv(path)
 
 
