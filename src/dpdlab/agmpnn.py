@@ -184,18 +184,11 @@ class AgmpnnModel(modelfile.ParamModel):
     # forward
     # ------------------------------------------------------------------
 
-    def _coeff_tiles(self, n_rows: int) -> np.ndarray:
-        """expert_coeff as a read-only (K, M, n_rows, T) array, repeated down
-        n_rows rows, so that every coefficient product is a same-shape product
-        along the flattened rows and taps (a (T,) row broadcast down the rows
-        makes numpy loop over short rows).  Built once per model, for the most
-        rows asked of it so far."""
-        tiles = self.__dict__.get("_tiles")
-        if tiles is None or tiles.shape[2] < n_rows:
-            tiles = np.tile(np.moveaxis(self.expert_coeff, 2, 0)[:, :, None, :], (n_rows, 1))
-            tiles.flags.writeable = False
-            object.__setattr__(self, "_tiles", tiles)
-        return tiles[:, :, :n_rows]
+    def _tile_rows(self, rows: int) -> tuple:
+        """expert_coeff as a (K, M, rows, T) array, repeated down `rows` rows
+        (ParamModel._row_tiles), so that every coefficient product is a
+        same-shape product along the flattened rows and taps."""
+        return (np.tile(np.moveaxis(self.expert_coeff, 2, 0)[:, :, None, :], (rows, 1)),)
 
     def _forward_arrays(self, delayed: np.ndarray):
         """Expert-major forward pass over the rows of an (N, T) tap matrix.
@@ -208,7 +201,7 @@ class AgmpnnModel(modelfile.ParamModel):
         n = delayed.shape[0]
         rect = rectified_amplitude(delayed, self.amp_offsets[:, None, None])
         powers = list(even_powers(rect, self.k_orders - 1))
-        tiles = self._coeff_tiles(n)
+        tiles, = self._row_tiles(n)
         poly = _tile_sum(powers, tiles[1:], start=tiles[0]) if powers else tiles[0]
         expert_out = np.einsum("nt,mnt->mn", delayed, poly)
         scores = (np.matmul(rect, self.attn_scale[:, :, None])[:, :, 0]
@@ -231,24 +224,25 @@ class AgmpnnModel(modelfile.ParamModel):
     def with_param_vector(self, vec: np.ndarray) -> "AgmpnnModel":
         return self.PARAMS.with_param_vector(self, vec)
 
-    def loss_and_gradient(self, x, target) -> tuple[float, np.ndarray]:
-        """Mean |output - target|^2 over the scored rows
-        (TapWindow.scored_rows) and its exact gradient, written into one flat
-        vector in PARAMS order.
+    # Bound on the class itself, like with_param_vector, so that the
+    # benchmark's tracer (perfbench/tracer.py) finds it here.
+    loss_and_gradient = modelfile.ParamModel.loss_and_gradient
 
-        The forward pass runs on the scored rows only, keeping the rectified
-        amplitudes and their powers for the gradients.  Shared offsets
-        accumulate the expert-basis and attention paths; k = 0 basis terms
-        contribute nothing to the offset gradient.
+    def loss_rows(self, delayed: np.ndarray, phi: np.ndarray, grads: dict) -> float:
+        """The rows kernel (ParamModel): mean |output - target|^2 over the
+        rows of a tap matrix and its exact gradient, written into the views
+        `grads`.
+
+        The forward pass keeps the rectified amplitudes and their powers for
+        the gradients.  Shared offsets accumulate the expert-basis and
+        attention paths; k = 0 basis terms contribute nothing to the offset
+        gradient.
         """
-        delayed, phi = self.window.scored_rows(x, target)
         output, expert_out, weights, rect, powers = self._forward_arrays(delayed)
         err = output - phi
         count = err.size
         loss = float(np.mean(np.abs(err) ** 2))
         scale = 2.0 / count
-        grad = np.empty(self.n_params())
-        g = self.PARAMS.views(self, grad)
 
         # lambda: carrier sum_n err * conj(w * tap * rect^2k), one gemv per
         # expert and order; the k = 0 power is an exact 1.  weights is
@@ -260,12 +254,12 @@ class AgmpnnModel(modelfile.ParamModel):
         for power in powers:
             np.multiply(power, conj_delayed, out=carrier)
             sums.append(np.matmul(weighted_err, carrier))
-        np.multiply(scale, np.stack([s[:, 0] for s in sums], axis=-1), out=g["expert_coeff"])
+        np.multiply(scale, np.stack([s[:, 0] for s in sums], axis=-1), out=grads["expert_coeff"])
 
         # attention chain: d(output)/d(score_j) = w_j * (E_j - output)
         score_sens = np.real(np.conj(err) * (expert_out - output)) * weights
-        np.multiply(scale, np.matmul(score_sens[:, None, :], rect)[:, 0], out=g["attn_scale"])
-        g["attn_bias"][:] = scale * score_sens.sum(axis=1)[:, None]
+        np.multiply(scale, np.matmul(score_sens[:, None, :], rect)[:, 0], out=grads["attn_scale"])
+        grads["attn_bias"][:] = scale * score_sens.sum(axis=1)[:, None]
 
         # offset through the expert basis: sum_{k>=1} 2k coef rect^(2k-1), the
         # odd powers stepping by rect^2; where a rectifier is off every term is
@@ -277,13 +271,13 @@ class AgmpnnModel(modelfile.ParamModel):
             for k in range(2, self.k_orders):
                 odd_power = odd_power * powers[0]
                 odd_powers.append((2.0 * k) * odd_power)
-            db_poly = _tile_sum(odd_powers, self._coeff_tiles(count)[1:])
+            db_poly = _tile_sum(odd_powers, self._row_tiles(count)[0][1:])
             expert_path = np.einsum("nt,mnt->mn", delayed, db_poly)
             g_expert = np.real(np.conj(err) * weights * expert_path).sum(axis=1)
         active = np.greater(rect, 0.0, out=np.empty_like(rect))
         g_attn = (score_sens * np.matmul(active, self.attn_scale[:, :, None])[:, :, 0]).sum(axis=1)
-        np.multiply(scale, g_expert + g_attn, out=g["amp_offsets"])
-        return loss, grad
+        np.multiply(scale, g_expert + g_attn, out=grads["amp_offsets"])
+        return loss
 
     @classmethod
     def from_parsed(cls, path, parsed) -> "AgmpnnModel":

@@ -25,7 +25,7 @@ from .rules import RULES
 from .rvftdnn import RvftdnnModel
 from .signal import (ComplexSequence, TapWindow, deserialize_iq, generate_waveform, nmse_db,
                      read_iq_csv, read_text, serialize_iq, write_iq_csv)
-from .training import finite_diff_check
+from .training import FINITE_DIFF_MAX_PARAMS, finite_diff_check
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -213,8 +213,13 @@ def _cmd_gradcheck(args) -> int:
     window = TapWindow(pre_taps=args.taps - 1)
     if args.model == "agmpnn":
         model = AgmpnnModel.init(window, args.k_orders, args.n_experts, seed=args.seed)
+        flags = f"--taps {args.taps} --k {args.k_orders} --experts {args.n_experts}"
     else:
         model = RvftdnnModel.init(window, args.n1, args.n2, seed=args.seed)
+        flags = f"--taps {args.taps} --n1 {args.n1} --n2 {args.n2}"
+    if model.n_params() > FINITE_DIFF_MAX_PARAMS:
+        raise _UsageError(f"dpdlab gradcheck: {flags}: {model.n_params()} parameters; "
+                          f"the finite-difference check takes at most {FINITE_DIFF_MAX_PARAMS}")
     psi = generate_waveform(args.seed, args.n, 0.5)
     phi = generate_waveform(args.seed + 1, args.n, 0.5)
     worst = finite_diff_check(model, psi.samples, phi.samples)

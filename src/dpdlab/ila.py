@@ -152,7 +152,7 @@ def _fit_mpm_orders(psi, phi, window: TapWindow, orders,
     """mpm.fit_orders on the training segments of training.segment_pairs, as
     in the training loop, each fit paired with its validation NMSE."""
     train_pairs, val_pairs = segment_pairs(psi, phi, window, segment_len)
-    return [(coeffs, validation_nmse_db(coeffs, val_pairs, window))
+    return [(coeffs, validation_nmse_db(coeffs, val_pairs))
             for coeffs in fit_orders(train_pairs, window, orders, ridge)]
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .exceptions import FormatError
 from .rules import RULES, check_all
-from .signal import TapWindow, read_text
+from .signal import PREDICT_BLOCK_ROWS, TapWindow, read_text
 
 MODEL_FORMAT = "DPDMODEL1"
 SCHEMA_VERSION = 1
@@ -202,8 +202,8 @@ class ParamTable:
     def views(self, model, vec: np.ndarray) -> dict:
         """The arrays of a flat vector laid out like `model`'s parameters, as
         views of it in table order: the inverse of param_vector.  A family's
-        loss_and_gradient writes each gradient into these views of one vector,
-        and a caller that wants one gradient array per parameter reads them."""
+        rows kernel writes each gradient into these views of one vector, and
+        a caller that wants one gradient array per parameter reads them."""
         views = {}
         pos = 0
         for p in self.params:
@@ -289,9 +289,14 @@ class ParamModel:
     """The protocol every model family shares, read off its `PARAMS` table:
     validation on construction, the flat parameter vector, the trainable
     count, and the model file.  A subclass is a frozen dataclass that sets
-    `PARAMS` and defines `from_parsed(path, parsed)`; a trained family's
-    `loss_and_gradient` returns its gradient as one flat vector in the same
-    layout."""
+    `PARAMS` and defines `from_parsed(path, parsed)`.
+
+    A trained family also defines its rows kernel,
+    `loss_rows(rows, target_rows, grads) -> loss`: the mean |output - target|^2
+    over the rows of a tap matrix and their target samples, with its exact
+    gradient written into every entry of `grads`, the PARAMS.views of one flat
+    vector.  training.train calls the kernel directly; loss_and_gradient wraps
+    it for one (input, target) pair."""
 
     PARAMS: ParamTable
 
@@ -304,6 +309,34 @@ class ParamModel:
     def n_params(self) -> int:
         """Real trainable degrees of freedom (two per complex coefficient)."""
         return self.PARAMS.size(self)
+
+    def loss_and_gradient(self, x, target) -> tuple[float, np.ndarray]:
+        """The rows kernel on the rows a loss scores (TapWindow.scored_rows):
+        the mean |output - target|^2 and its gradient, one new flat vector in
+        PARAMS order."""
+        rows, target_rows = self.window.scored_rows(x, target)
+        grad = np.empty(self.n_params())
+        return self.loss_rows(rows, target_rows, self.PARAMS.views(self, grad)), grad
+
+    def _row_tiles(self, n_rows: int) -> tuple:
+        """The family's `_tile_rows(rows)` arrays, whose second-to-last axis
+        repeats per-row constants down `rows` rows, cut to their first
+        `n_rows` rows.  A same-shape add or product with a tile replaces a
+        broadcast one: numpy runs an (N, k) array op with a (k,) row as N
+        inner loops of k elements, and gives each element the same bits
+        either way.  Built once per model, for the most rows asked of it so
+        far and at least PREDICT_BLOCK_ROWS + 1 (predict's largest block), so
+        one build serves a training step's gradients and a validation
+        predict; with_param_vector's copy starts without them."""
+        built = self.__dict__.get("_tiles")
+        if built is None or built[0] < n_rows:
+            rows = max(n_rows, PREDICT_BLOCK_ROWS + 1)
+            tiles = self._tile_rows(rows)
+            for tile in tiles:
+                tile.flags.writeable = False
+            built = (rows, tiles)
+            object.__setattr__(self, "_tiles", built)
+        return tuple(tile[..., :n_rows, :] for tile in built[1])
 
     def save(self, path) -> None:
         self.PARAMS.save(self, path)

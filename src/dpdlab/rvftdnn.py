@@ -16,6 +16,12 @@ that the code does not show:
   or, through `out=`, one of its inputs; a product is the same either way
   round.  So `h += b`, `np.tanh(h, out=h)` and `d *= slope` are exact, and the
   slope keeps its form 1 - h*h ((1 - h) * (1 + h) rounds differently).
+- An (N, k) array plus a (k,) bias broadcast down its rows adds the same two
+  numbers at each element as the same-shape add of that bias repeated down N
+  rows, so both give the same bits.  numpy runs the broadcast add as N inner
+  loops of k elements, which at the search's widths costs more than the
+  layer's gemm; so each layer adds its bias from a row tile, built once per
+  model (ParamModel._row_tiles), and a parameter update builds one set.
 - np.matmul into an `out=` view of the flat gradient makes the gemm call it
   makes into a new array.
 - `d.sum(axis=0)` of an (N, k) C-contiguous array with k >= 2 adds the rows in
@@ -97,18 +103,23 @@ class RvftdnnModel(modelfile.ParamModel):
     # forward, loss and gradient, the flat parameter vector protocol
     # ------------------------------------------------------------------
 
+    def _tile_rows(self, rows: int) -> tuple:
+        """b1, b2 and b3 repeated down `rows` rows (ParamModel._row_tiles)."""
+        return tuple(np.tile(b, (rows, 1)) for b in (self.b1, self.b2, self.b3))
+
     def _forward(self, feats: np.ndarray):
         """(h1, h2, out) of the rows of a feature matrix, the interleaved re/im
         tap features (the tap matrix seen as float64, shape (N, 2T)); each
-        layer's bias and tanh are applied in place."""
+        layer's bias, from its row tile, and tanh are applied in place."""
+        b1, b2, b3 = self._row_tiles(feats.shape[0])
         h1 = feats @ self.w1
-        h1 += self.b1
+        h1 += b1
         np.tanh(h1, out=h1)
         h2 = h1 @ self.w2
-        h2 += self.b2
+        h2 += b2
         np.tanh(h2, out=h2)
         out = h2 @ self.w3
-        out += self.b3
+        out += b3
         return h1, h2, out
 
     def predict(self, x) -> ComplexSequence:
@@ -120,30 +131,31 @@ class RvftdnnModel(modelfile.ParamModel):
     def with_param_vector(self, vec: np.ndarray) -> "RvftdnnModel":
         return self.PARAMS.with_param_vector(self, vec)
 
-    def loss_and_gradient(self, x, target) -> tuple[float, np.ndarray]:
-        """Mean |output - target|^2 over the scored rows
-        (TapWindow.scored_rows) and its exact gradient, written layer by layer
-        into one flat vector in PARAMS order."""
-        delayed, phi = self.window.scored_rows(x, target)
+    # Bound on the class itself, like with_param_vector, so that the
+    # benchmark's tracer (perfbench/tracer.py) finds it here.
+    loss_and_gradient = modelfile.ParamModel.loss_and_gradient
+
+    def loss_rows(self, delayed: np.ndarray, phi: np.ndarray, grads: dict) -> float:
+        """The rows kernel (ParamModel): mean |output - target|^2 over the
+        rows of a tap matrix, its gradient written layer by layer into the
+        views `grads`."""
         feats = delayed.view(np.float64)
         h1, h2, err = self._forward(feats)
         err -= phi.view(np.float64).reshape(-1, 2)
         count = err.shape[0]
         loss = float((err[:, 0] ** 2 + err[:, 1] ** 2).sum()) / count
         d_out = np.multiply(err, 2.0 / count, out=err)
-        grad = np.empty(self.n_params())
-        g = self.PARAMS.views(self, grad)
-        np.matmul(h2.T, d_out, out=g["w3"])
-        _column_sums(d_out, g["b3"])
+        np.matmul(h2.T, d_out, out=grads["w3"])
+        _column_sums(d_out, grads["b3"])
         d_h2 = d_out @ self.w3.T
         d_h2 *= _tanh_slope(h2)
-        np.matmul(h1.T, d_h2, out=g["w2"])
-        _column_sums(d_h2, g["b2"])
+        np.matmul(h1.T, d_h2, out=grads["w2"])
+        _column_sums(d_h2, grads["b2"])
         d_h1 = d_h2 @ self.w2.T
         d_h1 *= _tanh_slope(h1)
-        np.matmul(feats.T, d_h1, out=g["w1"])
-        _column_sums(d_h1, g["b1"])
-        return loss, grad
+        np.matmul(feats.T, d_h1, out=grads["w1"])
+        _column_sums(d_h1, grads["b1"])
+        return loss
 
     @classmethod
     def from_parsed(cls, path, parsed) -> "RvftdnnModel":

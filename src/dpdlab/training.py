@@ -13,6 +13,7 @@ on validation.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,12 +137,12 @@ def segment_pairs(psi, phi, window: TapWindow, segment_len: int) -> tuple[list, 
     return pairs(train_ranges), pairs(val_ranges)
 
 
-def validation_nmse_db(model, pairs, window) -> float:
+def validation_nmse_db(model, pairs) -> float:
     """nmse_db of the model's output over the concatenated interiors
-    (TapWindow.interior) of the given segment pairs."""
+    (TapWindow.interior of the model's window) of the given segment pairs."""
     pred, ref = [], []
     for seg_psi, seg_phi in pairs:
-        rows = window.interior(len(seg_psi))
+        rows = model.window.interior(len(seg_psi))
         pred.append(model.predict(seg_psi).samples[rows])
         ref.append(seg_phi.samples[rows])
     return nmse_db(np.concatenate(pred), np.concatenate(ref))
@@ -155,24 +156,48 @@ def best_fit(fits):
                                       tuple(getattr(fit[0], s) for s in fit[0].PARAMS.sizes)))
 
 
+@contextmanager
+def _diverges_as(what: str):
+    """Run a training pass with NumPy raising on an overflow, an invalid
+    operation and a division by zero, where a pass on finite parameters first
+    leaves float64's range: TrainingDivergedError, "non-finite `what`"."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise TrainingDivergedError(f"non-finite {what}") from None
+
+
 def train(model, psi, phi, cfg: TrainConfig):
     """Fit `model` to map psi -> phi; returns (best model, TrainHistory).
 
-    The model must expose param_vector / with_param_vector / loss_and_gradient
-    / predict and a `window` attribute.  Fully deterministic for fixed
-    (model, data, cfg).
+    The model protocol: a `window` attribute, param_vector, with_param_vector,
+    predict, `PARAMS.views(model, vec)` (its parameter arrays as views of a
+    flat vector) and the rows kernel `loss_rows(rows, target_rows, grads) ->
+    loss` (modelfile.ParamModel), which writes the gradient of the mean loss
+    over the rows into `grads`.  Each call prepares, once, every training
+    segment's scored rows (TapWindow.scored_rows) and one flat gradient vector
+    with its views; every step hands them to the kernel.
+
+    A non-finite training loss or validation score, or any overflowing pass,
+    raises TrainingDivergedError naming the epoch.  Fully deterministic for
+    fixed (model, data, cfg).
     """
-    window = model.window
-    train_pairs, val_pairs = segment_pairs(psi, phi, window, cfg.segment_len)
+    train_pairs, val_pairs = segment_pairs(psi, phi, model.window, cfg.segment_len)
+    scored = [model.window.scored_rows(*pair) for pair in train_pairs]
 
     rng = np.random.default_rng(cfg.seed)
     params = model.param_vector()
+    grad = np.empty(params.size)
+    grads = model.PARAMS.views(model, grad)
     state = AdamState.zeros(params.size)
     work = model
 
     history = TrainHistory()
-    initial_loss = float(np.mean([work.loss_and_gradient(*pair)[0] for pair in train_pairs]))
-    best_val = validation_nmse_db(work, val_pairs, window)
+    with _diverges_as("training loss at epoch 0"):
+        initial_loss = float(np.mean([work.loss_rows(*rows, grads) for rows in scored]))
+    with _diverges_as("validation score at epoch 0"):
+        best_val = validation_nmse_db(work, val_pairs)
     history.epochs.append(0)
     history.train_loss.append(initial_loss)
     history.val_nmse_db.append(best_val)
@@ -181,25 +206,25 @@ def train(model, psi, phi, cfg: TrainConfig):
 
     stopped = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(len(train_pairs))
+        order = rng.permutation(len(scored))
         batch_losses = []
-        for start in range(0, order.size, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            grad_acc = np.zeros_like(params)
-            batch_loss = 0.0
-            for seg_i in batch:
-                seg_psi, seg_phi = train_pairs[seg_i]
-                loss, grad = work.loss_and_gradient(seg_psi, seg_phi)
-                grad_acc += grad
-                batch_loss += loss
-            grad_acc /= batch.size
-            batch_loss /= batch.size
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
-            state, params = adam_step(state, params, grad_acc, cfg)
-            work = work.with_param_vector(params)
-            batch_losses.append(batch_loss)
-        val = validation_nmse_db(work, val_pairs, window)
+        with _diverges_as(f"training loss at epoch {epoch}"):
+            for start in range(0, order.size, cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                grad_acc = np.zeros_like(params)
+                batch_loss = 0.0
+                for seg_i in batch:
+                    batch_loss += work.loss_rows(*scored[seg_i], grads)
+                    grad_acc += grad
+                grad_acc /= batch.size
+                batch_loss /= batch.size
+                if not np.isfinite(batch_loss):
+                    raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
+                state, params = adam_step(state, params, grad_acc, cfg)
+                work = work.with_param_vector(params)
+                batch_losses.append(batch_loss)
+        with _diverges_as(f"validation score at epoch {epoch}"):
+            val = validation_nmse_db(work, val_pairs)
         history.epochs.append(epoch)
         history.train_loss.append(float(np.mean(batch_losses)))
         history.val_nmse_db.append(val)
@@ -215,8 +240,10 @@ def train(model, psi, phi, cfg: TrainConfig):
     return work.with_param_vector(best_params), history
 
 
-# The central-difference step of finite_diff_check, on every parameter.
+# The central-difference step of finite_diff_check, on every parameter, and
+# the most parameters it checks.
 FINITE_DIFF_STEP = 1e-6
+FINITE_DIFF_MAX_PARAMS = 1000
 
 
 def finite_diff_check(model, psi, phi) -> float:
@@ -224,11 +251,12 @@ def finite_diff_check(model, psi, phi) -> float:
 
     The relative error divides by max(|analytic|, |numeric|, 1e-7).  A
     non-finite gradient entry, analytic or numeric, makes the result NaN, which
-    fails every threshold.  Limited to models with at most 1000 parameters.
+    fails every threshold.  Limited to models with at most
+    FINITE_DIFF_MAX_PARAMS parameters.
     """
     params = model.param_vector()
-    if params.size > 1000:
-        raise ValueError("finite-difference check is limited to 1000 parameters")
+    if params.size > FINITE_DIFF_MAX_PARAMS:
+        raise ValueError(f"finite-difference check is limited to {FINITE_DIFF_MAX_PARAMS} parameters")
     _, analytic = model.loss_and_gradient(psi, phi)
     numeric = np.empty(params.size)
     for i in range(params.size):

@@ -10,12 +10,14 @@ from dpdlab import (
     MpmSpec,
     RvftdnnModel,
     TapWindow,
+    TrainConfig,
     build_basis,
     count_params_actual,
     count_params_formula,
     generate_waveform,
     ls_fit,
     nmse_db,
+    train,
 )
 from dpdlab.agmpnn import WARM_START_SCORE_BIAS, attention_weights
 from dpdlab.signal import PREDICT_BLOCK_ROWS, as_samples, delayed_matrix
@@ -319,6 +321,24 @@ def test_kernels_match_per_expert_oracle_bitwise(pre, post):
             model = AgmpnnModel.init(TapWindow(pre_taps=pre, post_taps=post), k, m,
                                      seed=10 * k + m, calibration=x)
             _assert_matches_oracle(_perturbed(model, 100 * pre + 10 * k + m), x, y)
+
+
+# A parent's coefficient tiles cover 1025 rows after a 300-sample predict and
+# 4093 after a 4096-sample loss: fewer and more rows than the child's 2049
+# samples.
+@pytest.mark.parametrize("parent_samples", [300, 4096])
+def test_a_rebuilt_model_uses_its_own_coefficient_tiles(parent_samples):
+    parent = _rich_model(seed=4)
+    probe = generate_waveform(1, parent_samples, 0.5)
+    parent.predict(probe)
+    parent.loss_and_gradient(probe, probe)
+    child = _perturbed(parent, 5)
+    x = generate_waveform(3, 2 * PREDICT_BLOCK_ROWS + 1, 0.5)
+    y = x.samples * (1.0 - 0.2 * np.abs(x.samples) ** 2)
+    _assert_matches_oracle(child, x, y)
+    best, _ = train(child, x, y, TrainConfig(segment_len=512, max_epochs=3))
+    assert not np.array_equal(best.param_vector(), child.param_vector())
+    _assert_matches_oracle(best, x, y)
 
 
 def test_kernels_match_oracle_with_eight_experts():

@@ -350,6 +350,36 @@ def test_gradcheck_fails_on_a_non_finite_gradient(monkeypatch, capsys):
     assert "gradient check failed" in captured.err
 
 
+def test_gradcheck_over_the_parameter_limit_is_a_usage_error_naming_the_flags(capsys):
+    assert dispatch(["gradcheck", "--model", "rvftdnn", "--n1", "30", "--n2", "30",
+                     "--taps", "13"]) == 1
+    assert capsys.readouterr().err == (
+        "error: dpdlab gradcheck: --taps 13 --n1 30 --n2 30: 1802 parameters; "
+        "the finite-difference check takes at most 1000\n")
+    assert dispatch(["gradcheck", "--k", "9", "--experts", "9", "--taps", "13"]) == 1
+    assert "--taps 13 --k 9 --experts 9: 2349 parameters" in capsys.readouterr().err
+
+
+# Every runaway parameter is finite: agmpnn's first step breaks only its
+# validation predict.
+_DIVERGED_AT = {"agmpnn": "non-finite validation score at epoch 1",
+                "rvftdnn": "non-finite training loss at epoch 2"}
+
+
+@pytest.mark.parametrize("family", sorted(_DIVERGED_AT))
+def test_fit_that_diverges_names_the_epoch_and_nothing_else(tmp_path, capsys, family):
+    # A NumPy warning on the way would fail the test (filterwarnings = error).
+    x, y, cfg = (str(tmp_path / name) for name in ("x.iq", "y.iq", "run.cfg"))
+    assert dispatch(["gen-signal", "--seed", "1", "--n", "4096", "--out", x]) == 0
+    assert dispatch(["simulate-pa", "--in", x, "--out", y]) == 0
+    (tmp_path / "run.cfg").write_text("[train]\nlearning_rate = 1e200\n")
+    capsys.readouterr()
+    assert dispatch(["fit", "--model", family, "--in", y, "--target", x,
+                     "--out", str(tmp_path / "m.model"), "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {_DIVERGED_AT[family]}\n"
+    assert not (tmp_path / "m.model").exists()
+
+
 # === harness commands ===
 
 def _tiny_cfg(tmp_path, extra=""):

@@ -510,7 +510,7 @@ def test_order_search_fits_match_tall_least_squares_fits():
             tall = np.vstack([build_basis(seg_psi, spec).data[rows] for seg_psi, _ in train_pairs])
             expected = ls_fit(BasisMatrix(data=tall, spec=spec), target)
             np.testing.assert_allclose(coeffs.coeff, expected.coeff, rtol=1e-9, atol=0.0)
-            assert abs(val - validation_nmse_db(expected, val_pairs, window)) <= 1e-9
+            assert abs(val - validation_nmse_db(expected, val_pairs)) <= 1e-9
 
 
 def test_order_search_rejects_fewer_training_rows_than_top_order_columns():

@@ -192,6 +192,36 @@ def test_kernels_give_the_reference_bits(n1, n2, window):
                 assert _same_bits(grad, ref_grads[name]), (n, type(seq).__name__, name)
 
 
+def _assert_matches_reference(model, x, y):
+    """predict, the loss and every gradient array equal, bit for bit, the
+    reference kernels on the model's own parameters."""
+    assert _same_bits(model.predict(x).samples, _blocked_reference(model, x))
+    loss, flat = model.loss_and_gradient(x, y)
+    ref_loss, ref_grads = ref.rvftdnn_backward(model, x, y)
+    assert _same_bits(loss, ref_loss)
+    for name, grad in model.PARAMS.views(model, flat).items():
+        assert _same_bits(grad, ref_grads[name]), name
+
+
+# A parent's bias tiles cover 1025 rows after a 300-sample predict and 4093
+# after a 4096-sample loss: fewer and more rows than the child's 2049 samples.
+@pytest.mark.parametrize("parent_samples", [300, 4096])
+def test_a_rebuilt_model_uses_its_own_bias_tiles(parent_samples):
+    window = TapWindow(pre_taps=3)
+    parent = RvftdnnModel.init(window, 3, 4, seed=1)
+    probe = generate_waveform(1, parent_samples, 0.5)
+    parent.predict(probe)
+    parent.loss_and_gradient(probe, probe)
+    rng = np.random.default_rng(2)
+    child = parent.with_param_vector(parent.param_vector() + rng.standard_normal(parent.n_params()))
+    x = generate_waveform(3, 2 * PREDICT_BLOCK_ROWS + 1, 0.5).samples
+    y = x * (1.0 - 0.2 * np.abs(x) ** 2)
+    _assert_matches_reference(child, x, y)
+    best, _ = train(child, x, y, TrainConfig(segment_len=512, max_epochs=3))
+    assert not _same_bits(best.param_vector(), child.param_vector())
+    _assert_matches_reference(best, x, y)
+
+
 # === architecture search ===
 
 def test_search_singleton_grid_returns_that_pair():

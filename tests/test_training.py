@@ -23,6 +23,7 @@ from dpdlab import (
     train,
 )
 from dpdlab.signal import NMSE_FLOOR_DB, FramedSequence
+from dpdlab.modelfile import Param, ParamModel, ParamTable
 from dpdlab.mpm import MpmCoefficients, MpmSpec
 from dpdlab.training import (
     VAL_EVERY,
@@ -143,7 +144,7 @@ def test_validation_nmse_single_segment_equals_plain_nmse():
     y = 1.1 * x.samples
     from dpdlab import ComplexSequence
 
-    got = validation_nmse_db(_identity_model(), [(x, ComplexSequence(y))], TapWindow(pre_taps=0))
+    got = validation_nmse_db(_identity_model(), [(x, ComplexSequence(y))])
     assert abs(got - nmse_db(x.samples, y)) < 1e-12
 
 
@@ -153,7 +154,7 @@ def test_validation_nmse_pools_energy_across_segments():
     a = ComplexSequence(np.full(16, 1.0 + 0.0j))
     b = ComplexSequence(np.full(16, 10.0 + 0.0j))
     pairs = [(a, ComplexSequence(a.samples + 0.1)), (b, ComplexSequence(b.samples + 0.1))]
-    got = validation_nmse_db(_identity_model(), pairs, TapWindow(pre_taps=0))
+    got = validation_nmse_db(_identity_model(), pairs)
     num = 16 * 0.1 ** 2 * 2
     den = 16 * (1.1 ** 2 + 10.1 ** 2)
     assert abs(got - 10.0 * np.log10(num / den)) < 1e-12
@@ -164,8 +165,7 @@ def test_validation_nmse_stays_finite_for_outputs_far_above_their_targets():
     from dpdlab import ComplexSequence
 
     x = generate_waveform(1, 64, 0.5)
-    got = validation_nmse_db(_identity_model(), [(ComplexSequence(1e200 * x.samples), x)],
-                             TapWindow(pre_taps=0))
+    got = validation_nmse_db(_identity_model(), [(ComplexSequence(1e200 * x.samples), x)])
     assert abs(got - 4000.0) < 1e-9
 
 
@@ -176,8 +176,7 @@ def test_validation_nmse_skips_window_edges():
     from dpdlab import ComplexSequence
 
     model = _identity_model(taps=2)
-    got = validation_nmse_db(model, [(ComplexSequence(bad_edge), ComplexSequence(bad_edge))],
-                             TapWindow(pre_taps=1))
+    got = validation_nmse_db(model, [(ComplexSequence(bad_edge), ComplexSequence(bad_edge))])
     assert got == NMSE_FLOOR_DB
 
 
@@ -287,18 +286,17 @@ def test_rebuilt_agmpnn_predicts_what_a_freshly_built_one_does():
 # === rigged models for loop-control tests ===
 
 @dataclass(frozen=True)
-class _ScalarModel:
+class _ScalarModel(ParamModel):
     """y = a * x with a single real parameter; loss landscape is exact."""
 
     a: float
     grad_override: float = None
     window: TapWindow = TapWindow(pre_taps=0)
 
-    def param_vector(self):
-        return np.array([self.a])
+    PARAMS = ParamTable("scalar", sizes=(), params=(Param("a", "a", lambda d: ()),))
 
     def with_param_vector(self, vec):
-        return replace(self, a=float(vec[0]))
+        return self.PARAMS.with_param_vector(self, vec)
 
     def predict(self, x):
         from dpdlab import ComplexSequence
@@ -306,21 +304,15 @@ class _ScalarModel:
 
         return ComplexSequence(self.a * as_samples(x))
 
-    def loss_and_gradient(self, x, target, sample_range=None):
-        from dpdlab.signal import as_samples
-
-        xs = as_samples(x)
-        ts = as_samples(target)
-        if sample_range is not None:
-            xs = xs[sample_range]
-            ts = ts[sample_range]
-        resid = self.a * xs - ts
+    def loss_rows(self, rows, target_rows, grads):
+        xs = rows[:, 0]
+        resid = self.a * xs - target_rows
         loss = float(np.mean(np.abs(resid) ** 2))
         if self.grad_override is not None:
-            return self.grad_override * loss if np.isinf(self.grad_override) else loss, \
-                np.array([self.grad_override])
-        grad = 2.0 * float(np.mean((resid * np.conj(xs)).real))
-        return loss, np.array([grad])
+            grads["a"][...] = self.grad_override
+            return self.grad_override * loss if np.isinf(self.grad_override) else loss
+        grads["a"][...] = 2.0 * float(np.mean((resid * np.conj(xs)).real))
+        return loss
 
 
 def test_train_already_optimal_model_is_returned_unchanged():
@@ -382,7 +374,7 @@ def test_train_restores_the_best_epoch_parameters():
     _, val_ranges = split_segments(ranges)
     pairs = [(ComplexSequence(x.samples[a:b]), ComplexSequence(target[a:b]))
              for a, b in val_ranges]
-    rescored = validation_nmse_db(best, pairs, model.window)
+    rescored = validation_nmse_db(best, pairs)
     assert abs(rescored - history.best_val_nmse_db()) < 1e-12
 
 
@@ -430,6 +422,41 @@ def test_epoch_zero_train_loss_is_the_mean_loss_of_the_training_segments(family)
     train_pairs, _ = segment_pairs(x, target, window, cfg.segment_len)
     losses = [model.loss_and_gradient(psi, phi)[0] for psi, phi in train_pairs]
     assert history.train_loss[0] == float(np.mean(losses))
+
+
+@pytest.mark.parametrize("family", ["agmpnn", "rvftdnn"])
+def test_train_prepares_each_segment_once_and_tiles_each_model_once(monkeypatch, family):
+    # The hot path: a gradient step reuses its segment's scored rows, and one
+    # row-tile build serves a model's gradients and its validation predict.
+    x = generate_waveform(8, 4096, 0.25)
+    target = x.samples * (1.0 - 0.1 * np.abs(x.samples) ** 2)
+    window = TapWindow(pre_taps=2)
+    if family == "agmpnn":
+        model = AgmpnnModel.init(window, 2, 2, seed=4)
+    else:
+        model = RvftdnnModel.init(window, 3, 2, seed=4)
+    cfg = TrainConfig(segment_len=1024, batch_size=2, max_epochs=3)
+    scored, tiled = [], []
+    scored_rows = TapWindow.scored_rows
+    tile_rows = type(model)._tile_rows
+
+    def counting_scored_rows(self, x, target):
+        scored.append(x)
+        return scored_rows(self, x, target)
+
+    def counting_tile_rows(self, rows):
+        tiled.append(self)
+        return tile_rows(self, rows)
+
+    monkeypatch.setattr(TapWindow, "scored_rows", counting_scored_rows)
+    monkeypatch.setattr(type(model), "_tile_rows", counting_tile_rows)
+    _, history = train(model, x, target, cfg)
+    monkeypatch.undo()
+    assert history.stopped_epoch == cfg.max_epochs
+    train_pairs, _ = segment_pairs(x, target, window, cfg.segment_len)
+    assert len(scored) == len({id(seq) for seq in scored}) == len(train_pairs)
+    # 2 Adam steps per epoch, so the starting model and 6 stepped ones
+    assert len(tiled) == len({id(m) for m in tiled}) == 1 + 2 * cfg.max_epochs
 
 
 def test_history_csv_format():
