@@ -42,7 +42,7 @@ and OpenBLAS that the code does not show:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from . import modelfile
 from .mpm import MpmCoefficients, rectified_amplitude
 from .rules import check_all
 from .signal import ComplexSequence, TapWindow, as_samples, even_powers, predict_rows
+from .training import FitOutcome, train
 
 # Attention score bias applied to expert 1 when warm starting, large enough
 # that the initial model reproduces the warm-start predictor to well below
@@ -179,6 +180,28 @@ class AgmpnnModel(modelfile.ParamModel):
         return cls(window=window, k_orders=k_orders, n_experts=n_experts,
                    expert_coeff=coeff, amp_offsets=offsets,
                    attn_scale=attn_scale, attn_bias=attn_bias)
+
+    @classmethod
+    def fit(cls, psi, phi, spec, cfg, seed: int = 0) -> FitOutcome:
+        """Train from init, warm-started (spec.warm_start) by the MPM fit of
+        the spec, which never holds a search_grid."""
+        warm = MpmCoefficients.fit(psi, phi, spec, cfg) if spec.warm_start else FitOutcome(None, None)
+        model = cls.init(spec.window, spec.k_orders, spec.n_experts, warm_start=warm.model,
+                         seed=seed, calibration=psi, perturb=0.0)
+        trained, history = train(model, psi, phi, cfg)
+        return FitOutcome(model=trained, postinv_nmse_db=history.best_val_nmse_db(),
+                          warm_start_nmse_db=warm.postinv_nmse_db)
+
+    @classmethod
+    def tap_sweep_spec(cls, base, budget, **_):
+        return replace(base, k_orders=3, n_experts=3)
+
+    @classmethod
+    def complexity_specs(cls, base, **_) -> list:
+        return [replace(base, k_orders=k, n_experts=m) for k in range(1, 7) for m in range(1, 9)]
+
+    def params_formula(self) -> int:
+        return count_params_formula(self.window.n_taps, self.k_orders, self.n_experts)
 
     # ------------------------------------------------------------------
     # forward

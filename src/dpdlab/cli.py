@@ -16,13 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import ila
-from .agmpnn import AgmpnnModel
 from .config import RunConfig, load_config, render_config
 from .exceptions import DpdlabError, FormatError
 from .mpm import MpmSpec, build_basis, ls_fit
 from .pa_sim import PRESET_DRIVE_DB, pa_forward, preset
 from .rules import RULES
-from .rvftdnn import RvftdnnModel
 from .signal import (ComplexSequence, TapWindow, deserialize_iq, generate_waveform, nmse_db,
                      read_iq_csv, read_text, serialize_iq, write_iq_csv)
 from .training import FINITE_DIFF_MAX_PARAMS, finite_diff_check
@@ -57,6 +55,10 @@ def _flag(name: str):
 _FIT_MODEL_FLAGS = {"taps": "--taps", "post_taps": "--post-taps", "k_orders": "--k",
                     "n_experts": "--experts", "n1": "--n1", "n2": "--n2", "ridge": "--ridge",
                     "warm_start": "--cold-start"}
+_ALL_SIZES = dict.fromkeys(name for cls in ila.MODEL_CLASSES.values() for name in cls.PARAMS.sizes)
+# gradcheck's sizes where their flags are not given, and the families it checks.
+_GRADCHECK_SIZES = {"k_orders": 2, "n_experts": 2, "n1": 4, "n2": 3}
+_TRAINED = tuple(kind for kind, cls in ila.MODEL_CLASSES.items() if hasattr(cls, "loss_rows"))
 
 
 # ----------------------------------------------------------------------
@@ -120,10 +122,20 @@ def _cmd_simulate_pa(args) -> int:
     return 0
 
 
+def _family(args):
+    """The --model family's class; another family's size flag is a usage error."""
+    cls = ila.MODEL_CLASSES[args.model]
+    stray = [_FIT_MODEL_FLAGS[n] for n in _ALL_SIZES if hasattr(args, n) and n not in cls.PARAMS.sizes]
+    if stray:
+        raise _UsageError(f"dpdlab {args.command}: {' '.join(stray)}: not a size of {args.model}")
+    return cls
+
+
 def _fit_config(args) -> RunConfig:
     """The run config with `fit`'s model flags over its [model] values.  The
     file loaded cleanly, so a value every run would reject comes from the
     flags: a usage error naming them."""
+    _family(args)
     cfg = _load_run_config(args)
     given = {name: getattr(args, name) for name in _FIT_MODEL_FLAGS if hasattr(args, name)}
     try:
@@ -210,14 +222,11 @@ def _cmd_sweep_complexity(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    window = TapWindow(pre_taps=args.taps - 1)
-    if args.model == "agmpnn":
-        model = AgmpnnModel.init(window, args.k_orders, args.n_experts, seed=args.seed)
-        flags = f"--taps {args.taps} --k {args.k_orders} --experts {args.n_experts}"
-    else:
-        model = RvftdnnModel.init(window, args.n1, args.n2, seed=args.seed)
-        flags = f"--taps {args.taps} --n1 {args.n1} --n2 {args.n2}"
+    cls = _family(args)
+    sizes = {name: getattr(args, name, _GRADCHECK_SIZES[name]) for name in cls.PARAMS.sizes}
+    model = cls.init(TapWindow(pre_taps=args.taps - 1), **sizes, seed=args.seed)
     if model.n_params() > FINITE_DIFF_MAX_PARAMS:
+        flags = " ".join(f"{_FIT_MODEL_FLAGS[n]} {v}" for n, v in {"taps": args.taps, **sizes}.items())
         raise _UsageError(f"dpdlab gradcheck: {flags}: {model.n_params()} parameters; "
                           f"the finite-difference check takes at most {FINITE_DIFF_MAX_PARAMS}")
     psi = generate_waveform(args.seed, args.n, 0.5)
@@ -383,11 +392,11 @@ def build_parser() -> _Parser:
 
     p = add("gradcheck", _cmd_gradcheck,
             "compare analytic and finite-difference gradients on a seeded model")
-    p.add_argument("--model", choices=("agmpnn", "rvftdnn"), default="agmpnn")
-    for flag, name, default in (("--taps", "taps", 3), ("--k", "k_orders", 2),
-                                ("--experts", "n_experts", 2), ("--n1", "n1", 4),
-                                ("--n2", "n2", 3)):
-        p.add_argument(flag, dest=name, type=_flag(name), default=default)
+    p.add_argument("--model", choices=_TRAINED, default=_TRAINED[0])
+    p.add_argument("--taps", type=_flag("taps"), default=3)
+    for name, default in _GRADCHECK_SIZES.items():
+        p.add_argument(_FIT_MODEL_FLAGS[name], dest=name, type=_flag(name),
+                       default=argparse.SUPPRESS, help=f"(default: {default})")
     p.add_argument("--seed", type=_flag("seed"), default=0)
     p.add_argument("--n", type=_flag("n_samples"), default=256, help="check-waveform length")
     p.add_argument("--threshold", type=_flag("threshold"), default=GRADCHECK_THRESHOLD)

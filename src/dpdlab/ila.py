@@ -5,8 +5,9 @@ deployed unchanged as the predistorter ahead of the amplifier.  Reports carry
 the held-out postinverse NMSE from fitting, the end-to-end linearization NMSE
 against a gain-scaled fresh waveform, and the no-predistortion baseline.
 
-Sweeps emit CSV rows in a canonical order with fixed float formatting, so a
-repeated run is byte-identical.
+A family's fit, sweep candidates and nominal count are methods of its class
+(MODEL_CLASSES).  Sweeps emit CSV rows in a canonical order with fixed float
+formatting, so a repeated run is byte-identical.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from typing import Optional
 import numpy as np
 
 from . import modelfile
-from .agmpnn import AgmpnnModel, count_params_formula
+from .agmpnn import AgmpnnModel
 from .exceptions import FormatError
-from .mpm import MpmCoefficients, fit_orders
+from .mpm import MpmCoefficients
 from .pa_sim import PaConfig, pa_forward
 from .rules import check, check_all
-from .rvftdnn import DEFAULT_BUDGET, RvftdnnModel, architecture_search, rvftdnn_param_count
+from .rvftdnn import DEFAULT_BUDGET, RvftdnnModel
 from .signal import ComplexSequence, TapWindow, align, as_samples, generate_waveform, nmse_db
-from .training import TrainConfig, best_fit, segment_pairs, train, validation_nmse_db
+from .training import FitOutcome, TrainConfig
 
 MAX_ALIGN_LAG = 8
 EVAL_SEED_OFFSET = 1000
@@ -67,7 +68,7 @@ def check_budget(budget) -> None:
 
 @dataclass(frozen=True)
 class DpdModelSpec:
-    """Which model family to fit, and its hyperparameters."""
+    """Which model family to fit, and its hyperparameters, the family's sizes checked."""
 
     kind: str
     window: TapWindow
@@ -84,6 +85,7 @@ class DpdModelSpec:
 
     def __post_init__(self) -> None:
         check_families((self.kind,))
+        MODEL_CLASSES[self.kind].PARAMS.dims(self)
         if self.kind == "agmpnn" and self.search_grid is not None:
             raise ValueError("an agmpnn spec takes no search_grid: it fits its own "
                              "(k_orders, n_experts)")
@@ -124,17 +126,6 @@ class IlaReport:
         return self.postinv_nmse_db is not None
 
 
-@dataclass
-class FitOutcome:
-    """Result of fitting one postinverse on normalized data."""
-
-    model: object
-    postinv_nmse_db: float
-    warm_start_nmse_db: Optional[float] = None
-    gain: complex = 1.0 + 0j
-    delay: int = 0
-
-
 def _advance(samples: np.ndarray, delay: int) -> np.ndarray:
     """out[n] = samples[n + delay], zero-filled where out of range."""
     if delay == 0:
@@ -147,43 +138,9 @@ def _advance(samples: np.ndarray, delay: int) -> np.ndarray:
     return out
 
 
-def _fit_mpm_orders(psi, phi, window: TapWindow, orders,
-                    segment_len: int, ridge) -> list[tuple[MpmCoefficients, float]]:
-    """mpm.fit_orders on the training segments of training.segment_pairs, as
-    in the training loop, each fit paired with its validation NMSE."""
-    train_pairs, val_pairs = segment_pairs(psi, phi, window, segment_len)
-    return [(coeffs, validation_nmse_db(coeffs, val_pairs))
-            for coeffs in fit_orders(train_pairs, window, orders, ridge)]
-
-
 def fit_model_on_data(psi, phi, spec: DpdModelSpec, cfg: TrainConfig, seed: int = 0) -> FitOutcome:
-    """Fit one postinverse family on an already-normalized (psi, phi) pair."""
-    if spec.kind == "mpm":
-        orders = (spec.k_orders,) if spec.search_grid is None else spec.search_grid
-        if not orders:
-            raise ValueError("the mpm search grid holds no order count")
-        return FitOutcome(*best_fit(_fit_mpm_orders(psi, phi, spec.window, orders,
-                                                    cfg.segment_len, spec.ridge)))
-
-    if spec.kind == "agmpnn":
-        warm, warm_val = None, None
-        if spec.warm_start:
-            [(warm, warm_val)] = _fit_mpm_orders(psi, phi, spec.window, (spec.k_orders,),
-                                                 cfg.segment_len, spec.ridge)
-        model = AgmpnnModel.init(spec.window, spec.k_orders, spec.n_experts, warm_start=warm,
-                                 seed=seed, calibration=psi, perturb=0.0)
-        trained, history = train(model, psi, phi, cfg)
-        return FitOutcome(model=trained, postinv_nmse_db=history.best_val_nmse_db(),
-                          warm_start_nmse_db=warm_val)
-
-    # rvftdnn
-    if spec.search_grid is not None:
-        return FitOutcome(*architecture_search(spec.window, psi, phi, cfg, spec.search_grid,
-                                               budget_lo=spec.budget[0],
-                                               budget_hi=spec.budget[1], seed=seed))
-    model = RvftdnnModel.init(spec.window, spec.n1, spec.n2, seed=seed)
-    trained, history = train(model, psi, phi, cfg)
-    return FitOutcome(model=trained, postinv_nmse_db=history.best_val_nmse_db())
+    """The spec's family's fit, its search inside, on a normalized (psi, phi) pair."""
+    return MODEL_CLASSES[spec.kind].fit(psi, phi, spec, cfg, seed)
 
 
 @dataclass(frozen=True)
@@ -273,15 +230,11 @@ def run_ila_cell(pa: PaConfig, preset_label: str, spec: DpdModelSpec, drive: Ila
     outcome = fit_predistorter(pa, drive, spec, cfg or TrainConfig(), n_iterations)
     model = outcome.model
     lin, _ = linearization_nmse_db(pa, model, drive.chi_eval)
-    kind = model.PARAMS.kind
     dims = model.PARAMS.dims(model)
-    actual = model.PARAMS.count(dims)
-    formula = (count_params_formula(dims["n_taps"], dims["k_orders"], dims["n_experts"])
-               if kind == "agmpnn" else actual)
     return IlaReport(
-        family=kind, preset=preset_label, taps=dims["n_taps"], seed=drive.seed,
+        family=model.PARAMS.kind, preset=preset_label, taps=dims["n_taps"], seed=drive.seed,
         k_orders=dims.get("k_orders"), m_experts=dims.get("n_experts"),
-        params_formula=formula, params_actual=actual,
+        params_formula=model.params_formula(), params_actual=model.n_params(),
         postinv_nmse_db=outcome.postinv_nmse_db, lin_nmse_db=lin,
         no_dpd_nmse_db=drive.no_dpd_nmse_db, eval_seed=drive.seed + EVAL_SEED_OFFSET,
         gain=outcome.gain, warm_start_nmse_db=outcome.warm_start_nmse_db,
@@ -309,7 +262,6 @@ def _sweep(cells, seeds, n_samples: int, bandwidth_fraction: float,
     """One report row per (family, taps, preset, pa, spec) cell and seed, in
     that order; a cell without a spec gets blank (infeasible) rows.  Cells of
     one (preset, seed) share its drive stage, computed once per call."""
-    check_families(family for family, *_ in cells)
     for seed in seeds:
         check("seeds", seed)
     drives = {}
@@ -325,61 +277,33 @@ def _sweep(cells, seeds, n_samples: int, bandwidth_fraction: float,
     return rows
 
 
-def _tap_sweep_spec(family: str, window: TapWindow, budget, nn_grid,
-                    mpm_k_grid) -> DpdModelSpec | None:
-    """A tap-sweep cell's spec: MPM searched over its orders under the budget's
-    upper bound, RVFTDNN over its widths within the budget, AGMPNN at
-    (K=3, M=3); None when the search has no candidate."""
-    if family == "agmpnn":
-        return DpdModelSpec(kind="agmpnn", window=window, k_orders=3, n_experts=3)
-    if family == "mpm":
-        grid = tuple(k for k in mpm_k_grid
-                     if DpdModelSpec(kind="mpm", window=window, k_orders=k).n_params() <= budget[1])
-    else:
-        grid = tuple((a, b) for a in nn_grid for b in nn_grid
-                     if budget[0] <= rvftdnn_param_count(window.n_taps, a, b) <= budget[1])
-    if not grid:
-        return None
-    return DpdModelSpec(kind=family, window=window, search_grid=grid, budget=budget)
-
-
 def sweep_taps(pa: PaConfig, preset_label: str, taps_list=DEFAULT_TAPS_LIST,
                seeds=DEFAULT_SEEDS, families=FAMILIES, budget=DEFAULT_BUDGET,
                n_samples: int = DEFAULT_N_SAMPLES,
                bandwidth_fraction: float = DEFAULT_BANDWIDTH_FRACTION,
                cfg: TrainConfig | None = None, nn_grid=DEFAULT_NN_GRID,
                mpm_k_grid=DEFAULT_MPM_K_GRID) -> list[IlaReport]:
-    """Tap-count sweep: AGMPNN fixed at (K=3, M=3), RVFTDNN architecture-searched
-    within the budget, MPM at its best order within budget.  A family with no
+    """Tap-count sweep, each cell's spec its family's tap_sweep_spec: AGMPNN at
+    (K=3, M=3), RVFTDNN and MPM searched within the budget.  A family with no
     configuration inside the budget gets a blank (infeasible) row."""
+    check_families(families)
     check_budget(budget)
     for taps in taps_list:
         check("taps_list", taps)
-    cells = [(family, taps, preset_label, pa,
-              _tap_sweep_spec(family, TapWindow(pre_taps=taps - 1), budget, nn_grid, mpm_k_grid))
+    cells = [(family, taps, preset_label, pa, MODEL_CLASSES[family].tap_sweep_spec(
+                 DpdModelSpec(kind=family, window=TapWindow(pre_taps=taps - 1)), budget,
+                 nn_grid=nn_grid, mpm_k_grid=mpm_k_grid))
              for family in families for taps in taps_list]
     return _sweep(cells, seeds, n_samples, bandwidth_fraction, cfg)
 
 
-def _candidate_specs(family: str, window: TapWindow, mpm_k_grid) -> list[DpdModelSpec]:
-    """The complexity sweep's configurations of one family, in lexicographic
-    hyperparameter order."""
-    if family == "mpm":
-        return [DpdModelSpec(kind="mpm", window=window, k_orders=k) for k in sorted(mpm_k_grid)]
-    if family == "agmpnn":
-        return [DpdModelSpec(kind="agmpnn", window=window, k_orders=k, n_experts=m)
-                for k in range(1, 7) for m in range(1, 9)]
-    return [DpdModelSpec(kind="rvftdnn", window=window, n1=n1, n2=n2)
-            for n1 in range(2, 25) for n2 in range(2, 25)]
-
-
 def _closest_spec(family: str, window: TapWindow, target: int, mpm_k_grid) -> DpdModelSpec | None:
-    """The family's configuration closest to the parameter target, or None when
-    it lands further than TARGET_TOLERANCE from it.  Ties go to the smaller
-    count, then to the first configuration in hyperparameter order."""
-    spec = min(_candidate_specs(family, window, mpm_k_grid),
-               key=lambda s: (abs(s.n_params() - target), s.n_params()))
-    return spec if abs(spec.n_params() - target) <= TARGET_TOLERANCE * target else None
+    """The family's complexity_specs entry closest to the parameter target, None
+    if none is within TARGET_TOLERANCE; ties go to fewer parameters, then first."""
+    base = DpdModelSpec(kind=family, window=window)
+    near = [s for s in MODEL_CLASSES[family].complexity_specs(base, mpm_k_grid=mpm_k_grid)
+            if abs(s.n_params() - target) <= TARGET_TOLERANCE * target]
+    return min(near, key=lambda s: (abs(s.n_params() - target), s.n_params()), default=None)
 
 
 def sweep_complexity(pa_by_preset: dict, taps: int = DEFAULT_COMPLEXITY_TAPS,

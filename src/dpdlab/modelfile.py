@@ -10,8 +10,8 @@ Every model family declares its parameter arrays once, as a ParamTable.  The
 table drives shape and finiteness validation, the layout of the optimizer's
 flat parameter vector and of the flat gradient a family's loss writes, and
 saving and loading the model file.  Each family subclasses ParamModel, which
-reads that protocol off its table, and writes only its own math and its
-constructor from a parsed file.
+reads that protocol off its table, and writes its own math, its constructor
+from a parsed file and its decisions: its fit and its sweep candidates.
 """
 
 from __future__ import annotations
@@ -289,7 +289,10 @@ class ParamModel:
     """The protocol every model family shares, read off its `PARAMS` table:
     validation on construction, the flat parameter vector, the trainable
     count, and the model file.  A subclass is a frozen dataclass that sets
-    `PARAMS` and defines `from_parsed(path, parsed)`.
+    `PARAMS` and defines `from_parsed(path, parsed)` and what `ila` calls:
+    `fit(psi, phi, spec, cfg, seed) -> FitOutcome`, its search inside, and
+    the specs of `tap_sweep_spec(base, budget, **grids)` and
+    `complexity_specs(base, **grids)`, each a base ila.DpdModelSpec replaced.
 
     A trained family also defines its rows kernel,
     `loss_rows(rows, target_rows, grads) -> loss`: the mean |output - target|^2
@@ -309,6 +312,10 @@ class ParamModel:
     def n_params(self) -> int:
         """Real trainable degrees of freedom (two per complex coefficient)."""
         return self.PARAMS.size(self)
+
+    def params_formula(self) -> int:
+        """The parameter count sweeps report; a family may override it."""
+        return self.n_params()
 
     def loss_and_gradient(self, x, target) -> tuple[float, np.ndarray]:
         """The rows kernel on the rows a loss scores (TapWindow.scored_rows):

@@ -10,7 +10,7 @@ the one even-power chain of the PA, the MPM basis and the agmpnn experts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -20,6 +20,7 @@ from .exceptions import ConditioningError
 from .rules import check, check_all
 from .signal import (ComplexSequence, TapWindow, as_samples, delayed_matrix, even_powers,
                      predict_rows)
+from .training import FitOutcome, best_fit, segment_pairs, validation_nmse_db
 
 # Default ridge, relative to the mean diagonal of the normal matrix.
 RIDGE_DEFAULT_REL = 1e-10
@@ -253,34 +254,6 @@ def _lapack_with_workspace(routine, n: int, *args) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} returned INFO = {info}")
 
 
-def fit_orders(pairs, window: TapWindow, orders,
-               ridge: float | None = None) -> list["MpmCoefficients"]:
-    """ls_fit at each order count in `orders`, on the interiors
-    (TapWindow.interior) of the (input, target) segment pairs.
-
-    The basis is built once, at the largest order: order_blocked_qr takes each
-    segment's interior tap rows (TapWindow.scored_rows, a FramedSequence's
-    held matrix uncopied) and builds it into its factor.  Order K's system is
-    the factor's leading T·K block, its columns put back in (l, k) order: bit
-    for bit the system of a fit at order K alone.  With ridge 0 that block is
-    held to the rank rule of the tall basis it stands for, so the search
-    refuses what ls_fit refuses.
-    """
-    top = MpmSpec(window=window, k_orders=max(orders))
-    scored = [window.scored_rows(psi, phi) for psi, phi in pairs]
-    target = np.concatenate([phi for _, phi in scored])
-    r, qh_target = order_blocked_qr([rows for rows, _ in scored], top, target)
-    fits = []
-    for k in orders:
-        cols = window.n_taps * k
-        tap_major = np.arange(cols).reshape(k, window.n_taps).T.reshape(-1)
-        system = BasisMatrix(data=r[:cols, tap_major], spec=MpmSpec(window=window, k_orders=k))
-        if ridge == 0:
-            _require_full_rank(system, target.size)
-        fits.append(ls_fit(system, qh_target[:cols], ridge=ridge))
-    return fits
-
-
 @dataclass(frozen=True)
 class MpmCoefficients(modelfile.ParamModel):
     """Fitted coefficients, shaped (taps, orders) to mirror the basis layout."""
@@ -312,6 +285,49 @@ class MpmCoefficients(modelfile.ParamModel):
         basis, so the blocking changes no output bit."""
         coeff = self.coeff.reshape(-1)
         return predict_rows(x, self.window, lambda rows: basis_rows(rows, self.spec) @ coeff)
+
+    @classmethod
+    def fit(cls, psi, phi, spec, cfg, seed: int = 0) -> FitOutcome:
+        """best_fit's pick of fit_orders at spec.k_orders or over spec.search_grid."""
+        orders = (spec.k_orders,) if spec.search_grid is None else spec.search_grid
+        if not orders:
+            raise ValueError("the mpm search grid holds no order count")
+        return FitOutcome(*best_fit(cls.fit_orders(psi, phi, spec.window, orders,
+                                                   cfg.segment_len, spec.ridge)))
+
+    @staticmethod
+    def fit_orders(psi, phi, window: TapWindow, orders, segment_len: int, ridge=None) -> list:
+        """ls_fit at each order count in `orders` on the interiors of the
+        training segments (training.segment_pairs), each with its validation
+        NMSE.  order_blocked_qr builds the basis at the largest order from each
+        segment's scored tap rows (TapWindow.scored_rows) into its factor once.
+        Order K's system is its leading T·K block in (l, k) column order, bit
+        for bit a fit at order K alone; with ridge 0 it is held to the rank
+        rule of the tall basis, so the search refuses what ls_fit refuses."""
+        train_pairs, val_pairs = segment_pairs(psi, phi, window, segment_len)
+        top = MpmSpec(window=window, k_orders=max(orders))
+        scored = [window.scored_rows(*pair) for pair in train_pairs]
+        target = np.concatenate([rows_phi for _, rows_phi in scored])
+        r, qh_target = order_blocked_qr([rows for rows, _ in scored], top, target)
+        fits = []
+        for k in orders:
+            cols = window.n_taps * k
+            tap_major = np.arange(cols).reshape(k, window.n_taps).T.reshape(-1)
+            system = BasisMatrix(data=r[:cols, tap_major], spec=MpmSpec(window=window, k_orders=k))
+            if ridge == 0:
+                _require_full_rank(system, target.size)
+            fits.append(ls_fit(system, qh_target[:cols], ridge=ridge))
+        return [(coeffs, validation_nmse_db(coeffs, val_pairs)) for coeffs in fits]
+
+    @classmethod
+    def tap_sweep_spec(cls, base, budget, *, mpm_k_grid, **_):
+        """A search over mpm_k_grid's orders within the budget's top; None if none is."""
+        grid = tuple(k for k in mpm_k_grid if replace(base, k_orders=k).n_params() <= budget[1])
+        return replace(base, search_grid=grid, budget=budget) if grid else None
+
+    @classmethod
+    def complexity_specs(cls, base, *, mpm_k_grid, **_) -> list:
+        return [replace(base, k_orders=k) for k in sorted(mpm_k_grid)]
 
     @classmethod
     def from_parsed(cls, path, parsed) -> "MpmCoefficients":

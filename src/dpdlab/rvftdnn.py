@@ -39,14 +39,14 @@ to 16390 rows) only the 10 at 13 taps, n1 = 3 and 16390 rows moved a bit.  A
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import modelfile
 from .rules import check_all
 from .signal import ComplexSequence, TapWindow, predict_rows
-from .training import best_fit, train
+from .training import FitOutcome, best_fit, train
 
 # Default trainable-parameter budget (low, high) of an architecture search.
 DEFAULT_BUDGET = (100, 600)
@@ -98,6 +98,26 @@ class RvftdnnModel(modelfile.ParamModel):
             w3=rng.standard_normal((n2, 2)) / np.sqrt(n2),
             b3=np.zeros(2),
         )
+
+    @classmethod
+    def fit(cls, psi, phi, spec, cfg, seed: int = 0) -> FitOutcome:
+        """Train (n1, n2) from init, or architecture_search spec.search_grid."""
+        if spec.search_grid is not None:
+            return FitOutcome(*architecture_search(spec.window, psi, phi, cfg, spec.search_grid,
+                                                   *spec.budget, seed=seed))
+        trained, history = train(cls.init(spec.window, spec.n1, spec.n2, seed=seed), psi, phi, cfg)
+        return FitOutcome(model=trained, postinv_nmse_db=history.best_val_nmse_db())
+
+    @classmethod
+    def tap_sweep_spec(cls, base, budget, *, nn_grid, **_):
+        """A search over nn_grid's (n1, n2) pairs within the budget; None if none is."""
+        grid = tuple((a, b) for a in nn_grid for b in nn_grid
+                     if budget[0] <= replace(base, n1=a, n2=b).n_params() <= budget[1])
+        return replace(base, search_grid=grid, budget=budget) if grid else None
+
+    @classmethod
+    def complexity_specs(cls, base, **_) -> list:
+        return [replace(base, n1=a, n2=b) for a in range(2, 25) for b in range(2, 25)]
 
     # ------------------------------------------------------------------
     # forward, loss and gradient, the flat parameter vector protocol

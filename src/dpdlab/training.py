@@ -148,6 +148,17 @@ def validation_nmse_db(model, pairs) -> float:
     return nmse_db(np.concatenate(pred), np.concatenate(ref))
 
 
+@dataclass
+class FitOutcome:
+    """Result of fitting one postinverse on normalized data."""
+
+    model: object
+    postinv_nmse_db: float
+    warm_start_nmse_db: float | None = None
+    gain: complex = 1.0 + 0j
+    delay: int = 0
+
+
 def best_fit(fits):
     """The model-selection rule of every candidate search: the (model,
     val_nmse_db) pair of best validation; ties go to fewer parameters, then to

@@ -360,6 +360,20 @@ def test_gradcheck_over_the_parameter_limit_is_a_usage_error_naming_the_flags(ca
     assert "--taps 13 --k 9 --experts 9: 2349 parameters" in capsys.readouterr().err
 
 
+def test_a_size_flag_of_another_family_is_a_usage_error_naming_it(tmp_path, capsys):
+    wave = str(tmp_path / "w.iq")
+    for argv, message in (
+            (["fit", "--model", "mpm", "--n1", "8", "--experts", "5", "--k", "2", "--in", wave,
+              "--target", wave, "--out", wave], "dpdlab fit: --experts --n1: not a size of mpm"),
+            (["fit", "--model", "rvftdnn", "--k", "3", "--n2", "4", "--in", wave,
+              "--target", wave, "--out", wave], "dpdlab fit: --k: not a size of rvftdnn"),
+            (["gradcheck", "--model", "rvftdnn", "--k", "9"],
+             "dpdlab gradcheck: --k: not a size of rvftdnn"),
+            (["gradcheck", "--n2", "3"], "dpdlab gradcheck: --n2: not a size of agmpnn")):
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # Every runaway parameter is finite: agmpnn's first step breaks only its
 # validation predict.
 _DIVERGED_AT = {"agmpnn": "non-finite validation score at epoch 1",

@@ -33,15 +33,14 @@ from dpdlab.ila import (
     EVAL_SEED_OFFSET,
     FAMILIES,
     MAX_ALIGN_LAG,
+    MODEL_CLASSES,
     REPORT_COLUMNS,
     REPORT_HEADER,
     TARGET_TOLERANCE,
     DpdModelSpec,
     IlaReport,
     _advance,
-    _candidate_specs,
     _closest_spec,
-    _fit_mpm_orders,
     drive_ila,
     fit_model_on_data,
     fit_predistorter,
@@ -465,7 +464,7 @@ def test_order_search_fits_equal_single_order_fits():
     psi = pa_forward(preset("high"), chi, noise_seed=3)
     window = TapWindow(pre_taps=3, post_taps=1)
     orders = (1, 2, 3, 4)
-    fits = _fit_mpm_orders(psi.samples, chi.samples, window, orders, 512, None)
+    fits = MpmCoefficients.fit_orders(psi.samples, chi.samples, window, orders, 512, None)
     for k, (coeffs, val) in zip(orders, fits):
         spec = DpdModelSpec(kind="mpm", window=window, k_orders=k)
         single = fit_model_on_data(psi, chi, spec, TrainConfig(segment_len=512))
@@ -479,12 +478,22 @@ def test_mpm_search_keeps_the_best_validation_then_fewer_parameters_then_lower_o
     psi = pa_forward(preset("high"), chi, noise_seed=3)
     window = TapWindow(pre_taps=3, post_taps=1)
     orders = (4, 2, 3, 1)
-    fits = _fit_mpm_orders(psi.samples, chi.samples, window, orders, 512, None)
+    fits = MpmCoefficients.fit_orders(psi.samples, chi.samples, window, orders, 512, None)
     expected, val = min(fits, key=lambda fit: (fit[1], fit[0].n_params(), fit[0].k_orders))
     spec = DpdModelSpec(kind="mpm", window=window, search_grid=orders)
     outcome = fit_model_on_data(psi, chi, spec, TrainConfig(segment_len=512))
     assert outcome.postinv_nmse_db == val
     assert np.array_equal(outcome.model.coeff, expected.coeff)
+
+
+def test_a_spec_checks_its_own_familys_sizes_when_built():
+    window = TapWindow(pre_taps=2)
+    with pytest.raises(ValueError, match="^n1 must be at least 1, got 0$"):
+        DpdModelSpec(kind="rvftdnn", window=window, n1=0)
+    with pytest.raises(ValueError, match="^k_orders must be at least 1, got 0$"):
+        DpdModelSpec(kind="mpm", window=window, k_orders=0)
+    # Another family's size is not checked: an mpm spec has no experts.
+    assert DpdModelSpec(kind="mpm", window=window, n_experts=0).n_params() == 18
 
 
 def test_agmpnn_spec_rejects_a_search_grid():
@@ -502,7 +511,7 @@ def test_order_search_fits_match_tall_least_squares_fits():
     rows = window.interior(segment_len)
     for seed in (1, 2, 3):
         first = drive_ila(preset("high"), seed, 4096).first_pass
-        fits = _fit_mpm_orders(first.psi_norm, first.phi, window, orders, segment_len, None)
+        fits = MpmCoefficients.fit_orders(first.psi_norm, first.phi, window, orders, segment_len, None)
         train_pairs, val_pairs = segment_pairs(first.psi_norm, first.phi, window, segment_len)
         target = np.concatenate([seg_phi.samples[rows] for _, seg_phi in train_pairs])
         for k, (coeffs, val) in zip(orders, fits):
@@ -518,7 +527,7 @@ def test_order_search_rejects_fewer_training_rows_than_top_order_columns():
     # rows each, too few for 10 taps at order 5.
     x = generate_waveform(3, 100, 0.25).samples
     with pytest.raises(ValueError, match=r"^need at least 50 rows to fit 50 columns, have 44$"):
-        _fit_mpm_orders(x, x, TapWindow(pre_taps=9), (1, 5), 20, None)
+        MpmCoefficients.fit_orders(x, x, TapWindow(pre_taps=9), (1, 5), 20, None)
 
 
 def test_order_search_without_ridge_names_the_dependent_columns():
@@ -547,7 +556,7 @@ def test_order_search_without_ridge_refuses_what_the_tall_fit_refuses():
     with pytest.raises(ConditioningError) as tall_err:
         ls_fit(BasisMatrix(data=tall, spec=spec), target, ridge=0.0)
     with pytest.raises(ConditioningError) as search_err:
-        _fit_mpm_orders(x, x, window, (3,), segment_len, 0.0)
+        MpmCoefficients.fit_orders(x, x, window, (3,), segment_len, 0.0)
     assert str(search_err.value) == str(tall_err.value)
     assert str(search_err.value).endswith("dependent columns: (l=0, k=1)")
 
@@ -558,7 +567,7 @@ def test_train_and_order_search_reject_a_too_short_segment_alike():
     with pytest.raises(ValueError) as trained:
         train(AgmpnnModel.init(window, 1, 1), x, x, TrainConfig(segment_len=7))
     with pytest.raises(ValueError) as searched:
-        _fit_mpm_orders(x, x, window, (1, 2), 7, None)
+        MpmCoefficients.fit_orders(x, x, window, (1, 2), 7, None)
     assert str(trained.value) == str(searched.value)
     assert str(searched.value).startswith("7 samples are too few for a 8-tap window")
 
@@ -696,11 +705,21 @@ _BUILDERS = {
                          + [TapWindow(pre_taps=4, post_taps=2)], ids=repr)
 def test_every_candidate_count_equals_the_oracle_and_the_flat_vector(window):
     for family in FAMILIES:
-        for spec in _candidate_specs(family, window, DEFAULT_MPM_K_GRID):
+        base = DpdModelSpec(kind=family, window=window)
+        for spec in MODEL_CLASSES[family].complexity_specs(base, mpm_k_grid=DEFAULT_MPM_K_GRID):
             count = spec.n_params()
             assert count == _ORACLES[family](window.n_taps, spec), spec
             model = _BUILDERS[family](spec)
             assert count == model.n_params() == model.PARAMS.param_vector(model).size, spec
+
+
+def test_an_empty_order_grid_gives_blank_rows_in_both_sweeps():
+    pa = preset("high")
+    complexity = sweep_complexity({"high": pa}, taps=4, param_targets=(20, 40), seeds=(1,),
+                                  families=("mpm",), mpm_k_grid=())
+    taps = sweep_taps(pa, "high", taps_list=(4,), seeds=(1,), families=("mpm",), mpm_k_grid=())
+    assert [r.feasible for r in complexity + taps] == [False] * 3
+    assert [(r.family, r.taps, r.seed) for r in complexity + taps] == [("mpm", 4, 1)] * 3
 
 
 def test_sweep_complexity_reduced_targets():

@@ -61,9 +61,18 @@ def test_the_tracer_hooks_read_a_traced_pass():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     tracer = module.Tracer()
+    x = generate_waveform(1, 1024, 0.25).samples
+    search = ila.DpdModelSpec(kind="rvftdnn", window=WINDOW, search_grid=((2, 2), (3, 2)),
+                              budget=(1, 100))
     with tracer.installed():
         _mpm_cell()
         _short_train()
+        before = tracer.epochs
+        ila.fit_model_on_data(x, x, search, SHORT)
     assert len(tracer.cell_s["mpm"]) == 1
     assert tracer.basis_bytes > 0
-    assert tracer.epochs == 2
+    assert before == 2
+    # A family's fit reaches train and architecture_search through the names
+    # the tracer wraps, so it counts each search candidate.
+    assert tracer.candidates == 2
+    assert tracer.calls["rvftdnn.architecture_search"] == 1
