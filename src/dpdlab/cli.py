@@ -392,14 +392,16 @@ def build_parser() -> _Parser:
 
     p = add("gradcheck", _cmd_gradcheck,
             "compare analytic and finite-difference gradients on a seeded model")
-    p.add_argument("--model", choices=_TRAINED, default=_TRAINED[0])
-    p.add_argument("--taps", type=_flag("taps"), default=3)
+    p.add_argument("--model", choices=_TRAINED, default=_TRAINED[0], help="model family")
+    p.add_argument("--taps", type=_flag("taps"), default=3, help="total tap count")
     for name, default in _GRADCHECK_SIZES.items():
         p.add_argument(_FIT_MODEL_FLAGS[name], dest=name, type=_flag(name),
                        default=argparse.SUPPRESS, help=f"(default: {default})")
-    p.add_argument("--seed", type=_flag("seed"), default=0)
+    p.add_argument("--seed", type=_flag("seed"), default=0,
+                   help="model and check-waveform seed")
     p.add_argument("--n", type=_flag("n_samples"), default=256, help="check-waveform length")
-    p.add_argument("--threshold", type=_flag("threshold"), default=GRADCHECK_THRESHOLD)
+    p.add_argument("--threshold", type=_flag("threshold"), default=GRADCHECK_THRESHOLD,
+                   help="largest relative gradient error that passes")
 
     p = add("report", _cmd_report, "summarize a sweep CSV; optionally mirror to gnuplot .dat")
     p.add_argument("--in", dest="infile", required=True, help="sweep report CSV")

@@ -297,13 +297,16 @@ def sweep_taps(pa: PaConfig, preset_label: str, taps_list=DEFAULT_TAPS_LIST,
     return _sweep(cells, seeds, n_samples, bandwidth_fraction, cfg)
 
 
-def _closest_spec(family: str, window: TapWindow, target: int, mpm_k_grid) -> DpdModelSpec | None:
-    """The family's complexity_specs entry closest to the parameter target, None
-    if none is within TARGET_TOLERANCE; ties go to fewer parameters, then first."""
+def _closest_specs(family: str, window: TapWindow, targets, mpm_k_grid) -> list:
+    """For each parameter target, the family's complexity_specs entry closest
+    to it, None if none is within TARGET_TOLERANCE; ties go to fewer
+    parameters, then first.  The entries and their counts are built once."""
     base = DpdModelSpec(kind=family, window=window)
-    near = [s for s in MODEL_CLASSES[family].complexity_specs(base, mpm_k_grid=mpm_k_grid)
-            if abs(s.n_params() - target) <= TARGET_TOLERANCE * target]
-    return min(near, key=lambda s: (abs(s.n_params() - target), s.n_params()), default=None)
+    sized = [(s.n_params(), s)
+             for s in MODEL_CLASSES[family].complexity_specs(base, mpm_k_grid=mpm_k_grid)]
+    return [min(((n, s) for n, s in sized if abs(n - target) <= TARGET_TOLERANCE * target),
+                key=lambda entry: (abs(entry[0] - target), entry[0]), default=(None, None))[1]
+            for target in targets]
 
 
 def sweep_complexity(pa_by_preset: dict, taps: int = DEFAULT_COMPLEXITY_TAPS,
@@ -321,8 +324,7 @@ def sweep_complexity(pa_by_preset: dict, taps: int = DEFAULT_COMPLEXITY_TAPS,
     window = TapWindow(pre_taps=taps - 1)
     cells = []
     for family in families:
-        for target in param_targets:
-            spec = _closest_spec(family, window, target, mpm_k_grid)
+        for spec in _closest_specs(family, window, param_targets, mpm_k_grid):
             cells += [(family, taps, label, pa_by_preset[label], spec)
                       for label in sorted(pa_by_preset)]
     return _sweep(cells, seeds, n_samples, bandwidth_fraction, cfg)

@@ -294,7 +294,10 @@ class ParamModel:
     the specs of `tap_sweep_spec(base, budget, **grids)` and
     `complexity_specs(base, **grids)`, each a base ila.DpdModelSpec replaced.
 
-    A trained family also defines its rows kernel,
+    Every family defines its output kernel `output_rows(rows)`, the complex
+    output of the rows of a tap matrix, which its `predict` runs through
+    signal.predict_rows and every validation score runs on the scored rows
+    of training.segment_pairs.  A trained family also defines its rows kernel,
     `loss_rows(rows, target_rows, grads) -> loss`: the mean |output - target|^2
     over the rows of a tap matrix and their target samples, with its exact
     gradient written into every entry of `grads`, the PARAMS.views of one flat
@@ -333,8 +336,8 @@ class ParamModel:
         inner loops of k elements, and gives each element the same bits
         either way.  Built once per model, for the most rows asked of it so
         far and at least PREDICT_BLOCK_ROWS + 1 (predict's largest block), so
-        one build serves a training step's gradients and a validation
-        predict; with_param_vector's copy starts without them."""
+        one build serves a training step's gradients and a validation score;
+        with_param_vector's copy starts without them."""
         built = self.__dict__.get("_tiles")
         if built is None or built[0] < n_rows:
             rows = max(n_rows, PREDICT_BLOCK_ROWS + 1)

@@ -69,8 +69,7 @@ def rectified_amplitude(delayed: np.ndarray, amp_offset) -> np.ndarray:
 def build_basis(x, spec: MpmSpec) -> BasisMatrix:
     """Evaluate the basis at every sample.
 
-    Tap values outside the sequence are zero-filled, matching window_at.  A
-    FramedSequence's held tap matrix is reused.
+    Tap values outside the sequence are zero-filled, matching window_at.
     """
     return BasisMatrix(data=basis_rows(delayed_matrix(x, spec.window), spec), spec=spec)
 
@@ -278,13 +277,15 @@ class MpmCoefficients(modelfile.ParamModel):
     def amp_offset(self) -> float:
         return self.spec.amp_offset
 
+    def output_rows(self, rows: np.ndarray) -> np.ndarray:
+        """basis · coeff on the rows of a tap matrix.  Each output row is the
+        gemv's product of its own basis row, the same in any block of rows."""
+        return basis_rows(rows, self.spec) @ self.coeff.reshape(-1)
+
     def predict(self, x) -> ComplexSequence:
-        """basis · coeff, by predict_rows: the basis is built one block of rows
-        at a time, so no N × T·K basis is held.  Each output row is the gemv's
-        product of its own basis row, the same in a block as in the whole
-        basis, so the blocking changes no output bit."""
-        coeff = self.coeff.reshape(-1)
-        return predict_rows(x, self.window, lambda rows: basis_rows(rows, self.spec) @ coeff)
+        """output_rows by predict_rows: the basis is built one block of rows at
+        a time, so no N × T·K basis is held, and no output bit changes."""
+        return predict_rows(x, self.window, self.output_rows)
 
     @classmethod
     def fit(cls, psi, phi, spec, cfg, seed: int = 0) -> FitOutcome:
@@ -297,16 +298,16 @@ class MpmCoefficients(modelfile.ParamModel):
 
     @staticmethod
     def fit_orders(psi, phi, window: TapWindow, orders, segment_len: int, ridge=None) -> list:
-        """ls_fit at each order count in `orders` on the interiors of the
+        """ls_fit at each order count in `orders` on the scored rows of the
         training segments (training.segment_pairs), each with its validation
-        NMSE.  order_blocked_qr builds the basis at the largest order from each
-        segment's scored tap rows (TapWindow.scored_rows) into its factor once.
-        Order K's system is its leading T·K block in (l, k) column order, bit
-        for bit a fit at order K alone; with ridge 0 it is held to the rank
-        rule of the tall basis, so the search refuses what ls_fit refuses."""
-        train_pairs, val_pairs = segment_pairs(psi, phi, window, segment_len)
+        NMSE on those of the validation segments.  order_blocked_qr builds the
+        basis at the largest order from each segment's tap rows into its
+        factor once.  Order K's system is its leading T·K block in (l, k)
+        column order, bit for bit a fit at order K alone; with ridge 0 it is
+        held to the rank rule of the tall basis, so the search refuses what
+        ls_fit refuses."""
+        scored, val_scored = segment_pairs(psi, phi, window, segment_len)
         top = MpmSpec(window=window, k_orders=max(orders))
-        scored = [window.scored_rows(*pair) for pair in train_pairs]
         target = np.concatenate([rows_phi for _, rows_phi in scored])
         r, qh_target = order_blocked_qr([rows for rows, _ in scored], top, target)
         fits = []
@@ -317,7 +318,7 @@ class MpmCoefficients(modelfile.ParamModel):
             if ridge == 0:
                 _require_full_rank(system, target.size)
             fits.append(ls_fit(system, qh_target[:cols], ridge=ridge))
-        return [(coeffs, validation_nmse_db(coeffs, val_pairs)) for coeffs in fits]
+        return [(coeffs, validation_nmse_db(coeffs, val_scored)) for coeffs in fits]
 
     @classmethod
     def tap_sweep_spec(cls, base, budget, *, mpm_k_grid, **_):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -309,29 +309,8 @@ def window_at(x, n: int, window: TapWindow) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class FramedSequence(ComplexSequence):
-    """A ComplexSequence that also holds its read-only delayed_matrix for one
-    TapWindow, so that repeated passes over the same data build it only once."""
-
-    window: TapWindow = field(kw_only=True)
-    delayed: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        delayed = delayed_matrix(self.samples, self.window)
-        delayed.flags.writeable = False
-        object.__setattr__(self, "delayed", delayed)
-
-
 def delayed_matrix(x, window: TapWindow) -> np.ndarray:
-    """N x T complex matrix whose row n equals window_at(x, n, window).
-
-    For a FramedSequence over the same window this is its held, read-only
-    matrix.
-    """
-    if isinstance(x, FramedSequence) and x.window == window:
-        return x.delayed
+    """N x T complex matrix whose row n equals window_at(x, n, window)."""
     samples = as_samples(x)
     n = samples.size
     out = np.zeros((n, window.n_taps), dtype=np.complex128)
@@ -355,12 +334,12 @@ PREDICT_BLOCK_ROWS = 1024
 
 
 def predict_rows(x, window: TapWindow, rows) -> ComplexSequence:
-    """A model's output on x (a ComplexSequence or an array): `rows` maps a
-    block of rows of x's tap matrix (delayed_matrix, so a FramedSequence's held
-    matrix) to the complex output of those rows, and runs on PREDICT_BLOCK_ROWS
-    rows at a time.  A last block of one row joins the block before it: numpy
-    takes a one-row matrix product as a dot product, whose bits differ from a
-    gemv's.  The output keeps x's rate hint."""
+    """A model's output on x (a ComplexSequence or an array): `rows`, the
+    family's output_rows, maps a block of rows of x's tap matrix
+    (delayed_matrix) to the complex output of those rows, and runs on
+    PREDICT_BLOCK_ROWS rows at a time.  A last block of one row joins the
+    block before it: numpy takes a one-row matrix product as a dot product,
+    whose bits differ from a gemv's.  The output keeps x's rate hint."""
     seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
     delayed = delayed_matrix(seq, window)
     n_rows = delayed.shape[0]

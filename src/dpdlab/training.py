@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import TrainingDivergedError
 from .rules import check, check_all
-from .signal import ComplexSequence, FramedSequence, TapWindow, as_samples, nmse_db
+from .signal import TapWindow, as_samples, nmse_db
 
 VAL_EVERY = 5
 
@@ -112,11 +112,13 @@ def split_segments(segments: list) -> tuple[list, list]:
 
 
 def segment_pairs(psi, phi, window: TapWindow, segment_len: int) -> tuple[list, list]:
-    """Cut equal-length (input, target) sequences into segments and split them
-    (split_segments) into training and validation (input, target) pairs.
+    """Cut equal-length (input, target) sequences into segments, split them
+    (split_segments) into training and validation, and return the scored rows
+    (TapWindow.scored_rows), (rows, target_rows), of every segment of each,
+    built once here for every gradient and validation pass of the fit.
 
-    Each input is a FramedSequence that holds its tap matrix, built once here
-    for every gradient and validation pass of the fit.
+    Raises ValueError on too few or too short segments, and names the input
+    or the target where a segment holds a non-finite sample.
     """
     psi_s = as_samples(psi)
     phi_s = as_samples(phi)
@@ -128,24 +130,19 @@ def segment_pairs(psi, phi, window: TapWindow, segment_len: int) -> tuple[list, 
         raise ValueError(f"{psi_s.size} samples make {made} of {segment_len}; "
                          "need at least two (one training, one validation)")
     train_ranges, val_ranges = split_segments(ranges)
-    window.interior(segment_len)  # reject a too-short segment before framing any
+    window.interior(segment_len)  # reject a too-short segment before scoring any
+    for name, samples in (("input", psi_s), ("target", phi_s)):
+        if not np.isfinite(samples[:ranges[-1][1]]).all():
+            raise ValueError(f"{name} sequence holds a non-finite sample")
+    return tuple([window.scored_rows(psi_s[a:b], phi_s[a:b]) for a, b in part]
+                 for part in (train_ranges, val_ranges))
 
-    def pairs(ranges):
-        return [(FramedSequence(psi_s[a:b], window=window), ComplexSequence(phi_s[a:b]))
-                for a, b in ranges]
 
-    return pairs(train_ranges), pairs(val_ranges)
-
-
-def validation_nmse_db(model, pairs) -> float:
-    """nmse_db of the model's output over the concatenated interiors
-    (TapWindow.interior of the model's window) of the given segment pairs."""
-    pred, ref = [], []
-    for seg_psi, seg_phi in pairs:
-        rows = model.window.interior(len(seg_psi))
-        pred.append(model.predict(seg_psi).samples[rows])
-        ref.append(seg_phi.samples[rows])
-    return nmse_db(np.concatenate(pred), np.concatenate(ref))
+def validation_nmse_db(model, scored) -> float:
+    """nmse_db of the model's output_rows on the scored rows of the given
+    segments (segment_pairs) against their target rows, both concatenated."""
+    return nmse_db(np.concatenate([model.output_rows(rows) for rows, _ in scored]),
+                   np.concatenate([target_rows for _, target_rows in scored]))
 
 
 @dataclass
@@ -183,19 +180,19 @@ def train(model, psi, phi, cfg: TrainConfig):
     """Fit `model` to map psi -> phi; returns (best model, TrainHistory).
 
     The model protocol: a `window` attribute, param_vector, with_param_vector,
-    predict, `PARAMS.views(model, vec)` (its parameter arrays as views of a
-    flat vector) and the rows kernel `loss_rows(rows, target_rows, grads) ->
-    loss` (modelfile.ParamModel), which writes the gradient of the mean loss
-    over the rows into `grads`.  Each call prepares, once, every training
-    segment's scored rows (TapWindow.scored_rows) and one flat gradient vector
-    with its views; every step hands them to the kernel.
+    `PARAMS.views(model, vec)` (its parameter arrays as views of a flat
+    vector), the output kernel `output_rows(rows)` and the rows kernel
+    `loss_rows(rows, target_rows, grads) -> loss` (modelfile.ParamModel),
+    which writes the gradient of the mean loss over the rows into `grads`.
+    Each call prepares, once, every segment's scored rows (segment_pairs) and
+    one flat gradient vector with its views; every step hands them to the
+    rows kernel, and every validation score runs output_rows on them.
 
     A non-finite training loss or validation score, or any overflowing pass,
     raises TrainingDivergedError naming the epoch.  Fully deterministic for
     fixed (model, data, cfg).
     """
-    train_pairs, val_pairs = segment_pairs(psi, phi, model.window, cfg.segment_len)
-    scored = [model.window.scored_rows(*pair) for pair in train_pairs]
+    scored, val_scored = segment_pairs(psi, phi, model.window, cfg.segment_len)
 
     rng = np.random.default_rng(cfg.seed)
     params = model.param_vector()
@@ -208,7 +205,7 @@ def train(model, psi, phi, cfg: TrainConfig):
     with _diverges_as("training loss at epoch 0"):
         initial_loss = float(np.mean([work.loss_rows(*rows, grads) for rows in scored]))
     with _diverges_as("validation score at epoch 0"):
-        best_val = validation_nmse_db(work, val_pairs)
+        best_val = validation_nmse_db(work, val_scored)
     history.epochs.append(0)
     history.train_loss.append(initial_loss)
     history.val_nmse_db.append(best_val)
@@ -235,7 +232,7 @@ def train(model, psi, phi, cfg: TrainConfig):
                 work = work.with_param_vector(params)
                 batch_losses.append(batch_loss)
         with _diverges_as(f"validation score at epoch {epoch}"):
-            val = validation_nmse_db(work, val_pairs)
+            val = validation_nmse_db(work, val_scored)
         history.epochs.append(epoch)
         history.train_loss.append(float(np.mean(batch_losses)))
         history.val_nmse_db.append(val)

@@ -267,7 +267,7 @@ def rvftdnn_backward(model, x, target):
 # built then.
 
 def order_blocked_basis_blocks(pairs, spec):
-    """The interior build_basis rows of each (input, target) segment pair."""
+    """The interior build_basis rows of each (input, target) pair of segment arrays."""
     return [build_basis(psi, spec).data[spec.window.interior(len(psi))] for psi, _ in pairs]
 
 

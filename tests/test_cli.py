@@ -1,6 +1,7 @@
 """Command-line interface, exercised in-process through dispatch()."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,16 @@ def test_help_exits_zero(capsys):
     assert dispatch(["--help"]) == 0
     assert "COMMAND" in capsys.readouterr().out
     assert dispatch(["fit", "--help"]) == 0
+
+
+def test_gradcheck_help_prints_every_default(capsys):
+    assert dispatch(["gradcheck", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, default in (("--model {agmpnn,rvftdnn}", "agmpnn"), ("--taps TAPS", "3"),
+                          ("--k K_ORDERS", "2"), ("--experts N_EXPERTS", "2"), ("--n1 N1", "4"),
+                          ("--n2 N2", "3"), ("--seed SEED", "0"), ("--n N", "256"),
+                          ("--threshold THRESHOLD", "0.0001")):
+        assert re.search(rf"{re.escape(flag)} (?:(?! --)[^()])*\(default: {re.escape(default)}\)", text), flag
 
 
 def test_runtime_failure_exits_two(tmp_path, capsys):

@@ -40,7 +40,7 @@ from dpdlab.ila import (
     DpdModelSpec,
     IlaReport,
     _advance,
-    _closest_spec,
+    _closest_specs,
     drive_ila,
     fit_model_on_data,
     fit_predistorter,
@@ -52,10 +52,10 @@ from dpdlab.ila import (
     sweep_complexity,
     sweep_taps,
 )
-from dpdlab.mpm import BasisMatrix, build_basis, ls_fit
+from dpdlab.mpm import BasisMatrix, basis_rows, ls_fit
 from dpdlab.pa_sim import PaConfig
 from dpdlab.rvftdnn import rvftdnn_param_count
-from dpdlab.signal import ComplexSequence, FramedSequence
+from dpdlab.signal import ComplexSequence
 from dpdlab.training import segment_pairs, validation_nmse_db
 
 import reference_impls as ref
@@ -306,9 +306,7 @@ def test_every_family_predicts_by_one_contract(family):
     out = model.predict(x)
     assert isinstance(out, ComplexSequence)
     assert out.sample_rate_hint == 2.5 and len(out) == len(x)
-    framed = FramedSequence(x.samples, sample_rate_hint=2.5, window=model.window)
-    for same in (x.samples, framed):
-        assert model.predict(same).samples.tobytes() == out.samples.tobytes()
+    assert model.predict(x.samples).samples.tobytes() == out.samples.tobytes()
     for bad in (np.nan, np.inf):
         samples = x.samples.copy()
         samples[7] = bad
@@ -508,18 +506,17 @@ def test_order_search_fits_match_tall_least_squares_fits():
     window = TapWindow(pre_taps=9)
     orders = tuple(range(1, 9))
     segment_len = 1024
-    rows = window.interior(segment_len)
     for seed in (1, 2, 3):
         first = drive_ila(preset("high"), seed, 4096).first_pass
         fits = MpmCoefficients.fit_orders(first.psi_norm, first.phi, window, orders, segment_len, None)
-        train_pairs, val_pairs = segment_pairs(first.psi_norm, first.phi, window, segment_len)
-        target = np.concatenate([seg_phi.samples[rows] for _, seg_phi in train_pairs])
+        train_scored, val_scored = segment_pairs(first.psi_norm, first.phi, window, segment_len)
+        target = np.concatenate([target_rows for _, target_rows in train_scored])
         for k, (coeffs, val) in zip(orders, fits):
             spec = MpmSpec(window=window, k_orders=k)
-            tall = np.vstack([build_basis(seg_psi, spec).data[rows] for seg_psi, _ in train_pairs])
+            tall = np.vstack([basis_rows(rows, spec) for rows, _ in train_scored])
             expected = ls_fit(BasisMatrix(data=tall, spec=spec), target)
             np.testing.assert_allclose(coeffs.coeff, expected.coeff, rtol=1e-9, atol=0.0)
-            assert abs(val - validation_nmse_db(expected, val_pairs)) <= 1e-9
+            assert abs(val - validation_nmse_db(expected, val_scored)) <= 1e-9
 
 
 def test_order_search_rejects_fewer_training_rows_than_top_order_columns():
@@ -549,10 +546,9 @@ def test_order_search_without_ridge_refuses_what_the_tall_fit_refuses():
     x = (1 + 1e-7 * rng.standard_normal(2048)) * np.exp(2j * np.pi * rng.uniform(size=2048))
     window, segment_len = TapWindow(pre_taps=0), 512
     spec = MpmSpec(window=window, k_orders=3)
-    rows = window.interior(segment_len)
-    train_pairs, _ = segment_pairs(x, x, window, segment_len)
-    tall = np.vstack([build_basis(seg_psi, spec).data[rows] for seg_psi, _ in train_pairs])
-    target = np.concatenate([seg_phi.samples[rows] for _, seg_phi in train_pairs])
+    train_scored, _ = segment_pairs(x, x, window, segment_len)
+    tall = np.vstack([basis_rows(rows, spec) for rows, _ in train_scored])
+    target = np.concatenate([target_rows for _, target_rows in train_scored])
     with pytest.raises(ConditioningError) as tall_err:
         ls_fit(BasisMatrix(data=tall, spec=spec), target, ridge=0.0)
     with pytest.raises(ConditioningError) as search_err:
@@ -570,6 +566,33 @@ def test_train_and_order_search_reject_a_too_short_segment_alike():
         MpmCoefficients.fit_orders(x, x, window, (1, 2), 7, None)
     assert str(trained.value) == str(searched.value)
     assert str(searched.value).startswith("7 samples are too few for a 8-tap window")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["input", "target"])
+def test_train_and_order_search_name_a_non_finite_sequence(name, bad):
+    x = generate_waveform(3, 2048, 0.25).samples
+    spoilt = x.copy()
+    spoilt[700] = bad
+    psi, phi = (spoilt, x) if name == "input" else (x, spoilt)
+    window = TapWindow(pre_taps=2)
+    message = f"^{name} sequence holds a non-finite sample$"
+    with pytest.raises(ValueError, match=message):
+        train(AgmpnnModel.init(window, 1, 1), psi, phi, TrainConfig(segment_len=512))
+    with pytest.raises(ValueError, match=message):
+        MpmCoefficients.fit_orders(psi, phi, window, (1, 2), 512, None)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", ["input", "target"])
+def test_every_family_fit_names_a_non_finite_sequence(family, name):
+    x = generate_waveform(3, 2048, 0.25).samples
+    spoilt = x.copy()
+    spoilt[1500] = np.nan
+    psi, phi = (spoilt, x) if name == "input" else (x, spoilt)
+    spec = DpdModelSpec(kind=family, window=TapWindow(pre_taps=2))
+    with pytest.raises(ValueError, match=f"^{name} sequence holds a non-finite sample$"):
+        fit_model_on_data(psi, phi, spec, FAST_CFG)
 
 
 def test_sweep_taps_matches_independent_cells():
@@ -607,8 +630,7 @@ def test_sweep_complexity_matches_independent_cells():
     window = TapWindow(pre_taps=taps - 1)
     expected = []
     for family in FAMILIES:
-        for target in targets:
-            spec = _closest_spec(family, window, target, (1, 2, 3, 4, 5))
+        for spec in _closest_specs(family, window, targets, (1, 2, 3, 4, 5)):
             for label in ("high", "low"):
                 for seed in seeds:
                     expected.append(
@@ -677,11 +699,12 @@ def test_closest_spec_ties_go_to_fewer_params_then_lower_hyperparameters():
     }
     hyper = {"mpm": lambda s: (s.k_orders,), "agmpnn": lambda s: (s.k_orders, s.n_experts),
              "rvftdnn": lambda s: (s.n1, s.n2)}
-    for target in range(10, 800, 3):
-        for family, (grid, count) in grids.items():
+    targets = range(10, 800, 3)
+    for family, (grid, count) in grids.items():
+        # An unsorted grid with a repeat selects the same order count.
+        specs = _closest_specs(family, window, targets, (5, 3, 1, 4, 2, 3))
+        for target, spec in zip(targets, specs, strict=True):
             dist, _, *best = min((abs(count(*h) - target), count(*h), *h) for h in grid)
-            # An unsorted grid with a repeat selects the same order count.
-            spec = _closest_spec(family, window, target, (5, 3, 1, 4, 2, 3))
             if dist > TARGET_TOLERANCE * target:
                 assert spec is None
             else:
@@ -711,6 +734,23 @@ def test_every_candidate_count_equals_the_oracle_and_the_flat_vector(window):
             assert count == _ORACLES[family](window.n_taps, spec), spec
             model = _BUILDERS[family](spec)
             assert count == model.n_params() == model.PARAMS.param_vector(model).size, spec
+
+
+def test_a_complexity_sweep_builds_each_familys_candidates_once(monkeypatch):
+    # Every parameter target reads one list of candidates and their counts.
+    built, counted = [], []
+    expected = 0
+    for cls in MODEL_CLASSES.values():
+        specs = cls.complexity_specs
+        expected += len(specs(DpdModelSpec(kind=cls.PARAMS.kind, window=TapWindow(pre_taps=6)),
+                              mpm_k_grid=DEFAULT_MPM_K_GRID))
+        monkeypatch.setattr(cls, "complexity_specs", lambda base, specs=specs, **grids: (
+            built.append(base.kind) or specs(base, **grids)))
+    n_params = DpdModelSpec.n_params
+    monkeypatch.setattr(DpdModelSpec, "n_params", lambda self: counted.append(self) or n_params(self))
+    assert sweep_complexity({"high": preset("high")}, seeds=()) == []
+    assert built == list(FAMILIES)
+    assert len(counted) == len({id(spec) for spec in counted}) == expected
 
 
 def test_an_empty_order_grid_gives_blank_rows_in_both_sweeps():

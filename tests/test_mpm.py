@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dpdlab import (
-    ComplexSequence,
     ConditioningError,
     FormatError,
     MpmCoefficients,
@@ -18,7 +17,7 @@ from dpdlab import (
     preset,
 )
 from dpdlab.mpm import BasisMatrix, _dependent_columns, order_blocked_qr, rectified_amplitude
-from dpdlab.signal import PREDICT_BLOCK_ROWS, FramedSequence, delayed_matrix
+from dpdlab.signal import PREDICT_BLOCK_ROWS, delayed_matrix
 
 import reference_impls as ref
 
@@ -282,8 +281,7 @@ def test_order_blocked_qr_equals_the_copying_factor_bit_for_bit(qr, window, amp_
     spec = MpmSpec(window=window, k_orders=8, amp_offset=amp_offset)
     chi = generate_waveform(17, 2000, 0.4).samples
     psi = pa_forward(preset("high"), chi).samples
-    pairs = [(FramedSequence(psi[a:b], window=window), ComplexSequence(chi[a:b]))
-             for a, b in ((0, 700), (700, 1213), (1213, 2000))]
+    pairs = [(psi[a:b], chi[a:b]) for a, b in ((0, 700), (700, 1213), (1213, 2000))]
     scored = [window.scored_rows(x, phi) for x, phi in pairs]
     target = np.concatenate([phi for _, phi in scored])
     r, qh_phi = order_blocked_qr([rows for rows, _ in scored], spec, target)

@@ -30,7 +30,6 @@ from dpdlab.signal import (
     _LOWPASS_NTAPS,
     IQ_MAGIC,
     NMSE_FLOOR_DB,
-    FramedSequence,
     _lowpass_taps,
 )
 
@@ -355,23 +354,9 @@ def test_delayed_matrix_rows_equal_window_at():
             assert np.array_equal(mat[n], window_at(samples, n, w))
 
 
-def test_framed_sequence_holds_its_window_matrix():
-    x = generate_waveform(8, 128, 0.5)
-    w = TapWindow(pre_taps=3, post_taps=2)
-    framed = FramedSequence(x.samples, window=w)
-    held = delayed_matrix(framed, w)
-    assert held is framed.delayed
-    assert delayed_matrix(framed, TapWindow(pre_taps=3, post_taps=2)) is held
-    assert not held.flags.writeable
-    assert np.array_equal(held, delayed_matrix(x, w))
-    other = TapWindow(pre_taps=1)
-    assert np.array_equal(delayed_matrix(framed, other), delayed_matrix(x, other))
-
-
 @pytest.mark.parametrize("make", [
     lambda samples: ComplexSequence(samples),
-    lambda samples: FramedSequence(samples, window=TapWindow(pre_taps=1)),
-], ids=["ComplexSequence", "FramedSequence"])
+], ids=["ComplexSequence"])
 def test_sequence_equality_is_identity_and_hashable(make):
     a = make([1.0, 2.0, 3.0])
     twin = make(a.samples)

@@ -22,7 +22,7 @@ from dpdlab import (
     preset,
     train,
 )
-from dpdlab.signal import NMSE_FLOOR_DB, FramedSequence
+from dpdlab.signal import NMSE_FLOOR_DB
 from dpdlab.modelfile import Param, ParamModel, ParamTable
 from dpdlab.mpm import MpmCoefficients, MpmSpec
 from dpdlab.training import (
@@ -142,19 +142,17 @@ def _identity_model(taps=1):
 def test_validation_nmse_single_segment_equals_plain_nmse():
     x = generate_waveform(0, 512, 0.25)
     y = 1.1 * x.samples
-    from dpdlab import ComplexSequence
-
-    got = validation_nmse_db(_identity_model(), [(x, ComplexSequence(y))])
+    model = _identity_model()
+    got = validation_nmse_db(model, [model.window.scored_rows(x, y)])
     assert abs(got - nmse_db(x.samples, y)) < 1e-12
 
 
 def test_validation_nmse_pools_energy_across_segments():
-    from dpdlab import ComplexSequence
-
-    a = ComplexSequence(np.full(16, 1.0 + 0.0j))
-    b = ComplexSequence(np.full(16, 10.0 + 0.0j))
-    pairs = [(a, ComplexSequence(a.samples + 0.1)), (b, ComplexSequence(b.samples + 0.1))]
-    got = validation_nmse_db(_identity_model(), pairs)
+    a = np.full(16, 1.0 + 0.0j)
+    b = np.full(16, 10.0 + 0.0j)
+    model = _identity_model()
+    scored = [model.window.scored_rows(a, a + 0.1), model.window.scored_rows(b, b + 0.1)]
+    got = validation_nmse_db(model, scored)
     num = 16 * 0.1 ** 2 * 2
     den = 16 * (1.1 ** 2 + 10.1 ** 2)
     assert abs(got - 10.0 * np.log10(num / den)) < 1e-12
@@ -162,21 +160,19 @@ def test_validation_nmse_pools_energy_across_segments():
 
 def test_validation_nmse_stays_finite_for_outputs_far_above_their_targets():
     # Squaring each error itself overflowed; nmse_db rescales instead.
-    from dpdlab import ComplexSequence
-
     x = generate_waveform(1, 64, 0.5)
-    got = validation_nmse_db(_identity_model(), [(ComplexSequence(1e200 * x.samples), x)])
+    model = _identity_model()
+    got = validation_nmse_db(model, [model.window.scored_rows(1e200 * x.samples, x)])
     assert abs(got - 4000.0) < 1e-9
 
 
 def test_validation_nmse_skips_window_edges():
     x = generate_waveform(1, 64, 0.5)
     bad_edge = x.samples.copy()
-    bad_edge[0] = 1e6  # hidden from the metric by a 2-tap window
-    from dpdlab import ComplexSequence
-
+    bad_edge[32] = 1e6  # the validation segment's first sample, outside its interior
     model = _identity_model(taps=2)
-    got = validation_nmse_db(model, [(ComplexSequence(bad_edge), ComplexSequence(bad_edge))])
+    _, val_scored = segment_pairs(bad_edge, bad_edge, model.window, 32)
+    got = validation_nmse_db(model, val_scored)
     assert got == NMSE_FLOOR_DB
 
 
@@ -298,11 +294,8 @@ class _ScalarModel(ParamModel):
     def with_param_vector(self, vec):
         return self.PARAMS.with_param_vector(self, vec)
 
-    def predict(self, x):
-        from dpdlab import ComplexSequence
-        from dpdlab.signal import as_samples
-
-        return ComplexSequence(self.a * as_samples(x))
+    def output_rows(self, rows):
+        return self.a * rows[:, 0]
 
     def loss_rows(self, rows, target_rows, grads):
         xs = rows[:, 0]
@@ -366,15 +359,10 @@ def test_train_restores_the_best_epoch_parameters():
                       max_epochs=12, patience=4)
     best, history = train(model, x, target, cfg)
     assert history.best_val_nmse_db() == min(history.val_nmse_db)
-    # Recreate the validation pairs and confirm the returned model scores
+    # Recreate the validation rows and confirm the returned model scores
     # exactly the recorded best value.
-    from dpdlab import ComplexSequence
-
-    ranges = segment_ranges(len(x), cfg.segment_len)
-    _, val_ranges = split_segments(ranges)
-    pairs = [(ComplexSequence(x.samples[a:b]), ComplexSequence(target[a:b]))
-             for a, b in val_ranges]
-    rescored = validation_nmse_db(best, pairs)
+    _, val_scored = segment_pairs(x, target, model.window, cfg.segment_len)
+    rescored = validation_nmse_db(best, val_scored)
     assert abs(rescored - history.best_val_nmse_db()) < 1e-12
 
 
@@ -419,15 +407,16 @@ def test_epoch_zero_train_loss_is_the_mean_loss_of_the_training_segments(family)
         model = RvftdnnModel.init(window, 3, 2, seed=4)
     cfg = TrainConfig(segment_len=256, max_epochs=1)
     _, history = train(model, x, target, cfg)
-    train_pairs, _ = segment_pairs(x, target, window, cfg.segment_len)
-    losses = [model.loss_and_gradient(psi, phi)[0] for psi, phi in train_pairs]
+    train_ranges, _ = split_segments(segment_ranges(len(x), cfg.segment_len))
+    losses = [model.loss_and_gradient(x.samples[a:b], target[a:b])[0] for a, b in train_ranges]
     assert history.train_loss[0] == float(np.mean(losses))
 
 
 @pytest.mark.parametrize("family", ["agmpnn", "rvftdnn"])
 def test_train_prepares_each_segment_once_and_tiles_each_model_once(monkeypatch, family):
-    # The hot path: a gradient step reuses its segment's scored rows, and one
-    # row-tile build serves a model's gradients and its validation predict.
+    # The hot path: a gradient step and a validation score reuse their
+    # segment's scored rows, and one row-tile build serves a model's gradients
+    # and its validation score.
     x = generate_waveform(8, 4096, 0.25)
     target = x.samples * (1.0 - 0.1 * np.abs(x.samples) ** 2)
     window = TapWindow(pre_taps=2)
@@ -453,8 +442,8 @@ def test_train_prepares_each_segment_once_and_tiles_each_model_once(monkeypatch,
     _, history = train(model, x, target, cfg)
     monkeypatch.undo()
     assert history.stopped_epoch == cfg.max_epochs
-    train_pairs, _ = segment_pairs(x, target, window, cfg.segment_len)
-    assert len(scored) == len({id(seq) for seq in scored}) == len(train_pairs)
+    # every training and validation segment once
+    assert len(scored) == len({id(seq) for seq in scored}) == len(x) // cfg.segment_len
     # 2 Adam steps per epoch, so the starting model and 6 stepped ones
     assert len(tiled) == len({id(m) for m in tiled}) == 1 + 2 * cfg.max_epochs
 
@@ -528,7 +517,7 @@ def test_finite_diff_check_rejects_large_models():
         finite_diff_check(model, x, x)
 
 
-# === reuse of each segment's tap matrix ===
+# === short seeded fits on a PA's output ===
 
 def _pa_pair(n_samples):
     """(PA output, PA input): the postinverse training direction."""
@@ -545,14 +534,12 @@ def _family_model(family, window, calibration):
 
 
 @pytest.mark.parametrize("family", ["rvftdnn", "agmpnn"])
-def test_framed_segment_gives_the_same_bytes_as_a_plain_one(family):
+def test_a_strided_target_gives_the_same_loss_and_gradient_bytes(family):
     y, x = _pa_pair(700)
     window = TapWindow(pre_taps=4, post_taps=1)
     model = _family_model(family, window, x)
-    framed = FramedSequence(y.samples, window=window)
-    assert np.array_equal(model.predict(framed).samples, model.predict(y).samples)
     strided_target = np.stack([x.samples, x.samples], axis=1)[:, 0]
-    got = model.loss_and_gradient(framed, x)
+    got = model.loss_and_gradient(y, x)
     want = model.loss_and_gradient(y.samples, strided_target)
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
@@ -600,3 +587,60 @@ def test_short_train_matches_golden_bytes(family):
     csv, digest = GOLDEN_TRAIN[family]
     assert history.to_csv() == csv
     assert hashlib.sha256(trained.param_vector().tobytes()).hexdigest() == digest
+
+
+def _interior_nmse_db(model, psi, phi, segment_len):
+    """The validation score as predict gives it: nmse_db of each validation
+    segment's predict over its interior, concatenated."""
+    _, val_ranges = split_segments(segment_ranges(psi.size, segment_len))
+    rows = model.window.interior(segment_len)
+    return nmse_db(np.concatenate([model.predict(psi[a:b]).samples[rows] for a, b in val_ranges]),
+                   np.concatenate([phi[a:b][rows] for a, b in val_ranges]))
+
+
+@pytest.mark.parametrize("family", ["mpm", *sorted(GOLDEN_TRAIN)])
+def test_validation_on_scored_rows_is_predict_over_the_interiors_bit_for_bit(family):
+    # The GOLDEN_TRAIN setup: each family's starting and trained models, and
+    # the order search's fit, score the same bits from their scored rows.
+    y, x = _pa_pair(4096)
+    window = TapWindow(pre_taps=4, post_taps=1)
+    cfg = TrainConfig(learning_rate=5e-3, batch_size=3, segment_len=512, max_epochs=5,
+                      patience=5, seed=4)
+    _, val_scored = segment_pairs(y, x, window, cfg.segment_len)
+    if family == "mpm":
+        (model, val), = MpmCoefficients.fit_orders(y, x, window, (3,), cfg.segment_len)
+        models = [model]
+        assert val == _interior_nmse_db(model, y.samples, x.samples, cfg.segment_len)
+    else:
+        start = _family_model(family, window, x)
+        trained, history = train(start, y, x, cfg)
+        models = [start, trained]
+        assert history.best_val_nmse_db() == validation_nmse_db(trained, val_scored)
+    for model in models:
+        assert (validation_nmse_db(model, val_scored)
+                == _interior_nmse_db(model, y.samples, x.samples, cfg.segment_len))
+
+
+def test_validation_runs_output_rows_and_never_predict(monkeypatch):
+    y, x = _pa_pair(2048)
+    window = TapWindow(pre_taps=2)
+    cfg = TrainConfig(segment_len=512, max_epochs=2, patience=5)
+    _, val_scored = segment_pairs(y, x, window, cfg.segment_len)
+    calls = []
+
+    def refuse(self, x):
+        raise AssertionError("validation called predict")
+
+    for cls in (MpmCoefficients, AgmpnnModel, RvftdnnModel):
+        output_rows = cls.output_rows
+        monkeypatch.setattr(cls, "predict", refuse)
+        monkeypatch.setattr(cls, "output_rows", lambda self, rows, output_rows=output_rows: (
+            calls.append(rows.shape) or output_rows(self, rows)))
+    for model in (AgmpnnModel.init(window, 2, 2, seed=1), RvftdnnModel.init(window, 3, 2, seed=1)):
+        calls.clear()
+        _, history = train(model, y, x, cfg)
+        # one call per validation segment and epoch, on its interior rows
+        assert calls == [(510, 3)] * len(val_scored) * len(history.epochs)
+    calls.clear()
+    assert len(MpmCoefficients.fit_orders(y, x, window, (1, 2), cfg.segment_len)) == 2
+    assert calls == [(510, 3)] * 2 * len(val_scored)
