@@ -149,7 +149,8 @@ class AgmpnnModel(modelfile.ParamModel):
 
         Offsets step down from 0 in increments of A95/M, where A95 is the 95th
         percentile amplitude of `calibration` (default 1.0), so the experts
-        start rectified around different amplitude bands.
+        start rectified around different amplitude bands.  A `calibration`
+        (the fit's input) with a non-finite sample raises ValueError.
         """
         check_all(k_orders=k_orders, n_experts=n_experts)
         rng = np.random.default_rng(seed)
@@ -170,7 +171,10 @@ class AgmpnnModel(modelfile.ParamModel):
                             + 1j * rng.standard_normal((m, t_taps, k_orders))) / np.sqrt(2.0)
             coeff[:, 0, 0] = 1.0
         if calibration is not None:
-            amp95 = float(np.percentile(np.abs(as_samples(calibration)), 95))
+            amps = np.abs(as_samples(calibration))
+            if not np.isfinite(amps).all():
+                raise ValueError("input sequence holds a non-finite sample")
+            amp95 = float(np.percentile(amps, 95))
             if amp95 <= 0.0:
                 amp95 = 1.0
         else:

@@ -19,7 +19,7 @@ from . import ila
 from .config import RunConfig, load_config, render_config
 from .exceptions import DpdlabError, FormatError
 from .mpm import MpmSpec, build_basis, ls_fit
-from .pa_sim import PRESET_DRIVE_DB, pa_forward, preset
+from .pa_sim import PRESET_DRIVE_DB, pa_forward
 from .rules import RULES
 from .signal import (ComplexSequence, TapWindow, deserialize_iq, generate_waveform, nmse_db,
                      read_iq_csv, read_text, serialize_iq, write_iq_csv)
@@ -111,12 +111,13 @@ def _cmd_gen_signal(args) -> int:
 
 
 def _cmd_simulate_pa(args) -> int:
-    if args.config:
-        cfg = load_config(args.config).pa_config()
-    else:
-        cfg = preset(args.preset)
+    cfg = _load_run_config(args)
+    if args.noise_seed is not None and cfg.feedback_snr_db is None:
+        raise _UsageError("dpdlab simulate-pa: --noise-seed: no feedback noise to seed "
+                          "with [pa] feedback_snr_db = none")
+    pa = cfg.pa_config(drive_db=PRESET_DRIVE_DB[args.preset] if hasattr(args, "preset") else None)
     seq = _read_waveform(args.infile)
-    out = pa_forward(cfg, seq, noise_seed=args.noise_seed)
+    out = pa_forward(pa, seq, noise_seed=args.noise_seed)
     _write_waveform(out, args.out)
     print(f"amplified {len(seq)} samples -> {args.out}", file=sys.stderr)
     return 0
@@ -199,7 +200,7 @@ def _cmd_ila_run(args) -> int:
 def _cmd_sweep_taps(args) -> int:
     cfg = _load_run_config(args)
     rows = ila.sweep_taps(
-        cfg.pa_for_preset(cfg.preset), cfg.preset, taps_list=cfg.taps_list,
+        cfg.pa_config(), cfg.preset_label(), taps_list=cfg.taps_list,
         seeds=cfg.seeds, families=cfg.families, budget=(cfg.budget_lo, cfg.budget_hi),
         n_samples=cfg.n_samples, bandwidth_fraction=cfg.bandwidth_fraction,
         cfg=cfg.train_config(), nn_grid=cfg.nn_grid, mpm_k_grid=cfg.mpm_k_grid)
@@ -210,7 +211,7 @@ def _cmd_sweep_taps(args) -> int:
 
 def _cmd_sweep_complexity(args) -> int:
     cfg = _load_run_config(args)
-    pa_by_preset = {level: cfg.pa_for_preset(level) for level in PRESET_DRIVE_DB}
+    pa_by_preset = {level: cfg.pa_config(drive_db=db) for level, db in PRESET_DRIVE_DB.items()}
     rows = ila.sweep_complexity(
         pa_by_preset, taps=cfg.sweep_taps, param_targets=cfg.param_targets,
         seeds=cfg.seeds, families=cfg.families, n_samples=cfg.n_samples,
@@ -347,10 +348,11 @@ def build_parser() -> _Parser:
     p = add("simulate-pa", _cmd_simulate_pa, "run a waveform through the simulated amplifier")
     p.add_argument("--in", dest="infile", required=True, help="input waveform")
     p.add_argument("--out", required=True, help="output waveform")
-    p.add_argument("--preset", choices=tuple(PRESET_DRIVE_DB), default="high")
+    p.add_argument("--preset", choices=tuple(PRESET_DRIVE_DB), default=argparse.SUPPRESS,
+                   help="drive preset (default: [pa] drive_db)")
     _add_config_flag(p)
     p.add_argument("--noise-seed", type=_flag("seed"), default=None,
-                   help="enable feedback noise with this seed")
+                   help="enable feedback noise at [pa] feedback_snr_db with this seed")
 
     p = add("fit", _cmd_fit, "fit a postinverse model on an (input, target) waveform pair")
     p.add_argument("--model", choices=ila.FAMILIES, required=True)

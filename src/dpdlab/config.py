@@ -1,8 +1,8 @@
 """Structured run-configuration text: `[section]` headers, `key = value` lines.
 
 Lines may carry `#` comments.  Every key is type-checked against a fixed
-schema, a number by its rule (rules.RULES); unknown sections or keys are
-rejected by name with a line number.
+schema, a number by its rule (rules.RULES); unknown sections or keys, and a
+key given twice for one section, are rejected by name with a line number.
 Omitted keys fall back to defaults chosen so that an empty config describes a
 complete, runnable experiment.
 """
@@ -17,7 +17,7 @@ from .ila import (DEFAULT_BANDWIDTH_FRACTION, DEFAULT_COMPLEXITY_TAPS, DEFAULT_M
                   DEFAULT_N_SAMPLES, DEFAULT_NN_GRID, DEFAULT_PARAM_TARGETS, DEFAULT_SEEDS,
                   DEFAULT_TAPS_LIST, FAMILIES, DpdModelSpec, check_budget, check_families)
 from .pa_sim import (PRESET_A_SAT, PRESET_DRIVE_DB, PRESET_FEEDBACK_SNR_DB, PRESET_K_PA,
-                     PRESET_L_PA, PRESET_RHO, PRESET_SIGMA, PaConfig, coeffs_from_rule, preset)
+                     PRESET_L_PA, PRESET_RHO, PRESET_SIGMA, PaConfig, coeffs_from_rule)
 from .rules import RULES
 from .signal import TapWindow, read_text
 from .training import TrainConfig
@@ -71,7 +71,7 @@ class RunConfig:
     """Fully resolved experiment description: each field declares one config
     key, and its default is read from the object that owns the value."""
 
-    # [pa] — memory-polynomial coefficient rule plus operating point
+    # [pa] — coefficient rule plus operating point: every run's one amplifier
     rho: float = _field("pa", PRESET_RHO)
     sigma: float = _field("pa", PRESET_SIGMA)
     l_pa: int = _field("pa", PRESET_L_PA)
@@ -105,7 +105,6 @@ class RunConfig:
     train_seed: int = _field("train", TrainConfig.seed, key="seed")
     # [sweep]
     families: tuple = _field("sweep", FAMILIES, reader=_list_of(str))
-    preset: str = _field("sweep", "high", reader=_word)
     taps_list: tuple = _field("sweep", DEFAULT_TAPS_LIST)
     param_targets: tuple = _field("sweep", DEFAULT_PARAM_TARGETS)
     seeds: tuple = _field("sweep", DEFAULT_SEEDS)
@@ -131,7 +130,7 @@ class RunConfig:
         # would reject fails the load instead.
         for section, build in (
                 ("pa", self.pa_config),
-                ("sweep", lambda: (self.pa_for_preset(self.preset), check_families(self.families),
+                ("sweep", lambda: (check_families(self.families),
                                    check_budget((self.budget_lo, self.budget_hi)))),
                 ("model", self.model_spec)):
             try:
@@ -150,9 +149,6 @@ class RunConfig:
             smooth_limit=self.a_sat,
             feedback_snr_db=self.feedback_snr_db,
         )
-
-    def pa_for_preset(self, level: str) -> PaConfig:
-        return self.pa_config(drive_db=preset(level).drive_db)
 
     def preset_label(self) -> str:
         return next((level for level, db in PRESET_DRIVE_DB.items() if db == self.drive_db),
@@ -198,8 +194,10 @@ _READERS = {f.name: _reader(f) for f in fields(RunConfig)}
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
-    """Parse sectioned key-value text into a RunConfig; defaults fill the gaps."""
+    """Parse sectioned key-value text into a RunConfig; defaults fill the gaps.
+    A section may be opened more than once, but each key is given once."""
     values = {}
+    first_line = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _value_text(raw)
@@ -225,6 +223,10 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
             raise FormatError(
                 f"{path}:{lineno}: unknown key {key!r} in [{section}] (known: {known})")
         f = schema[key]
+        if f.name in first_line:
+            raise FormatError(f"{path}:{lineno}: repeated key {key!r} in [{section}], "
+                              f"first on line {first_line[f.name]}")
+        first_line[f.name] = lineno
         try:
             values[f.name] = _READERS[f.name](value)
         except ValueError as exc:

@@ -10,7 +10,7 @@ from dpdlab import (ComplexSequence, TapWindow, deserialize_iq, generate_wavefor
                     pa_forward, preset, serialize_iq, write_iq_csv)
 from dpdlab.agmpnn import AgmpnnModel
 from dpdlab.cli import dispatch
-from dpdlab.config import parse_config
+from dpdlab.config import RunConfig, parse_config
 from dpdlab.ila import REPORT_HEADER, load_model
 from dpdlab.mpm import MpmCoefficients, MpmSpec
 from dpdlab.rvftdnn import RvftdnnModel
@@ -99,16 +99,22 @@ def test_negative_seeds_are_usage_errors_naming_the_flag(tmp_path, capsys):
         assert f"argument {flag}: must be at least 0" in capsys.readouterr().err
 
 
-def test_a_preset_is_declared_once(monkeypatch):
-    # A drive level added to PRESET_DRIVE_DB is a preset to pa_sim, to the
-    # run configuration and to `simulate-pa --preset`.
+def test_a_preset_is_declared_once(monkeypatch, tmp_path):
+    # A drive level added to PRESET_DRIVE_DB is a preset to pa_sim, the label
+    # of a [pa] drive_db at its level and a `simulate-pa --preset` choice.
     from dpdlab import cli, pa_sim
     monkeypatch.setitem(pa_sim.PRESET_DRIVE_DB, "mid", -6.0)
     assert preset("mid").drive_db == -6.0
-    assert parse_config("[sweep]\npreset = mid\n").pa_for_preset("mid").drive_db == -6.0
+    assert parse_config("[pa]\ndrive_db = -6.0\n").preset_label() == "mid"
     args = cli.build_parser().parse_args(["simulate-pa", "--in", "a", "--out", "b",
                                           "--preset", "mid"])
     assert args.preset == "mid"
+    chi_path, psi_path = tmp_path / "chi.iq", tmp_path / "psi.iq"
+    assert dispatch(["gen-signal", "--seed", "5", "--n", "256", "--out", str(chi_path)]) == 0
+    assert dispatch(["simulate-pa", "--in", str(chi_path), "--out", str(psi_path),
+                     "--preset", "mid"]) == 0
+    expected = pa_forward(preset("mid"), deserialize_iq(chi_path))
+    assert np.array_equal(deserialize_iq(psi_path).samples, expected.samples)
     monkeypatch.delitem(pa_sim.PRESET_DRIVE_DB, "mid")
     with pytest.raises(ValueError, match=r"expected one of \('low', 'high'\)$"):
         preset("mid")
@@ -154,6 +160,55 @@ def test_simulate_pa_noise_seed(tmp_path):
     assert dispatch(["simulate-pa", "--in", str(chi_path), "--out", str(noisy),
                      "--noise-seed", "8"]) == 0
     assert not np.array_equal(deserialize_iq(clean).samples, deserialize_iq(noisy).samples)
+
+
+def test_default_simulate_pa_output_is_pinned(tmp_path):
+    # No flag and no config: the default [pa] amplifier, the high preset.
+    chi_path = tmp_path / "chi.iq"
+    psi_path = tmp_path / "psi.iq"
+    dispatch(["gen-signal", "--seed", "5", "--n", "1024", "--out", str(chi_path)])
+    assert dispatch(["simulate-pa", "--in", str(chi_path), "--out", str(psi_path)]) == 0
+    assert _sha(psi_path) == "32e8bdfc25b045e53ca11ee01d94aedbfcfc4dec42adead76ec2190a03a89b28"
+
+
+def test_simulate_pa_preset_overrides_only_the_config_drive(tmp_path):
+    chi_path = tmp_path / "chi.iq"
+    dispatch(["gen-signal", "--seed", "5", "--n", "1024", "--out", str(chi_path)])
+
+    def simulate(name, cfg_text=None, *flags):
+        argv = ["simulate-pa", "--in", str(chi_path), "--out", str(tmp_path / name), *flags]
+        if cfg_text is not None:
+            (tmp_path / f"{name}.cfg").write_text(cfg_text)
+            argv += ["--config", str(tmp_path / f"{name}.cfg")]
+        assert dispatch(argv) == 0
+        return _sha(tmp_path / name)
+
+    low = simulate("low.iq", None, "--preset", "low")
+    assert low == "6382055f58f6ee7f4f1d2b70bcb63234b3b850dd73afe916a4bacded052f88f2"
+    # --preset used to be ignored whenever --config was given.
+    assert simulate("cfg-low.iq", "[pa]\n", "--preset", "low") == low
+    assert simulate("drive-low.iq", "[pa]\ndrive_db = -9.0\n") == low
+    assert simulate("high-over-low.iq", "[pa]\ndrive_db = -9.0\n", "--preset", "high") == (
+        simulate("high.iq", None, "--preset", "high"))
+    # The rest of [pa] still holds under --preset.
+    simulate("no-limit.iq", "[pa]\na_sat = none\n", "--preset", "low")
+    expected = pa_forward(RunConfig(a_sat=None).pa_config(drive_db=-9.0), deserialize_iq(chi_path))
+    assert np.array_equal(deserialize_iq(tmp_path / "no-limit.iq").samples, expected.samples)
+
+
+def test_noise_seed_without_feedback_noise_is_a_usage_error(tmp_path, capsys):
+    chi_path = tmp_path / "chi.iq"
+    cfg_path = tmp_path / "quiet.cfg"
+    cfg_path.write_text("[pa]\nfeedback_snr_db = none\n")
+    dispatch(["gen-signal", "--seed", "6", "--n", "256", "--out", str(chi_path)])
+    capsys.readouterr()
+    out = tmp_path / "psi.iq"
+    assert dispatch(["simulate-pa", "--in", str(chi_path), "--out", str(out),
+                     "--config", str(cfg_path), "--noise-seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dpdlab simulate-pa: --noise-seed: ")
+    assert "feedback_snr_db" in err
+    assert not out.exists()
 
 
 # === fit / eval ===
@@ -449,6 +504,25 @@ def test_sweep_taps_cli_round_trip(tmp_path, capsys):
     assert lines[0] == REPORT_HEADER
     assert len(lines) == 2  # one family x one tap count x one seed
     assert "sweep rows" in capsys.readouterr().err
+
+
+def test_sweep_taps_runs_at_the_pa_drive(tmp_path):
+    # The bytes `[sweep] preset = low` gave before [pa] drive_db became the
+    # one operating point of every command.
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text("[pa]\ndrive_db = -9.0\n[signal]\nn_samples = 2048\n"
+                   "[sweep]\nfamilies = mpm\ntaps_list = 4, 7\nseeds = 1, 2\n")
+    out = tmp_path / "sweep.csv"
+    assert dispatch(["sweep-taps", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _sha(out) == "9f56f2d3c07bc44806d7e69121dc18748a4879ec6cf2a36e20b728f6797acd29"
+
+
+def test_sweep_taps_labels_a_drive_off_every_preset_custom(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert dispatch(["sweep-taps", "--config", str(_tiny_cfg(tmp_path, "[pa]\ndrive_db = -5.0\n")),
+                     "--out", str(out)]) == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert rows and all(row.split(",")[1] == "custom" for row in rows)
 
 
 def test_report_summarizes_and_mirrors(tmp_path, capsys):

@@ -24,7 +24,7 @@ def test_empty_text_yields_defaults():
     assert cfg.batch_size == 50
     assert cfg.families == ("mpm", "agmpnn", "rvftdnn")
     assert cfg.seeds == (1, 2, 3)
-    assert cfg.preset == "high"
+    assert cfg.preset_label() == "high"
 
 
 def test_single_override():
@@ -55,6 +55,29 @@ def test_duplicate_sections_merge_keys():
     assert cfg.rho == 0.3
     assert cfg.sigma == -0.2
     assert cfg.seed == 2
+
+
+@pytest.mark.parametrize("text, lineno, key, section, first", [
+    ("[model]\ntaps = 5\ntaps = 9\n", 3, "taps", "model", 2),
+    ("[model]\ntaps = 5\n[signal]\nseed = 2\n[model]\ntaps = 9\n", 6, "taps", "model", 2),
+    ("[signal]\nseed = 2\n[train]\nseed = 3\n\n# again\n[train]\nseed = 3\n", 8, "seed",
+     "train", 4),
+], ids=["one-header", "two-headers", "same-value"])
+def test_a_repeated_key_names_both_lines(text, lineno, key, section, first):
+    # The same key under [signal] and [train] is two keys; within one
+    # section a key is given once, under one header or two.
+    with pytest.raises(FormatError) as err:
+        parse_config(text, path="run.cfg")
+    assert str(err.value) == (
+        f"run.cfg:{lineno}: repeated key {key!r} in [{section}], first on line {first}")
+
+
+def test_sweep_preset_is_an_unknown_key():
+    # The drive is [pa] drive_db; a config still naming [sweep] preset
+    # fails the load rather than running at another drive.
+    with pytest.raises(FormatError) as err:
+        parse_config("[sweep]\npreset = low\n", path="run.cfg")
+    assert str(err.value).startswith("run.cfg:2: unknown key 'preset' in [sweep] (known: ")
 
 
 # === value conversion ===
@@ -173,8 +196,6 @@ def test_missing_equals_sign():
 def test_semantic_validation_errors():
     with pytest.raises(FormatError):
         parse_config("[model]\nkind = volterra\n")
-    with pytest.raises(FormatError):
-        parse_config("[sweep]\npreset = medium\n")
     with pytest.raises(FormatError):
         parse_config("[sweep]\nfamilies = mpm, other\n")
     with pytest.raises(FormatError):
@@ -308,7 +329,6 @@ seed = 0
 
 [sweep]
 families = mpm, agmpnn, rvftdnn
-preset = high
 taps_list = 4, 5, 6, 7, 8, 9, 10
 param_targets = 100, 200, 300, 400, 500, 600
 seeds = 1, 2, 3
@@ -322,9 +342,10 @@ taps = 7
 
 def test_rendered_text_matches_golden():
     assert render_config(RunConfig()) == GOLDEN_DEFAULT_TEXT
+    assert GOLDEN_DEFAULT_TEXT.count(" = ") == 37
     customized = render_config(parse_config(CUSTOMIZED)).encode("utf-8")
     assert hashlib.sha256(customized).hexdigest() == (
-        "66ac978c770e4b12fb112d63015efa4ce982433f46ebad0e6aeee47dbb823386")
+        "d9c0a9067273edb0dd82537d27a2a9689a63e9cad788d10893a05f1c8d035e0f")
 
 
 def test_load_config_reads_files(tmp_path):
@@ -340,16 +361,15 @@ def test_load_config_reads_files(tmp_path):
 # === builders ===
 
 def test_pa_config_matches_presets():
+    # The default [pa] amplifier at a preset's drive is that preset.
     cfg = RunConfig()
-    for level in ("low", "high"):
-        built = cfg.pa_for_preset(level)
+    for level, db in PRESET_DRIVE_DB.items():
+        built = cfg.pa_config(drive_db=db)
         ref = preset(level)
         assert np.array_equal(built.coeffs, ref.coeffs)
         assert built.drive_db == ref.drive_db
         assert built.smooth_limit == ref.smooth_limit
         assert built.feedback_snr_db == ref.feedback_snr_db
-    with pytest.raises(ValueError):
-        cfg.pa_for_preset("medium")
 
 
 def test_preset_label_detection():

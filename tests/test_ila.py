@@ -583,14 +583,18 @@ def test_train_and_order_search_name_a_non_finite_sequence(name, bad):
         MpmCoefficients.fit_orders(psi, phi, window, (1, 2), 512, None)
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("family, warm_start", [*((family, True) for family in FAMILIES),
+                                                ("agmpnn", False)],
+                         ids=[*FAMILIES, "agmpnn-cold"])
 @pytest.mark.parametrize("name", ["input", "target"])
-def test_every_family_fit_names_a_non_finite_sequence(family, name):
+def test_every_family_fit_names_a_non_finite_sequence(family, warm_start, name):
+    # A cold-start agmpnn used to fail with `model parameters must be finite`:
+    # its offsets come from a percentile of the input's amplitudes.
     x = generate_waveform(3, 2048, 0.25).samples
     spoilt = x.copy()
     spoilt[1500] = np.nan
     psi, phi = (spoilt, x) if name == "input" else (x, spoilt)
-    spec = DpdModelSpec(kind=family, window=TapWindow(pre_taps=2))
+    spec = DpdModelSpec(kind=family, window=TapWindow(pre_taps=2), warm_start=warm_start)
     with pytest.raises(ValueError, match=f"^{name} sequence holds a non-finite sample$"):
         fit_model_on_data(psi, phi, spec, FAST_CFG)
 
