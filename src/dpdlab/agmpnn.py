@@ -128,6 +128,8 @@ class AgmpnnModel(modelfile.ParamModel):
         modelfile.Param("attn_bias", "attn_bias", lambda d: (d["n_experts"], d["n_taps"]),
                         tap_axis=1),
     ))
+    # The warm start is MpmCoefficients.fit at the spec's ridge.
+    FIT_OPTIONS = ("ridge", "warm_start")
 
     # ------------------------------------------------------------------
     # construction

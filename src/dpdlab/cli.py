@@ -21,8 +21,8 @@ from .exceptions import DpdlabError, FormatError
 from .mpm import MpmSpec, build_basis, ls_fit
 from .pa_sim import PRESET_DRIVE_DB, pa_forward
 from .rules import RULES
-from .signal import (ComplexSequence, TapWindow, deserialize_iq, generate_waveform, nmse_db,
-                     read_iq_csv, read_text, serialize_iq, write_iq_csv)
+from .signal import (ComplexSequence, deserialize_iq, generate_waveform, nmse_db, read_iq_csv,
+                     read_text, serialize_iq, write_iq_csv)
 from .training import FINITE_DIFF_MAX_PARAMS, finite_diff_check
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -30,6 +30,13 @@ GRADCHECK_THRESHOLD = 1e-4
 
 class _UsageError(Exception):
     pass
+
+
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Adds a flag's default to its help only when it has one."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,14 +57,17 @@ def _flag(name: str):
     return read
 
 
-# `fit`'s flags over the --config file's [model] values, by RunConfig field;
-# --cold-start sets warm_start to false.
-_FIT_MODEL_FLAGS = {"taps": "--taps", "post_taps": "--post-taps", "k_orders": "--k",
-                    "n_experts": "--experts", "n1": "--n1", "n2": "--n2", "ridge": "--ridge",
-                    "warm_start": "--cold-start"}
+# (flag, help) over each [model] value, by RunConfig field: `fit` takes all, `gradcheck`
+# the taps and sizes.  --cold-start sets warm_start to false.
+_FIT_MODEL_FLAGS = {"taps": ("--taps", "total tap count"),
+                    "post_taps": ("--post-taps", "taps ahead of the current sample"),
+                    "k_orders": ("--k", "number of even-order terms"),
+                    "n_experts": ("--experts", "number of experts"),
+                    "n1": ("--n1", "first hidden width"), "n2": ("--n2", "second hidden width"),
+                    "ridge": ("--ridge", "least-squares regularizer"),
+                    "warm_start": ("--cold-start", "skip the least-squares warm start")}
 _ALL_SIZES = dict.fromkeys(name for cls in ila.MODEL_CLASSES.values() for name in cls.PARAMS.sizes)
-# gradcheck's sizes where their flags are not given, and the families it checks.
-_GRADCHECK_SIZES = {"k_orders": 2, "n_experts": 2, "n1": 4, "n2": 3}
+_ALL_OPTIONS = dict.fromkeys(name for cls in ila.MODEL_CLASSES.values() for name in cls.FIT_OPTIONS)
 _TRAINED = tuple(kind for kind, cls in ila.MODEL_CLASSES.items() if hasattr(cls, "loss_rows"))
 
 
@@ -123,27 +133,24 @@ def _cmd_simulate_pa(args) -> int:
     return 0
 
 
-def _family(args):
-    """The --model family's class; another family's size flag is a usage error."""
-    cls = ila.MODEL_CLASSES[args.model]
-    stray = [_FIT_MODEL_FLAGS[n] for n in _ALL_SIZES if hasattr(args, n) and n not in cls.PARAMS.sizes]
-    if stray:
-        raise _UsageError(f"dpdlab {args.command}: {' '.join(stray)}: not a size of {args.model}")
-    return cls
-
-
 def _fit_config(args) -> RunConfig:
-    """The run config with `fit`'s model flags over its [model] values.  The
-    file loaded cleanly, so a value every run would reject comes from the
-    flags: a usage error naming them."""
-    _family(args)
+    """The run config with the model flags over its [model] values.  A flag
+    the --model family's fit never reads (another family's size, or an option
+    such as --ridge) is a usage error.  The file loaded cleanly, so a value
+    every run would reject comes from the flags: a usage error naming them."""
+    cls = ila.MODEL_CLASSES[args.model]
+    for what, names, reads in (("a size", _ALL_SIZES, cls.PARAMS.sizes),
+                               ("an option", _ALL_OPTIONS, cls.FIT_OPTIONS)):
+        stray = [_FIT_MODEL_FLAGS[n][0] for n in names if hasattr(args, n) and n not in reads]
+        if stray:
+            raise _UsageError(f"dpdlab {args.command}: {' '.join(stray)}: not {what} of {args.model}")
     cfg = _load_run_config(args)
     given = {name: getattr(args, name) for name in _FIT_MODEL_FLAGS if hasattr(args, name)}
     try:
         return dataclasses.replace(cfg, kind=args.model, **given)
     except FormatError as exc:
-        flags = " ".join(_FIT_MODEL_FLAGS[name] for name in given)
-        raise _UsageError(f"dpdlab fit: {flags}: {exc}") from None
+        flags = " ".join(_FIT_MODEL_FLAGS[name][0] for name in given)
+        raise _UsageError(f"dpdlab {args.command}: {flags}: {exc}") from None
 
 
 def _cmd_fit(args) -> int:
@@ -223,11 +230,12 @@ def _cmd_sweep_complexity(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    cls = _family(args)
-    sizes = {name: getattr(args, name, _GRADCHECK_SIZES[name]) for name in cls.PARAMS.sizes}
-    model = cls.init(TapWindow(pre_taps=args.taps - 1), **sizes, seed=args.seed)
+    cfg = _fit_config(args)
+    cls = ila.MODEL_CLASSES[cfg.kind]
+    sizes = {name: getattr(cfg, name) for name in cls.PARAMS.sizes}
+    model = cls.init(cfg.window(), **sizes, seed=args.seed)
     if model.n_params() > FINITE_DIFF_MAX_PARAMS:
-        flags = " ".join(f"{_FIT_MODEL_FLAGS[n]} {v}" for n, v in {"taps": args.taps, **sizes}.items())
+        flags = " ".join(f"{_FIT_MODEL_FLAGS[n][0]} {v}" for n, v in {"taps": cfg.taps, **sizes}.items())
         raise _UsageError(f"dpdlab gradcheck: {flags}: {model.n_params()} parameters; "
                           f"the finite-difference check takes at most {FINITE_DIFF_MAX_PARAMS}")
     psi = generate_waveform(args.seed, args.n, 0.5)
@@ -324,15 +332,22 @@ def _add_config_flag(p) -> None:
     p.add_argument("--config", default=None, help="run-config file (defaults apply if omitted)")
 
 
+def _add_model_flags(p, names) -> None:
+    for name in names:
+        flag, help_text = _FIT_MODEL_FLAGS[name]
+        how = {"action": "store_false"} if name == "warm_start" else {"type": _flag(name)}
+        p.add_argument(flag, dest=name, default=argparse.SUPPRESS,
+                       help=f"{help_text} (default: [model] {name})", **how)
+
+
 def build_parser() -> _Parser:
-    parser = _Parser(prog="dpdlab", description=__doc__,
-                     formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    parser = _Parser(prog="dpdlab", description=__doc__, formatter_class=_HelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text, description=help_text,
-                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                           formatter_class=_HelpFormatter)
         p.set_defaults(func=func)
         return p
 
@@ -356,16 +371,7 @@ def build_parser() -> _Parser:
 
     p = add("fit", _cmd_fit, "fit a postinverse model on an (input, target) waveform pair")
     p.add_argument("--model", choices=ila.FAMILIES, required=True)
-    for name, help_text in (("taps", "total tap count"),
-                            ("post_taps", "taps ahead of the current sample"),
-                            ("k_orders", "number of even-order terms"),
-                            ("n_experts", "number of experts"), ("n1", "first hidden width"),
-                            ("n2", "second hidden width"), ("ridge", "least-squares regularizer")):
-        p.add_argument(_FIT_MODEL_FLAGS[name], dest=name, type=_flag(name),
-                       default=argparse.SUPPRESS, help=f"{help_text} (default: [model] {name})")
-    p.add_argument("--cold-start", dest="warm_start", action="store_false",
-                   default=argparse.SUPPRESS, help="skip the least-squares warm start "
-                   "(agmpnn only; default: [model] warm_start)")
+    _add_model_flags(p, _FIT_MODEL_FLAGS)
     p.add_argument("--seed", type=_flag("seed"), default=0, help="initialization seed")
     p.add_argument("--in", dest="infile", required=True, help="model input waveform")
     p.add_argument("--target", required=True, help="desired output waveform")
@@ -395,10 +401,7 @@ def build_parser() -> _Parser:
     p = add("gradcheck", _cmd_gradcheck,
             "compare analytic and finite-difference gradients on a seeded model")
     p.add_argument("--model", choices=_TRAINED, default=_TRAINED[0], help="model family")
-    p.add_argument("--taps", type=_flag("taps"), default=3, help="total tap count")
-    for name, default in _GRADCHECK_SIZES.items():
-        p.add_argument(_FIT_MODEL_FLAGS[name], dest=name, type=_flag(name),
-                       default=argparse.SUPPRESS, help=f"(default: {default})")
+    _add_model_flags(p, ("taps", *_ALL_SIZES))
     p.add_argument("--seed", type=_flag("seed"), default=0,
                    help="model and check-waveform seed")
     p.add_argument("--n", type=_flag("n_samples"), default=256, help="check-waveform length")

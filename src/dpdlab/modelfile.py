@@ -302,9 +302,13 @@ class ParamModel:
     over the rows of a tap matrix and their target samples, with its exact
     gradient written into every entry of `grads`, the PARAMS.views of one flat
     vector.  training.train calls the kernel directly; loss_and_gradient wraps
-    it for one (input, target) pair."""
+    it for one (input, target) pair.
+
+    `FIT_OPTIONS` names the ila.DpdModelSpec fields besides the window and
+    the PARAMS.sizes that the family's `fit` reads."""
 
     PARAMS: ParamTable
+    FIT_OPTIONS = ()
 
     def __post_init__(self) -> None:
         self.PARAMS.freeze(self)

@@ -264,6 +264,7 @@ class MpmCoefficients(modelfile.ParamModel):
         modelfile.Param("coeff", "coeff", lambda d: (d["n_taps"], d["k_orders"]),
                         is_complex=True, tap_axis=0),
     ))
+    FIT_OPTIONS = ("ridge",)
 
     @property
     def window(self) -> TapWindow:

@@ -1,5 +1,6 @@
 """Command-line interface, exercised in-process through dispatch()."""
 
+import argparse
 import hashlib
 import re
 
@@ -9,7 +10,7 @@ import pytest
 from dpdlab import (ComplexSequence, TapWindow, deserialize_iq, generate_waveform, nmse_db,
                     pa_forward, preset, serialize_iq, write_iq_csv)
 from dpdlab.agmpnn import AgmpnnModel
-from dpdlab.cli import dispatch
+from dpdlab.cli import build_parser, dispatch
 from dpdlab.config import RunConfig, parse_config
 from dpdlab.ila import REPORT_HEADER, load_model
 from dpdlab.mpm import MpmCoefficients, MpmSpec
@@ -44,11 +45,21 @@ def test_help_exits_zero(capsys):
 def test_gradcheck_help_prints_every_default(capsys):
     assert dispatch(["gradcheck", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
-    for flag, default in (("--model {agmpnn,rvftdnn}", "agmpnn"), ("--taps TAPS", "3"),
-                          ("--k K_ORDERS", "2"), ("--experts N_EXPERTS", "2"), ("--n1 N1", "4"),
-                          ("--n2 N2", "3"), ("--seed SEED", "0"), ("--n N", "256"),
+    for flag, default in (("--model {agmpnn,rvftdnn}", "agmpnn"), ("--taps TAPS", "[model] taps"),
+                          ("--k K_ORDERS", "[model] k_orders"),
+                          ("--experts N_EXPERTS", "[model] n_experts"), ("--n1 N1", "[model] n1"),
+                          ("--n2 N2", "[model] n2"), ("--seed SEED", "0"), ("--n N", "256"),
                           ("--threshold THRESHOLD", "0.0001")):
         assert re.search(rf"{re.escape(flag)} (?:(?! --)[^()])*\(default: {re.escape(default)}\)", text), flag
+
+
+def test_help_prints_no_default_a_flag_does_not_have(capsys):
+    # Required flags, --config and --noise-seed have no default to print.
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(subparsers.choices) == 10
+    for command in subparsers.choices:
+        assert dispatch([command, "--help"]) == 0
+        assert "(default: None)" not in " ".join(capsys.readouterr().out.split()), command
 
 
 def test_runtime_failure_exits_two(tmp_path, capsys):
@@ -387,6 +398,21 @@ def test_gradcheck_default_models_pass(capsys):
     assert dispatch(["gradcheck", "--model", "rvftdnn"]) == 0
 
 
+def test_a_flagless_gradcheck_checks_the_model_sizes_every_run_trains(monkeypatch, capsys):
+    from dpdlab import cli
+    checked = []
+    monkeypatch.setattr(cli, "finite_diff_check",
+                        lambda model, psi, phi: checked.append(model) or 0.0)
+    for argv, kind, n_params in ((["gradcheck"], "agmpnn", 99),
+                                 (["gradcheck", "--model", "rvftdnn"], "rvftdnn", 450)):
+        assert dispatch(argv) == 0
+        spec = RunConfig(kind=kind).model_spec()
+        model = checked.pop()
+        assert model.window == spec.window
+        assert all(getattr(model, n) == getattr(spec, n) for n in type(model).PARAMS.sizes)
+        assert model.n_params() == spec.n_params() == n_params
+
+
 def test_gradcheck_unreachable_threshold_fails(capsys):
     assert dispatch(["gradcheck", "--threshold", "1e-15"]) == 2
     err = capsys.readouterr().err
@@ -438,6 +464,19 @@ def test_a_size_flag_of_another_family_is_a_usage_error_naming_it(tmp_path, caps
             (["gradcheck", "--n2", "3"], "dpdlab gradcheck: --n2: not a size of agmpnn")):
         assert dispatch(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_fit_refuses_an_option_its_family_never_reads(tmp_path, capsys):
+    # rvftdnn's fit reads no ridge and no warm start, mpm's no warm start:
+    # these flags used to be accepted and change nothing.
+    wave = str(tmp_path / "w.iq")
+    for model, flags, message in (("rvftdnn", ["--cold-start"], "--cold-start"),
+                                  ("rvftdnn", ["--ridge", "0.5"], "--ridge"),
+                                  ("rvftdnn", ["--cold-start", "--ridge", "0"], "--ridge --cold-start"),
+                                  ("mpm", ["--cold-start"], "--cold-start")):
+        assert dispatch(["fit", "--model", model, *flags, "--in", wave, "--target", wave,
+                         "--out", wave]) == 1
+        assert capsys.readouterr().err == f"error: dpdlab fit: {message}: not an option of {model}\n"
 
 
 # Every runaway parameter is finite: agmpnn's first step breaks only its

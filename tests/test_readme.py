@@ -7,7 +7,7 @@ import shlex
 from pathlib import Path
 
 from dpdlab import config
-from dpdlab.cli import dispatch
+from dpdlab.cli import _FIT_MODEL_FLAGS, dispatch
 from dpdlab.config import parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -56,3 +56,9 @@ def test_configuration_lists_every_key_of_every_section():
             assert match[1] not in listed, f"[{match[1]}] is listed twice"
             listed[match[1]] = re.findall(r"`(\w+)`", match[2])
     assert listed == {section: list(keys) for section, keys in config._SCHEMA.items()}
+
+
+def test_commands_list_every_fit_model_flag():
+    sentence = " ".join(_section("Commands").split()).split("`fit --config FILE`", 1)[1]
+    listed = re.findall(r"`(--[\w-]+)`", sentence.split(" override them.", 1)[0])
+    assert listed == [flag for flag, _ in _FIT_MODEL_FLAGS.values()]
