@@ -52,7 +52,7 @@ import numpy as np
 from . import modelfile
 from .mpm import MpmCoefficients, rectified_amplitude
 from .rules import check_all
-from .signal import ComplexSequence, TapWindow, as_samples, even_powers, predict_rows
+from .signal import TapWindow, as_samples, even_powers
 from .training import FitOutcome, train
 
 # Attention score bias applied to expert 1 when warm starting, large enough
@@ -128,8 +128,6 @@ class AgmpnnModel(modelfile.ParamModel):
         modelfile.Param("attn_bias", "attn_bias", lambda d: (d["n_experts"], d["n_taps"]),
                         tap_axis=1),
     ))
-    # The warm start is MpmCoefficients.fit at the spec's ridge.
-    FIT_OPTIONS = ("ridge", "warm_start")
 
     # ------------------------------------------------------------------
     # construction
@@ -202,6 +200,11 @@ class AgmpnnModel(modelfile.ParamModel):
                           warm_start_nmse_db=warm.postinv_nmse_db)
 
     @classmethod
+    def fit_options(cls, spec) -> tuple:
+        """warm_start, and with a warm start the ridge of its MPM fit."""
+        return ("warm_start", "ridge") if spec.warm_start else ("warm_start",)
+
+    @classmethod
     def tap_sweep_spec(cls, base, budget, **_):
         return replace(base, k_orders=3, n_experts=3)
 
@@ -246,23 +249,15 @@ class AgmpnnModel(modelfile.ParamModel):
         """The model output on the rows of a tap matrix: the forward pass's."""
         return self._forward_arrays(rows)[0]
 
-    def predict(self, x) -> ComplexSequence:
-        """output_rows by predict_rows: the forward pass runs on one block of
-        rows at a time, which bounds its expert-major temporaries.  Every
-        result of the pass is a function of its own row, so the blocking
-        changes no output bit (see the module docstring)."""
-        return predict_rows(x, self.window, self.output_rows)
-
-    # ------------------------------------------------------------------
-    # loss and gradient, the flat parameter vector protocol
-    # ------------------------------------------------------------------
-
-    def with_param_vector(self, vec: np.ndarray) -> "AgmpnnModel":
-        return self.PARAMS.with_param_vector(self, vec)
-
-    # Bound on the class itself, like with_param_vector, so that the
-    # benchmark's tracer (perfbench/tracer.py) finds it here.
+    # ParamModel's protocol, bound here for perfbench/tracer.py.  predict's row
+    # blocks bound the expert-major temporaries and move no output bit.
+    predict = modelfile.ParamModel.predict
+    with_param_vector = modelfile.ParamModel.with_param_vector
     loss_and_gradient = modelfile.ParamModel.loss_and_gradient
+
+    # ------------------------------------------------------------------
+    # loss and gradient
+    # ------------------------------------------------------------------
 
     def loss_rows(self, delayed: np.ndarray, phi: np.ndarray, grads: dict) -> float:
         """The rows kernel (ParamModel): mean |output - target|^2 over the
@@ -314,12 +309,6 @@ class AgmpnnModel(modelfile.ParamModel):
         g_attn = (score_sens * np.matmul(active, self.attn_scale[:, :, None])[:, :, 0]).sum(axis=1)
         np.multiply(scale, g_expert + g_attn, out=grads["amp_offsets"])
         return loss
-
-    @classmethod
-    def from_parsed(cls, path, parsed) -> "AgmpnnModel":
-        """The model in the file at `path`, already parsed by read_model."""
-        window, sizes, arrays = cls.PARAMS.load(path, parsed)
-        return cls(window=window, **sizes, **arrays)
 
 
 def attention_weights(model: AgmpnnModel, tap_values) -> np.ndarray:

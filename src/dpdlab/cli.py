@@ -66,9 +66,11 @@ _FIT_MODEL_FLAGS = {"taps": ("--taps", "total tap count"),
                     "n1": ("--n1", "first hidden width"), "n2": ("--n2", "second hidden width"),
                     "ridge": ("--ridge", "least-squares regularizer"),
                     "warm_start": ("--cold-start", "skip the least-squares warm start")}
-_ALL_SIZES = dict.fromkeys(name for cls in ila.MODEL_CLASSES.values() for name in cls.PARAMS.sizes)
-_ALL_OPTIONS = dict.fromkeys(name for cls in ila.MODEL_CLASSES.values() for name in cls.FIT_OPTIONS)
-_TRAINED = tuple(kind for kind, cls in ila.MODEL_CLASSES.items() if hasattr(cls, "loss_rows"))
+
+
+def _sizes() -> dict:
+    """The size fields of every registered family, in registry order."""
+    return dict.fromkeys(name for cls in ila.MODEL_CLASSES.values() for name in cls.PARAMS.sizes)
 
 
 # ----------------------------------------------------------------------
@@ -133,24 +135,35 @@ def _cmd_simulate_pa(args) -> int:
     return 0
 
 
+def _refuse_flags(args, names, what: str) -> None:
+    """A usage error `<flags>: not <what>` naming the flags of `names` given."""
+    stray = [_FIT_MODEL_FLAGS[n][0] for n in names if hasattr(args, n)]
+    if stray:
+        raise _UsageError(f"dpdlab {args.command}: {' '.join(stray)}: not {what}")
+
+
 def _fit_config(args) -> RunConfig:
     """The run config with the model flags over its [model] values.  A flag
     the --model family's fit never reads (another family's size, or an option
-    such as --ridge) is a usage error.  The file loaded cleanly, so a value
-    every run would reject comes from the flags: a usage error naming them."""
+    its fit_options leave out for the resolved spec) is a usage error.  The
+    file loaded cleanly, so a value every run would reject comes from the
+    flags: a usage error naming them."""
     cls = ila.MODEL_CLASSES[args.model]
-    for what, names, reads in (("a size", _ALL_SIZES, cls.PARAMS.sizes),
-                               ("an option", _ALL_OPTIONS, cls.FIT_OPTIONS)):
-        stray = [_FIT_MODEL_FLAGS[n][0] for n in names if hasattr(args, n) and n not in reads]
-        if stray:
-            raise _UsageError(f"dpdlab {args.command}: {' '.join(stray)}: not {what} of {args.model}")
+    sizes = _sizes()
+    _refuse_flags(args, [n for n in sizes if n not in cls.PARAMS.sizes], f"a size of {args.model}")
     cfg = _load_run_config(args)
     given = {name: getattr(args, name) for name in _FIT_MODEL_FLAGS if hasattr(args, name)}
     try:
-        return dataclasses.replace(cfg, kind=args.model, **given)
+        cfg = dataclasses.replace(cfg, kind=args.model, **given)
     except FormatError as exc:
         flags = " ".join(_FIT_MODEL_FLAGS[name][0] for name in given)
         raise _UsageError(f"dpdlab {args.command}: {flags}: {exc}") from None
+    spec = cfg.model_spec()
+    reads = cls.fit_options(spec)
+    cold = " with a cold start" if "warm_start" in reads and not spec.warm_start else ""
+    _refuse_flags(args, [n for n in _FIT_MODEL_FLAGS if n not in ("taps", "post_taps", *sizes, *reads)],
+                  f"an option of {args.model}{cold}")
+    return cfg
 
 
 def _cmd_fit(args) -> int:
@@ -254,6 +267,8 @@ def _read_report(path) -> list[dict]:
     header = list(ila.REPORT_COLUMNS)
     reader = csv.reader(read_text(path).splitlines())
     fieldnames = next(reader, None)
+    if fieldnames is None:
+        raise DpdlabError(f"{path}: not a sweep report (the file is empty)")
     if fieldnames != header:
         raise DpdlabError(f"{path}: not a sweep report (header {fieldnames})")
     rows = []
@@ -370,7 +385,7 @@ def build_parser() -> _Parser:
                    help="enable feedback noise at [pa] feedback_snr_db with this seed")
 
     p = add("fit", _cmd_fit, "fit a postinverse model on an (input, target) waveform pair")
-    p.add_argument("--model", choices=ila.FAMILIES, required=True)
+    p.add_argument("--model", choices=tuple(ila.MODEL_CLASSES), required=True)
     _add_model_flags(p, _FIT_MODEL_FLAGS)
     p.add_argument("--seed", type=_flag("seed"), default=0, help="initialization seed")
     p.add_argument("--in", dest="infile", required=True, help="model input waveform")
@@ -400,8 +415,9 @@ def build_parser() -> _Parser:
 
     p = add("gradcheck", _cmd_gradcheck,
             "compare analytic and finite-difference gradients on a seeded model")
-    p.add_argument("--model", choices=_TRAINED, default=_TRAINED[0], help="model family")
-    _add_model_flags(p, ("taps", *_ALL_SIZES))
+    trained = tuple(kind for kind, cls in ila.MODEL_CLASSES.items() if hasattr(cls, "loss_rows"))
+    p.add_argument("--model", choices=trained, default=trained[0], help="model family")
+    _add_model_flags(p, ("taps", *_sizes()))
     p.add_argument("--seed", type=_flag("seed"), default=0,
                    help="model and check-waveform seed")
     p.add_argument("--n", type=_flag("n_samples"), default=256, help="check-waveform length")

@@ -30,7 +30,8 @@ from .training import FitOutcome, TrainConfig
 MAX_ALIGN_LAG = 8
 EVAL_SEED_OFFSET = 1000
 
-# Each model family's class, by the kind tag of its model files.
+# Each model family's class, by the kind tag of its model files, read when a
+# command runs; FAMILIES is the default [sweep] families.
 MODEL_CLASSES = {cls.PARAMS.kind: cls for cls in (MpmCoefficients, AgmpnnModel, RvftdnnModel)}
 FAMILIES = tuple(MODEL_CLASSES)
 
@@ -55,8 +56,8 @@ REPORT_HEADER = ",".join(REPORT_COLUMNS)
 
 def check_families(families) -> None:
     for kind in families:
-        if kind not in FAMILIES:
-            raise ValueError(f"unknown model kind {kind!r}; expected one of {FAMILIES}")
+        if kind not in MODEL_CLASSES:
+            raise ValueError(f"unknown model kind {kind!r}; expected one of {tuple(MODEL_CLASSES)}")
 
 
 def check_budget(budget) -> None:

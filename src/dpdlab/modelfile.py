@@ -10,8 +10,9 @@ Every model family declares its parameter arrays once, as a ParamTable.  The
 table drives shape and finiteness validation, the layout of the optimizer's
 flat parameter vector and of the flat gradient a family's loss writes, and
 saving and loading the model file.  Each family subclasses ParamModel, which
-reads that protocol off its table, and writes its own math, its constructor
-from a parsed file and its decisions: its fit and its sweep candidates.
+reads that protocol off its table and gives it predict and its constructor
+from a parsed file; the family writes its own math and its decisions: its fit
+and its sweep candidates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .exceptions import FormatError
 from .rules import RULES, check_all
-from .signal import PREDICT_BLOCK_ROWS, TapWindow, read_text
+from .signal import PREDICT_BLOCK_ROWS, ComplexSequence, TapWindow, predict_rows, read_text
 
 MODEL_FORMAT = "DPDMODEL1"
 SCHEMA_VERSION = 1
@@ -288,27 +289,24 @@ class ParamTable:
 class ParamModel:
     """The protocol every model family shares, read off its `PARAMS` table:
     validation on construction, the flat parameter vector, the trainable
-    count, and the model file.  A subclass is a frozen dataclass that sets
-    `PARAMS` and defines `from_parsed(path, parsed)` and what `ila` calls:
+    count, predict and the model file.  A subclass is a frozen dataclass with
+    a `window`; it sets `PARAMS` and defines what `ila` calls:
     `fit(psi, phi, spec, cfg, seed) -> FitOutcome`, its search inside, and
     the specs of `tap_sweep_spec(base, budget, **grids)` and
     `complexity_specs(base, **grids)`, each a base ila.DpdModelSpec replaced.
+    Registered in ila.MODEL_CLASSES by its PARAMS.kind, it reaches every command.
 
     Every family defines its output kernel `output_rows(rows)`, the complex
-    output of the rows of a tap matrix, which its `predict` runs through
+    output of the rows of a tap matrix, which predict runs through
     signal.predict_rows and every validation score runs on the scored rows
     of training.segment_pairs.  A trained family also defines its rows kernel,
     `loss_rows(rows, target_rows, grads) -> loss`: the mean |output - target|^2
     over the rows of a tap matrix and their target samples, with its exact
     gradient written into every entry of `grads`, the PARAMS.views of one flat
     vector.  training.train calls the kernel directly; loss_and_gradient wraps
-    it for one (input, target) pair.
-
-    `FIT_OPTIONS` names the ila.DpdModelSpec fields besides the window and
-    the PARAMS.sizes that the family's `fit` reads."""
+    it for one (input, target) pair."""
 
     PARAMS: ParamTable
-    FIT_OPTIONS = ()
 
     def __post_init__(self) -> None:
         self.PARAMS.freeze(self)
@@ -323,6 +321,20 @@ class ParamModel:
     def params_formula(self) -> int:
         """The parameter count sweeps report; a family may override it."""
         return self.n_params()
+
+    @classmethod
+    def fit_options(cls, spec) -> tuple:
+        """The ila.DpdModelSpec fields besides the window and the PARAMS.sizes
+        that `fit` reads for `spec`; a family that reads any overrides it."""
+        return ()
+
+    def predict(self, x) -> ComplexSequence:
+        """output_rows on x by signal.predict_rows, one block of rows at a time."""
+        return predict_rows(x, self.window, self.output_rows)
+
+    def with_param_vector(self, vec: np.ndarray):
+        """ParamTable.with_param_vector of this model."""
+        return self.PARAMS.with_param_vector(self, vec)
 
     def loss_and_gradient(self, x, target) -> tuple[float, np.ndarray]:
         """The rows kernel on the rows a loss scores (TapWindow.scored_rows):
@@ -354,6 +366,14 @@ class ParamModel:
 
     def save(self, path) -> None:
         self.PARAMS.save(self, path)
+
+    @classmethod
+    def from_parsed(cls, path, parsed):
+        """The model in the file at `path`, parsed by read_model, from the
+        header fields that are fields of the class (not a size read off an array)."""
+        window, fields, arrays = cls.PARAMS.load(path, parsed)
+        own = {f.name for f in dataclasses.fields(cls)}
+        return cls(window=window, **{k: v for k, v in fields.items() if k in own}, **arrays)
 
     @classmethod
     def load(cls, path):

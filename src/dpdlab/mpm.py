@@ -18,8 +18,7 @@ from numpy.linalg import lapack_lite
 from . import modelfile
 from .exceptions import ConditioningError
 from .rules import check, check_all
-from .signal import (ComplexSequence, TapWindow, as_samples, delayed_matrix, even_powers,
-                     predict_rows)
+from .signal import TapWindow, as_samples, delayed_matrix, even_powers
 from .training import FitOutcome, best_fit, segment_pairs, validation_nmse_db
 
 # Default ridge, relative to the mean diagonal of the normal matrix.
@@ -264,7 +263,6 @@ class MpmCoefficients(modelfile.ParamModel):
         modelfile.Param("coeff", "coeff", lambda d: (d["n_taps"], d["k_orders"]),
                         is_complex=True, tap_axis=0),
     ))
-    FIT_OPTIONS = ("ridge",)
 
     @property
     def window(self) -> TapWindow:
@@ -283,10 +281,13 @@ class MpmCoefficients(modelfile.ParamModel):
         gemv's product of its own basis row, the same in any block of rows."""
         return basis_rows(rows, self.spec) @ self.coeff.reshape(-1)
 
-    def predict(self, x) -> ComplexSequence:
-        """output_rows by predict_rows: the basis is built one block of rows at
-        a time, so no N × T·K basis is held, and no output bit changes."""
-        return predict_rows(x, self.window, self.output_rows)
+    # ParamModel's, bound here for perfbench/tracer.py: no N × T·K basis is
+    # held, and the row blocks move no output bit.
+    predict = modelfile.ParamModel.predict
+
+    @classmethod
+    def fit_options(cls, spec) -> tuple:
+        return ("ridge",)
 
     @classmethod
     def fit(cls, psi, phi, spec, cfg, seed: int = 0) -> FitOutcome:

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import modelfile
 from .rules import check_all
-from .signal import ComplexSequence, TapWindow, predict_rows
+from .signal import TapWindow
 from .training import FitOutcome, best_fit, train
 
 # Default trainable-parameter budget (low, high) of an architecture search.
@@ -150,15 +150,10 @@ class RvftdnnModel(modelfile.ParamModel):
         pairs read as complex samples."""
         return self._forward(rows.view(np.float64))[2].view(np.complex128)[:, 0]
 
-    def predict(self, x) -> ComplexSequence:
-        """output_rows by predict_rows (the module docstring has the bits)."""
-        return predict_rows(x, self.window, self.output_rows)
-
-    def with_param_vector(self, vec: np.ndarray) -> "RvftdnnModel":
-        return self.PARAMS.with_param_vector(self, vec)
-
-    # Bound on the class itself, like with_param_vector, so that the
-    # benchmark's tracer (perfbench/tracer.py) finds it here.
+    # ParamModel's protocol, bound here for perfbench/tracer.py (the module
+    # docstring has predict's bits).
+    predict = modelfile.ParamModel.predict
+    with_param_vector = modelfile.ParamModel.with_param_vector
     loss_and_gradient = modelfile.ParamModel.loss_and_gradient
 
     def loss_rows(self, delayed: np.ndarray, phi: np.ndarray, grads: dict) -> float:
@@ -182,12 +177,6 @@ class RvftdnnModel(modelfile.ParamModel):
         np.matmul(feats.T, d_h1, out=grads["w1"])
         _column_sums(d_h1, grads["b1"])
         return loss
-
-    @classmethod
-    def from_parsed(cls, path, parsed) -> "RvftdnnModel":
-        """The model in the file at `path`, already parsed by read_model."""
-        window, _, arrays = cls.PARAMS.load(path, parsed)
-        return cls(window=window, **arrays)
 
 
 def _tanh_slope(h: np.ndarray) -> np.ndarray:

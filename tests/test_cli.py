@@ -477,6 +477,15 @@ def test_fit_refuses_an_option_its_family_never_reads(tmp_path, capsys):
         assert dispatch(["fit", "--model", model, *flags, "--in", wave, "--target", wave,
                          "--out", wave]) == 1
         assert capsys.readouterr().err == f"error: dpdlab fit: {message}: not an option of {model}\n"
+    # A cold-started agmpnn has no least-squares warm start for a ridge to
+    # act on, whether the flags or the config make it cold.
+    (tmp_path / "cold.cfg").write_text("[model]\nwarm_start = false\n")
+    for flags in (["--cold-start", "--ridge", "0.5"],
+                  ["--ridge", "0.5", "--config", str(tmp_path / "cold.cfg")]):
+        assert dispatch(["fit", "--model", "agmpnn", *flags, "--in", wave, "--target", wave,
+                         "--out", wave]) == 1
+        assert capsys.readouterr().err == (
+            "error: dpdlab fit: --ridge: not an option of agmpnn with a cold start\n")
 
 
 # Every runaway parameter is finite: agmpnn's first step breaks only its
@@ -583,6 +592,13 @@ def test_report_rejects_non_report_csv(tmp_path):
     bogus = tmp_path / "bogus.csv"
     bogus.write_text("a,b,c\n1,2,3\n")
     assert dispatch(["report", "--in", str(bogus)]) == 2
+
+
+def test_report_on_an_empty_file_says_it_is_empty(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert dispatch(["report", "--in", str(empty)]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: not a sweep report (the file is empty)\n"
 
 
 def test_report_on_a_non_utf8_file_names_it(tmp_path, capsys):
