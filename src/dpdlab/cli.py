@@ -265,12 +265,15 @@ def _read_report(path) -> list[dict]:
     """A sweep report's rows, each checked for its field count and each
     numeric cell for its column's rule; a blank cell is an infeasible one."""
     header = list(ila.REPORT_COLUMNS)
-    reader = csv.reader(read_text(path).splitlines())
+    lines = read_text(path).splitlines()
+    reader = csv.reader(lines)
     fieldnames = next(reader, None)
     if fieldnames is None:
         raise DpdlabError(f"{path}: not a sweep report (the file is empty)")
+    if not fieldnames:
+        raise DpdlabError(f"{path}: not a sweep report (the first line is blank)")
     if fieldnames != header:
-        raise DpdlabError(f"{path}: not a sweep report (header {fieldnames})")
+        raise DpdlabError(f"{path}: not a sweep report (header {lines[0]!r})")
     rows = []
     for fields in reader:
         if not fields:

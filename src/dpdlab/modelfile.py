@@ -6,12 +6,13 @@ value (re and im columns for complex arrays).  Floats are written with 17
 significant decimal digits after the leading digit, so a round trip is
 value-exact for float64.
 
-Every model family declares its parameter arrays once, as a ParamTable.  The
-table drives shape and finiteness validation, the layout of the optimizer's
-flat parameter vector and of the flat gradient a family's loss writes, and
-saving and loading the model file.  Each family subclasses ParamModel, which
-reads that protocol off its table and gives it predict and its constructor
-from a parsed file; the family writes its own math and its decisions: its fit
+Every model family declares its parameter arrays once, as a ParamTable: its
+file kind, size fields, header scalars and arrays, with the sizes, the
+parameter count and the file reading that need no model.  Each family
+subclasses ParamModel, which reads that declaration to validate a model on
+construction, flatten it into the optimizer's parameter vector, view a flat
+vector (a gradient) as its arrays, rebuild it from a vector, predict, and
+save and load it; the family writes its own math and its decisions: its fit
 and its sweep candidates.
 """
 
@@ -122,6 +123,8 @@ def _fill(rows, shape, n_values, index_offset, name, path):
             raise FormatError(f"{path}: section [{name}] has a malformed row") from None
         if any(i < 0 or i >= s for i, s in zip(idx, shape)):
             raise FormatError(f"{path}: section [{name}] index {row[:n_idx]} out of range")
+        if seen[idx]:
+            raise FormatError(f"{path}: section [{name}] repeats index {' '.join(row[:n_idx])}")
         arr[idx] = values
         seen[idx] = True
     if not seen.all():
@@ -153,9 +156,10 @@ class Param:
 
 @dataclass(frozen=True)
 class ParamTable:
-    """A model family's parameters: its file kind, the header size fields and
-    then the header scalars, each read off the model by attribute, and its
-    arrays in flat-vector and file order."""
+    """A model family's parameters, declared: its file kind, the header size
+    fields and then the header scalars, each read off the model by attribute,
+    and its arrays in flat-vector and file order.  It holds only what needs
+    no model instance (dims, count, load); ParamModel reads it for the rest."""
 
     kind: str
     sizes: tuple
@@ -172,86 +176,6 @@ class ParamTable:
         """Length of the flat parameter vector at these sizes: the real
         trainable degrees of freedom, two per complex entry."""
         return sum(math.prod(p.shape(dims)) * (2 if p.is_complex else 1) for p in self.params)
-
-    def freeze(self, model) -> None:
-        """Coerce the model's arrays to float64/complex128, check every size is
-        at least 1 and every array's shape and finiteness, and make them
-        read-only.  Called from the model's __post_init__."""
-        for p in self.params:
-            arr = np.array(getattr(model, p.attr), dtype=np.complex128 if p.is_complex else np.float64)
-            object.__setattr__(model, p.attr, arr)
-        dims = self.dims(model)
-        for p in self.params:
-            arr = getattr(model, p.attr)
-            if arr.shape != p.shape(dims):
-                raise ValueError(f"{p.attr} shape {arr.shape} != {p.shape(dims)}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("model parameters must be finite")
-            arr.flags.writeable = False
-
-    def param_vector(self, model) -> np.ndarray:
-        """The model's arrays concatenated in table order; a complex array
-        contributes interleaved (re, im) pairs."""
-        return np.concatenate([getattr(model, p.attr).reshape(-1).view(np.float64)
-                               for p in self.params])
-
-    def size(self, model) -> int:
-        """Length of the model's flat parameter vector, read off its arrays;
-        construction checked them against count."""
-        return sum(getattr(model, p.attr).size * (2 if p.is_complex else 1) for p in self.params)
-
-    def views(self, model, vec: np.ndarray) -> dict:
-        """The arrays of a flat vector laid out like `model`'s parameters, as
-        views of it in table order: the inverse of param_vector.  A family's
-        rows kernel writes each gradient into these views of one vector, and
-        a caller that wants one gradient array per parameter reads them."""
-        views = {}
-        pos = 0
-        for p in self.params:
-            arr = getattr(model, p.attr)
-            stop = pos + arr.size * (2 if p.is_complex else 1)
-            piece = vec[pos:stop]
-            views[p.attr] = (piece.view(np.complex128) if p.is_complex else piece).reshape(arr.shape)
-            pos = stop
-        return views
-
-    def with_param_vector(self, model, vec):
-        """A copy of `model` whose arrays are read-only views of one float64
-        copy of the flat vector `vec`.
-
-        `vec` is checked once, for its length and finiteness; the model's
-        other fields carry over as they are, and nothing else it holds (a
-        cache) does.
-        """
-        vec = np.array(vec, dtype=np.float64)
-        size = self.size(model)
-        if vec.shape != (size,):
-            raise ValueError(f"parameter vector must have {size} entries, got {vec.shape}")
-        if not np.isfinite(vec).all():
-            raise ValueError("model parameters must be finite")
-        vec.flags.writeable = False
-        rebuilt = object.__new__(type(model))
-        vars(rebuilt).update({f.name: getattr(model, f.name) for f in dataclasses.fields(model)})
-        vars(rebuilt).update(self.views(model, vec))
-        return rebuilt
-
-    def save(self, model, path) -> None:
-        """Write the header (taps, size fields, then scalars) and one section
-        per table entry, each row an entry's indices (a tap axis's as the tap
-        delay) and its value (re and im for a complex array)."""
-        window = model.window
-        lines = [f"format = {MODEL_FORMAT}", f"version = {SCHEMA_VERSION}", f"kind = {self.kind}",
-                 f"pre_taps = {window.pre_taps}", f"post_taps = {window.post_taps}"]
-        lines += [f"{name} = {getattr(model, name)}" for name in self.sizes]
-        lines += [f"{name} = {_fmt(getattr(model, name))}" for name in self.scalars]
-        for p in self.params:
-            arr = getattr(model, p.attr)
-            offsets = p.index_offsets(arr.ndim, window)
-            values = arr.view(np.float64).reshape(arr.shape + (-1,))  # (re, im) or (value,)
-            lines += ["", f"[{p.section}]"]
-            lines += [" ".join([*(str(i + o) for i, o in zip(idx, offsets)), *map(_fmt, values[idx])])
-                      for idx in np.ndindex(arr.shape)]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def load(self, path, parsed):
         """Turn `parsed`, the (kind, header, sections, lines) that read_model
@@ -288,9 +212,9 @@ class ParamTable:
 
 class ParamModel:
     """The protocol every model family shares, read off its `PARAMS` table:
-    validation on construction, the flat parameter vector, the trainable
-    count, predict and the model file.  A subclass is a frozen dataclass with
-    a `window`; it sets `PARAMS` and defines what `ila` calls:
+    validation on construction, the flat parameter vector and its views, the
+    trainable count, predict and the model file.  A subclass is a frozen
+    dataclass with a `window`; it sets `PARAMS` and defines what `ila` calls:
     `fit(psi, phi, spec, cfg, seed) -> FitOutcome`, its search inside, and
     the specs of `tap_sweep_spec(base, budget, **grids)` and
     `complexity_specs(base, **grids)`, each a base ila.DpdModelSpec replaced.
@@ -302,21 +226,40 @@ class ParamModel:
     of training.segment_pairs.  A trained family also defines its rows kernel,
     `loss_rows(rows, target_rows, grads) -> loss`: the mean |output - target|^2
     over the rows of a tap matrix and their target samples, with its exact
-    gradient written into every entry of `grads`, the PARAMS.views of one flat
+    gradient written into every entry of `grads`, the param_views of one flat
     vector.  training.train calls the kernel directly; loss_and_gradient wraps
     it for one (input, target) pair."""
 
     PARAMS: ParamTable
 
     def __post_init__(self) -> None:
-        self.PARAMS.freeze(self)
+        """Coerce the arrays to float64/complex128, check every size is at
+        least 1 and every array's shape and finiteness, and make them
+        read-only."""
+        for p in self.PARAMS.params:
+            arr = np.array(getattr(self, p.attr), dtype=np.complex128 if p.is_complex else np.float64)
+            object.__setattr__(self, p.attr, arr)
+        dims = self.PARAMS.dims(self)
+        for p in self.PARAMS.params:
+            arr = getattr(self, p.attr)
+            if arr.shape != p.shape(dims):
+                raise ValueError(f"{p.attr} shape {arr.shape} != {p.shape(dims)}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("model parameters must be finite")
+            arr.flags.writeable = False
 
     def param_vector(self) -> np.ndarray:
-        return self.PARAMS.param_vector(self)
+        """The arrays concatenated in PARAMS order; a complex array
+        contributes interleaved (re, im) pairs."""
+        return np.concatenate([getattr(self, p.attr).reshape(-1).view(np.float64)
+                               for p in self.PARAMS.params])
 
     def n_params(self) -> int:
-        """Real trainable degrees of freedom (two per complex coefficient)."""
-        return self.PARAMS.size(self)
+        """Real trainable degrees of freedom (two per complex coefficient):
+        the length of param_vector, read off the arrays, which construction
+        checked against PARAMS.count."""
+        return sum(getattr(self, p.attr).size * (2 if p.is_complex else 1)
+                   for p in self.PARAMS.params)
 
     def params_formula(self) -> int:
         """The parameter count sweeps report; a family may override it."""
@@ -332,9 +275,41 @@ class ParamModel:
         """output_rows on x by signal.predict_rows, one block of rows at a time."""
         return predict_rows(x, self.window, self.output_rows)
 
+    def param_views(self, vec: np.ndarray) -> dict:
+        """The arrays of a flat vector laid out like this model's parameters,
+        as views of it in PARAMS order: the inverse of param_vector.  A
+        family's rows kernel writes each gradient into these views of one
+        vector, and a caller that wants one gradient array per parameter
+        reads them."""
+        views = {}
+        pos = 0
+        for p in self.PARAMS.params:
+            arr = getattr(self, p.attr)
+            stop = pos + arr.size * (2 if p.is_complex else 1)
+            piece = vec[pos:stop]
+            views[p.attr] = (piece.view(np.complex128) if p.is_complex else piece).reshape(arr.shape)
+            pos = stop
+        return views
+
     def with_param_vector(self, vec: np.ndarray):
-        """ParamTable.with_param_vector of this model."""
-        return self.PARAMS.with_param_vector(self, vec)
+        """A copy of this model whose arrays are read-only views of one
+        float64 copy of the flat vector `vec`.
+
+        `vec` is checked once, for its length and finiteness; the model's
+        other fields carry over as they are, and nothing else it holds (a
+        cache) does.
+        """
+        vec = np.array(vec, dtype=np.float64)
+        size = self.n_params()
+        if vec.shape != (size,):
+            raise ValueError(f"parameter vector must have {size} entries, got {vec.shape}")
+        if not np.isfinite(vec).all():
+            raise ValueError("model parameters must be finite")
+        vec.flags.writeable = False
+        rebuilt = object.__new__(type(self))
+        vars(rebuilt).update({f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
+        vars(rebuilt).update(self.param_views(vec))
+        return rebuilt
 
     def loss_and_gradient(self, x, target) -> tuple[float, np.ndarray]:
         """The rows kernel on the rows a loss scores (TapWindow.scored_rows):
@@ -342,7 +317,7 @@ class ParamModel:
         PARAMS order."""
         rows, target_rows = self.window.scored_rows(x, target)
         grad = np.empty(self.n_params())
-        return self.loss_rows(rows, target_rows, self.PARAMS.views(self, grad)), grad
+        return self.loss_rows(rows, target_rows, self.param_views(grad)), grad
 
     def _row_tiles(self, n_rows: int) -> tuple:
         """The family's `_tile_rows(rows)` arrays, whose second-to-last axis
@@ -365,7 +340,22 @@ class ParamModel:
         return tuple(tile[..., :n_rows, :] for tile in built[1])
 
     def save(self, path) -> None:
-        self.PARAMS.save(self, path)
+        """Write the header (taps, size fields, then scalars) and one section
+        per PARAMS entry, each row an entry's indices (a tap axis's as the tap
+        delay) and its value (re and im for a complex array)."""
+        table, window = self.PARAMS, self.window
+        lines = [f"format = {MODEL_FORMAT}", f"version = {SCHEMA_VERSION}", f"kind = {table.kind}",
+                 f"pre_taps = {window.pre_taps}", f"post_taps = {window.post_taps}"]
+        lines += [f"{name} = {getattr(self, name)}" for name in table.sizes]
+        lines += [f"{name} = {_fmt(getattr(self, name))}" for name in table.scalars]
+        for p in table.params:
+            arr = getattr(self, p.attr)
+            offsets = p.index_offsets(arr.ndim, window)
+            values = arr.view(np.float64).reshape(arr.shape + (-1,))  # (re, im) or (value,)
+            lines += ["", f"[{p.section}]"]
+            lines += [" ".join([*(str(i + o) for i, o in zip(idx, offsets)), *map(_fmt, values[idx])])
+                      for idx in np.ndindex(arr.shape)]
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
     def from_parsed(cls, path, parsed):

@@ -130,7 +130,10 @@ def segment_pairs(psi, phi, window: TapWindow, segment_len: int) -> tuple[list, 
         raise ValueError(f"{psi_s.size} samples make {made} of {segment_len}; "
                          "need at least two (one training, one validation)")
     train_ranges, val_ranges = split_segments(ranges)
-    window.interior(segment_len)  # reject a too-short segment before scoring any
+    try:  # reject a too-short segment before scoring any
+        window.interior(segment_len)
+    except ValueError as exc:
+        raise ValueError(f"{exc}: segment_len must be at least {window.n_taps}") from None
     for name, samples in (("input", psi_s), ("target", phi_s)):
         if not np.isfinite(samples[:ranges[-1][1]]).all():
             raise ValueError(f"{name} sequence holds a non-finite sample")
@@ -179,11 +182,11 @@ def _diverges_as(what: str):
 def train(model, psi, phi, cfg: TrainConfig):
     """Fit `model` to map psi -> phi; returns (best model, TrainHistory).
 
-    The model protocol: a `window` attribute, param_vector, with_param_vector,
-    `PARAMS.views(model, vec)` (its parameter arrays as views of a flat
-    vector), the output kernel `output_rows(rows)` and the rows kernel
-    `loss_rows(rows, target_rows, grads) -> loss` (modelfile.ParamModel),
-    which writes the gradient of the mean loss over the rows into `grads`.
+    The model protocol (modelfile.ParamModel): a `window` attribute,
+    param_vector, with_param_vector, `param_views(vec)` (its parameter arrays
+    as views of a flat vector), the output kernel `output_rows(rows)` and the
+    rows kernel `loss_rows(rows, target_rows, grads) -> loss`, which writes
+    the gradient of the mean loss over the rows into `grads`.
     Each call prepares, once, every segment's scored rows (segment_pairs) and
     one flat gradient vector with its views; every step hands them to the
     rows kernel, and every validation score runs output_rows on them.
@@ -197,7 +200,7 @@ def train(model, psi, phi, cfg: TrainConfig):
     rng = np.random.default_rng(cfg.seed)
     params = model.param_vector()
     grad = np.empty(params.size)
-    grads = model.PARAMS.views(model, grad)
+    grads = model.param_views(grad)
     state = AdamState.zeros(params.size)
     work = model
 

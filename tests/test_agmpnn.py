@@ -275,7 +275,7 @@ def test_offset_gradient_vanishes_when_basis_is_linear_and_attention_flat():
     model = base.with_param_vector(vec)
     x = generate_waveform(9, 256, 0.5)
     y = generate_waveform(10, 256, 0.5)
-    grads = model.PARAMS.views(model, model.loss_and_gradient(x, y)[1])
+    grads = model.param_views(model.loss_and_gradient(x, y)[1])
     assert np.max(np.abs(grads["amp_offsets"])) == 0.0
 
 
@@ -296,7 +296,7 @@ def _assert_matches_oracle(model, x, y):
     assert np.array_equal(model.predict(x).samples, ref.agmpnn_forward_arrays(model, delayed)[0])
     rows = model.window.interior(x.size)
     loss, flat = model.loss_and_gradient(x, y)
-    grads = model.PARAMS.views(model, flat)
+    grads = model.param_views(flat)
     ref_loss, ref_grads = ref.agmpnn_backward(model, delayed[rows], y[rows])
     assert loss == ref_loss
     assert grads.keys() == ref_grads.keys()

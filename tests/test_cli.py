@@ -601,6 +601,18 @@ def test_report_on_an_empty_file_says_it_is_empty(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {empty}: not a sweep report (the file is empty)\n"
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("\n", "the first line is blank"),
+    ("a,b,c\n1,2,3\n", "header 'a,b,c'"),
+], ids=["blank", "foreign"])
+def test_report_says_what_is_wrong_with_its_header_as_the_file_spells_it(
+        tmp_path, capsys, text, problem):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert dispatch(["report", "--in", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not a sweep report ({problem})\n"
+
+
 def test_report_on_a_non_utf8_file_names_it(tmp_path, capsys):
     bad = tmp_path / "sweep.csv"
     bad.write_bytes(REPORT_HEADER.encode() + b"\n\xff\n")
@@ -680,6 +692,15 @@ def test_ila_run_on_too_few_samples_names_the_segment_count(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: 1000 samples make 0 segments of 1024; need at least two "
         "(one training, one validation)"]
+
+
+def test_ila_run_on_a_too_short_segment_names_segment_len(tmp_path, capsys):
+    cfg_path = tmp_path / "short.cfg"
+    cfg_path.write_text("[signal]\nn_samples = 2048\n[model]\nkind = rvftdnn\ntaps = 10\n"
+                        "[train]\nsegment_len = 8\n")
+    assert dispatch(["ila-run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: 8 samples are too few for a 10-tap window: segment_len must be at least 10"]
 
 
 def test_show_config_round_trips(tmp_path, capsys):

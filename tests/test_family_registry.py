@@ -127,3 +127,12 @@ def test_every_family_shares_the_protocol_methods(kind):
         assert getattr(cls, name) is getattr(modelfile.ParamModel, name), f"{kind}.{name}"
     # MPM's sizes live in its MpmSpec, so it alone builds itself from a file.
     assert "from_parsed" not in vars(cls) or cls is MpmCoefficients
+
+
+def test_the_model_protocol_has_one_spelling_on_the_model():
+    # ParamTable only declares; every per-model operation is ParamModel's own.
+    for name in ("freeze", "param_vector", "size", "views", "with_param_vector", "save"):
+        assert not hasattr(modelfile.ParamTable, name), name
+    for kind, cls in ila.MODEL_CLASSES.items():
+        for name in ("param_vector", "n_params", "param_views", "with_param_vector", "save"):
+            assert getattr(cls, name) is vars(modelfile.ParamModel)[name], f"{kind}.{name}"

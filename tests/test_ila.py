@@ -568,6 +568,16 @@ def test_train_and_order_search_reject_a_too_short_segment_alike():
     assert str(searched.value).startswith("7 samples are too few for a 8-tap window")
 
 
+def test_a_too_short_segment_names_segment_len_in_train_and_order_search():
+    x = generate_waveform(3, 2048, 0.25).samples
+    window = TapWindow(pre_taps=9)
+    message = r"^8 samples are too few for a 10-tap window: segment_len must be at least 10$"
+    with pytest.raises(ValueError, match=message):
+        train(RvftdnnModel.init(window, 2, 2), x, x, TrainConfig(segment_len=8))
+    with pytest.raises(ValueError, match=message):
+        MpmCoefficients.fit_orders(x, x, window, (1, 2), 8, None)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("name", ["input", "target"])
 def test_train_and_order_search_name_a_non_finite_sequence(name, bad):
@@ -737,7 +747,7 @@ def test_every_candidate_count_equals_the_oracle_and_the_flat_vector(window):
             count = spec.n_params()
             assert count == _ORACLES[family](window.n_taps, spec), spec
             model = _BUILDERS[family](spec)
-            assert count == model.n_params() == model.PARAMS.param_vector(model).size, spec
+            assert count == model.n_params() == model.param_vector().size, spec
 
 
 def test_a_complexity_sweep_builds_each_familys_candidates_once(monkeypatch):

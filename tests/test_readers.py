@@ -180,6 +180,15 @@ def test_model_file_refuses_repeated_and_undeclared_fields_naming_the_line(
     assert str(err.value) == f"{path}:{line}: {problem}"
 
 
+def test_model_file_refuses_a_repeated_entry_naming_its_section_and_index(tmp_path):
+    path = tmp_path / "fit.model"
+    path.write_text(MODEL_TEXTS[0].replace("[coeff]\n", "[coeff]\n0 0 5.0 0.0\n"),
+                    encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: section [coeff] repeats index 0 0"
+
+
 # === every text format ===
 
 _BOM_READERS = {

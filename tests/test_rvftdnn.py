@@ -183,7 +183,7 @@ def test_kernels_give_the_reference_bits(n1, n2, window):
         y = x * (1.0 - 0.2 * np.abs(x) ** 2) + 0.01 * rng.standard_normal(n)
         assert _same_bits(model.predict(x).samples, _blocked_reference(model, x))
         loss, flat = model.loss_and_gradient(x, y)
-        grads = model.PARAMS.views(model, flat)
+        grads = model.param_views(flat)
         ref_loss, ref_grads = ref.rvftdnn_backward(model, x, y)
         assert _same_bits(loss, ref_loss)
         assert grads.keys() == ref_grads.keys()
@@ -198,7 +198,7 @@ def _assert_matches_reference(model, x, y):
     loss, flat = model.loss_and_gradient(x, y)
     ref_loss, ref_grads = ref.rvftdnn_backward(model, x, y)
     assert _same_bits(loss, ref_loss)
-    for name, grad in model.PARAMS.views(model, flat).items():
+    for name, grad in model.param_views(flat).items():
         assert _same_bits(grad, ref_grads[name]), name
 
 

@@ -240,20 +240,20 @@ def test_rebuild_checks_the_vector_once_with_the_construction_messages(model):
     vec = model.param_vector()
     with pytest.raises(ValueError, match=rf"^parameter vector must have {vec.size} entries, "
                                          rf"got \({vec.size - 1},\)$"):
-        model.PARAMS.with_param_vector(model, vec[:-1])
+        model.with_param_vector(vec[:-1])
     for bad in (np.nan, np.inf, -np.inf):
         spoilt = vec.copy()
         spoilt[-1] = bad
         with pytest.raises(ValueError, match="^model parameters must be finite$"):
-            model.PARAMS.with_param_vector(model, spoilt)
+            model.with_param_vector(spoilt)
         with pytest.raises(ValueError, match="^model parameters must be finite$"):
-            replace(model, **model.PARAMS.views(model, spoilt))
+            replace(model, **model.param_views(spoilt))
 
 
 @pytest.mark.parametrize("model", _three_families(), ids=lambda m: m.PARAMS.kind)
 def test_rebuilt_arrays_are_read_only_copies_of_the_vector(model):
     vec = 0.5 * model.param_vector()
-    rebuilt = model.PARAMS.with_param_vector(model, vec)
+    rebuilt = model.with_param_vector(vec)
     vec[:] = 0.0  # the caller's vector is not held
     for p in model.PARAMS.params:
         arr = getattr(rebuilt, p.attr)
@@ -274,7 +274,7 @@ def test_rebuilt_agmpnn_predicts_what_a_freshly_built_one_does():
     vec = model.param_vector() + 0.1 * np.random.default_rng(3).standard_normal(model.n_params())
     rebuilt = model.with_param_vector(vec)
     fresh = AgmpnnModel(window=model.window, k_orders=model.k_orders,
-                        n_experts=model.n_experts, **model.PARAMS.views(model, vec))
+                        n_experts=model.n_experts, **model.param_views(vec))
     assert np.array_equal(rebuilt.predict(x).samples, fresh.predict(x).samples)
     assert not np.array_equal(rebuilt.predict(x).samples, model.predict(x).samples)
 
@@ -290,9 +290,6 @@ class _ScalarModel(ParamModel):
     window: TapWindow = TapWindow(pre_taps=0)
 
     PARAMS = ParamTable("scalar", sizes=(), params=(Param("a", "a", lambda d: ()),))
-
-    def with_param_vector(self, vec):
-        return self.PARAMS.with_param_vector(self, vec)
 
     def output_rows(self, rows):
         return self.a * rows[:, 0]
