@@ -157,9 +157,9 @@ class AgmpnnModel(modelfile.ParamModel):
         t_taps = window.n_taps
         m = n_experts
         if warm_start is not None:
-            if warm_start.spec.window != window or warm_start.spec.k_orders != k_orders:
+            if warm_start.window != window or warm_start.k_orders != k_orders:
                 raise ValueError("warm start window/orders do not match the model")
-            if warm_start.spec.amp_offset != 0.0:
+            if warm_start.amp_offset != 0.0:
                 raise ValueError("warm start must have zero amplitude offset")
             coeff = np.broadcast_to(warm_start.coeff, (m, t_taps, k_orders)).copy()
             if perturb:

@@ -80,16 +80,17 @@ class DpdModelSpec:
     ridge: Optional[float] = None
     warm_start: bool = True
     # Candidates to search, one kept by training.best_fit: mpm order counts,
-    # rvftdnn (n1, n2) widths; agmpnn takes none.  None fits the spec's own size.
+    # rvftdnn (n1, n2) widths; a family whose fit_options leave it out takes
+    # none.  None fits the spec's own size.
     search_grid: Optional[tuple] = None
     budget: tuple = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         check_families((self.kind,))
-        MODEL_CLASSES[self.kind].PARAMS.dims(self)
-        if self.kind == "agmpnn" and self.search_grid is not None:
-            raise ValueError("an agmpnn spec takes no search_grid: it fits its own "
-                             "(k_orders, n_experts)")
+        cls = MODEL_CLASSES[self.kind]
+        cls.PARAMS.dims(self)
+        if self.search_grid is not None and "search_grid" not in cls.fit_options(self):
+            raise ValueError(f"the {self.kind} spec takes no search_grid: its fit searches none")
         check_budget(self.budget)
         if self.ridge is not None:
             check("ridge", self.ridge)

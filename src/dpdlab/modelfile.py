@@ -9,11 +9,12 @@ value-exact for float64.
 Every model family declares its parameter arrays once, as a ParamTable: its
 file kind, size fields, header scalars and arrays, with the sizes, the
 parameter count and the file reading that need no model.  Each family
-subclasses ParamModel, which reads that declaration to validate a model on
-construction, flatten it into the optimizer's parameter vector, view a flat
-vector (a gradient) as its arrays, rebuild it from a vector, predict, and
-save and load it; the family writes its own math and its decisions: its fit
-and its sweep candidates.
+subclasses ParamModel as a frozen dataclass whose fields are its file's: the
+window, every size field and scalar, and every array.  ParamModel reads the
+declaration to validate a model on construction, flatten it into the
+optimizer's parameter vector, view a flat vector (a gradient) as its arrays,
+rebuild it from a vector, predict, and save and load it; the family writes
+its own math and its decisions: its fit and its sweep candidates.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .exceptions import FormatError
-from .rules import RULES, check_all
+from .rules import RULES, check, check_all
 from .signal import PREDICT_BLOCK_ROWS, ComplexSequence, TapWindow, predict_rows, read_text
 
 MODEL_FORMAT = "DPDMODEL1"
@@ -122,7 +123,7 @@ def _fill(rows, shape, n_values, index_offset, name, path):
         except ValueError:
             raise FormatError(f"{path}: section [{name}] has a malformed row") from None
         if any(i < 0 or i >= s for i, s in zip(idx, shape)):
-            raise FormatError(f"{path}: section [{name}] index {row[:n_idx]} out of range")
+            raise FormatError(f"{path}: section [{name}] index {' '.join(row[:n_idx])} out of range")
         if seen[idx]:
             raise FormatError(f"{path}: section [{name}] repeats index {' '.join(row[:n_idx])}")
         arr[idx] = values
@@ -214,7 +215,8 @@ class ParamModel:
     """The protocol every model family shares, read off its `PARAMS` table:
     validation on construction, the flat parameter vector and its views, the
     trainable count, predict and the model file.  A subclass is a frozen
-    dataclass with a `window`; it sets `PARAMS` and defines what `ila` calls:
+    dataclass whose fields are its window, its PARAMS sizes and scalars and
+    its arrays; it sets `PARAMS` and defines what `ila` calls:
     `fit(psi, phi, spec, cfg, seed) -> FitOutcome`, its search inside, and
     the specs of `tap_sweep_spec(base, budget, **grids)` and
     `complexity_specs(base, **grids)`, each a base ila.DpdModelSpec replaced.
@@ -233,9 +235,11 @@ class ParamModel:
     PARAMS: ParamTable
 
     def __post_init__(self) -> None:
-        """Coerce the arrays to float64/complex128, check every size is at
-        least 1 and every array's shape and finiteness, and make them
-        read-only."""
+        """Hold every size and scalar to its rule, store each scalar as a
+        float, coerce the arrays to float64/complex128, check every array's
+        shape and finiteness, and make them read-only."""
+        for name in self.PARAMS.scalars:
+            object.__setattr__(self, name, float(check(name, getattr(self, name))))
         for p in self.PARAMS.params:
             arr = np.array(getattr(self, p.attr), dtype=np.complex128 if p.is_complex else np.float64)
             object.__setattr__(self, p.attr, arr)
@@ -268,7 +272,8 @@ class ParamModel:
     @classmethod
     def fit_options(cls, spec) -> tuple:
         """The ila.DpdModelSpec fields besides the window and the PARAMS.sizes
-        that `fit` reads for `spec`; a family that reads any overrides it."""
+        that `fit` reads for `spec`.  A spec refuses a search_grid its family
+        leaves out, and `fit` a flag; a family whose fit reads any overrides it."""
         return ()
 
     def predict(self, x) -> ComplexSequence:
@@ -359,11 +364,10 @@ class ParamModel:
 
     @classmethod
     def from_parsed(cls, path, parsed):
-        """The model in the file at `path`, parsed by read_model, from the
-        header fields that are fields of the class (not a size read off an array)."""
+        """The model in the file at `path`, parsed by read_model: its window,
+        header fields and arrays are the class's fields."""
         window, fields, arrays = cls.PARAMS.load(path, parsed)
-        own = {f.name for f in dataclasses.fields(cls)}
-        return cls(window=window, **{k: v for k, v in fields.items() if k in own}, **arrays)
+        return cls(window=window, **fields, **arrays)
 
     @classmethod
     def load(cls, path):

@@ -162,8 +162,9 @@ def ls_fit(basis: BasisMatrix, targets, ridge: float | None = None) -> "MpmCoeff
     else:
         _require_full_rank(basis, rows)
         coeff, _, _, _ = np.linalg.lstsq(data, phi, rcond=None)
-    t_taps = basis.spec.window.n_taps
-    return MpmCoefficients(spec=basis.spec, coeff=coeff.reshape(t_taps, basis.spec.k_orders))
+    spec = basis.spec
+    return MpmCoefficients(window=spec.window, k_orders=spec.k_orders, amp_offset=spec.amp_offset,
+                           coeff=coeff.reshape(spec.window.n_taps, spec.k_orders))
 
 
 def order_blocked_qr(taps, spec: MpmSpec, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -254,10 +255,13 @@ def _lapack_with_workspace(routine, n: int, *args) -> None:
 
 @dataclass(frozen=True)
 class MpmCoefficients(modelfile.ParamModel):
-    """Fitted coefficients, shaped (taps, orders) to mirror the basis layout."""
+    """Fitted coefficients of the basis that the window, order count and
+    amplitude offset describe, shaped (taps, orders) to mirror its layout."""
 
-    spec: MpmSpec
+    window: TapWindow
+    k_orders: int
     coeff: np.ndarray
+    amp_offset: float = 0.0
 
     PARAMS = modelfile.ParamTable("mpm", sizes=("k_orders",), scalars=("amp_offset",), params=(
         modelfile.Param("coeff", "coeff", lambda d: (d["n_taps"], d["k_orders"]),
@@ -265,16 +269,9 @@ class MpmCoefficients(modelfile.ParamModel):
     ))
 
     @property
-    def window(self) -> TapWindow:
-        return self.spec.window
-
-    @property
-    def k_orders(self) -> int:
-        return self.spec.k_orders
-
-    @property
-    def amp_offset(self) -> float:
-        return self.spec.amp_offset
+    def spec(self) -> MpmSpec:
+        """The shape of this model's basis."""
+        return MpmSpec(window=self.window, k_orders=self.k_orders, amp_offset=self.amp_offset)
 
     def output_rows(self, rows: np.ndarray) -> np.ndarray:
         """basis · coeff on the rows of a tap matrix.  Each output row is the
@@ -287,7 +284,7 @@ class MpmCoefficients(modelfile.ParamModel):
 
     @classmethod
     def fit_options(cls, spec) -> tuple:
-        return ("ridge",)
+        return ("ridge", "search_grid")
 
     @classmethod
     def fit(cls, psi, phi, spec, cfg, seed: int = 0) -> FitOutcome:
@@ -331,9 +328,3 @@ class MpmCoefficients(modelfile.ParamModel):
     @classmethod
     def complexity_specs(cls, base, *, mpm_k_grid, **_) -> list:
         return [replace(base, k_orders=k) for k in sorted(mpm_k_grid)]
-
-    @classmethod
-    def from_parsed(cls, path, parsed) -> "MpmCoefficients":
-        """The model in the file at `path`, already parsed by read_model."""
-        window, fields, arrays = cls.PARAMS.load(path, parsed)
-        return cls(spec=MpmSpec(window=window, **fields), **arrays)

@@ -60,6 +60,8 @@ class RvftdnnModel(modelfile.ParamModel):
     """Dense 2T -> n1 -> n2 -> 2 network with tanh hidden activations."""
 
     window: TapWindow
+    n1: int
+    n2: int
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -67,8 +69,6 @@ class RvftdnnModel(modelfile.ParamModel):
     w3: np.ndarray
     b3: np.ndarray
 
-    # The layer widths are read off the bias lengths; every weight is checked
-    # against them.
     PARAMS = modelfile.ParamTable("rvftdnn", sizes=("n1", "n2"), params=(
         modelfile.Param("w1", "w1", lambda d: (2 * d["n_taps"], d["n1"])),
         modelfile.Param("b1", "b1", lambda d: (d["n1"],)),
@@ -78,14 +78,6 @@ class RvftdnnModel(modelfile.ParamModel):
         modelfile.Param("b3", "b3", lambda d: (2,)),
     ))
 
-    @property
-    def n1(self) -> int:
-        return int(self.b1.size)
-
-    @property
-    def n2(self) -> int:
-        return int(self.b2.size)
-
     @classmethod
     def init(cls, window: TapWindow, n1: int, n2: int, seed: int = 0) -> "RvftdnnModel":
         """Seeded init: zero biases, weights scaled by 1/sqrt(fan_in)."""
@@ -93,7 +85,7 @@ class RvftdnnModel(modelfile.ParamModel):
         rng = np.random.default_rng(seed)
         t2 = 2 * window.n_taps
         return cls(
-            window=window,
+            window=window, n1=n1, n2=n2,
             w1=rng.standard_normal((t2, n1)) / np.sqrt(t2),
             b1=np.zeros(n1),
             w2=rng.standard_normal((n1, n2)) / np.sqrt(n1),
@@ -110,6 +102,10 @@ class RvftdnnModel(modelfile.ParamModel):
                                                    *spec.budget, seed=seed))
         trained, history = train(cls.init(spec.window, spec.n1, spec.n2, seed=seed), psi, phi, cfg)
         return FitOutcome(model=trained, postinv_nmse_db=history.best_val_nmse_db())
+
+    @classmethod
+    def fit_options(cls, spec) -> tuple:
+        return ("search_grid", "budget")
 
     @classmethod
     def tap_sweep_spec(cls, base, budget, *, nn_grid, **_):

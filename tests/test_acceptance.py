@@ -122,7 +122,7 @@ def test_criterion_03_single_expert_reduces_to_memory_polynomial():
         rng = np.random.default_rng(seed)
         spec = MpmSpec(window=TapWindow(pre_taps=3), k_orders=3)
         lam = (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))) * 0.4
-        poly = MpmCoefficients(spec=spec, coeff=lam)
+        poly = MpmCoefficients(**vars(spec), coeff=lam)
         mixture = AgmpnnModel(window=spec.window, k_orders=3, n_experts=1,
                               expert_coeff=lam[None], amp_offsets=np.zeros(1),
                               attn_scale=0.1 * rng.standard_normal((1, 4)),

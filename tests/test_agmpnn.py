@@ -125,13 +125,13 @@ def test_warm_start_perturbation_is_relative():
 
 def test_warm_start_rejects_mismatched_shape():
     spec = MpmSpec(window=TapWindow(pre_taps=3), k_orders=2)
-    lam = MpmCoefficients(spec=spec, coeff=np.zeros((4, 2), dtype=complex) + 1)
+    lam = MpmCoefficients(**vars(spec), coeff=np.zeros((4, 2), dtype=complex) + 1)
     with pytest.raises(ValueError):
         AgmpnnModel.init(TapWindow(pre_taps=2), 2, 2, warm_start=lam)
     with pytest.raises(ValueError):
         AgmpnnModel.init(TapWindow(pre_taps=3), 3, 2, warm_start=lam)
     offset_spec = MpmSpec(window=TapWindow(pre_taps=3), k_orders=2, amp_offset=-0.1)
-    offset_lam = MpmCoefficients(spec=offset_spec, coeff=np.zeros((4, 2), dtype=complex) + 1)
+    offset_lam = MpmCoefficients(**vars(offset_spec), coeff=np.zeros((4, 2), dtype=complex) + 1)
     with pytest.raises(ValueError):
         AgmpnnModel.init(TapWindow(pre_taps=3), 2, 2, warm_start=offset_lam)
 

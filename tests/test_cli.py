@@ -13,7 +13,7 @@ from dpdlab.agmpnn import AgmpnnModel
 from dpdlab.cli import build_parser, dispatch
 from dpdlab.config import RunConfig, parse_config
 from dpdlab.ila import REPORT_HEADER, load_model
-from dpdlab.mpm import MpmCoefficients, MpmSpec
+from dpdlab.mpm import MpmCoefficients
 from dpdlab.rvftdnn import RvftdnnModel
 
 
@@ -285,13 +285,28 @@ def test_eval_on_a_huge_declared_dimension_is_a_one_line_error(tmp_path, capsys)
 def test_eval_on_a_sequence_shorter_than_the_window_prints_a_finite_nmse(tmp_path, capsys):
     # Taps that fall off a 3-sample sequence are zero-filled, as in window_at.
     model_path = tmp_path / "long.model"
-    spec = MpmSpec(window=TapWindow(pre_taps=5, post_taps=1), k_orders=2)
-    MpmCoefficients(spec=spec, coeff=np.full((7, 2), 0.1 + 0.05j)).save(model_path)
+    MpmCoefficients(window=TapWindow(pre_taps=5, post_taps=1), k_orders=2,
+                    coeff=np.full((7, 2), 0.1 + 0.05j)).save(model_path)
     wave_path = tmp_path / "short.csv"
     write_iq_csv(ComplexSequence([1.0, 0.5j, -0.25]), wave_path)
     assert dispatch(["eval", "--model-file", str(model_path),
                      "--in", str(wave_path), "--target", str(wave_path)]) == 0
     assert np.isfinite(float(capsys.readouterr().out.strip()))
+
+
+def test_eval_names_an_out_of_range_index_as_the_file_spells_it(tmp_path, capsys):
+    model_path = tmp_path / "oor.model"
+    MpmCoefficients(window=TapWindow(pre_taps=1), k_orders=1,
+                    coeff=np.ones((2, 1), dtype=complex)).save(model_path)
+    text = model_path.read_text()
+    assert text.count("\n1 0 ") == 1
+    model_path.write_text(text.replace("\n1 0 ", "\n7 0 "))
+    wave_path = tmp_path / "w.csv"
+    write_iq_csv(ComplexSequence([1.0, 0.5j, -0.25]), wave_path)
+    assert dispatch(["eval", "--model-file", str(model_path),
+                     "--in", str(wave_path), "--target", str(wave_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {model_path}: section [coeff] index 7 0 out of range\n")
 
 
 @pytest.mark.parametrize("family", ["mpm", "agmpnn"])
@@ -300,7 +315,7 @@ def test_eval_of_a_model_whose_output_overflows_names_the_model_file(tmp_path, c
     model_path = tmp_path / f"{family}.model"
     window = TapWindow(pre_taps=2)
     if family == "mpm":
-        MpmCoefficients(spec=MpmSpec(window=window, k_orders=4),
+        MpmCoefficients(window=window, k_orders=4,
                         coeff=np.full((3, 4), 0.1 + 0.05j)).save(model_path)
     else:
         AgmpnnModel.init(window, 3, 2, seed=0).save(model_path)
@@ -361,7 +376,7 @@ def test_fit_takes_model_values_from_the_config_unless_a_flag_overrides_them(tmp
         out = tmp_path / "m.model"
         assert dispatch(["fit", "--model", "mpm", *flags, *files, "--out", str(out)]) == 0
         model = load_model(out)
-        assert (model.window, model.spec.k_orders) == (window, k_orders)
+        assert (model.window, model.k_orders) == (window, k_orders)
 
 
 def test_a_fit_flag_that_breaks_the_config_window_is_a_usage_error_naming_it(tmp_path, capsys):

@@ -2,6 +2,7 @@
 writes only its parameter table, its math and its decisions reaches every
 command through the registry, and ParamModel gives it the rest."""
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 
 from dpdlab import ila, modelfile
 from dpdlab.cli import dispatch
-from dpdlab.mpm import MpmCoefficients
 from dpdlab.signal import TapWindow, deserialize_iq, nmse_db
 from dpdlab.training import FitOutcome, train
 
@@ -125,8 +125,25 @@ def test_every_family_shares_the_protocol_methods(kind):
     cls = ila.MODEL_CLASSES[kind]
     for name in ("predict", "with_param_vector", "loss_and_gradient"):
         assert getattr(cls, name) is getattr(modelfile.ParamModel, name), f"{kind}.{name}"
-    # MPM's sizes live in its MpmSpec, so it alone builds itself from a file.
-    assert "from_parsed" not in vars(cls) or cls is MpmCoefficients
+
+
+@pytest.mark.parametrize("cls", [*ila.MODEL_CLASSES.values(), FirModel],
+                         ids=lambda cls: cls.PARAMS.kind)
+def test_a_model_holds_what_its_file_says(cls):
+    # Its fields are the window, the header sizes and scalars, and the arrays,
+    # so ParamModel.from_parsed builds every family with one call.
+    table = cls.PARAMS
+    assert {f.name for f in dataclasses.fields(cls)} == {
+        "window", *table.sizes, *table.scalars, *(p.attr for p in table.params)}
+    assert "from_parsed" not in vars(cls)
+
+
+def test_a_family_whose_fit_searches_nothing_refuses_a_search_grid(fir):
+    with pytest.raises(ValueError, match="^the fir spec takes no search_grid: its fit searches none"):
+        ila.DpdModelSpec(kind="fir", window=TapWindow(pre_taps=1), search_grid=((2,),))
+    for kind, grid in (("mpm", (1, 2)), ("rvftdnn", ((2, 2),))):
+        spec = ila.DpdModelSpec(kind=kind, window=TapWindow(pre_taps=1), search_grid=grid)
+        assert spec.search_grid == grid
 
 
 def test_the_model_protocol_has_one_spelling_on_the_model():

@@ -291,7 +291,7 @@ def test_cold_agmpnn_beats_no_dpd_on_a_linear_fir():
 def _small_model(family):
     window = TapWindow(pre_taps=3, post_taps=1)
     if family == "mpm":
-        return MpmCoefficients(spec=MpmSpec(window=window, k_orders=2),
+        return MpmCoefficients(window=window, k_orders=2,
                                coeff=np.full((5, 2), 0.1 + 0.05j))
     if family == "agmpnn":
         return AgmpnnModel.init(window, 2, 3, seed=1)
@@ -731,7 +731,7 @@ _ORACLES = {
     "rvftdnn": lambda t, s: ref.rvftdnn_param_count(t, s.n1, s.n2),
 }
 _BUILDERS = {
-    "mpm": lambda s: MpmCoefficients(MpmSpec(window=s.window, k_orders=s.k_orders),
+    "mpm": lambda s: MpmCoefficients(s.window, s.k_orders,
                                      np.zeros((s.window.n_taps, s.k_orders), complex)),
     "agmpnn": lambda s: AgmpnnModel.init(s.window, s.k_orders, s.n_experts),
     "rvftdnn": lambda s: RvftdnnModel.init(s.window, s.n1, s.n2),
@@ -827,7 +827,7 @@ def test_reports_to_csv_empty():
 
 def test_load_model_dispatches_on_kind(tmp_path):
     mpm_model = MpmCoefficients(
-        spec=MpmSpec(window=TapWindow(pre_taps=1), k_orders=2),
+        window=TapWindow(pre_taps=1), k_orders=2,
         coeff=np.array([[1.0, 0.1j], [0.05, 0.0]]))
     agm_model = AgmpnnModel.init(TapWindow(pre_taps=1), 2, 2, seed=0)
     nn_model = RvftdnnModel.init(TapWindow(pre_taps=1), 4, 3, seed=0)
@@ -846,7 +846,7 @@ def _tiny_model(family):
     """A small hand-built model of each family, with a lookahead tap."""
     window = TapWindow(pre_taps=1, post_taps=1)
     if family == "mpm":
-        return MpmCoefficients(spec=MpmSpec(window=window, k_orders=1, amp_offset=-0.1),
+        return MpmCoefficients(window=window, k_orders=1, amp_offset=-0.1,
                                coeff=np.array([[0.1 - 0.2j], [1.0 + 0.0j], [-0.3 + 1e-20j]]))
     if family == "agmpnn":
         return AgmpnnModel(
@@ -856,7 +856,8 @@ def _tiny_model(family):
             amp_offsets=np.array([0.0, -0.7]),
             attn_scale=np.array([[0.1, 0.2, 0.3], [-0.1, -0.2, -0.3]]),
             attn_bias=np.array([[5.0, 0.0, 0.0], [0.0, 0.0, 1.0 / 3.0]]))
-    return RvftdnnModel(window=window, w1=np.arange(6.0).reshape(6, 1) / 7.0, b1=np.array([0.1]),
+    return RvftdnnModel(window=window, n1=1, n2=1,
+                        w1=np.arange(6.0).reshape(6, 1) / 7.0, b1=np.array([0.1]),
                         w2=np.array([[-2.5]]), b2=np.array([0.0]),
                         w3=np.array([[1.0, -1.0]]), b3=np.array([0.1, 0.2]))
 

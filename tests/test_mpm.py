@@ -105,7 +105,7 @@ def test_ls_fit_recovers_planted_coefficients():
     x = generate_waveform(3, 4096, 0.25)
     spec = _spec(pre=2, k=3)
     truth = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) * 0.3
-    target = MpmCoefficients(spec=spec, coeff=truth).predict(x)
+    target = MpmCoefficients(**vars(spec), coeff=truth).predict(x)
     fitted = ls_fit(build_basis(x, spec), target, ridge=0.0)
     assert np.max(np.abs(fitted.coeff - truth)) < 1e-8
 
@@ -312,7 +312,7 @@ def test_predict_equals_basis_times_coeff():
             coeff = rng.standard_normal((taps, k)) + 1j * rng.standard_normal((taps, k))
             spec = _spec(pre=pre, post=post, k=k, b=b)
             direct = build_basis(x, spec).data @ coeff.reshape(-1)
-            predicted = MpmCoefficients(spec=spec, coeff=coeff).predict(x).samples
+            predicted = MpmCoefficients(**vars(spec), coeff=coeff).predict(x).samples
             assert np.array_equal(predicted, direct), (n, pre, k, b)
 
 
@@ -321,7 +321,7 @@ def test_predict_matches_reference_loop():
     x = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     spec = _spec(pre=2, post=1, k=2, b=-0.2)
     coeff = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    model = MpmCoefficients(spec=spec, coeff=coeff)
+    model = MpmCoefficients(**vars(spec), coeff=coeff)
     expected = ref.mpm_predict(x, coeff, pre_taps=2, post_taps=1, amp_offset=-0.2)
     assert np.max(np.abs(model.predict(x).samples - expected)) < 1e-12
 
@@ -344,7 +344,7 @@ def test_zero_offset_matches_plain_amplitude_basis():
 
 
 def test_n_params_counts_real_dof():
-    model = MpmCoefficients(spec=_spec(pre=6, k=3), coeff=np.zeros((7, 3), dtype=complex))
+    model = MpmCoefficients(**vars(_spec(pre=6, k=3)), coeff=np.zeros((7, 3), dtype=complex))
     assert model.n_params() == 42
 
 
@@ -354,7 +354,7 @@ def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     spec = _spec(pre=2, post=1, k=3, b=-0.15)
     coeff = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    model = MpmCoefficients(spec=spec, coeff=coeff)
+    model = MpmCoefficients(**vars(spec), coeff=coeff)
     path = tmp_path / "model.mpm"
     model.save(path)
     back = MpmCoefficients.load(path)
@@ -365,7 +365,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_load_rejects_wrong_kind(tmp_path):
-    model = MpmCoefficients(spec=_spec(pre=0, k=1), coeff=np.ones((1, 1), dtype=complex))
+    model = MpmCoefficients(**vars(_spec(pre=0, k=1)), coeff=np.ones((1, 1), dtype=complex))
     path = tmp_path / "model.mpm"
     model.save(path)
     text = path.read_text().replace("kind = mpm", "kind = other")
@@ -376,8 +376,17 @@ def test_load_rejects_wrong_kind(tmp_path):
 
 def test_coefficients_validation():
     with pytest.raises(ValueError):
-        MpmCoefficients(spec=_spec(pre=1, k=2), coeff=np.zeros((3, 2), dtype=complex))
+        MpmCoefficients(**vars(_spec(pre=1, k=2)), coeff=np.zeros((3, 2), dtype=complex))
     bad = np.zeros((2, 2), dtype=complex)
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
-        MpmCoefficients(spec=_spec(pre=1, k=2), coeff=bad)
+        MpmCoefficients(**vars(_spec(pre=1, k=2)), coeff=bad)
+
+
+def test_coefficients_store_their_amplitude_offset_as_a_float():
+    coeff = np.ones((2, 1), dtype=complex)
+    window = TapWindow(pre_taps=1)
+    for offset in (0, np.float64(-0.25)):
+        model = MpmCoefficients(window=window, k_orders=1, coeff=coeff, amp_offset=offset)
+        assert type(model.amp_offset) is float and model.amp_offset == offset
+        assert model.spec == MpmSpec(window=window, k_orders=1, amp_offset=offset)

@@ -16,7 +16,7 @@ from dpdlab.agmpnn import AgmpnnModel
 from dpdlab.cli import _read_report
 from dpdlab.config import RunConfig, load_config, parse_config, render_config
 from dpdlab.ila import REPORT_HEADER, load_model
-from dpdlab.mpm import MpmCoefficients, MpmSpec
+from dpdlab.mpm import MpmCoefficients
 from dpdlab.rvftdnn import RvftdnnModel
 from dpdlab.signal import _IQ_HEADER, IQ_MAGIC
 
@@ -124,7 +124,7 @@ def test_deserialize_iq_raises_only_format_error(tmp_path, blob):
 
 def _saved_model_texts() -> list:
     window = TapWindow(pre_taps=1, post_taps=1)
-    models = [MpmCoefficients(MpmSpec(window=window, k_orders=2), np.ones((3, 2), complex)),
+    models = [MpmCoefficients(window, 2, np.ones((3, 2), complex)),
               AgmpnnModel.init(window, 2, 2, seed=0),
               RvftdnnModel.init(window, 2, 2, seed=0)]
     with tempfile.TemporaryDirectory() as tmp:

@@ -93,7 +93,7 @@ def test_every_numeric_config_key_reads_its_value_by_its_rule():
 def _models():
     window = TapWindow(pre_taps=1, post_taps=1)
     return {
-        "mpm": MpmCoefficients(spec=MpmSpec(window=window, k_orders=2, amp_offset=-0.1),
+        "mpm": MpmCoefficients(window=window, k_orders=2, amp_offset=-0.1,
                                coeff=np.full((3, 2), 0.1 + 0.2j)),
         "agmpnn": AgmpnnModel.init(window, 2, 2, seed=0),
         "rvftdnn": RvftdnnModel.init(window, 2, 2, seed=0),
@@ -263,6 +263,9 @@ API = [
      lambda v: ila.sweep_complexity({}, param_targets=(v,))),
     ("n_iterations", "n_iterations",
      lambda v: ila.fit_predistorter(preset("high"), None, None, TrainConfig(), v)),
+    ("amp_offset", "amp_offset",
+     lambda v: MpmCoefficients(window=_WINDOW, k_orders=1, coeff=np.ones((3, 1), complex),
+                               amp_offset=v)),
 ]
 
 

@@ -1,5 +1,7 @@
 """Real-valued time-delay dense network baseline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,16 @@ def test_init_rejects_degenerate_widths():
         RvftdnnModel.init(TapWindow(pre_taps=1), 4, 0)
 
 
+def test_a_width_that_disagrees_with_the_weights_is_refused():
+    # The widths are fields of the model, not read off its biases, so
+    # construction holds every weight to them.
+    model = RvftdnnModel.init(TapWindow(pre_taps=0), 3, 2)
+    with pytest.raises(ValueError, match=r"^w1 shape \(2, 3\) != \(2, 4\)$"):
+        dataclasses.replace(model, n1=4)
+    with pytest.raises(ValueError, match=r"^w2 shape \(3, 2\) != \(3, 1\)$"):
+        dataclasses.replace(model, n2=1)
+
+
 # === forward pass ===
 
 def test_zero_input_zero_bias_gives_zero_output():
@@ -79,7 +91,7 @@ def test_zero_input_zero_bias_gives_zero_output():
 
 def test_bias_only_network_is_constant():
     window = TapWindow(pre_taps=0)
-    model = RvftdnnModel(window=window,
+    model = RvftdnnModel(window=window, n1=3, n2=2,
                          w1=np.zeros((2, 3)), b1=np.zeros(3),
                          w2=np.zeros((3, 2)), b2=np.zeros(2),
                          w3=np.zeros((2, 2)), b3=np.array([0.25, -1.5]))

@@ -24,7 +24,7 @@ from dpdlab import (
 )
 from dpdlab.signal import NMSE_FLOOR_DB
 from dpdlab.modelfile import Param, ParamModel, ParamTable
-from dpdlab.mpm import MpmCoefficients, MpmSpec
+from dpdlab.mpm import MpmCoefficients
 from dpdlab.training import (
     VAL_EVERY,
     best_fit,
@@ -131,11 +131,11 @@ def test_segment_pairs_names_the_counts_when_too_short(n, made):
 # === validation metric ===
 
 def _identity_model(taps=1):
-    from dpdlab import MpmCoefficients, MpmSpec
+    from dpdlab import MpmCoefficients
 
     coeff = np.zeros((taps, 1), dtype=complex)
     coeff[0, 0] = 1.0
-    return MpmCoefficients(spec=MpmSpec(window=TapWindow(pre_taps=taps - 1), k_orders=1),
+    return MpmCoefficients(window=TapWindow(pre_taps=taps - 1), k_orders=1,
                            coeff=coeff)
 
 
@@ -180,7 +180,7 @@ def test_validation_nmse_skips_window_edges():
 
 def _mpm(k, n_taps=2):
     window = TapWindow(pre_taps=n_taps - 1)
-    return MpmCoefficients(spec=MpmSpec(window=window, k_orders=k),
+    return MpmCoefficients(window=window, k_orders=k,
                            coeff=np.zeros((n_taps, k), dtype=complex))
 
 
@@ -230,7 +230,7 @@ def _three_families():
     window = TapWindow(pre_taps=2, post_taps=1)
     rng = np.random.default_rng(6)
     coeff = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    return (MpmCoefficients(spec=MpmSpec(window=window, k_orders=3), coeff=coeff),
+    return (MpmCoefficients(window=window, k_orders=3, coeff=coeff),
             AgmpnnModel.init(window, 3, 2, seed=6),
             RvftdnnModel.init(window, 4, 3, seed=6))
 
