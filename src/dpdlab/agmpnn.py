@@ -152,7 +152,7 @@ class AgmpnnModel(modelfile.ParamModel):
         start rectified around different amplitude bands.  A `calibration`
         (the fit's input) with a non-finite sample raises ValueError.
         """
-        check_all(k_orders=k_orders, n_experts=n_experts)
+        check_all(k_orders=k_orders, n_experts=n_experts, seed=seed)
         rng = np.random.default_rng(seed)
         t_taps = window.n_taps
         m = n_experts

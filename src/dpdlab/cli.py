@@ -8,7 +8,6 @@ path ends in .csv.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -22,7 +21,7 @@ from .mpm import MpmSpec, build_basis, ls_fit
 from .pa_sim import PRESET_DRIVE_DB, pa_forward
 from .rules import RULES
 from .signal import (ComplexSequence, deserialize_iq, generate_waveform, nmse_db, read_iq_csv,
-                     read_text, serialize_iq, write_iq_csv)
+                     serialize_iq, write_iq_csv)
 from .training import FINITE_DIFF_MAX_PARAMS, finite_diff_check
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -261,50 +260,19 @@ def _cmd_gradcheck(args) -> int:
     return 0
 
 
-def _read_report(path) -> list[dict]:
-    """A sweep report's rows, each checked for its field count and each
-    numeric cell for its column's rule; a blank cell is an infeasible one."""
-    header = list(ila.REPORT_COLUMNS)
-    lines = read_text(path).splitlines()
-    reader = csv.reader(lines)
-    fieldnames = next(reader, None)
-    if fieldnames is None:
-        raise DpdlabError(f"{path}: not a sweep report (the file is empty)")
-    if not fieldnames:
-        raise DpdlabError(f"{path}: not a sweep report (the first line is blank)")
-    if fieldnames != header:
-        raise DpdlabError(f"{path}: not a sweep report (header {lines[0]!r})")
-    rows = []
-    for fields in reader:
-        if not fields:
-            continue
-        where = f"{path}:{reader.line_num}"
-        if len(fields) != len(header):
-            raise FormatError(f"{where}: row has {len(fields)} fields, expected {len(header)}")
-        row = dict(zip(header, fields))
-        for key in header:
-            try:
-                if row[key] and key in RULES:
-                    RULES[key].parse(row[key])
-            except ValueError as exc:
-                raise FormatError(f"{where}: bad value for {key!r}: {exc}") from None
-        rows.append(row)
-    return rows
-
-
 def _groups(rows) -> list:
     """Report rows grouped by (family, preset), as sorted (key, rows) pairs."""
     groups = {}
     for row in rows:
-        groups.setdefault((row["family"], row["preset"]), []).append(row)
+        groups.setdefault((row.family, row.preset), []).append(row)
     return sorted(groups.items())
 
 
 def _summarize(groups: list) -> str:
     lines = ["family,preset,rows,feasible,mean_postinv_nmse_db,mean_lin_nmse_db,best_lin_nmse_db"]
     for (family, level), cells in groups:
-        lin = [float(r["lin_nmse_db"]) for r in cells if r["lin_nmse_db"]]
-        post = [float(r["postinv_nmse_db"]) for r in cells if r["postinv_nmse_db"]]
+        lin = [r.lin_nmse_db for r in cells if r.lin_nmse_db is not None]
+        post = [r.postinv_nmse_db for r in cells if r.postinv_nmse_db is not None]
         mean_post = f"{np.mean(post):.6f}" if post else "n/a"
         mean_lin = f"{np.mean(lin):.6f}" if lin else "n/a"
         best_lin = f"{min(lin):.6f}" if lin else "n/a"
@@ -313,22 +281,19 @@ def _summarize(groups: list) -> str:
 
 
 def _dat_mirror(groups: list) -> str:
-    """Gnuplot-friendly mirror: one block per (family, preset), blank-line separated."""
+    """Gnuplot-friendly mirror: one block per (family, preset), blank-line
+    separated, each number as the report writes it and a blank cell as nan."""
+    columns = ("taps", "params_actual", "seed", "postinv_nmse_db", "lin_nmse_db", "no_dpd_nmse_db")
     blocks = []
     for (family, level), cells in groups:
-        lines = [f"# family={family} preset={level}",
-                 "# taps params_actual seed postinv_nmse_db lin_nmse_db no_dpd_nmse_db"]
-        for r in cells:
-            lines.append(" ".join([
-                r["taps"], r["params_actual"] or "nan", r["seed"],
-                r["postinv_nmse_db"] or "nan", r["lin_nmse_db"] or "nan",
-                r["no_dpd_nmse_db"] or "nan"]))
+        lines = [f"# family={family} preset={level}", f"# {' '.join(columns)}"]
+        lines += [" ".join(ila.format_cell(getattr(r, c)) or "nan" for c in columns) for r in cells]
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
 
 def _cmd_report(args) -> int:
-    groups = _groups(_read_report(args.infile))
+    groups = _groups(ila.read_report(args.infile))
     sys.stdout.write(_summarize(groups))
     if args.dat:
         _write_text(args.dat, _dat_mirror(groups))

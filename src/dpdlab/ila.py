@@ -7,11 +7,12 @@ against a gain-scaled fresh waveform, and the no-predistortion baseline.
 
 A family's fit, sweep candidates and nominal count are methods of its class
 (MODEL_CLASSES).  Sweeps emit CSV rows in a canonical order with fixed float
-formatting, so a repeated run is byte-identical.
+formatting, so a repeated run is byte-identical; read_report reads them back.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,12 +20,13 @@ import numpy as np
 
 from . import modelfile
 from .agmpnn import AgmpnnModel
-from .exceptions import FormatError
+from .exceptions import DpdlabError, FormatError
 from .mpm import MpmCoefficients
 from .pa_sim import PaConfig, pa_forward
-from .rules import check, check_all
+from .rules import RULES, check, check_all
 from .rvftdnn import DEFAULT_BUDGET, RvftdnnModel
-from .signal import ComplexSequence, TapWindow, align, as_samples, generate_waveform, nmse_db
+from .signal import (ComplexSequence, TapWindow, align, as_samples, generate_waveform, nmse_db,
+                     read_text)
 from .training import FitOutcome, TrainConfig
 
 MAX_ALIGN_LAG = 8
@@ -48,10 +50,12 @@ DEFAULT_NN_GRID = (8, 10, 12, 14, 16, 18, 20)
 # this relative distance of the parameter target.
 TARGET_TOLERANCE = 0.25
 
-# The report CSV's columns: IlaReport field names, in column order.
+# The report CSV's columns: IlaReport field names, in column order.  Every
+# row, an infeasible one too, fills the identity columns.
 REPORT_COLUMNS = ("family", "preset", "taps", "k_orders", "m_experts", "params_formula",
                   "params_actual", "seed", "postinv_nmse_db", "lin_nmse_db", "no_dpd_nmse_db")
 REPORT_HEADER = ",".join(REPORT_COLUMNS)
+IDENTITY_COLUMNS = ("family", "preset", "taps", "seed")
 
 
 def check_families(families) -> None:
@@ -116,16 +120,26 @@ class IlaReport:
     postinv_nmse_db: Optional[float] = None
     lin_nmse_db: Optional[float] = None
     no_dpd_nmse_db: Optional[float] = None
-    eval_seed: Optional[int] = None
     gain: Optional[complex] = None
     warm_start_nmse_db: Optional[float] = None
     n1: Optional[int] = None
     n2: Optional[int] = None
-    improved: Optional[bool] = None
 
     @property
     def feasible(self) -> bool:
         return self.postinv_nmse_db is not None
+
+    @property
+    def eval_seed(self) -> Optional[int]:
+        """The evaluation waveform's seed (drive_ila), on a feasible row."""
+        return self.seed + EVAL_SEED_OFFSET if self.feasible else None
+
+    @property
+    def improved(self) -> Optional[bool]:
+        """Whether the deployed NMSE is at most the no-DPD one, when both are known."""
+        if self.lin_nmse_db is None or self.no_dpd_nmse_db is None:
+            return None
+        return bool(self.lin_nmse_db <= self.no_dpd_nmse_db)
 
 
 def _advance(samples: np.ndarray, delay: int) -> np.ndarray:
@@ -238,10 +252,9 @@ def run_ila_cell(pa: PaConfig, preset_label: str, spec: DpdModelSpec, drive: Ila
         k_orders=dims.get("k_orders"), m_experts=dims.get("n_experts"),
         params_formula=model.params_formula(), params_actual=model.n_params(),
         postinv_nmse_db=outcome.postinv_nmse_db, lin_nmse_db=lin,
-        no_dpd_nmse_db=drive.no_dpd_nmse_db, eval_seed=drive.seed + EVAL_SEED_OFFSET,
+        no_dpd_nmse_db=drive.no_dpd_nmse_db,
         gain=outcome.gain, warm_start_nmse_db=outcome.warm_start_nmse_db,
         n1=dims.get("n1"), n2=dims.get("n2"),
-        improved=bool(lin <= drive.no_dpd_nmse_db),
     )
 
 
@@ -337,7 +350,8 @@ def sweep_complexity(pa_by_preset: dict, taps: int = DEFAULT_COMPLEXITY_TAPS,
 # ----------------------------------------------------------------------
 
 
-def _cell(value) -> str:
+def format_cell(value) -> str:
+    """A report cell: blank for None, six decimals for a float."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -348,8 +362,43 @@ def _cell(value) -> str:
 def reports_to_csv(rows) -> str:
     """Fixed-format CSV; identical inputs serialize byte-identically."""
     lines = [REPORT_HEADER]
-    lines += [",".join(_cell(getattr(r, column)) for column in REPORT_COLUMNS) for r in rows]
+    lines += [",".join(format_cell(getattr(r, column)) for column in REPORT_COLUMNS) for r in rows]
     return "\n".join(lines) + "\n"
+
+
+def _read_cell(column: str, text: str, where: str):
+    """A report cell by its column's rule; family and preset are words."""
+    if not text and column in IDENTITY_COLUMNS:
+        raise FormatError(f"{where}: row has no {column!r}")
+    if not text or column not in RULES:
+        return text or None
+    try:
+        return RULES[column].parse(text)
+    except ValueError as exc:
+        raise FormatError(f"{where}: bad value for {column!r}: {exc}") from None
+
+
+def read_report(path) -> list[IlaReport]:
+    """The rows of the sweep report at `path`, as reports_to_csv wrote them:
+    blank lines skipped, each cell read by _read_cell, a blank metric cell
+    None (infeasible).  A wrong header is a DpdlabError; a row of the wrong
+    length or a bad cell is a FormatError naming its line."""
+    lines = read_text(path).splitlines()
+    reader = csv.reader(lines)
+    fieldnames = next(reader, None)
+    if fieldnames != list(REPORT_COLUMNS):
+        problem = ("the file is empty" if fieldnames is None else
+                   "the first line is blank" if not fieldnames else f"header {lines[0]!r}")
+        raise DpdlabError(f"{path}: not a sweep report ({problem})")
+    rows = []
+    for fields in filter(None, reader):
+        where = f"{path}:{reader.line_num}"
+        if len(fields) != len(REPORT_COLUMNS):
+            raise FormatError(f"{where}: row has {len(fields)} fields, "
+                              f"expected {len(REPORT_COLUMNS)}")
+        rows.append(IlaReport(**{column: _read_cell(column, text, where)
+                                 for column, text in zip(REPORT_COLUMNS, fields)}))
+    return rows
 
 
 def load_model(path):

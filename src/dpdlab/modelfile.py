@@ -7,8 +7,8 @@ significant decimal digits after the leading digit, so a round trip is
 value-exact for float64.
 
 Every model family declares its parameter arrays once, as a ParamTable: its
-file kind, size fields, header scalars and arrays, with the sizes, the
-parameter count and the file reading that need no model.  Each family
+file kind, size fields, header scalars and arrays, with what needs no
+model: the sizes (dims) and the parameter count (count).  Each family
 subclasses ParamModel as a frozen dataclass whose fields are its file's: the
 window, every size field and scalar, and every array.  ParamModel reads the
 declaration to validate a model on construction, flatten it into the
@@ -160,7 +160,7 @@ class ParamTable:
     """A model family's parameters, declared: its file kind, the header size
     fields and then the header scalars, each read off the model by attribute,
     and its arrays in flat-vector and file order.  It holds only what needs
-    no model instance (dims, count, load); ParamModel reads it for the rest."""
+    no model instance (dims, count); ParamModel reads it for the rest."""
 
     kind: str
     sizes: tuple
@@ -177,38 +177,6 @@ class ParamTable:
         """Length of the flat parameter vector at these sizes: the real
         trainable degrees of freedom, two per complex entry."""
         return sum(math.prod(p.shape(dims)) * (2 if p.is_complex else 1) for p in self.params)
-
-    def load(self, path, parsed):
-        """Turn `parsed`, the (kind, header, sections, lines) that read_model
-        returned for the file at `path`, into (window, fields, arrays):
-        `fields` holds the table's size fields and scalars, each read by its
-        rule.
-
-        A header key or a section the table does not declare, header fields
-        that break their rules and sections with fewer rows than entries
-        raise FormatError naming `path` before any array is allocated.
-        """
-        kind, header, sections, lines = parsed
-        if kind != self.kind:
-            raise FormatError(f"{path}: expected kind {self.kind!r}, found {kind!r}")
-        declared = {"format", "version", "kind", "pre_taps", "post_taps",
-                    *self.sizes, *self.scalars, *(f"[{p.section}]" for p in self.params)}
-        for name, line_no in lines.items():
-            if name not in declared:
-                raise FormatError(f"{path}:{line_no}: unknown {kind} model field {name!r}")
-        window = TapWindow(pre_taps=header_value(header, "pre_taps", path),
-                           post_taps=header_value(header, "post_taps", path))
-        fields = {name: header_value(header, name, path) for name in self.sizes + self.scalars}
-        dims = {"n_taps": window.n_taps, **fields}
-        arrays = {}
-        for p in self.params:
-            if p.section not in sections:
-                raise FormatError(f"{path}: missing section [{p.section}]")
-            shape = p.shape(dims)
-            values = _fill(sections[p.section], shape, 2 if p.is_complex else 1,
-                           p.index_offsets(len(shape), window), p.section, path)
-            arrays[p.attr] = values[..., 0] + 1j * values[..., 1] if p.is_complex else values[..., 0]
-        return window, fields, arrays
 
 
 class ParamModel:
@@ -364,9 +332,36 @@ class ParamModel:
 
     @classmethod
     def from_parsed(cls, path, parsed):
-        """The model in the file at `path`, parsed by read_model: its window,
-        header fields and arrays are the class's fields."""
-        window, fields, arrays = cls.PARAMS.load(path, parsed)
+        """The model in the file at `path`, from `parsed`, the (kind, header,
+        sections, lines) read_model returned for it: its window, each PARAMS
+        size field and scalar read by its rule, and each array.
+
+        A kind other than PARAMS.kind, a header key or a section the table
+        does not declare, header fields that break their rules and sections
+        with fewer rows than entries raise FormatError naming `path` before
+        any array is allocated.
+        """
+        table = cls.PARAMS
+        kind, header, sections, lines = parsed
+        if kind != table.kind:
+            raise FormatError(f"{path}: expected kind {table.kind!r}, found {kind!r}")
+        declared = {"format", "version", "kind", "pre_taps", "post_taps",
+                    *table.sizes, *table.scalars, *(f"[{p.section}]" for p in table.params)}
+        for name, line_no in lines.items():
+            if name not in declared:
+                raise FormatError(f"{path}:{line_no}: unknown {kind} model field {name!r}")
+        window = TapWindow(pre_taps=header_value(header, "pre_taps", path),
+                           post_taps=header_value(header, "post_taps", path))
+        fields = {name: header_value(header, name, path) for name in table.sizes + table.scalars}
+        dims = {"n_taps": window.n_taps, **fields}
+        arrays = {}
+        for p in table.params:
+            if p.section not in sections:
+                raise FormatError(f"{path}: missing section [{p.section}]")
+            shape = p.shape(dims)
+            values = _fill(sections[p.section], shape, 2 if p.is_complex else 1,
+                           p.index_offsets(len(shape), window), p.section, path)
+            arrays[p.attr] = values[..., 0] + 1j * values[..., 1] if p.is_complex else values[..., 0]
         return cls(window=window, **fields, **arrays)
 
     @classmethod

@@ -105,6 +105,8 @@ def pa_forward(cfg: PaConfig, x, noise_seed: Optional[int] = None) -> ComplexSeq
     only when both the config enables it and a noise_seed is given; it models
     the observation receiver, not the amplifier itself.
     """
+    if noise_seed is not None:
+        check("noise_seed", noise_seed, "seed")
     seq = x if isinstance(x, ComplexSequence) else ComplexSequence(as_samples(x))
     # Within drive_db's range, a high order without the limiter can still
     # overflow the polynomial, or what the noise and the alignment square:

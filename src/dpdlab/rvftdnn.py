@@ -81,7 +81,7 @@ class RvftdnnModel(modelfile.ParamModel):
     @classmethod
     def init(cls, window: TapWindow, n1: int, n2: int, seed: int = 0) -> "RvftdnnModel":
         """Seeded init: zero biases, weights scaled by 1/sqrt(fan_in)."""
-        check_all(n1=n1, n2=n2)
+        check_all(n1=n1, n2=n2, seed=seed)
         rng = np.random.default_rng(seed)
         t2 = 2 * window.n_taps
         return cls(

@@ -156,6 +156,7 @@ def generate_waveform(seed: int, n_samples: int, bandwidth_fraction: float,
         Occupied fraction of the sampling bandwidth, in (0, 1].  The value 1
         skips filtering entirely (full-band white noise).
     """
+    check("seed", seed)
     check_all(bandwidth_fraction=bandwidth_fraction, n_samples=n_samples)
     rng = np.random.default_rng(seed)
     white = (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)) / np.sqrt(2.0)

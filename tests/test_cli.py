@@ -662,6 +662,48 @@ def test_report_names_the_first_bad_numeric_cell_of_a_row(tmp_path, capsys):
     assert not (tmp_path / "s.dat").exists()
 
 
+@pytest.mark.parametrize("row, column", [
+    (",high,4,1,,8,8,1,-20.0,-19.0,-15.0", "family"),
+    ("mpm,,4,1,,8,8,1,-20.0,-19.0,-15.0", "preset"),
+    ("mpm,high,,1,,8,8,,-20.0,-19.0,-15.0", "taps"),
+    ("mpm,high,4,1,,8,8,,-20.0,-19.0,-15.0", "seed"),
+    ("rvftdnn,high,5,,,,,,,,", "seed"),
+], ids=["family", "preset", "taps-and-seed", "seed", "infeasible-seed"])
+def test_report_refuses_a_row_without_an_identity_cell(tmp_path, capsys, row, column):
+    # The mirror used to write such a row with fewer fields than its header names.
+    bad, dat = tmp_path / "sweep.csv", tmp_path / "sweep.dat"
+    bad.write_text(f"{REPORT_HEADER}\n{row}\n")
+    assert dispatch(["report", "--in", str(bad), "--dat", str(dat)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}:2: row has no {column!r}\n"
+    assert not dat.exists()
+
+
+def test_report_mirrors_each_cell_of_a_lab_written_report_verbatim(tmp_path):
+    cfg, report, dat = tmp_path / "c.cfg", tmp_path / "sweep.csv", tmp_path / "sweep.dat"
+    cfg.write_text("[signal]\nn_samples = 4096\n[sweep]\nfamilies = mpm\ntaps = 4\n"
+                   "param_targets = 20, 600\nseeds = 1, 2\nmpm_k_grid = 1, 2\n")
+    assert dispatch(["sweep-complexity", "--config", str(cfg), "--out", str(report)]) == 0
+    assert dispatch(["report", "--in", str(report), "--dat", str(dat)]) == 0
+    rows = [line.split(",") for line in report.read_text().splitlines()[1:]]
+    assert any(row[9] == "" for row in rows)  # an infeasible row mirrors as nan
+    # taps, params_actual, seed and the three NMSE cells, grouped by (family, preset)
+    expected = [" ".join(row[i] or "nan" for i in (2, 6, 7, 8, 9, 10))
+                for key in sorted({(row[0], row[1]) for row in rows})
+                for row in rows if (row[0], row[1]) == key]
+    assert [line for line in dat.read_text().splitlines()
+            if line and not line.startswith("#")] == expected
+
+
+def test_report_mirrors_a_hand_written_number_in_the_report_format(tmp_path):
+    report, dat = tmp_path / "sweep.csv", tmp_path / "sweep.dat"
+    report.write_text(f"{REPORT_HEADER}\nmpm,high,4,1,,8,8,1,-20.0,-19.0,-15.0\n")
+    assert dispatch(["report", "--in", str(report), "--dat", str(dat)]) == 0
+    assert dat.read_text() == (
+        "# family=mpm preset=high\n"
+        "# taps params_actual seed postinv_nmse_db lin_nmse_db no_dpd_nmse_db\n"
+        "4 8 1 -20.000000 -19.000000 -15.000000\n")
+
+
 @pytest.mark.parametrize("command", ["simulate-pa", "ila-run", "show-config"])
 @pytest.mark.parametrize("line, message", [
     ("drive_db = 7000", ":2: bad value for 'drive_db': must be at most 300, got 7000.0"),

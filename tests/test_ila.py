@@ -47,6 +47,7 @@ from dpdlab.ila import (
     linearization_nmse_db,
     load_model,
     observe_pa,
+    read_report,
     reports_to_csv,
     run_ila,
     sweep_complexity,
@@ -821,6 +822,46 @@ def test_reports_to_csv_exact_format():
 
 def test_reports_to_csv_empty():
     assert reports_to_csv([]) == REPORT_HEADER + "\n"
+
+
+@pytest.fixture(scope="module")
+def tiny_complexity_rows():
+    # Both drives, one feasible and one infeasible parameter target.
+    return sweep_complexity({"low": preset("low"), "high": preset("high")}, taps=4,
+                            param_targets=(20, 600), seeds=(1,), families=("mpm",),
+                            n_samples=4096, mpm_k_grid=(1, 2))
+
+
+def test_a_report_reads_back_byte_for_byte(tmp_path, tiny_complexity_rows):
+    assert {r.feasible for r in tiny_complexity_rows} == {True, False}
+    path = tmp_path / "sweep.csv"
+    path.write_text(reports_to_csv(tiny_complexity_rows))
+    back = read_report(path)
+    assert all(isinstance(r, IlaReport) for r in back)
+    assert reports_to_csv(back) == path.read_text()
+
+
+def test_a_row_read_back_answers_improved_and_eval_seed_as_written(tmp_path,
+                                                                  tiny_complexity_rows):
+    path = tmp_path / "sweep.csv"
+    path.write_text(reports_to_csv(tiny_complexity_rows))
+    answers = [(r.improved, r.eval_seed) for r in tiny_complexity_rows]
+    assert set(answers) == {(True, 1 + EVAL_SEED_OFFSET), (None, None)}
+    assert [(r.improved, r.eval_seed) for r in read_report(path)] == answers
+
+
+BASELINE_ROWS = Path(__file__).resolve().parents[1] / "perfbench" / "baseline_rows.csv"
+
+
+def test_the_benchmark_baseline_rows_read_back_byte_for_byte(tmp_path):
+    # The recorded rows of every benchmark workload, its `workload` column dropped.
+    if not BASELINE_ROWS.is_file():
+        pytest.skip("no perfbench/baseline_rows.csv in this checkout")
+    text = "".join(line.split(",", 1)[1]
+                   for line in BASELINE_ROWS.read_text().splitlines(keepends=True))
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    assert reports_to_csv(read_report(path)) == text
 
 
 # === model file dispatch ===

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 from dpdlab import FormatError, TapWindow, deserialize_iq, read_iq_csv
 from dpdlab.agmpnn import AgmpnnModel
-from dpdlab.cli import _read_report
 from dpdlab.config import RunConfig, load_config, parse_config, render_config
-from dpdlab.ila import REPORT_HEADER, load_model
+from dpdlab.ila import REPORT_HEADER, load_model, read_report
 from dpdlab.mpm import MpmCoefficients
 from dpdlab.rvftdnn import RvftdnnModel
 from dpdlab.signal import _IQ_HEADER, IQ_MAGIC
@@ -196,7 +195,7 @@ _BOM_READERS = {
     "config": ("run.cfg", "[pa]\ndrive_db = 3\n", load_config),
     "model": ("fit.model", MODEL_TEXTS[0], lambda p: load_model(p).param_vector().tolist()),
     "report": ("sweep.csv", f"{REPORT_HEADER}\nmpm,high,4,1,,8,8,1,-20.0,-19.0,-15.0\n",
-               _read_report),
+               read_report),
 }
 
 

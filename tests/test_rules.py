@@ -14,7 +14,7 @@ from dpdlab.agmpnn import AgmpnnModel
 from dpdlab.cli import build_parser, dispatch
 from dpdlab.config import _SCHEMA, RunConfig
 from dpdlab.mpm import MpmCoefficients, MpmSpec, build_basis, ls_fit
-from dpdlab.pa_sim import PaConfig, coeffs_from_rule, preset
+from dpdlab.pa_sim import PaConfig, coeffs_from_rule, pa_forward, preset
 from dpdlab.rules import RULES, check
 from dpdlab.rvftdnn import RvftdnnModel, rvftdnn_param_count
 from dpdlab.signal import _IQ_HEADER, IQ_MAGIC, ComplexSequence, TapWindow, generate_waveform
@@ -266,6 +266,13 @@ API = [
     ("amp_offset", "amp_offset",
      lambda v: MpmCoefficients(window=_WINDOW, k_orders=1, coeff=np.ones((3, 1), complex),
                                amp_offset=v)),
+    ("seed", "seed", lambda v: generate_waveform(v, 64, 0.25)),
+    ("seed", "noise_seed", lambda v: pa_forward(preset("high"), _ONE[0], noise_seed=v)),
+    ("seed", "seed", lambda v: AgmpnnModel.init(_WINDOW, 2, 2, seed=v)),
+    ("seed", "seed", lambda v: RvftdnnModel.init(_WINDOW, 2, 2, seed=v)),
+    ("seed", "seed", lambda v: ila.fit_model_on_data(
+        _ONE[0], _ONE[0], ila.DpdModelSpec(kind="agmpnn", window=_WINDOW, warm_start=False),
+        TrainConfig(), v)),
 ]
 
 
@@ -296,8 +303,15 @@ def test_the_api_table_covers_every_rule_an_api_argument_keeps():
     (lambda: RvftdnnModel.init(_WINDOW, True, 2), "n1 must be an integer, got True"),
     (lambda: TapWindow(pre_taps=True), "pre_taps must be an integer, got True"),
     (lambda: TrainConfig(batch_size=True), "batch_size must be an integer, got True"),
+    (lambda: generate_waveform(True, 64, 0.25), "seed must be an integer, got True"),
+    (lambda: RvftdnnModel.init(_WINDOW, 2, 2, seed=True), "seed must be an integer, got True"),
+    (lambda: AgmpnnModel.init(_WINDOW, 2, 2, seed=False), "seed must be an integer, got False"),
+    (lambda: generate_waveform(1.5, 64, 0.25), "seed must be an integer, got 1.5"),
+    (lambda: pa_forward(preset("high"), _ONE[0], noise_seed=1.5),
+     "noise_seed must be an integer, got 1.5"),
 ], ids=["str", "complex", "bool-float", "bool-offset", "bool-n1", "bool-pre_taps",
-        "bool-batch_size"])
+        "bool-batch_size", "bool-waveform-seed", "bool-rvftdnn-seed", "bool-agmpnn-seed",
+        "float-waveform-seed", "float-noise_seed"])
 def test_a_non_number_or_a_bool_is_refused_naming_the_argument(call, message):
     with pytest.raises(ValueError) as err:
         call()
