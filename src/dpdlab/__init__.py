@@ -31,8 +31,9 @@ from .signal import (
     write_iq_csv,
 )
 from .pa_sim import PaConfig, pa_forward, preset
+from .modelfile import count_params_actual
 from .mpm import BasisMatrix, MpmCoefficients, MpmSpec, build_basis, ls_fit
-from .agmpnn import AgmpnnModel, count_params_actual, count_params_formula
+from .agmpnn import AgmpnnModel, count_params_formula
 from .rvftdnn import RvftdnnModel, architecture_search, rvftdnn_param_count
 from .training import AdamState, TrainConfig, TrainHistory, adam_step, finite_diff_check, train
 from .ila import DpdModelSpec, IlaReport, run_ila, sweep_complexity, sweep_taps

@@ -72,11 +72,6 @@ def count_params_formula(n_taps: int, k_orders: int, n_experts: int) -> int:
     return 4 * l * k * m + l * m + 4 * l + 2 * m + 2
 
 
-def count_params_actual(model: "AgmpnnModel") -> int:
-    """Real trainable degrees of freedom of a model, from its parameter table."""
-    return model.n_params()
-
-
 def _tile_sum(factors, tiles, start=None) -> np.ndarray:
     """start + sum_k factors[k] * tiles[k], added in k order, as a new complex
     array: real (M, N, T) factors times complex coefficient tiles."""
@@ -248,12 +243,6 @@ class AgmpnnModel(modelfile.ParamModel):
     def output_rows(self, rows: np.ndarray) -> np.ndarray:
         """The model output on the rows of a tap matrix: the forward pass's."""
         return self._forward_arrays(rows)[0]
-
-    # ParamModel's protocol, bound here for perfbench/tracer.py.  predict's row
-    # blocks bound the expert-major temporaries and move no output bit.
-    predict = modelfile.ParamModel.predict
-    with_param_vector = modelfile.ParamModel.with_param_vector
-    loss_and_gradient = modelfile.ParamModel.loss_and_gradient
 
     # ------------------------------------------------------------------
     # loss and gradient

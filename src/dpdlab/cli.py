@@ -136,17 +136,17 @@ def _cmd_simulate_pa(args) -> int:
 
 def _refuse_flags(args, names, what: str) -> None:
     """A usage error `<flags>: not <what>` naming the flags of `names` given."""
-    stray = [_FIT_MODEL_FLAGS[n][0] for n in names if hasattr(args, n)]
+    stray = [_FIT_MODEL_FLAGS.get(n, (f"--{n}",))[0] for n in names if hasattr(args, n)]
     if stray:
         raise _UsageError(f"dpdlab {args.command}: {' '.join(stray)}: not {what}")
 
 
 def _fit_config(args) -> RunConfig:
     """The run config with the model flags over its [model] values.  A flag
-    the --model family's fit never reads (another family's size, or an option
-    its fit_options leave out for the resolved spec) is a usage error.  The
-    file loaded cleanly, so a value every run would reject comes from the
-    flags: a usage error naming them."""
+    the --model family's fit never reads (another family's size, an option its
+    fit_options leave out for the resolved spec, a seed if it does not train)
+    is a usage error.  The file loaded cleanly, so a value every run would
+    reject comes from the flags: a usage error naming them."""
     cls = ila.MODEL_CLASSES[args.model]
     sizes = _sizes()
     _refuse_flags(args, [n for n in sizes if n not in cls.PARAMS.sizes], f"a size of {args.model}")
@@ -160,7 +160,9 @@ def _fit_config(args) -> RunConfig:
     spec = cfg.model_spec()
     reads = cls.fit_options(spec)
     cold = " with a cold start" if "warm_start" in reads and not spec.warm_start else ""
-    _refuse_flags(args, [n for n in _FIT_MODEL_FLAGS if n not in ("taps", "post_taps", *sizes, *reads)],
+    seed = () if hasattr(cls, "loss_rows") else ("seed",)  # an exact fit draws nothing
+    _refuse_flags(args, [n for n in (*_FIT_MODEL_FLAGS, *seed)
+                         if n not in ("taps", "post_taps", *sizes, *reads)],
                   f"an option of {args.model}{cold}")
     return cfg
 
@@ -182,7 +184,7 @@ def _cmd_fit(args) -> int:
         print(f"fit residual {resid:.6f} dB -> {args.out}", file=sys.stderr)
         return 0
     outcome = ila.fit_model_on_data(psi.samples, phi.samples, spec,
-                                    cfg.train_config(), seed=args.seed)
+                                    cfg.train_config(), seed=getattr(args, "seed", 0))
     outcome.model.save(args.out)
     print(f"held-out NMSE {outcome.postinv_nmse_db:.6f} dB -> {args.out}", file=sys.stderr)
     return 0
@@ -355,7 +357,8 @@ def build_parser() -> _Parser:
     p = add("fit", _cmd_fit, "fit a postinverse model on an (input, target) waveform pair")
     p.add_argument("--model", choices=tuple(ila.MODEL_CLASSES), required=True)
     _add_model_flags(p, _FIT_MODEL_FLAGS)
-    p.add_argument("--seed", type=_flag("seed"), default=0, help="initialization seed")
+    p.add_argument("--seed", type=_flag("seed"), default=argparse.SUPPRESS,
+                   help="initialization seed of a family that trains (default: 0)")
     p.add_argument("--in", dest="infile", required=True, help="model input waveform")
     p.add_argument("--target", required=True, help="desired output waveform")
     p.add_argument("--out", required=True, help="model file to write")

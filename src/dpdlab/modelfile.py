@@ -179,6 +179,11 @@ class ParamTable:
         return sum(math.prod(p.shape(dims)) * (2 if p.is_complex else 1) for p in self.params)
 
 
+def count_params_actual(model: ParamModel) -> int:
+    """Real trainable degrees of freedom of a model, from its parameter table."""
+    return model.n_params()
+
+
 class ParamModel:
     """The protocol every model family shares, read off its `PARAMS` table:
     validation on construction, the flat parameter vector and its views, the
@@ -201,6 +206,14 @@ class ParamModel:
     it for one (input, target) pair."""
 
     PARAMS: ParamTable
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # perfbench/tracer.py wraps a method only where vars(cls) holds it, so
+        # every family's namespace binds the protocol methods it inherits.
+        super().__init_subclass__(**kwargs)
+        for name in ("predict", "with_param_vector", "loss_and_gradient"):
+            if name not in vars(cls):
+                setattr(cls, name, getattr(cls, name))
 
     def __post_init__(self) -> None:
         """Hold every size and scalar to its rule, store each scalar as a

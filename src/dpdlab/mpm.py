@@ -278,10 +278,6 @@ class MpmCoefficients(modelfile.ParamModel):
         gemv's product of its own basis row, the same in any block of rows."""
         return basis_rows(rows, self.spec) @ self.coeff.reshape(-1)
 
-    # ParamModel's, bound here for perfbench/tracer.py: no N × T·K basis is
-    # held, and the row blocks move no output bit.
-    predict = modelfile.ParamModel.predict
-
     @classmethod
     def fit_options(cls, spec) -> tuple:
         return ("ridge", "search_grid")

@@ -146,12 +146,6 @@ class RvftdnnModel(modelfile.ParamModel):
         pairs read as complex samples."""
         return self._forward(rows.view(np.float64))[2].view(np.complex128)[:, 0]
 
-    # ParamModel's protocol, bound here for perfbench/tracer.py (the module
-    # docstring has predict's bits).
-    predict = modelfile.ParamModel.predict
-    with_param_vector = modelfile.ParamModel.with_param_vector
-    loss_and_gradient = modelfile.ParamModel.loss_and_gradient
-
     def loss_rows(self, delayed: np.ndarray, phi: np.ndarray, grads: dict) -> float:
         """The rows kernel (ParamModel): mean |output - target|^2 over the
         rows of a tap matrix, its gradient written layer by layer into the

@@ -503,6 +503,28 @@ def test_fit_refuses_an_option_its_family_never_reads(tmp_path, capsys):
             "error: dpdlab fit: --ridge: not an option of agmpnn with a cold start\n")
 
 
+def test_fit_takes_a_seed_only_for_a_family_that_trains(tmp_path, capsys):
+    # mpm's exact least-squares fit draws nothing: `--seed` used to be
+    # accepted and write the bytes a fit without it writes.
+    chi, psi = str(tmp_path / "chi.iq"), str(tmp_path / "psi.iq")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[train]\nmax_epochs = 2\nsegment_len = 512\n")
+    dispatch(["gen-signal", "--seed", "9", "--n", "2048", "--out", chi])
+    dispatch(["simulate-pa", "--in", chi, "--out", psi, "--preset", "low"])
+    files = ["--taps", "3", "--in", psi, "--target", chi, "--config", str(cfg)]
+    out = tmp_path / "m.model"
+    capsys.readouterr()
+    assert dispatch(["fit", "--model", "mpm", "--seed", "5", *files, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: dpdlab fit: --seed: not an option of mpm\n"
+    assert not out.exists()
+    # A family that trains draws its initial model from the seed, 0 unless given.
+    written = {}
+    for seed in ([], ["--seed", "0"], ["--seed", "5"]):
+        assert dispatch(["fit", "--model", "rvftdnn", *seed, *files, "--out", str(out)]) == 0
+        written[tuple(seed)] = out.read_bytes()
+    assert written[()] == written[("--seed", "0")] != written[("--seed", "5")]
+
+
 # Every runaway parameter is finite: agmpnn's first step breaks only its
 # validation predict.
 _DIVERGED_AT = {"agmpnn": "non-finite validation score at epoch 1",

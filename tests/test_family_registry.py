@@ -120,11 +120,30 @@ def test_a_registered_family_refuses_flags_it_never_reads(fir, capsys):
 
 @pytest.mark.parametrize("kind", list(ila.MODEL_CLASSES))
 def test_every_family_shares_the_protocol_methods(kind):
-    # A family binds these only so the benchmark's tracer finds them on its
-    # class; a copy of its own would let the families drift apart.
+    # ParamModel binds these into each family only so the benchmark's tracer
+    # finds them on its class; a copy of its own would let the families drift apart.
     cls = ila.MODEL_CLASSES[kind]
     for name in ("predict", "with_param_vector", "loss_and_gradient"):
         assert getattr(cls, name) is getattr(modelfile.ParamModel, name), f"{kind}.{name}"
+
+
+def test_a_family_defined_anywhere_holds_the_protocol_the_tracer_wraps():
+    # The tracer wraps a method where vars(cls) holds it.  FirModel writes no
+    # binding, and ParamModel's protocol is in its namespace all the same.
+    for name in ("predict", "with_param_vector", "loss_and_gradient"):
+        assert vars(FirModel)[name] is vars(modelfile.ParamModel)[name], name
+
+
+def test_a_family_keeps_the_protocol_method_it_defines_and_passes_it_down():
+    class OwnPredict(FirModel):
+        def predict(self, x):
+            return super().predict(x)
+
+    class Heir(OwnPredict):
+        pass
+
+    assert vars(Heir)["predict"] is vars(OwnPredict)["predict"] is not modelfile.ParamModel.predict
+    assert vars(Heir)["loss_and_gradient"] is modelfile.ParamModel.loss_and_gradient
 
 
 @pytest.mark.parametrize("cls", [*ila.MODEL_CLASSES.values(), FirModel],
