@@ -115,15 +115,14 @@ def _dependent_columns(basis: BasisMatrix, rows: int) -> list[str]:
     return sorted(f"(l={labels[c][0]}, k={labels[c][1]})" for c in left)
 
 
-def _require_full_rank(basis: BasisMatrix, rows: int) -> None:
-    """Rank rule of an exact (ridge 0) fit, NumPy lstsq's cutoff on a system of
-    `rows` rows: singular values at most max(rows, cols)·eps times the largest
-    count as zero, and any such raises ConditioningError naming the dependent
-    columns.  A triangular factor has its tall basis's singular values and
-    column norms, so with that basis's row count it refuses alike.
+def _require_full_rank(basis: BasisMatrix, singular: np.ndarray, rows: int) -> None:
+    """Rank rule of an exact (ridge 0) fit on `singular`, its solve's singular
+    values: NumPy lstsq's cutoff on a system of `rows` rows counts those at most
+    max(rows, cols)·eps times the largest as zero, and any such raises
+    ConditioningError naming the dependent columns.  A triangular factor has its
+    tall basis's singular values and column norms, so at that row count it refuses alike.
     """
     cols = basis.data.shape[1]
-    singular = np.linalg.svd(basis.data, compute_uv=False)
     rank = int(np.count_nonzero(singular > singular[0] * max(rows, cols) * np.finfo(float).eps))
     if rank < cols:
         raise ConditioningError(
@@ -139,13 +138,16 @@ def _check_system(rows: int, cols: int, n_targets: int) -> None:
         raise ValueError(f"need at least {cols} rows to fit {cols} columns, have {rows}")
 
 
-def ls_fit(basis: BasisMatrix, targets, ridge: float | None = None) -> "MpmCoefficients":
+def ls_fit(basis: BasisMatrix, targets, ridge: float | None = None,
+           system_rows: int | None = None) -> "MpmCoefficients":
     """Least-squares coefficient fit, solved by orthogonal factorization.
 
     ridge=None applies the default ridge of RIDGE_DEFAULT_REL times the mean
     diagonal of the normal matrix; an explicit ridge of 0 demands full column
-    rank and raises ConditioningError naming the dependent columns otherwise.
-    An explicit ridge that is negative or not finite raises ValueError.
+    rank, by _require_full_rank's rule on the solve's own singular values at
+    system_rows rows (the basis's own by default, the tall basis's for a
+    triangular factor), and raises ConditioningError naming the dependent
+    columns otherwise.  A negative or non-finite ridge raises ValueError.
     """
     phi = as_samples(targets)
     data = basis.data
@@ -160,8 +162,8 @@ def ls_fit(basis: BasisMatrix, targets, ridge: float | None = None) -> "MpmCoeff
         rhs = np.concatenate([phi, np.zeros(cols, dtype=np.complex128)])
         coeff, _, _, _ = np.linalg.lstsq(aug, rhs, rcond=None)
     else:
-        _require_full_rank(basis, rows)
-        coeff, _, _, _ = np.linalg.lstsq(data, phi, rcond=None)
+        coeff, _, _, singular = np.linalg.lstsq(data, phi, rcond=None)
+        _require_full_rank(basis, singular, rows if system_rows is None else system_rows)
     spec = basis.spec
     return MpmCoefficients(window=spec.window, k_orders=spec.k_orders, amp_offset=spec.amp_offset,
                            coeff=coeff.reshape(spec.window.n_taps, spec.k_orders))
@@ -298,9 +300,9 @@ class MpmCoefficients(modelfile.ParamModel):
         NMSE on those of the validation segments.  order_blocked_qr builds the
         basis at the largest order from each segment's tap rows into its
         factor once.  Order K's system is its leading T·K block in (l, k)
-        column order, bit for bit a fit at order K alone; with ridge 0 it is
-        held to the rank rule of the tall basis, so the search refuses what
-        ls_fit refuses."""
+        column order, bit for bit a fit at order K alone; with ridge 0 its
+        solve's singular values are held once to the rank rule at the tall
+        training-row count, so the search refuses what a tall ls_fit refuses."""
         scored, val_scored = segment_pairs(psi, phi, window, segment_len)
         top = MpmSpec(window=window, k_orders=max(orders))
         target = np.concatenate([rows_phi for _, rows_phi in scored])
@@ -310,9 +312,7 @@ class MpmCoefficients(modelfile.ParamModel):
             cols = window.n_taps * k
             tap_major = np.arange(cols).reshape(k, window.n_taps).T.reshape(-1)
             system = BasisMatrix(data=r[:cols, tap_major], spec=MpmSpec(window=window, k_orders=k))
-            if ridge == 0:
-                _require_full_rank(system, target.size)
-            fits.append(ls_fit(system, qh_target[:cols], ridge=ridge))
+            fits.append(ls_fit(system, qh_target[:cols], ridge=ridge, system_rows=target.size))
         return [(coeffs, validation_nmse_db(coeffs, val_scored)) for coeffs in fits]
 
     @classmethod

@@ -18,6 +18,7 @@ from dpdlab import (
 )
 from dpdlab.mpm import BasisMatrix, _dependent_columns, order_blocked_qr, rectified_amplitude
 from dpdlab.signal import PREDICT_BLOCK_ROWS, delayed_matrix
+from dpdlab.training import segment_pairs
 
 import reference_impls as ref
 
@@ -188,6 +189,40 @@ def test_singular_system_names_dependent_columns():
         ls_fit(basis, x, ridge=0.0)
     message = str(err.value)
     assert "(l=0, k=1)" in message and "(l=0, k=2)" in message
+
+
+def test_an_exact_fit_reads_its_rank_off_its_one_solve(monkeypatch):
+    # With ridge 0 the rank rule reads the singular values lstsq returns: no
+    # SVD of its own, one solve per fitted order, and that solve's
+    # coefficients bit for bit, for a tall basis and for the order search.
+    lstsq, calls = np.linalg.lstsq, {"svd": 0, "lstsq": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", lstsq))
+    x = generate_waveform(8, 2048, 0.5).samples
+    y = x * (1.0 - 0.1 * np.abs(x) ** 2)
+    basis = build_basis(x, _spec(pre=2, k=3))
+    fitted = ls_fit(basis, y, ridge=0.0)
+    assert calls == {"svd": 0, "lstsq": 1}
+    assert fitted.coeff.tobytes() == lstsq(basis.data, y, rcond=None)[0].tobytes()
+
+    window, segment_len, orders = TapWindow(pre_taps=2), 512, (1, 2, 3)
+    calls.update(lstsq=0)
+    fits = MpmCoefficients.fit_orders(x, y, window, orders, segment_len, 0.0)
+    assert calls == {"svd": 0, "lstsq": len(orders)}
+    scored, _ = segment_pairs(x, y, window, segment_len)
+    target = np.concatenate([rows_y for _, rows_y in scored])
+    r, qh_target = order_blocked_qr([rows for rows, _ in scored], _spec(pre=2, k=3), target)
+    for k, (coeffs, _) in zip(orders, fits):
+        tap_major = np.arange(3 * k).reshape(k, 3).T.reshape(-1)
+        direct = lstsq(r[:3 * k, tap_major], qh_target[:3 * k], rcond=None)[0]
+        assert coeffs.coeff.tobytes() == direct.tobytes()
 
 
 def _planted_basis(rng):

@@ -49,6 +49,16 @@ def test_a_worse_median_beyond_the_bound_is_over_bound_by_the_metrics_better(pai
     assert noisy["verdict"] == "unresolved"
 
 
+def test_a_spread_wider_than_the_bound_resolves_when_every_change_run_is_better(pairs):
+    parent = [5.0, 10.0, 15.0]
+    assert pairs.verdict(WALL, parent, [4.0, 4.5, 4.9])["verdict"] == "better in every run"
+    # One change run no better than the parent's best leaves it unresolved.
+    assert pairs.verdict(WALL, parent, [4.0, 4.5, 5.0])["verdict"] == "unresolved"
+    rows = {"name": "rows_per_s", "unit": "1/s", "better": "higher", "bound": 0.1}
+    assert pairs.verdict(rows, parent, [15.5, 16.0, 20.0])["verdict"] == "better in every run"
+    assert pairs.verdict(rows, parent, [15.0, 16.0, 20.0])["verdict"] == "unresolved"
+
+
 def test_pairs_runs_both_checkouts_and_prints_every_end_to_end_metric():
     if not (ROOT / "perfbench" / "run.py").is_file():
         pytest.skip("no perfbench/run.py in this checkout")
@@ -61,4 +71,5 @@ def test_pairs_runs_both_checkouts_and_prints_every_end_to_end_metric():
     rows = proc.stdout.splitlines()[2:]
     assert [row.split()[0] for row in rows] == ["setup_s", "wall_s", "postinv_nmse_db",
                                                 "peak_rss_mb"]
-    assert all(row.endswith(("within bound", "over bound", "unresolved")) for row in rows)
+    assert all(row.endswith(("within bound", "over bound", "unresolved", "better in every run"))
+               for row in rows)

@@ -21,8 +21,10 @@ beside the metric's bound: the share of the parent's median by which it may
 get worse.  The verdict is `claimable` only when the change wins at least 9
 of every 10 pairs, over at least 10 pairs, and its median is better than the
 parent's by more than the parent's interquartile range; `over bound` when the
-change is worse by more than the bound; `unresolved` when the parent's own
-interquartile range is wider than the bound; and `within bound` otherwise.
+change is worse by more than the bound; when the parent's own interquartile
+range is wider than the bound, `better in every run` if every run of the
+change reads better than every run of the parent and `unresolved` if not; and
+`within bound` otherwise.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ def verdict(metric: dict, parent: list, change: list) -> dict:
     elif worse > metric["bound"]:
         word = "over bound"
     elif (p_q[2] - p_q[0]) / abs(p_med) > metric["bound"]:
-        word = "unresolved"
+        better = max(sign * c for c in change) < min(sign * p for p in parent)
+        word = "better in every run" if better else "unresolved"
     else:
         word = "within bound"
     return {"parent": (p_med, p_q), "change": (c_med, c_q), "wins": wins, "losses": losses,
